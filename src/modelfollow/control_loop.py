@@ -1,43 +1,31 @@
 """Episode orchestration: plant, desired model, reference, three learners.
 
 One learner tick covers an interval of length delta: controls are composed
-and held, both systems are integrated on a substep grid, tracking errors
-are sampled into the feature stacks, and each strategy performs one critic
-and one actor projection step.  The observer and model-following signals
-are incremental (u <- u + mu); the closed-loop term is direct feedback on
-the observed state.  Adaptation of a strategy stops once its kernel has
-remained settled for a configured window (convergence freeze).
+and held, both systems advance by their exact per-tick RK4 maps
+(x+ = Phi x + Gamma u, built once per episode), the closed-loop stage cost
+is read off a fixed quadratic form, tracking errors are sampled into the
+feature stacks, and each strategy performs one critic and one actor
+projection step.  The observer and model-following signals are incremental
+(u <- u + mu); the closed-loop term is direct feedback on the observed
+state.  Adaptation of a strategy stops once its kernel has remained settled
+for a configured window (convergence freeze).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from modelfollow import learner as ln
 from modelfollow import oracle
-from modelfollow.dynamics import rk4_step
+from modelfollow.dynamics import held_input_maps
 from modelfollow.error_stack import ErrorStack
 from modelfollow.learner import (
-    SingularKernelError, theta_to_S, S_to_theta, qmonomials,
+    SingularKernelError, theta_to_S, S_to_theta,
     bellman_regressor, policy_from_kernel, critic_update, actor_update,
     kernel_converged, utility,
 )
 from modelfollow.reference import eval_reference
 
 STRATEGIES = ("ob", "cl", "mf")
-
-
-@dataclass
-class ControlState:
-    """Composed control signals at a learner tick."""
-
-    u_ob: float = 0.0
-    u_mf: float = 0.0
-    mu_cl: float = 0.0
-
-    @property
-    def u_total(self):
-        return self.mu_cl + self.u_mf
 
 
 def compose_control(mu_cl, u_mf):
@@ -144,10 +132,9 @@ def _learn_step(state, F, F_next, mu, phi, cfg, t):
         return z_tilde, residual
 
     theta_next = critic_update(state.theta, z_tilde, phi, cfg.sigma_c, cfg.alpha_c)
-    settled = kernel_converged(
-        theta_to_S(state.theta), theta_to_S(theta_next), cfg.tol_conv)
+    S = theta_to_S(theta_next)
+    settled = kernel_converged(theta_to_S(state.theta), S, cfg.tol_conv)
     state.theta = theta_next
-    S = 0.5 * (theta_to_S(state.theta) + theta_to_S(state.theta).T)
 
     nf = F.size
     try:
@@ -168,6 +155,23 @@ def _learn_step(state, F, F_next, mu, phi, cfg, t):
     return z_tilde, residual
 
 
+def tick_cost_form(L, Q, R, h):
+    """Quadratic form W of the trapezoid-integrated stage utility over one tick.
+
+    With L the substep maps of held_input_maps (x_j = L[j] z, z = [x_0; u]),
+    the composite trapezoid over the substep grid of utility(x_j, u, Q, R)
+    equals z' W z, with weights h/2 at the two ends and h inside.
+    """
+    w = np.full(L.shape[0], h)
+    w[0] = w[-1] = 0.5 * h
+    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    R = np.atleast_2d(np.asarray(R, dtype=float))
+    n = L.shape[1]
+    W = 0.5 * sum(wj * Lj.T @ Q @ Lj for wj, Lj in zip(w, L))
+    W[n:, n:] += 0.5 * w.sum() * R
+    return W
+
+
 def run_episode(model, ref_spec, cfg, horizon=20.0, substeps=10,
                 learning_enabled=True, initial=None, x0=None, xhat0=None):
     """Simulate one episode and return its log.
@@ -177,7 +181,8 @@ def run_episode(model, ref_spec, cfg, horizon=20.0, substeps=10,
         ref_spec: ReferenceSpec for the command generator.
         cfg: LearningConfig.
         horizon: episode length in seconds.
-        substeps: integration substeps per learner tick.
+        substeps: RK4 substeps per learner tick, folded into the per-tick
+            maps once per episode.
         learning_enabled: when False the critic/actor updates are skipped
             and the initial gains act as fixed controllers.
         initial: optional dict of StrategyState overriding the defaults.
@@ -193,12 +198,17 @@ def run_episode(model, ref_spec, cfg, horizon=20.0, substeps=10,
     delta = cfg.delta
     h = delta / substeps
     n_ticks = int(round(horizon / delta))
-    A, B = model.A, model.B[:, 0]
-    Ah, Bh = model.A_hat, model.B_hat[:, 0]
+    n = model.n
+    L = held_input_maps(model.A, model.B, h, substeps)
+    Phi, Gam = L[-1, :, :n], L[-1, :, n]
+    L_hat = held_input_maps(model.A_hat, model.B_hat, h, substeps)
+    Phi_hat, Gam_hat = L_hat[-1, :, :n], L_hat[-1, :, n]
+    # the closed-loop learner's stage cost is priced on [xhat; v]
+    W_cl = tick_cost_form(L_hat, cfg.Q, cfg.R, h)
     Crow = model.C[0]
 
-    x = np.zeros(model.n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    xh = np.zeros(model.n) if xhat0 is None else np.asarray(xhat0, dtype=float).copy()
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    xh = np.zeros(n) if xhat0 is None else np.asarray(xhat0, dtype=float).copy()
     u_ob = 0.0
     u_mf = 0.0
     stack_ob = ErrorStack(depth=3, dim=1)
@@ -254,14 +264,10 @@ def run_episode(model, ref_spec, cfg, horizon=20.0, substeps=10,
         # model, which is what keeps its logged data Bellman-consistent
         a_cl = v
 
-        phi_cl = 0.0
-        u_prev = utility(xh, a_cl, cfg.Q, cfg.R)
-        for _ in range(substeps):
-            x = rk4_step(np.atleast_2d(A), B.reshape(-1, 1), x, np.array([u_tot]), h)
-            xh = rk4_step(np.atleast_2d(Ah), Bh.reshape(-1, 1), xh, np.array([v]), h)
-            u_new = utility(xh, a_cl, cfg.Q, cfg.R)
-            phi_cl += 0.5 * h * (u_prev + u_new)
-            u_prev = u_new
+        z_cl = np.append(xh, a_cl)
+        phi_cl = float(z_cl @ W_cl @ z_cl)
+        x = Phi @ x + Gam * u_tot
+        xh = Phi_hat @ xh + Gam_hat * v
         t_next = t + delta
 
         if not np.all(np.isfinite(x)) or np.abs(x).max() > 1e7:

@@ -1,12 +1,15 @@
 """Continuous-time LTI simulation and linear-algebra utilities.
 
-The plant and the desired (observed) model are both advanced on a fine
-substep grid with the control held constant between learner updates
-(zero-order hold).  A scaling-and-squaring matrix exponential is kept here
-as an integration oracle that shares no code with the Runge-Kutta stepper.
+The plant and the desired (observed) model are both advanced with the
+control held constant between learner updates (zero-order hold).  Over one
+update interval the RK4 substeps of a linear system with held input are a
+fixed linear map, so `held_input_maps` builds that map once from
+`rk4_step` and the episode loop applies it per tick.  A scaling-and-squaring
+matrix exponential is kept here as an integration oracle that shares no
+code with the Runge-Kutta stepper.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,6 +97,29 @@ def rk4_step(A, B, x, u, h):
     k3 = f(x + 0.5 * h * k2)
     k4 = f(x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def held_input_maps(A, B, h, substeps):
+    """Exact maps of `substeps` RK4 steps of x' = A x + B u with u held.
+
+    RK4 on a linear system is linear in (x, u), so stepping the n basis
+    states with u = 0 and x = 0 with each unit input gives the maps exactly.
+
+    Returns:
+        Array L of shape (substeps + 1, n, n + m) with x_j = L[j] @ [x_0; u]
+        after j substeps; L[0] = [I, 0] and L[-1] = [Phi, Gamma].
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.asarray(B, dtype=float)
+    if B.ndim == 1:
+        B = B.reshape(-1, 1)
+    n, m = B.shape
+    L = np.empty((substeps + 1, n, n + m))
+    L[0] = np.eye(n, n + m)
+    U = np.eye(m, n + m, k=n)  # held input of each basis column
+    for j in range(substeps):
+        L[j + 1] = rk4_step(A, B, L[j], U, h)
+    return L
 
 
 def step_lti(model_part, state, u, h):

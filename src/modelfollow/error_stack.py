@@ -31,7 +31,7 @@ class ErrorStack:
         e = np.atleast_1d(np.asarray(e, dtype=float))
         if e.shape != (self.dim,):
             raise ValueError(f"expected sample of length {self.dim}, got shape {e.shape}")
-        self._buf = np.roll(self._buf, -1, axis=0)
+        self._buf[:-1] = self._buf[1:]
         self._buf[-1] = e
         self.fill = min(self.fill + 1, self.depth)
         return self

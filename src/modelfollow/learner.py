@@ -9,6 +9,7 @@ updates that contract for pace 0 < sigma < 2.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +23,17 @@ def tri_indices(d):
     return [(i, j) for i in range(d) for j in range(i, d)]
 
 
+@lru_cache(maxsize=None)
+def _tri_layout(d):
+    """Row and column index arrays of the theta layout (the order of
+    tri_indices) and the monomial weights: 1/2 on the diagonal, 1 off it."""
+    rows, cols = np.triu_indices(d)
+    weights = np.where(rows == cols, 0.5, 1.0)
+    for a in (rows, cols, weights):
+        a.flags.writeable = False
+    return rows, cols, weights
+
+
 def qmonomials(Z):
     """Quadratic monomials of Z matching the theta layout.
 
@@ -29,16 +41,8 @@ def qmonomials(Z):
     theta' qmonomials(Z) = 1/2 Z' S Z when theta stores S entrywise.
     """
     Z = np.asarray(Z, dtype=float)
-    d = Z.shape[0]
-    out = np.empty(d * (d + 1) // 2)
-    k = 0
-    for i in range(d):
-        out[k] = 0.5 * Z[i] * Z[i]
-        k += 1
-        for j in range(i + 1, d):
-            out[k] = Z[i] * Z[j]
-            k += 1
-    return out
+    rows, cols, weights = _tri_layout(Z.shape[0])
+    return weights * Z[rows] * Z[cols]
 
 
 def theta_to_S(theta):
@@ -48,21 +52,18 @@ def theta_to_S(theta):
     d = int(round((np.sqrt(8 * theta.size + 1) - 1) / 2))
     if d * (d + 1) // 2 != theta.size:
         raise ValueError(f"theta length {theta.size} is not triangular")
-    S = np.zeros((d, d))
-    k = 0
-    for i in range(d):
-        for j in range(i, d):
-            S[i, j] = theta[k]
-            S[j, i] = theta[k]
-            k += 1
+    rows, cols, _ = _tri_layout(d)
+    S = np.empty((d, d))
+    S[rows, cols] = theta
+    S[cols, rows] = theta
     return S
 
 
 def S_to_theta(S):
     """Flatten a symmetric kernel into its theta vector."""
     S = np.asarray(S, dtype=float)
-    d = S.shape[0]
-    return np.array([S[i, j] for (i, j) in tri_indices(d)])
+    rows, cols, _ = _tri_layout(S.shape[0])
+    return S[rows, cols]
 
 
 def utility(F, mu, Q, R):

@@ -66,3 +66,12 @@ def test_dimension_mismatch():
 def test_bad_construction():
     with pytest.raises(ValueError):
         ErrorStack(depth=0)
+
+
+def test_push_shifts_in_place():
+    s = ErrorStack(depth=4, dim=2)
+    buf = s._buf
+    for v in range(6):
+        s.push([v, -v])
+    assert s._buf is buf
+    assert np.array_equal(s.as_vector(), [2, -2, 3, -3, 4, -4, 5, -5])

@@ -209,6 +209,26 @@ def test_theta_round_trip():
         assert np.linalg.norm(S_to_theta(theta_to_S(th)) - th) < 1e-12
 
 
+def test_layout_matches_loop_reference():
+    # the tri_indices loops the vectorized layout replaced; same arithmetic,
+    # so the results must be bit-identical
+    rng = np.random.default_rng(9)
+    for d in range(1, 7):
+        pairs = tri_indices(d)
+        for _ in range(5):
+            Z = rng.normal(size=d)
+            ref = [0.5 * Z[i] * Z[i] if i == j else Z[i] * Z[j] for (i, j) in pairs]
+            assert np.array_equal(qmonomials(Z), ref)
+            th = rng.normal(size=len(pairs))
+            S_ref = np.zeros((d, d))
+            for k, (i, j) in enumerate(pairs):
+                S_ref[i, j] = S_ref[j, i] = th[k]
+            S = theta_to_S(th)
+            assert np.array_equal(S, S_ref)
+            assert np.array_equal(S, S.T)
+            assert np.array_equal(S_to_theta(S), th)
+
+
 def test_identity_theta_layout():
     th = S_to_theta(np.eye(4))
     diag_slots = [0, 4, 7, 9]
