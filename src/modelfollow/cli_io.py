@@ -44,7 +44,6 @@ class RunConfig:
     reference: ReferenceSpec
     learning: LearningConfig
     horizon: float = 20.0
-    seed: int = 0
     trajectory_csv: str = "trajectory.csv"
     weights_csv: str = "weights.csv"
     summary_json: str = "summary.json"
@@ -135,7 +134,6 @@ def parse_config(text):
         reference=reference,
         learning=learning,
         horizon=horizon,
-        seed=int(_get(runsec, "seed", 0)),
         trajectory_csv=_get(runsec, "trajectory_csv", "trajectory.csv", parse=str),
         weights_csv=_get(runsec, "weights_csv", "weights.csv", parse=str),
         summary_json=_get(runsec, "summary_json", "summary.json", parse=str),
@@ -147,39 +145,39 @@ def load_config(path):
         return parse_config(fh.read())
 
 
-def _fmt(v):
-    return f"{float(v):.17g}"
-
-
 def _eig_pairs(M):
     return [[float(ev.real), float(ev.imag)] for ev in eigenvalues(M)]
 
 
-def write_trajectory_csv(log, path):
+def _write_table(path, header, columns):
+    """Write per-tick columns as CSV rows of %.17g numbers.
+
+    Rows are stacked and formatted a block at a time, so the table never
+    exists in memory as a whole.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(TRAJECTORY_HEADER + "\n")
-        for i in range(len(log.t)):
-            row = ([log.t[i]] + list(log.x[i]) + list(log.xhat[i])
-                   + [log.y[i], log.yhat[i], log.yref[i],
-                      log.e_ob[i], log.e_mf[i],
-                      log.u_total[i], log.mu_cl[i], log.u_ob[i], log.u_mf[i]])
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), 256):
+            block = np.column_stack([c[start:start + 256] for c in columns])
+            row_fmt = ",".join(["%.17g"] * block.shape[1]) + "\n"
+            fh.writelines(row_fmt % tuple(row) for row in block.tolist())
+
+
+def write_trajectory_csv(log, path):
+    _write_table(path, TRAJECTORY_HEADER,
+                 [log.t, log.x, log.xhat, log.y, log.yhat, log.yref,
+                  log.e_ob, log.e_mf, log.u_total, log.mu_cl, log.u_ob,
+                  log.u_mf])
 
 
 def write_weights_csv(log, path):
-    n_theta = {s: len(log.theta_hist[s][0]) for s in STRATEGIES}
-    n_pi = {s: len(log.pi_hist[s][0]) for s in STRATEGIES}
     cols = ["t"]
+    columns = [log.t]
     for s in STRATEGIES:
-        cols += [f"{s}_theta_{j}" for j in range(n_theta[s])]
-        cols += [f"{s}_pi_{j}" for j in range(n_pi[s])]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(len(log.t)):
-            row = [log.t[i]]
-            for s in STRATEGIES:
-                row += list(log.theta_hist[s][i]) + list(log.pi_hist[s][i])
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        cols += [f"{s}_theta_{j}" for j in range(len(log.theta_hist[s][0]))]
+        cols += [f"{s}_pi_{j}" for j in range(len(log.pi_hist[s][0]))]
+        columns += [log.theta_hist[s], log.pi_hist[s]]
+    _write_table(path, ",".join(cols), columns)
 
 
 def build_summary(config, log):

@@ -1,10 +1,10 @@
 """Independent ground-truth machinery for validating the online learner.
 
 Everything here is sampled-data linear-quadratic bookkeeping: exact
-zero-order-hold discretization, a fixed-point Riccati solver, assembly of
-the quadratic action-value kernel, policy-evaluation kernels for a given
-gain, and a batch least-squares counterpart of the projection iteration.
-None of it shares code with the learner module.
+zero-order-hold discretization, a structured-doubling Riccati solver,
+assembly of the quadratic action-value kernel, policy-evaluation kernels
+for a given gain, and a batch least-squares counterpart of the projection
+iteration.  None of it shares code with the learner module.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ from scipy.linalg import expm, solve_discrete_lyapunov
 
 
 class NoConvergenceError(RuntimeError):
-    """Riccati fixed-point iteration failed to settle within max_iter."""
+    """Riccati doubling failed to settle within max_iter or overflowed."""
 
 
 class UnderExcitationError(RuntimeError):
@@ -99,25 +99,50 @@ def integrated_stage_cost(A, B, Q, R, delta):
     return 0.5 * (G + G.T)
 
 
-def solve_dare(A_d, B_d, Q_bar, R_bar, tol=1e-13, max_iter=200000):
-    """Discrete Riccati fixed point by plain iteration from P0 = Q_bar."""
-    A_d = np.atleast_2d(np.asarray(A_d, dtype=float))
+def solve_dare(A_d, B_d, Q_bar, R_bar, tol=1e-13, max_iter=64):
+    """Discrete Riccati solution by the structured doubling algorithm.
+
+    Starting from A_0 = A_d, G_0 = B_d R_bar^-1 B_d', H_0 = Q_bar, each
+    step solves W = I + G H once and sets
+
+        H <- H + A' H W^-1 A,  G <- G + A W^-1 G A',  A <- A W^-1 A,
+
+    so H_k is 2^k steps from P = 0 of the value recursion
+    P <- Q_bar + A_d' P A_d - A_d' P B_d (R_bar + B_d' P B_d)^-1 B_d' P A_d
+    (Chu, Fan & Lin 2005).  Stops when ||H_{k+1} - H_k||_F < tol; raises
+    NoConvergenceError after max_iter doubling steps or as soon as an
+    iterate is not finite.
+    """
+    A = np.atleast_2d(np.asarray(A_d, dtype=float))
     B_d = np.asarray(B_d, dtype=float)
     if B_d.ndim == 1:
         B_d = B_d.reshape(-1, 1)
-    Q_bar = np.atleast_2d(np.asarray(Q_bar, dtype=float))
+    H = np.atleast_2d(np.asarray(Q_bar, dtype=float))
     R_bar = np.atleast_2d(np.asarray(R_bar, dtype=float))
-    P = Q_bar.copy()
-    for _ in range(max_iter):
-        BtP = B_d.T @ P
-        gain_term = np.linalg.solve(R_bar + BtP @ B_d, BtP @ A_d)
-        Pn = Q_bar + A_d.T @ P @ A_d - (A_d.T @ P @ B_d) @ gain_term
-        Pn = 0.5 * (Pn + Pn.T)
-        if np.linalg.norm(Pn - P) < tol:
-            return Pn
-        P = Pn
+    G = B_d @ np.linalg.solve(R_bar, B_d.T)
+    G = 0.5 * (G + G.T)
+    n = A.shape[0]
+    eye = np.eye(n)
+    # an unstabilizable pair overflows within about ten steps; the
+    # finiteness check below reports that instead of numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            WinvAG = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
+            WinvA, WinvG = WinvAG[:, :n], WinvAG[:, n:]
+            Hn = H + A.T @ H @ WinvA
+            Hn = 0.5 * (Hn + Hn.T)
+            G = G + A @ WinvG @ A.T
+            G = 0.5 * (G + G.T)
+            A = A @ WinvA
+            if not (np.isfinite(Hn).all() and np.isfinite(G).all()
+                    and np.isfinite(A).all()):
+                raise NoConvergenceError(
+                    "Riccati doubling iterate became non-finite")
+            if np.linalg.norm(Hn - H) < tol:
+                return Hn
+            H = Hn
     raise NoConvergenceError(
-        f"Riccati iteration did not converge in {max_iter} steps")
+        f"Riccati doubling did not converge in {max_iter} steps")
 
 
 def qfun_kernel(P, model):

@@ -1,5 +1,9 @@
+import time
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_are
 
 from modelfollow import oracle
 from modelfollow.dynamics import rk4_step
@@ -69,6 +73,46 @@ def test_dare_benchmark_psd(model):
     gain_term = np.linalg.solve(R_bar + B_d.T @ P @ B_d, B_d.T @ P @ A_d)
     res = Q_bar + A_d.T @ P @ A_d - (A_d.T @ P @ B_d) @ gain_term - P
     assert np.linalg.norm(res) < 1e-11
+
+
+@pytest.mark.parametrize("delta", [0.002, 0.005, 0.01, 0.02, 0.05])
+@pytest.mark.parametrize("q, r", [(0.05, 0.01), (0.02, 0.02), (0.2, 0.01)])
+def test_dare_matches_scipy(model, delta, q, r):
+    A_d, B_d = oracle.zoh_discretize(model.A_hat, model.B_hat, delta)
+    Q_bar, R_bar = oracle.stage_cost(q * np.eye(3), r, delta)
+    P = oracle.solve_dare(A_d, B_d, Q_bar, R_bar)
+    P_ref = solve_discrete_are(A_d, B_d, Q_bar, R_bar)
+    assert np.linalg.norm(P - P_ref) < 1e-11 * np.linalg.norm(P_ref)
+
+
+def test_dare_matches_plain_fixed_point(model):
+    delta = 0.05
+    A_d, B_d = oracle.zoh_discretize(model.A_hat, model.B_hat, delta)
+    Q_bar, R_bar = oracle.stage_cost(0.05 * np.eye(3), 0.01, delta)
+    # the value recursion P <- Q_bar + A_d' P A_d - A_d' P B_d K from Q_bar
+    P_ref = Q_bar.copy()
+    for _ in range(200000):
+        BtP = B_d.T @ P_ref
+        gain_term = np.linalg.solve(R_bar + BtP @ B_d, BtP @ A_d)
+        Pn = Q_bar + A_d.T @ P_ref @ A_d - (A_d.T @ P_ref @ B_d) @ gain_term
+        Pn = 0.5 * (Pn + Pn.T)
+        if np.linalg.norm(Pn - P_ref) < 1e-13:
+            P_ref = Pn
+            break
+        P_ref = Pn
+    else:
+        pytest.fail("reference fixed-point loop did not settle")
+    P = oracle.solve_dare(A_d, B_d, Q_bar, R_bar)
+    assert np.linalg.norm(P - P_ref) < 1e-9 * np.linalg.norm(P_ref)
+
+
+def test_dare_unstabilizable_raises_fast():
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(oracle.NoConvergenceError):
+            oracle.solve_dare([[2.0]], [[0.0]], [[1.0]], [[1.0]])
+    assert time.perf_counter() - start < 0.5
 
 
 def test_qfun_kernel_blocks(model):
