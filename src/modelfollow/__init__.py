@@ -10,7 +10,6 @@ ground truth for validation.
 
 from modelfollow.dynamics import ProcessModel, StateVector, step_lti, output, eigenvalues
 from modelfollow.reference import ReferenceSpec, eval_reference
-from modelfollow.error_stack import ErrorStack, StackNotReadyError
 from modelfollow.learner import LearningConfig
 from modelfollow.control_loop import EpisodeLog, run_episode
 

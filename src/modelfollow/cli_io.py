@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from modelfollow.control_loop import STRATEGIES, run_episode
+from modelfollow.control_loop import STRATEGIES, TRAJECTORY, run_episode
 from modelfollow.dynamics import ProcessModel, eigenvalues
 from modelfollow.learner import LearningConfig, ProbeSpec, theta_to_S, policy_from_kernel
 from modelfollow.reference import ReferenceSpec
@@ -164,18 +164,15 @@ def _write_table(path, header, columns):
 
 
 def write_trajectory_csv(log, path):
-    _write_table(path, TRAJECTORY_HEADER,
-                 [log.t, log.x, log.xhat, log.y, log.yhat, log.yref,
-                  log.e_ob, log.e_mf, log.u_total, log.mu_cl, log.u_ob,
-                  log.u_mf])
+    _write_table(path, TRAJECTORY_HEADER, [getattr(log, name) for name in TRAJECTORY])
 
 
 def write_weights_csv(log, path):
     cols = ["t"]
     columns = [log.t]
     for s in STRATEGIES:
-        cols += [f"{s}_theta_{j}" for j in range(len(log.theta_hist[s][0]))]
-        cols += [f"{s}_pi_{j}" for j in range(len(log.pi_hist[s][0]))]
+        cols += [f"{s}_theta_{j}" for j in range(log.theta_hist[s].shape[1])]
+        cols += [f"{s}_pi_{j}" for j in range(log.pi_hist[s].shape[1])]
         columns += [log.theta_hist[s], log.pi_hist[s]]
     _write_table(path, ",".join(cols), columns)
 
@@ -191,8 +188,8 @@ def build_summary(config, log):
         "pi_cl": [float(v) for v in pi_cl],
         "pi_ob": [float(v) for v in log.pi_final["ob"]],
         "pi_mf": [float(v) for v in log.pi_final["mf"]],
-        "terminal_e_mf": float(log.e_mf[-1]) if log.e_mf else None,
-        "terminal_e_ob": float(log.e_ob[-1]) if log.e_ob else None,
+        "terminal_e_mf": float(log.e_mf[-1]),
+        "terminal_e_ob": float(log.e_ob[-1]),
         "kernel_frobenius_norms": {
             s: float(np.linalg.norm(theta_to_S(log.theta_final[s])))
             for s in STRATEGIES},

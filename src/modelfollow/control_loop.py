@@ -3,21 +3,21 @@
 One learner tick covers an interval of length delta: controls are composed
 and held, both systems advance by their exact per-tick RK4 maps
 (x+ = Phi x + Gamma u, built once per episode), the closed-loop stage cost
-is read off a fixed quadratic form, tracking errors are sampled into the
-feature stacks, and each strategy performs one critic and one actor
-projection step.  The observer and model-following signals are incremental
-(u <- u + mu); the closed-loop term is direct feedback on the observed
-state.  Adaptation of a strategy stops once its kernel has remained settled
-for a configured window (convergence freeze).
+is read off a fixed quadratic form, the new sample is written to the
+columnar episode log, and each strategy performs one critic and one actor
+projection step.  The observer and model-following strategies act on the
+last STACK_DEPTH rows of the logged tracking-error columns; their signals
+are incremental (u <- u + mu).  The closed-loop term is direct feedback on
+the observed state.  Adaptation of a strategy stops once its kernel has
+remained settled for a configured window (convergence freeze).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from modelfollow import oracle
 from modelfollow.dynamics import held_input_maps
-from modelfollow.error_stack import ErrorStack
 from modelfollow.learner import (
     SingularKernelError, theta_to_S, S_to_theta,
     bellman_regressor, policy_from_kernel, critic_update, actor_update,
@@ -26,16 +26,11 @@ from modelfollow.learner import (
 from modelfollow.reference import eval_reference
 
 STRATEGIES = ("ob", "cl", "mf")
-
-
-def compose_control(mu_cl, u_mf):
-    """Main control u = mu_cl + u_mf."""
-    return mu_cl + u_mf
-
-
-def observer_input(u_ob, u_total):
-    """Input seen by the desired model: the observer signal plus the main control."""
-    return u_ob + u_total
+# sampled tracking errors per observer / model-following feature vector
+STACK_DEPTH = 3
+# per-tick signals of the episode log, in trajectory.csv column order
+TRAJECTORY = ("t", "x", "xhat", "y", "yhat", "yref", "e_ob", "e_mf",
+              "u_total", "mu_cl", "u_ob", "u_mf")
 
 
 @dataclass
@@ -44,38 +39,38 @@ class StrategyState:
     pi: np.ndarray
     frozen: bool = False
     conv_count: int = 0
-    t_converged: float = None
 
 
-@dataclass
 class EpisodeLog:
-    """Uniformly sampled trajectories plus learner internals for one episode."""
+    """Uniformly sampled trajectories plus learner internals for one episode.
 
-    t: list = field(default_factory=list)
-    x: list = field(default_factory=list)
-    xhat: list = field(default_factory=list)
-    y: list = field(default_factory=list)
-    yhat: list = field(default_factory=list)
-    yref: list = field(default_factory=list)
-    e_ob: list = field(default_factory=list)
-    e_mf: list = field(default_factory=list)
-    u_total: list = field(default_factory=list)
-    mu_cl: list = field(default_factory=list)
-    u_ob: list = field(default_factory=list)
-    u_mf: list = field(default_factory=list)
-    theta_hist: dict = field(default_factory=lambda: {s: [] for s in STRATEGIES})
-    pi_hist: dict = field(default_factory=lambda: {s: [] for s in STRATEGIES})
-    regressors: dict = field(default_factory=lambda: {s: [] for s in STRATEGIES})
-    residuals: dict = field(default_factory=lambda: {s: [] for s in STRATEGIES})
-    t_converged: dict = field(default_factory=lambda: {s: None for s in STRATEGIES})
-    pi_final: dict = field(default_factory=dict)
-    theta_final: dict = field(default_factory=dict)
-    diverged: float = None
+    Every TRAJECTORY signal is an array with one row per sample time (x and
+    xhat have n columns); theta_hist and pi_hist hold one (rows, size) array
+    per strategy.  The columns are allocated once for the whole horizon.
+    """
+
+    def __init__(self, rows, n, states):
+        for name in TRAJECTORY:
+            setattr(self, name, np.zeros((rows, n) if name in ("x", "xhat") else rows))
+        self.theta_hist = {s: np.zeros((rows, states[s].theta.size)) for s in STRATEGIES}
+        self.pi_hist = {s: np.zeros((rows, states[s].pi.size)) for s in STRATEGIES}
+        self.regressors = {s: [] for s in STRATEGIES}
+        self.t_converged = dict.fromkeys(STRATEGIES)
+        self.pi_final = {}
+        self.theta_final = {}
+        self.diverged = None
+
+    def trim(self, rows):
+        """Keep only the first `rows` rows of every per-tick column."""
+        for name in TRAJECTORY:
+            setattr(self, name, getattr(self, name)[:rows])
+        for hist in (self.theta_hist, self.pi_hist):
+            for s in STRATEGIES:
+                hist[s] = hist[s][:rows]
 
     def window(self, t_lo, t_hi):
         """Boolean mask over ticks with t_lo <= t <= t_hi."""
-        ts = np.asarray(self.t)
-        return (ts >= t_lo) & (ts <= t_hi)
+        return (self.t >= t_lo) & (self.t <= t_hi)
 
 
 def embedded_gain_kernel(pi, beta, s_max):
@@ -106,7 +101,7 @@ def initial_strategies(model, cfg):
     states = {}
     if cfg.init == "identity":
         for s in STRATEGIES:
-            d = (model.n if s == "cl" else 3) + 1
+            d = (model.n if s == "cl" else STACK_DEPTH) + 1
             states[s] = StrategyState(S_to_theta(np.eye(d)), np.zeros(d - 1))
         return states
 
@@ -127,9 +122,8 @@ def _learn_step(state, F, F_next, mu, phi, cfg, t):
     Z_t = np.concatenate([F, [mu]])
     Z_next = np.concatenate([F_next, [float(state.pi @ F_next)]])
     z_tilde = bellman_regressor(Z_t, Z_next)
-    residual = float(state.theta @ z_tilde) - phi
     if state.frozen:
-        return z_tilde, residual
+        return z_tilde
 
     theta_next = critic_update(state.theta, z_tilde, phi, cfg.sigma_c, cfg.alpha_c)
     S = theta_to_S(theta_next)
@@ -152,7 +146,7 @@ def _learn_step(state, F, F_next, mu, phi, cfg, t):
         state.conv_count = state.conv_count + 1 if settled else 0
         if state.conv_count >= cfg.conv_window and not state.frozen:
             state.frozen = True
-    return z_tilde, residual
+    return z_tilde
 
 
 def tick_cost_form(L, Q, R, h):
@@ -189,7 +183,7 @@ def run_episode(model, ref_spec, cfg, horizon=20.0, substeps=10,
 
     Returns:
         EpisodeLog.  Divergence stops the episode early and is recorded in
-        log.diverged; the partial log is still returned.
+        log.diverged; the log is trimmed to the rows written and returned.
     """
     if model.m != 1 or model.p != 1:
         raise NotImplementedError("single-input single-output plants only")
@@ -211,60 +205,44 @@ def run_episode(model, ref_spec, cfg, horizon=20.0, substeps=10,
     xh = np.zeros(n) if xhat0 is None else np.asarray(xhat0, dtype=float).copy()
     u_ob = 0.0
     u_mf = 0.0
-    stack_ob = ErrorStack(depth=3, dim=1)
-    stack_mf = ErrorStack(depth=3, dim=1)
 
-    log = EpisodeLog()
+    log = EpisodeLog(n_ticks + 1, n, states)
+    columns = [getattr(log, name) for name in TRAJECTORY]
 
-    def record(t, mu_cl, u_tot):
-        log.t.append(t)
-        log.x.append(x.copy())
-        log.xhat.append(xh.copy())
+    def record(k, t, mu_cl, u_tot):
         y = float(Crow @ x)
         yh = float(Crow @ xh)
         yr = float(eval_reference(ref_spec, t)[0])
-        log.y.append(y)
-        log.yhat.append(yh)
-        log.yref.append(yr)
-        log.e_ob.append(y - yh)
-        log.e_mf.append(yr - y)
-        log.u_total.append(u_tot)
-        log.mu_cl.append(mu_cl)
-        log.u_ob.append(u_ob)
-        log.u_mf.append(u_mf)
+        row = (t, x, xh, y, yh, yr, y - yh, yr - y, u_tot, mu_cl, u_ob, u_mf)
+        for col, value in zip(columns, row):
+            col[k] = value
         for s in STRATEGIES:
-            log.theta_hist[s].append(states[s].theta.copy())
-            log.pi_hist[s].append(states[s].pi.copy())
-        return y, yh, yr
+            log.theta_hist[s][k] = states[s].theta
+            log.pi_hist[s][k] = states[s].pi
 
-    # initial record and first error samples at t = 0
-    y0, yh0, yr0 = record(0.0, 0.0, 0.0)
-    stack_ob.push(y0 - yh0)
-    stack_mf.push(yr0 - y0)
+    record(0, 0.0, 0.0, 0.0)
 
     for k in range(n_ticks):
         t = k * delta
+        # the error features exist once STACK_DEPTH samples are logged;
+        # until then the incremental controls stay at zero (warm-up gating)
+        ready = k >= STACK_DEPTH - 1
+        lo = k - STACK_DEPTH + 1
 
-        F = {"cl": xh.copy(),
-             "ob": stack_ob.as_vector() if stack_ob.ready else None,
-             "mf": stack_mf.as_vector() if stack_mf.ready else None}
-
-        mu_cl = float(states["cl"].pi @ F["cl"]) + cfg.probe.value(t, "cl")
-        mu_ob = (float(states["ob"].pi @ F["ob"]) + cfg.probe.value(t, "ob")) \
-            if F["ob"] is not None else 0.0
-        mu_mf = (float(states["mf"].pi @ F["mf"]) + cfg.probe.value(t, "mf")) \
-            if F["mf"] is not None else 0.0
+        mu_cl = float(states["cl"].pi @ xh) + cfg.probe.value(t, "cl")
+        mu_ob = mu_mf = 0.0
+        if ready:
+            mu_ob = float(states["ob"].pi @ log.e_ob[lo:k + 1]) + cfg.probe.value(t, "ob")
+            mu_mf = float(states["mf"].pi @ log.e_mf[lo:k + 1]) + cfg.probe.value(t, "mf")
 
         u_ob += mu_ob
         u_mf += mu_mf
-        u_tot = compose_control(mu_cl, u_mf)
-        v = observer_input(u_ob, u_tot)
-
+        u_tot = mu_cl + u_mf
         # the closed-loop learner prices the full input seen by the desired
         # model, which is what keeps its logged data Bellman-consistent
-        a_cl = v
+        v = u_ob + u_tot
 
-        z_cl = np.append(xh, a_cl)
+        z_cl = np.append(xh, v)
         phi_cl = float(z_cl @ W_cl @ z_cl)
         x = Phi @ x + Gam * u_tot
         xh = Phi_hat @ xh + Gam_hat * v
@@ -272,30 +250,23 @@ def run_episode(model, ref_spec, cfg, horizon=20.0, substeps=10,
 
         if not np.all(np.isfinite(x)) or np.abs(x).max() > 1e7:
             log.diverged = t_next
+            log.trim(k + 1)
             break
 
-        y, yh, yr = record(t_next, mu_cl, u_tot)
-        was_ready = {"ob": F["ob"] is not None, "mf": F["mf"] is not None}
-        stack_ob.push(y - yh)
-        stack_mf.push(yr - y)
+        record(k + 1, t_next, mu_cl, u_tot)
+        if not learning_enabled:
+            continue
 
-        F_next = {"cl": xh.copy(),
-                  "ob": stack_ob.as_vector() if was_ready["ob"] else None,
-                  "mf": stack_mf.as_vector() if was_ready["mf"] else None}
-        mu = {"cl": a_cl, "ob": mu_ob, "mf": mu_mf}
-        phi = {"cl": phi_cl}
-        for s, Fv, mv in (("ob", F["ob"], mu_ob), ("mf", F["mf"], mu_mf)):
-            phi[s] = delta * utility(Fv, mv, cfg.Q, cfg.R) if Fv is not None else None
-
-        for s in STRATEGIES:
-            if F[s] is None or F_next[s] is None:
-                continue
-            if not learning_enabled:
-                continue
-            z_tilde, residual = _learn_step(
-                states[s], F[s], F_next[s], mu[s], phi[s], cfg, t)
-            log.regressors[s].append((z_tilde, phi[s]))
-            log.residuals[s].append(residual)
+        # (strategy, features at t, features at t + delta, action, stage cost)
+        steps = [("cl", log.xhat[k], log.xhat[k + 1], v, phi_cl)]
+        if ready:
+            for s, e, mu in (("ob", log.e_ob, mu_ob), ("mf", log.e_mf, mu_mf)):
+                F = e[lo:k + 1]
+                steps.append((s, F, e[lo + 1:k + 2], mu,
+                              delta * utility(F, mu, cfg.Q, cfg.R)))
+        for s, F, F_next, mu, phi in steps:
+            z_tilde = _learn_step(states[s], F, F_next, mu, phi, cfg, t)
+            log.regressors[s].append((z_tilde, phi))
             if states[s].frozen and log.t_converged[s] is None:
                 log.t_converged[s] = t_next
 

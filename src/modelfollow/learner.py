@@ -75,20 +75,6 @@ def utility(F, mu, Q, R):
     return 0.5 * float(F @ Q @ F + mu @ R @ mu)
 
 
-def integrate_utility(samples):
-    """Composite trapezoid over (t, U) samples spanning one learning interval.
-
-    Exact for integrands linear in t.  Times must be strictly increasing.
-    """
-    ts = np.array([t for (t, _) in samples], dtype=float)
-    us = np.array([u for (_, u) in samples], dtype=float)
-    if ts.size < 2:
-        raise ValueError("need at least two samples to integrate")
-    if np.any(np.diff(ts) <= 0):
-        raise ValueError("sample times must be strictly increasing")
-    return float(np.trapezoid(us, ts))
-
-
 def quadratic_value(S, Z):
     """V = 1/2 Z' S Z."""
     Z = np.asarray(Z, dtype=float)

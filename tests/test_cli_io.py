@@ -7,6 +7,7 @@ from modelfollow.cli_io import (
     ConfigError, parse_config, main, TRAJECTORY_HEADER,
     write_trajectory_csv, build_summary,
 )
+from modelfollow.control_loop import STRATEGIES, TRAJECTORY, run_episode
 
 
 def test_defaults_from_empty_config():
@@ -70,6 +71,32 @@ def test_run_command_artifacts(tmp_path):
         assert key in summary
     ol = sorted(ev[0] for ev in summary["open_loop_eigenvalues"])
     assert abs(ol[0] + 5.0) < 1e-3 and abs(ol[-1]) < 1e-9
+
+
+def test_diverging_run_trims_log(tmp_path):
+    # a destabilizing closed-loop prior: the plant state leaves the 1e7 box
+    # during the tick that ends at t = 18.42 s, so rows 0..1841 are written
+    text = "[learning]\npi_cl0 = [5.0, 5.0, 5.0]\n"
+    config = tmp_path / "diverge.ini"
+    config.write_text(text)
+    rc = main(["run", str(config), "--outdir", str(tmp_path)])
+    assert rc == 2
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["diverged_at"] == 18.42
+
+    rows = 1842
+    cfg = parse_config(text)
+    log = run_episode(cfg.model, cfg.reference, cfg.learning, horizon=cfg.horizon)
+    assert log.diverged == 18.42
+    for name in TRAJECTORY:
+        assert len(getattr(log, name)) == rows, name
+    for s in STRATEGIES:
+        assert log.theta_hist[s].shape == (rows, log.theta_final[s].size)
+        assert log.pi_hist[s].shape == (rows, log.pi_final[s].size)
+    assert np.all(np.isfinite(log.x)) and np.abs(log.x).max() <= 1e7
+    assert abs(log.t[-1] - 18.41) < 1e-9
+    for name in ("trajectory.csv", "weights.csv"):
+        assert len((tmp_path / name).read_text().splitlines()) == rows + 1
 
 
 def test_zero_horizon_run(tmp_path):

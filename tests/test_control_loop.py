@@ -3,7 +3,7 @@ import pytest
 
 from modelfollow.cli_io import parse_config
 from modelfollow.control_loop import (
-    StrategyState, compose_control, observer_input, run_episode,
+    StrategyState, run_episode,
     initial_strategies, embedded_gain_kernel, STRATEGIES,
 )
 from modelfollow.learner import LearningConfig, ProbeSpec, S_to_theta, policy_from_kernel, theta_to_S
@@ -22,13 +22,6 @@ def fixed_gain_states(pi_cl, pi_ob=None, pi_mf=None):
         g = np.zeros(3) if gains[s] is None else np.asarray(gains[s], dtype=float)
         states[s] = StrategyState(S_to_theta(np.eye(4)), g)
     return states
-
-
-def test_compose_and_observer_input():
-    assert compose_control(0.0, 0.0) == 0.0
-    assert compose_control(1.5, -0.5) == 1.0
-    assert observer_input(0.0, 2.0) == 2.0
-    assert observer_input(3.0, 0.0) == 3.0
 
 
 def test_zero_equilibrium(model):

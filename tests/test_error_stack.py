@@ -1,77 +1,98 @@
+"""Stacked tracking-error features of the observer and model-following strategies.
+
+Each feature is a window of the STACK_DEPTH most recent logged errors,
+oldest first: e[k-2:k+1] at tick k and e[k-1:k+2] one tick later.  The
+tests rebuild every Bellman regressor of a strategy from the log columns.
+"""
+
 import numpy as np
 import pytest
 
-from modelfollow.error_stack import ErrorStack, StackNotReadyError
+from modelfollow.control_loop import STACK_DEPTH, StrategyState, run_episode
+from modelfollow.learner import LearningConfig, ProbeSpec, S_to_theta, bellman_regressor
+from modelfollow.reference import ReferenceSpec
+
+ERROR = {"ob": "e_ob", "mf": "e_mf"}
 
 
-def test_underfilled_not_ready():
-    s = ErrorStack(depth=3, dim=1)
-    s.push(1.0)
-    assert s.fill == 1
-    assert not s.ready
-    with pytest.raises(StackNotReadyError):
-        s.as_vector()
+@pytest.fixture(scope="module")
+def short_run(default_config):
+    c = default_config
+    return c.learning, run_episode(c.model, c.reference, c.learning, horizon=1.0)
 
 
-def test_fill_and_order():
-    s = ErrorStack(depth=3, dim=1)
-    for v in (1.0, 2.0, 3.0):
-        s.push(v)
-    assert np.array_equal(s.as_vector(), [1.0, 2.0, 3.0])
+def expected_regressor(log, cfg, s, k):
+    """Regressor of strategy s at tick k, rebuilt from the logged columns."""
+    e = getattr(log, ERROR[s])
+    F, F_next = e[k - STACK_DEPTH + 1:k + 1], e[k - STACK_DEPTH + 2:k + 2]
+    pi = log.pi_hist[s][k + 1]  # row k+1 holds the gains acting during tick k
+    mu = float(pi @ F) + cfg.probe.value(k * cfg.delta, s)
+    return bellman_regressor(np.append(F, mu), np.append(F_next, float(pi @ F_next)))
 
 
-def test_eviction():
-    s = ErrorStack(depth=3, dim=1)
-    for v in (1.0, 2.0, 3.0, 4.0):
-        s.push(v)
-    assert np.array_equal(s.as_vector(), [2.0, 3.0, 4.0])
-    assert s.fill == 3
+def regressor_at(log, s, k):
+    return log.regressors[s][k - (STACK_DEPTH - 1)][0]
 
 
-def test_vector_layout():
-    s = ErrorStack(depth=3, dim=2)
-    a, b, c = [1.0, 2.0], [3.0, 4.0], [5.0, 6.0]
-    for v in (a, b, c):
-        s.push(v)
-    assert np.array_equal(s.as_vector(), [1, 2, 3, 4, 5, 6])
+def test_underfilled_not_ready(model, default_config):
+    c = default_config
+    log = run_episode(model, c.reference, c.learning, horizon=0.05)
+    n_ticks = len(log.t) - 1
+    assert len(log.regressors["cl"]) == n_ticks
+    for s in ERROR:
+        assert len(log.regressors[s]) == n_ticks - (STACK_DEPTH - 1)
+    # no increment before the third sample; the first one lands in row 3
+    assert np.all(log.u_ob[:STACK_DEPTH] == 0.0)
+    assert np.all(log.u_mf[:STACK_DEPTH] == 0.0)
+    assert log.u_ob[STACK_DEPTH] != 0.0 and log.u_mf[STACK_DEPTH] != 0.0
+
+    log = run_episode(model, c.reference, c.learning, horizon=0.02)
+    assert log.regressors["ob"] == [] and log.regressors["mf"] == []
 
 
-def test_shift_property():
-    rng = np.random.default_rng(7)
-    s = ErrorStack(depth=3, dim=1)
-    for v in rng.normal(size=5):
-        s.push(v)
-    before = s.as_vector()
-    e = 42.0
-    s.push(e)
-    after = s.as_vector()
-    assert np.array_equal(after[:-1], before[1:])
-    assert after[-1] == e
+def test_fill_and_order(short_run):
+    cfg, log = short_run
+    k = STACK_DEPTH - 1  # the first tick with a full stack
+    for s in ERROR:
+        assert np.array_equal(regressor_at(log, s, k), expected_regressor(log, cfg, s, k))
 
 
-def test_zero_fixed_point():
-    s = ErrorStack(depth=3, dim=1)
-    for _ in range(10):
-        s.push(0.0)
-        if s.ready:
-            assert np.all(s.as_vector() == 0.0)
+def test_eviction(short_run):
+    # one tick later the oldest sample e[0] has left the window
+    cfg, log = short_run
+    k = STACK_DEPTH
+    for s in ERROR:
+        z = regressor_at(log, s, k)
+        assert np.array_equal(z, expected_regressor(log, cfg, s, k))
+        assert not np.array_equal(z, regressor_at(log, s, k - 1))
 
 
-def test_dimension_mismatch():
-    s = ErrorStack(depth=3, dim=2)
-    with pytest.raises(ValueError):
-        s.push([1.0])
+def test_vector_layout(short_run):
+    cfg, log = short_run
+    d = STACK_DEPTH + 1  # Z = [e_{k-2}, e_{k-1}, e_k, mu]
+    for s in ERROR:
+        assert log.pi_hist[s].shape[1] == STACK_DEPTH
+        assert log.theta_hist[s].shape[1] == d * (d + 1) // 2
+        assert log.regressors[s][0][0].shape == (d * (d + 1) // 2,)
 
 
-def test_bad_construction():
-    with pytest.raises(ValueError):
-        ErrorStack(depth=0)
+def test_shift_property(short_run):
+    # every regressor of the episode uses the log windows at k and k + 1
+    cfg, log = short_run
+    n_ticks = len(log.t) - 1
+    for s in ERROR:
+        for k in range(STACK_DEPTH - 1, n_ticks):
+            assert np.array_equal(regressor_at(log, s, k),
+                                  expected_regressor(log, cfg, s, k)), (s, k)
 
 
-def test_push_shifts_in_place():
-    s = ErrorStack(depth=4, dim=2)
-    buf = s._buf
-    for v in range(6):
-        s.push([v, -v])
-    assert s._buf is buf
-    assert np.array_equal(s.as_vector(), [2, -2, 3, -3, 4, -4, 5, -5])
+def test_zero_fixed_point(model):
+    cfg = LearningConfig(probe=ProbeSpec(amplitude=0.0))
+    ref = ReferenceSpec("constant", {"value": 0.0})
+    states = {s: StrategyState(S_to_theta(np.eye(4)), np.zeros(3))
+              for s in ("ob", "cl", "mf")}
+    log = run_episode(model, ref, cfg, horizon=0.5, initial=states)
+    for s in ERROR:
+        assert np.all(getattr(log, ERROR[s]) == 0.0)
+        assert all(np.all(z == 0.0) and phi == 0.0 for z, phi in log.regressors[s])
+    assert np.all(log.u_ob == 0.0) and np.all(log.u_mf == 0.0)

@@ -3,7 +3,7 @@ import pytest
 
 from modelfollow.learner import (
     LearningConfig, ProbeSpec, SingularKernelError,
-    utility, integrate_utility, quadratic_value, bellman_regressor,
+    utility, quadratic_value, bellman_regressor,
     qmonomials, policy_from_kernel, critic_update, actor_update,
     theta_to_S, S_to_theta, kernel_converged, tri_indices,
 )
@@ -31,30 +31,6 @@ def test_utility_even():
     for _ in range(20):
         F, mu = rng.normal(size=3), rng.normal()
         assert utility(F, mu, Q, 0.01) == utility(-F, -mu, Q, 0.01)
-
-
-# ---- integration ---------------------------------------------------------
-
-def test_integrate_constant():
-    samples = [(0.0, 3.0), (0.005, 3.0), (0.01, 3.0)]
-    assert abs(integrate_utility(samples) - 0.03) < 1e-15
-
-
-def test_integrate_linear_exact():
-    samples = [(t, t) for t in np.linspace(0, 1, 5)]
-    assert abs(integrate_utility(samples) - 0.5) < 1e-15
-
-
-def test_integrate_quadratic_error_bound():
-    samples = [(t, t * t) for t in np.linspace(0, 1, 11)]
-    val = integrate_utility(samples)
-    assert abs(val - 0.335) < 1e-12       # composite trapezoid value
-    assert abs(val - 1.0 / 3.0) <= 0.1 ** 2 / 6.0 + 1e-12  # h = 0.1
-
-
-def test_integrate_unordered_rejected():
-    with pytest.raises(ValueError):
-        integrate_utility([(0.0, 1.0), (0.0, 1.0)])
 
 
 # ---- quadratic forms and regressors -------------------------------------
