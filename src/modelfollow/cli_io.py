@@ -261,13 +261,12 @@ def cmd_oracle_check(args):
         "within_tolerance": bool(
             np.linalg.norm(learned_gain - oracle_gain) <= ORACLE_GAIN_TOLERANCE),
     }
-    data = log.regressors["cl"]
-    if data:
-        Z = np.array([z for (z, _) in data])
+    Z, phi = log.regressors["cl"]
+    if len(Z):
         report["regressor_rank"] = int(np.linalg.matrix_rank(Z))
         report["regressor_count"] = int(Z.shape[0])
         report["learned_theta_bellman_residual"] = oracle.bellman_residual(
-            log.theta_final["cl"], data)
+            log.theta_final["cl"], list(zip(Z, phi)))
     json.dump(report, sys.stdout, indent=2)
     print()
     return 0 if report.get("within_tolerance", True) else 2

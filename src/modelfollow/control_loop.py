@@ -2,26 +2,33 @@
 
 One learner tick covers an interval of length delta: controls are composed
 and held, both systems advance by their exact per-tick RK4 maps
-(x+ = Phi x + Gamma u, built once per episode), the closed-loop stage cost
-is read off a fixed quadratic form, the new sample is written to the
-columnar episode log, and each strategy performs one critic and one actor
-projection step.  The observer and model-following strategies act on the
-last STACK_DEPTH rows of the logged tracking-error columns; their signals
-are incremental (u <- u + mu).  The closed-loop term is direct feedback on
-the observed state.  Adaptation of a strategy stops once its kernel has
-remained settled for a configured window (convergence freeze).
+(x+ = Phi x + Gamma u, built once per episode), the new sample is written
+to the columnar episode log, and each strategy still adapting performs one
+critic and one actor projection step on its Bellman sample (regressor and
+integral stage cost).  The observer and model-following strategies act on
+the last STACK_DEPTH rows of the logged tracking-error columns; their
+signals are incremental (u <- u + mu).  The closed-loop term is direct
+feedback on the observed state; its stage cost is read off a fixed
+quadratic form.  Adaptation of a strategy stops once its kernel has
+remained settled for a configured window (convergence freeze); from then
+on the strategy does no per-tick learner work.
+
+The Bellman samples of every tick, frozen or not, are rebuilt from the log
+columns in one vectorized pass after the loop (bellman_log), with the same
+formula (bellman_sample) and float operations as the per-tick learner.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from modelfollow import oracle
 from modelfollow.dynamics import held_input_maps
 from modelfollow.learner import (
     SingularKernelError, theta_to_S, S_to_theta,
     bellman_regressor, policy_from_kernel, critic_update, actor_update,
-    kernel_converged, utility,
+    kernel_converged, quadratic_form, utility,
 )
 from modelfollow.reference import eval_reference
 
@@ -31,6 +38,9 @@ STACK_DEPTH = 3
 # per-tick signals of the episode log, in trajectory.csv column order
 TRAJECTORY = ("t", "x", "xhat", "y", "yhat", "yref", "e_ob", "e_mf",
               "u_total", "mu_cl", "u_ob", "u_mf")
+# every per-tick column: TRAJECTORY plus the ob/mf increments the Bellman
+# pass reads (not written to trajectory.csv)
+COLUMNS = TRAJECTORY + ("mu_ob", "mu_mf")
 
 
 @dataclass
@@ -44,17 +54,22 @@ class StrategyState:
 class EpisodeLog:
     """Uniformly sampled trajectories plus learner internals for one episode.
 
-    Every TRAJECTORY signal is an array with one row per sample time (x and
+    Every COLUMNS signal is an array with one row per sample time (x and
     xhat have n columns); theta_hist and pi_hist hold one (rows, size) array
     per strategy.  The columns are allocated once for the whole horizon.
+    regressors[s] is a pair (Z, phi): one Bellman regressor row (Z has
+    theta's size columns) and one stage cost per tick on which strategy s
+    ran a learner step or would have, had it not frozen; empty until
+    run_episode fills it after the loop.
     """
 
     def __init__(self, rows, n, states):
-        for name in TRAJECTORY:
+        for name in COLUMNS:
             setattr(self, name, np.zeros((rows, n) if name in ("x", "xhat") else rows))
         self.theta_hist = {s: np.zeros((rows, states[s].theta.size)) for s in STRATEGIES}
         self.pi_hist = {s: np.zeros((rows, states[s].pi.size)) for s in STRATEGIES}
-        self.regressors = {s: [] for s in STRATEGIES}
+        self.regressors = {s: (np.zeros((0, states[s].theta.size)), np.zeros(0))
+                           for s in STRATEGIES}
         self.t_converged = dict.fromkeys(STRATEGIES)
         self.pi_final = {}
         self.theta_final = {}
@@ -62,7 +77,7 @@ class EpisodeLog:
 
     def trim(self, rows):
         """Keep only the first `rows` rows of every per-tick column."""
-        for name in TRAJECTORY:
+        for name in COLUMNS:
             setattr(self, name, getattr(self, name)[:rows])
         for hist in (self.theta_hist, self.pi_hist):
             for s in STRATEGIES:
@@ -117,14 +132,46 @@ def initial_strategies(model, cfg):
     return states
 
 
-def _learn_step(state, F, F_next, mu, phi, cfg, t):
-    """One critic + actor projection step for a single strategy."""
-    Z_t = np.concatenate([F, [mu]])
-    Z_next = np.concatenate([F_next, [float(state.pi @ F_next)]])
-    z_tilde = bellman_regressor(Z_t, Z_next)
-    if state.frozen:
-        return z_tilde
+def bellman_sample(s, F, mu, F_next, pi, cfg, W_cl):
+    """Bellman regressor and integral stage cost of strategy s.
 
+    Acts on the last axis: F, F_next (features at t and t + delta), mu (the
+    action taken) and pi (the gain that prices the next action) describe one
+    tick, or one tick per row of a stack.  The closed-loop cost is the tick
+    form W_cl on [xhat; v]; the error-feature strategies use delta * U(F, mu).
+    """
+    mu = np.asarray(mu, dtype=float)[..., None]
+    Z_t = np.concatenate([F, mu], axis=-1)
+    mu_next = (pi[..., None, :] @ F_next[..., :, None])[..., 0]
+    z_tilde = bellman_regressor(Z_t, np.concatenate([F_next, mu_next], axis=-1))
+    if s == "cl":
+        return z_tilde, quadratic_form(Z_t, W_cl)
+    return z_tilde, cfg.delta * utility(F, mu, cfg.Q, cfg.R)
+
+
+def bellman_log(log, cfg, W_cl):
+    """Bellman samples of every tick of a learning episode, from the log.
+
+    Row k + 1 of the log holds the gains and increments acting during tick
+    k, so tick k of the closed-loop strategy pairs xhat[k] and xhat[k + 1],
+    and tick k >= STACK_DEPTH - 1 of an error-feature strategy pairs the
+    windows e[k-2:k+1] and e[k-1:k+2].  Returns {s: (Z, phi)}.
+    """
+    v = log.u_ob[1:] + log.u_total[1:]  # full input seen by the desired model
+    data = {"cl": bellman_sample("cl", log.xhat[:-1], v, log.xhat[1:],
+                                 log.pi_hist["cl"][1:], cfg, W_cl)}
+    for s, e, mu in (("ob", log.e_ob, log.mu_ob), ("mf", log.e_mf, log.mu_mf)):
+        if len(e) >= STACK_DEPTH:
+            windows = sliding_window_view(e, STACK_DEPTH)
+        else:  # sliding_window_view raises when not one window fits
+            windows = np.zeros((0, STACK_DEPTH))
+        data[s] = bellman_sample(s, windows[:-1], mu[STACK_DEPTH:], windows[1:],
+                                 log.pi_hist[s][STACK_DEPTH:], cfg, W_cl)
+    return data
+
+
+def _learn_step(state, z_tilde, phi, F, cfg, t):
+    """One critic + actor projection step for a single strategy."""
     theta_next = critic_update(state.theta, z_tilde, phi, cfg.sigma_c, cfg.alpha_c)
     S = theta_to_S(theta_next)
     settled = kernel_converged(theta_to_S(state.theta), S, cfg.tol_conv)
@@ -144,9 +191,8 @@ def _learn_step(state, F, F_next, mu, phi, cfg, t):
 
     if t >= cfg.conv_check_start:
         state.conv_count = state.conv_count + 1 if settled else 0
-        if state.conv_count >= cfg.conv_window and not state.frozen:
+        if state.conv_count >= cfg.conv_window:
             state.frozen = True
-    return z_tilde
 
 
 def tick_cost_form(L, Q, R, h):
@@ -177,8 +223,9 @@ def run_episode(model, ref_spec, cfg, horizon=20.0, substeps=10,
         horizon: episode length in seconds.
         substeps: RK4 substeps per learner tick, folded into the per-tick
             maps once per episode.
-        learning_enabled: when False the critic/actor updates are skipped
-            and the initial gains act as fixed controllers.
+        learning_enabled: when False the critic/actor updates are skipped,
+            the initial gains act as fixed controllers and log.regressors
+            stays empty.
         initial: optional dict of StrategyState overriding the defaults.
 
     Returns:
@@ -207,20 +254,21 @@ def run_episode(model, ref_spec, cfg, horizon=20.0, substeps=10,
     u_mf = 0.0
 
     log = EpisodeLog(n_ticks + 1, n, states)
-    columns = [getattr(log, name) for name in TRAJECTORY]
+    columns = [getattr(log, name) for name in COLUMNS]
 
-    def record(k, t, mu_cl, u_tot):
+    def record(k, t, mu_cl, mu_ob, mu_mf, u_tot):
         y = float(Crow @ x)
         yh = float(Crow @ xh)
         yr = float(eval_reference(ref_spec, t)[0])
-        row = (t, x, xh, y, yh, yr, y - yh, yr - y, u_tot, mu_cl, u_ob, u_mf)
+        row = (t, x, xh, y, yh, yr, y - yh, yr - y, u_tot, mu_cl, u_ob, u_mf,
+               mu_ob, mu_mf)
         for col, value in zip(columns, row):
             col[k] = value
         for s in STRATEGIES:
             log.theta_hist[s][k] = states[s].theta
             log.pi_hist[s][k] = states[s].pi
 
-    record(0, 0.0, 0.0, 0.0)
+    record(0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     for k in range(n_ticks):
         t = k * delta
@@ -242,34 +290,36 @@ def run_episode(model, ref_spec, cfg, horizon=20.0, substeps=10,
         # model, which is what keeps its logged data Bellman-consistent
         v = u_ob + u_tot
 
-        z_cl = np.append(xh, v)
-        phi_cl = float(z_cl @ W_cl @ z_cl)
         x = Phi @ x + Gam * u_tot
         xh = Phi_hat @ xh + Gam_hat * v
         t_next = t + delta
 
-        if not np.all(np.isfinite(x)) or np.abs(x).max() > 1e7:
+        # false for nan and inf as well as for a state outside the box
+        if not (np.abs(x).max() <= 1e7):
             log.diverged = t_next
             log.trim(k + 1)
             break
 
-        record(k + 1, t_next, mu_cl, u_tot)
+        record(k + 1, t_next, mu_cl, mu_ob, mu_mf, u_tot)
         if not learning_enabled:
             continue
 
-        # (strategy, features at t, features at t + delta, action, stage cost)
-        steps = [("cl", log.xhat[k], log.xhat[k + 1], v, phi_cl)]
-        if ready:
-            for s, e, mu in (("ob", log.e_ob, mu_ob), ("mf", log.e_mf, mu_mf)):
-                F = e[lo:k + 1]
-                steps.append((s, F, e[lo + 1:k + 2], mu,
-                              delta * utility(F, mu, cfg.Q, cfg.R)))
-        for s, F, F_next, mu, phi in steps:
-            z_tilde = _learn_step(states[s], F, F_next, mu, phi, cfg, t)
-            log.regressors[s].append((z_tilde, phi))
-            if states[s].frozen and log.t_converged[s] is None:
+        # (strategy, features at t, features at t + delta, action) of each
+        # strategy still adapting; a frozen one costs nothing per tick
+        steps = []
+        if not states["cl"].frozen:
+            steps.append(("cl", log.xhat[k], log.xhat[k + 1], v))
+        for s, e, mu in (("ob", log.e_ob, mu_ob), ("mf", log.e_mf, mu_mf)):
+            if ready and not states[s].frozen:
+                steps.append((s, e[lo:k + 1], e[lo + 1:k + 2], mu))
+        for s, F, F_next, mu in steps:
+            z_tilde, phi = bellman_sample(s, F, mu, F_next, states[s].pi, cfg, W_cl)
+            _learn_step(states[s], z_tilde, phi, F, cfg, t)
+            if states[s].frozen:
                 log.t_converged[s] = t_next
 
+    if learning_enabled:
+        log.regressors = bellman_log(log, cfg, W_cl)
     for s in STRATEGIES:
         log.pi_final[s] = states[s].pi.copy()
         log.theta_final[s] = states[s].theta.copy()

@@ -38,11 +38,14 @@ def qmonomials(Z):
     """Quadratic monomials of Z matching the theta layout.
 
     Diagonal slots hold 1/2 Z_i^2 and off-diagonal slots Z_i Z_j, so that
-    theta' qmonomials(Z) = 1/2 Z' S Z when theta stores S entrywise.
+    theta' qmonomials(Z) = 1/2 Z' S Z when theta stores S entrywise.  Acts
+    on the last axis: a stack of vectors gives a stack of monomial rows.
     """
-    Z = np.asarray(Z, dtype=float)
-    rows, cols, weights = _tri_layout(Z.shape[0])
-    return weights * Z[rows] * Z[cols]
+    # index the transpose, whose first axis is the last axis of Z: one
+    # vector and a stack of them take the same fast fancy-indexing path
+    ZT = np.asarray(Z, dtype=float).T
+    rows, cols, weights = _tri_layout(ZT.shape[0])
+    return weights * ZT[rows].T * ZT[cols].T
 
 
 def theta_to_S(theta):
@@ -66,13 +69,31 @@ def S_to_theta(S):
     return S[rows, cols]
 
 
+def quadratic_form(x, M):
+    """x' M x over the last axis of x, one value per vector of a stack.
+
+    Written as stacked matmuls, (.., 1, d) @ (d, d) @ (.., d, 1): numpy
+    takes the same BLAS path for one vector as for each row of a stack, so
+    a row of a stacked result equals the single-vector value bit for bit
+    (a stacked einsum or an elementwise sum does not).
+    """
+    x = np.asarray(x, dtype=float)
+    return ((x[..., None, :] @ M) @ x[..., :, None])[..., 0, 0]
+
+
 def utility(F, mu, Q, R):
-    """Stage utility U = 1/2 (F' Q F + mu' R mu)."""
+    """Stage utility U = 1/2 (F' Q F + mu' R mu) over the last axis of F.
+
+    mu carries the action on its last axis; a scalar action per vector of
+    F may omit that axis.
+    """
     F = np.atleast_1d(np.asarray(F, dtype=float))
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    mu = np.asarray(mu, dtype=float)
+    if mu.ndim < F.ndim:
+        mu = mu[..., None]
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    return 0.5 * float(F @ Q @ F + mu @ R @ mu)
+    return 0.5 * (quadratic_form(F, Q) + quadratic_form(mu, R))
 
 
 def quadratic_value(S, Z):

@@ -54,7 +54,7 @@ def test_criterion_4_learner_vs_oracle(model, episode):
     ev = np.linalg.eigvals(model.A_hat + model.B_hat @ gain)
     assert np.all(ev.real < -1.0)
 
-    data = episode.regressors["cl"]
+    data = list(zip(*episode.regressors["cl"]))
     assert len(data) >= 10
     # the batch least-squares problem itself must be well posed ...
     oracle.batch_bellman_solve(data)

@@ -94,6 +94,10 @@ def test_diverging_run_trims_log(tmp_path):
         assert log.theta_hist[s].shape == (rows, log.theta_final[s].size)
         assert log.pi_hist[s].shape == (rows, log.pi_final[s].size)
     assert np.all(np.isfinite(log.x)) and np.abs(log.x).max() <= 1e7
+    # every completed tick (1841) has Bellman data; ob/mf start at tick 2
+    for s, ticks in (("cl", rows - 1), ("ob", rows - 3), ("mf", rows - 3)):
+        Z, phi = log.regressors[s]
+        assert Z.shape == (ticks, 10) and phi.shape == (ticks,), s
     assert abs(log.t[-1] - 18.41) < 1e-9
     for name in ("trajectory.csv", "weights.csv"):
         assert len((tmp_path / name).read_text().splitlines()) == rows + 1

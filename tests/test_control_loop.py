@@ -48,6 +48,18 @@ def test_converged_gain_decays(model):
     assert np.linalg.norm(log.xhat[-1]) < 1e-2 * np.linalg.norm(x0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_state_diverges_on_first_tick(model, default_config, bad):
+    # a nan or inf plant state fails the divergence test like a state
+    # outside the 1e7 box: the first tick ends the episode
+    c = default_config
+    with np.errstate(invalid="ignore"):  # inf * 0 in the output and state maps
+        log = run_episode(model, c.reference, c.learning, horizon=1.0,
+                          x0=[bad, 0.0, 0.0])
+    assert log.diverged == 0.01
+    assert len(log.t) == 1 and log.x.shape == (1, 3)
+
+
 def test_warmup_gating(model, default_config):
     cfg = default_config.learning
     log = run_episode(model, default_config.reference, cfg, horizon=0.05)

@@ -31,23 +31,23 @@ def expected_regressor(log, cfg, s, k):
 
 
 def regressor_at(log, s, k):
-    return log.regressors[s][k - (STACK_DEPTH - 1)][0]
+    return log.regressors[s][0][k - (STACK_DEPTH - 1)]
 
 
 def test_underfilled_not_ready(model, default_config):
     c = default_config
     log = run_episode(model, c.reference, c.learning, horizon=0.05)
     n_ticks = len(log.t) - 1
-    assert len(log.regressors["cl"]) == n_ticks
+    assert len(log.regressors["cl"][0]) == n_ticks
     for s in ERROR:
-        assert len(log.regressors[s]) == n_ticks - (STACK_DEPTH - 1)
+        assert len(log.regressors[s][0]) == n_ticks - (STACK_DEPTH - 1)
     # no increment before the third sample; the first one lands in row 3
     assert np.all(log.u_ob[:STACK_DEPTH] == 0.0)
     assert np.all(log.u_mf[:STACK_DEPTH] == 0.0)
     assert log.u_ob[STACK_DEPTH] != 0.0 and log.u_mf[STACK_DEPTH] != 0.0
 
     log = run_episode(model, c.reference, c.learning, horizon=0.02)
-    assert log.regressors["ob"] == [] and log.regressors["mf"] == []
+    assert len(log.regressors["ob"][0]) == 0 and len(log.regressors["mf"][0]) == 0
 
 
 def test_fill_and_order(short_run):
@@ -94,5 +94,6 @@ def test_zero_fixed_point(model):
     log = run_episode(model, ref, cfg, horizon=0.5, initial=states)
     for s in ERROR:
         assert np.all(getattr(log, ERROR[s]) == 0.0)
-        assert all(np.all(z == 0.0) and phi == 0.0 for z, phi in log.regressors[s])
+        Z, phi = log.regressors[s]
+        assert np.all(Z == 0.0) and np.all(phi == 0.0)
     assert np.all(log.u_ob == 0.0) and np.all(log.u_mf == 0.0)

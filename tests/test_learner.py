@@ -3,7 +3,7 @@ import pytest
 
 from modelfollow.learner import (
     LearningConfig, ProbeSpec, SingularKernelError,
-    utility, quadratic_value, bellman_regressor,
+    utility, quadratic_form, quadratic_value, bellman_regressor,
     qmonomials, policy_from_kernel, critic_update, actor_update,
     theta_to_S, S_to_theta, kernel_converged, tri_indices,
 )
@@ -183,6 +183,27 @@ def test_theta_round_trip():
         assert np.linalg.norm(theta_to_S(S_to_theta(S)) - S) < 1e-12
         th = rng.normal(size=10)
         assert np.linalg.norm(S_to_theta(theta_to_S(th)) - th) < 1e-12
+
+
+def test_stacked_rows_match_single_vectors():
+    # qmonomials, bellman_regressor, quadratic_form and utility act on the
+    # last axis; each row of a stacked call must equal the one-vector call
+    # bit for bit, since the episode's logged Bellman data are built stacked
+    rng = np.random.default_rng(11)
+    n = 2000
+    F = rng.normal(size=(n, 3)) * rng.uniform(1e-3, 1e3, size=(n, 1))
+    mu = rng.normal(size=n)
+    Zt, Zn = rng.normal(size=(n, 4)), rng.normal(size=(n, 4))
+    Q, W = 0.05 * np.eye(3) + 0.01, rand_sym(rng, 4)
+    U = utility(F, mu, Q, 0.01)
+    z = bellman_regressor(Zt, Zn)
+    q = quadratic_form(Zt, W)
+    assert U.shape == q.shape == (n,) and z.shape == (n, 10)
+    assert np.array_equal(qmonomials(Zt)[7], qmonomials(Zt[7]))
+    for i in range(n):
+        assert U[i] == utility(F[i], mu[i], Q, 0.01), i
+        assert np.array_equal(z[i], bellman_regressor(Zt[i], Zn[i])), i
+        assert q[i] == float(Zt[i] @ W @ Zt[i]), i
 
 
 def test_layout_matches_loop_reference():
