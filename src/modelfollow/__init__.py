@@ -8,7 +8,7 @@ critic/actor updates.  An independent Riccati/least-squares oracle provides
 ground truth for validation.
 """
 
-from modelfollow.dynamics import ProcessModel, StateVector, step_lti, output, eigenvalues
+from modelfollow.dynamics import ProcessModel, eigenvalues
 from modelfollow.reference import ReferenceSpec, eval_reference
 from modelfollow.learner import LearningConfig
 from modelfollow.control_loop import EpisodeLog, run_episode

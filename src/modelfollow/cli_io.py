@@ -1,16 +1,21 @@
 """Experiment runner: config parsing, episode execution, serialization.
 
 Config files are INI-style documents with [model], [reference],
-[learning], and [run] sections; matrices are written as JSON arrays.
-Omitted keys fall back to the benchmark defaults.  All numbers are
-serialized with 17 significant digits so re-runs are byte-identical.
+[learning], and [run] sections; values are JSON (matrices are JSON arrays)
+except for the RAW_KEYS, which are taken verbatim.  KEYS lists every
+accepted key; an unknown section or key, or a value the dataclasses
+reject, is a ConfigError.  Omitted keys take the defaults of the
+dataclasses they configure (ProcessModel's are the DEFAULT_* matrices
+below).  All numbers are serialized with 17 significant digits so re-runs
+are byte-identical.
 """
 
 import argparse
 import configparser
 import json
+import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +35,25 @@ DEFAULT_A_HAT = [[0.0132, 1.0085, -0.0055],
                  [-0.0526, -1.0155, -4.9374]]
 DEFAULT_B_HAT = [-0.0072, -0.0547, 1.0527]
 
-TRAJECTORY_HEADER = ("t,x1,x2,x3,xhat1,xhat2,xhat3,y,yhat,yref,"
-                     "e_ob,e_mf,u_total,mu_cl,u_ob,u_mf")
+# every accepted config key, per section
+KEYS = {
+    "model": ("a", "b", "c", "a_hat", "b_hat"),
+    "reference": ("kind", "params"),
+    "learning": ("q", "r", "delta", "sigma_c", "alpha_c", "sigma_a", "alpha_a",
+                 "eps_sing", "tol_conv", "probe_amplitude", "probe_frequencies",
+                 "t_probe", "actor_rate_limit", "actor_gain_guard", "conv_window",
+                 "conv_check_start", "init", "pi_cl0", "pi_ob0", "pi_mf0",
+                 "kernel_beta", "kernel_smax"),
+    "run": ("horizon", "trajectory_csv", "weights_csv", "summary_json"),
+}
+# keys whose value is the raw string rather than a JSON document
+RAW_KEYS = {"kind", "init", "trajectory_csv", "weights_csv", "summary_json"}
+# [learning] keys that configure the ProbeSpec
+PROBE_KEYS = {"probe_amplitude", "probe_frequencies", "t_probe"}
+# config key -> dataclass field, where the two differ
+FIELDS = {"a": "A", "b": "B", "c": "C", "a_hat": "A_hat", "b_hat": "B_hat",
+          "q": "Q", "r": "R", "probe_amplitude": "amplitude",
+          "probe_frequencies": "frequencies"}
 
 
 class ConfigError(ValueError):
@@ -48,15 +70,26 @@ class RunConfig:
     weights_csv: str = "weights.csv"
     summary_json: str = "summary.json"
 
+    def __post_init__(self):
+        if self.horizon < 0:
+            raise ValueError("horizon must be nonnegative")
 
-def _get(section, key, default, parse=json.loads):
-    if section is None or key not in section:
-        return default
-    raw = section[key]
+
+def _value(section, key, raw):
+    if key in RAW_KEYS:
+        return raw
     try:
-        return parse(raw)
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise ConfigError(f"bad value for key {key!r}: {raw!r}") from exc
+        return json.loads(raw)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] bad value for key {key!r}: {raw!r}") from exc
+
+
+def _build(section, cls, kwargs):
+    """cls(**kwargs), with a rejected value reported as a ConfigError."""
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def parse_config(text):
@@ -66,78 +99,27 @@ def parse_config(text):
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
+    if cp.defaults():
+        raise ConfigError(f"unknown section [{cp.default_section}]")
 
-    msec = cp["model"] if cp.has_section("model") else None
-    rsec = cp["reference"] if cp.has_section("reference") else None
-    lsec = cp["learning"] if cp.has_section("learning") else None
-    runsec = cp["run"] if cp.has_section("run") else None
+    kwargs = {"model": {"A": DEFAULT_A, "B": DEFAULT_B, "C": DEFAULT_C,
+                        "A_hat": DEFAULT_A_HAT, "B_hat": DEFAULT_B_HAT},
+              "reference": {}, "probe": {}, "learning": {}, "run": {}}
+    for section in cp.sections():
+        if section not in KEYS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key, raw in cp[section].items():
+            if key not in KEYS[section]:
+                raise ConfigError(f"[{section}] unknown key {key!r}")
+            target = "probe" if key in PROBE_KEYS else section
+            kwargs[target][FIELDS.get(key, key)] = _value(section, key, raw)
 
-    try:
-        model = ProcessModel(
-            A=np.array(_get(msec, "a", DEFAULT_A)),
-            B=np.array(_get(msec, "b", DEFAULT_B)),
-            C=np.array(_get(msec, "c", DEFAULT_C)),
-            A_hat=np.array(_get(msec, "a_hat", DEFAULT_A_HAT)),
-            B_hat=np.array(_get(msec, "b_hat", DEFAULT_B_HAT)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[model] {exc}") from exc
-
-    kind = _get(rsec, "kind", "piecewise", parse=str)
-    params = _get(rsec, "params", {})
-    try:
-        reference = ReferenceSpec(kind=kind, params=params)
-    except ValueError as exc:
-        raise ConfigError(f"[reference] {exc}") from exc
-
-    probe = ProbeSpec(
-        amplitude=_get(lsec, "probe_amplitude", 0.1),
-        frequencies=tuple(_get(lsec, "probe_frequencies", [7.0, 9.899, 15.652])),
-        t_probe=_get(lsec, "t_probe", 5.0),
-    )
-    q_raw = _get(lsec, "q", 0.05)
-    Q = np.asarray(q_raw, dtype=float)
-    if Q.ndim == 0:
-        Q = float(Q) * np.eye(3)
-    kwargs = dict(
-        Q=Q,
-        R=_get(lsec, "r", 0.01),
-        delta=_get(lsec, "delta", 0.01),
-        sigma_c=_get(lsec, "sigma_c", 0.5),
-        alpha_c=_get(lsec, "alpha_c", 1.8),
-        sigma_a=_get(lsec, "sigma_a", 0.5),
-        alpha_a=_get(lsec, "alpha_a", 1.8),
-        eps_sing=_get(lsec, "eps_sing", 1e-8),
-        tol_conv=_get(lsec, "tol_conv", 1e-4),
-        probe=probe,
-        actor_rate_limit=_get(lsec, "actor_rate_limit", 0.002),
-        actor_gain_guard=_get(lsec, "actor_gain_guard", 1e4),
-        conv_window=_get(lsec, "conv_window", 50),
-        conv_check_start=_get(lsec, "conv_check_start", 1.0),
-        init=_get(lsec, "init", "stabilizing", parse=str),
-        pi_cl0=tuple(_get(lsec, "pi_cl0", [-3.5711, -0.2329, 0.2986])),
-        pi_ob0=tuple(_get(lsec, "pi_ob0", [5.0, -30.0, 26.0])),
-        pi_mf0=tuple(_get(lsec, "pi_mf0", [20.0, -120.0, 104.0])),
-        kernel_beta=_get(lsec, "kernel_beta", 0.3),
-        kernel_smax=_get(lsec, "kernel_smax", 2e-5),
-    )
-    try:
-        learning = LearningConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[learning] {exc}") from exc
-
-    horizon = _get(runsec, "horizon", 20.0)
-    if horizon < 0:
-        raise ConfigError("[run] horizon must be nonnegative")
-    return RunConfig(
-        model=model,
-        reference=reference,
-        learning=learning,
-        horizon=horizon,
-        trajectory_csv=_get(runsec, "trajectory_csv", "trajectory.csv", parse=str),
-        weights_csv=_get(runsec, "weights_csv", "weights.csv", parse=str),
-        summary_json=_get(runsec, "summary_json", "summary.json", parse=str),
-    )
+    model = _build("model", ProcessModel, kwargs["model"])
+    reference = _build("reference", ReferenceSpec, kwargs["reference"])
+    probe = _build("learning", ProbeSpec, kwargs["probe"])
+    learning = _build("learning", LearningConfig, dict(kwargs["learning"], probe=probe))
+    return _build("run", RunConfig, dict(kwargs["run"], model=model,
+                                         reference=reference, learning=learning))
 
 
 def load_config(path):
@@ -164,7 +146,11 @@ def _write_table(path, header, columns):
 
 
 def write_trajectory_csv(log, path):
-    _write_table(path, TRAJECTORY_HEADER, [getattr(log, name) for name in TRAJECTORY])
+    cols = []
+    columns = [getattr(log, name) for name in TRAJECTORY]
+    for name, c in zip(TRAJECTORY, columns):
+        cols += [name] if c.ndim == 1 else [f"{name}{j + 1}" for j in range(c.shape[1])]
+    _write_table(path, ",".join(cols), columns)
 
 
 def write_weights_csv(log, path):
@@ -199,15 +185,9 @@ def build_summary(config, log):
     return summary
 
 
-def cmd_run(args):
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+def cmd_run(args, config):
     log = run_episode(config.model, config.reference, config.learning,
                       horizon=config.horizon)
-    import os
     outdir = args.outdir
     os.makedirs(outdir, exist_ok=True)
     write_trajectory_csv(log, os.path.join(outdir, config.trajectory_csv))
@@ -227,12 +207,7 @@ def cmd_run(args):
 ORACLE_GAIN_TOLERANCE = 3.0
 
 
-def cmd_oracle_check(args):
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+def cmd_oracle_check(args, config):
     model, cfg = config.model, config.learning
     A_d, B_d = oracle.zoh_discretize(model.A_hat, model.B_hat, cfg.delta)
     Q_bar, R_bar = oracle.stage_cost(cfg.Q, cfg.R, cfg.delta)
@@ -272,12 +247,7 @@ def cmd_oracle_check(args):
     return 0 if report.get("within_tolerance", True) else 2
 
 
-def cmd_eig(args):
-    try:
-        config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+def cmd_eig(args, config):
     model = config.model
     out = {
         "open_loop_eigenvalues": _eig_pairs(model.A),
@@ -316,7 +286,12 @@ def main(argv=None):
     p_eig.set_defaults(func=cmd_eig)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        config = load_config(args.config)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    return args.func(args, config)
 
 
 if __name__ == "__main__":

@@ -1,21 +1,23 @@
 """Episode orchestration: plant, desired model, reference, three learners.
 
 One learner tick covers an interval of length delta: controls are composed
-and held, both systems advance by their exact per-tick RK4 maps
-(x+ = Phi x + Gamma u, built once per episode), the new sample is written
-to the columnar episode log, and each strategy still adapting performs one
-critic and one actor projection step on its Bellman sample (regressor and
-integral stage cost).  The observer and model-following strategies act on
-the last STACK_DEPTH rows of the logged tracking-error columns; their
-signals are incremental (u <- u + mu).  The closed-loop term is direct
-feedback on the observed state; its stage cost is read off a fixed
-quadratic form.  Adaptation of a strategy stops once its kernel has
-remained settled for a configured window (convergence freeze); from then
-on the strategy does no per-tick learner work.
+and held, both systems advance by their exact per-tick maps of SUBSTEPS
+RK4 substeps (x+ = Phi x + Gamma u, built once per episode), the new
+sample is written to the columnar episode log, and each strategy still
+adapting performs one critic and one actor projection step on its Bellman
+sample (regressor and integral stage cost).  The observer and
+model-following strategies act on the last STACK_DEPTH rows of the logged
+tracking-error columns; their signals are incremental (u <- u + mu).
+The closed-loop term is direct feedback on the observed state; its stage
+cost is read off a fixed quadratic form.  Adaptation of a strategy stops
+once its kernel has remained settled for a configured window (convergence
+freeze); from then on the strategy does no per-tick learner work.
 
 The Bellman samples of every tick, frozen or not, are rebuilt from the log
 columns in one vectorized pass after the loop (bellman_log), with the same
 formula (bellman_sample) and float operations as the per-tick learner.
+TRAJECTORY fixes the order of the logged signals in trajectory.csv; the
+writer derives the CSV header from it and the width of each column.
 """
 
 from dataclasses import dataclass
@@ -35,6 +37,8 @@ from modelfollow.reference import eval_reference
 STRATEGIES = ("ob", "cl", "mf")
 # sampled tracking errors per observer / model-following feature vector
 STACK_DEPTH = 3
+# RK4 substeps per learner tick, folded into the per-tick maps
+SUBSTEPS = 10
 # per-tick signals of the episode log, in trajectory.csv column order
 TRAJECTORY = ("t", "x", "xhat", "y", "yhat", "yref", "e_ob", "e_mf",
               "u_total", "mu_cl", "u_ob", "u_mf")
@@ -212,7 +216,7 @@ def tick_cost_form(L, Q, R, h):
     return W
 
 
-def run_episode(model, ref_spec, cfg, horizon=20.0, substeps=10,
+def run_episode(model, ref_spec, cfg, horizon=20.0,
                 learning_enabled=True, initial=None, x0=None, xhat0=None):
     """Simulate one episode and return its log.
 
@@ -221,8 +225,6 @@ def run_episode(model, ref_spec, cfg, horizon=20.0, substeps=10,
         ref_spec: ReferenceSpec for the command generator.
         cfg: LearningConfig.
         horizon: episode length in seconds.
-        substeps: RK4 substeps per learner tick, folded into the per-tick
-            maps once per episode.
         learning_enabled: when False the critic/actor updates are skipped,
             the initial gains act as fixed controllers and log.regressors
             stays empty.
@@ -237,12 +239,12 @@ def run_episode(model, ref_spec, cfg, horizon=20.0, substeps=10,
 
     states = initial if initial is not None else initial_strategies(model, cfg)
     delta = cfg.delta
-    h = delta / substeps
+    h = delta / SUBSTEPS
     n_ticks = int(round(horizon / delta))
     n = model.n
-    L = held_input_maps(model.A, model.B, h, substeps)
+    L = held_input_maps(model.A, model.B, h, SUBSTEPS)
     Phi, Gam = L[-1, :, :n], L[-1, :, n]
-    L_hat = held_input_maps(model.A_hat, model.B_hat, h, substeps)
+    L_hat = held_input_maps(model.A_hat, model.B_hat, h, SUBSTEPS)
     Phi_hat, Gam_hat = L_hat[-1, :, :n], L_hat[-1, :, n]
     # the closed-loop learner's stage cost is priced on [xhat; v]
     W_cl = tick_cost_form(L_hat, cfg.Q, cfg.R, h)

@@ -1,38 +1,18 @@
-"""Continuous-time LTI simulation and linear-algebra utilities.
+"""Continuous-time LTI models and linear-algebra utilities.
 
-The plant and the desired (observed) model are both advanced with the
-control held constant between learner updates (zero-order hold).  Over one
-update interval the RK4 substeps of a linear system with held input are a
-fixed linear map, so `held_input_maps` builds that map once from
-`rk4_step` and the episode loop applies it per tick.  A scaling-and-squaring
-matrix exponential is kept here as an integration oracle that shares no
-code with the Runge-Kutta stepper.
+ProcessModel holds the plant and the desired (observed) model and checks
+their standing assumptions.  Both are advanced with the control held
+constant between learner updates (zero-order hold).  Over one update
+interval the RK4 substeps of a linear system with held input are a fixed
+linear map, so `held_input_maps` builds that map once from `rk4_step` and
+the episode loop applies it per tick.  A scaling-and-squaring matrix
+exponential is kept here as an integration oracle that shares no code
+with the Runge-Kutta stepper.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class IntegrationDivergedError(RuntimeError):
-    """Raised when the state leaves the finite range during integration."""
-
-    def __init__(self, t):
-        super().__init__(f"state became non-finite at t = {t:.6g} s")
-        self.t = t
-
-
-@dataclass
-class StateVector:
-    """Plant or model state at a given time."""
-
-    x: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        if not np.all(np.isfinite(self.x)):
-            raise IntegrationDivergedError(self.t)
 
 
 @dataclass
@@ -120,38 +100,6 @@ def held_input_maps(A, B, h, substeps):
     for j in range(substeps):
         L[j + 1] = rk4_step(A, B, L[j], U, h)
     return L
-
-
-def step_lti(model_part, state, u, h):
-    """Advance an LTI subsystem one substep.
-
-    Args:
-        model_part: pair (A, B) of the subsystem to advance.
-        state: StateVector at time t.
-        u: control vector, held constant over the substep.
-        h: substep length in seconds, > 0.
-
-    Returns:
-        StateVector at t + h.  Raises IntegrationDivergedError if the
-        result is non-finite.
-    """
-    if h <= 0:
-        raise ValueError("substep h must be positive")
-    A, B = model_part
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    xn = rk4_step(A, B, state.x, u, h)
-    if not np.all(np.isfinite(xn)):
-        raise IntegrationDivergedError(state.t + h)
-    return StateVector(xn, state.t + h)
-
-
-def output(model, x):
-    """Measured output Y = C x."""
-    return model.C @ np.asarray(x, dtype=float)
 
 
 def eigenvalues(M):

@@ -170,6 +170,9 @@ class ProbeSpec:
         "mf": (1.0, 2.0, 3.0),
     })
 
+    def __post_init__(self):
+        self.frequencies = tuple(self.frequencies)
+
     def value(self, t, strategy):
         if t >= self.t_probe:
             return 0.0
@@ -183,13 +186,14 @@ class LearningConfig:
     """Weights, paces, and guards shared by the three strategies.
 
     The same Q/R pair is applied to every strategy (the benchmark uses
-    identical weights).  Beyond the basic paces this carries the practical
-    guards that keep online adaptation admissible: an actor rate limit, a
-    kernel gain-ratio guard, and the convergence-freeze window that stops
-    adaptation once the kernel has settled.
+    identical weights); a scalar Q = q stands for q I_3.  Beyond the basic
+    paces this carries the practical guards that keep online adaptation
+    admissible: an actor rate limit, a kernel gain-ratio guard, and the
+    convergence-freeze window that stops adaptation once the kernel has
+    settled.
     """
 
-    Q: np.ndarray = None
+    Q: float | np.ndarray = 0.05
     R: float = 0.01
     delta: float = 0.01
     sigma_c: float = 0.5
@@ -216,9 +220,10 @@ class LearningConfig:
     kernel_smax: float = 2e-5
 
     def __post_init__(self):
-        if self.Q is None:
-            self.Q = 0.05 * np.eye(3)
-        self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
+        Q = np.asarray(self.Q, dtype=float)
+        self.Q = float(Q) * np.eye(3) if Q.ndim == 0 else np.atleast_2d(Q)
+        self.pi_cl0, self.pi_ob0, self.pi_mf0 = map(
+            tuple, (self.pi_cl0, self.pi_ob0, self.pi_mf0))
         if not (0.0 < self.sigma_c < 2.0):
             raise ValueError("sigma_c must satisfy 0 < sigma_c < 2")
         if not (0.0 < self.sigma_a < 2.0):

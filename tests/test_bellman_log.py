@@ -9,11 +9,9 @@ import dataclasses
 import numpy as np
 
 from modelfollow import control_loop
-from modelfollow.control_loop import STACK_DEPTH, run_episode, tick_cost_form
+from modelfollow.control_loop import STACK_DEPTH, SUBSTEPS, run_episode, tick_cost_form
 from modelfollow.dynamics import held_input_maps
 from modelfollow.learner import bellman_regressor
-
-SUBSTEPS = 10
 
 
 def closed_loop_form(model, cfg):

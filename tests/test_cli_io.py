@@ -1,13 +1,19 @@
+import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from modelfollow import cli_io
 from modelfollow.cli_io import (
-    ConfigError, parse_config, main, TRAJECTORY_HEADER,
+    ConfigError, KEYS, RunConfig, parse_config, main,
     write_trajectory_csv, build_summary,
 )
 from modelfollow.control_loop import STRATEGIES, TRAJECTORY, run_episode
+from modelfollow.dynamics import ProcessModel
+from modelfollow.learner import LearningConfig
+from modelfollow.reference import ReferenceSpec
 
 
 def test_defaults_from_empty_config():
@@ -19,6 +25,127 @@ def test_defaults_from_empty_config():
     assert np.allclose(cfg.learning.Q, 0.05 * np.eye(3))
     assert cfg.horizon == 20.0
     assert cfg.reference.kind == "piecewise"
+
+
+def _plain(obj):
+    """Nested field values of a dataclass, arrays as (dtype, shape, values)."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        return (obj.dtype.str, obj.shape, obj.tolist())
+    return obj
+
+
+def test_empty_config_is_dataclass_defaults():
+    defaults = RunConfig(
+        model=ProcessModel(cli_io.DEFAULT_A, cli_io.DEFAULT_B, cli_io.DEFAULT_C,
+                           cli_io.DEFAULT_A_HAT, cli_io.DEFAULT_B_HAT),
+        reference=ReferenceSpec(), learning=LearningConfig())
+    assert _plain(parse_config("")) == _plain(defaults)
+
+
+def test_accepted_keys():
+    assert {s: set(keys) for s, keys in KEYS.items()} == {
+        "model": {"a", "b", "c", "a_hat", "b_hat"},
+        "reference": {"kind", "params"},
+        "learning": {"q", "r", "delta", "sigma_c", "alpha_c", "sigma_a",
+                     "alpha_a", "eps_sing", "tol_conv", "probe_amplitude",
+                     "probe_frequencies", "t_probe", "actor_rate_limit",
+                     "actor_gain_guard", "conv_window", "conv_check_start",
+                     "init", "pi_cl0", "pi_ob0", "pi_mf0", "kernel_beta",
+                     "kernel_smax"},
+        "run": {"horizon", "trajectory_csv", "weights_csv", "summary_json"},
+    }
+    assert sum(len(keys) for keys in KEYS.values()) == 33
+
+
+def test_every_key_reaches_its_field():
+    text = """
+[model]
+a = [[0.0, 1.0], [-1.0, -1.0]]
+b = [0.0, 2.0]
+c = [[1.0, 0.0]]
+a_hat = [[0.0, 1.0], [-2.0, -1.0]]
+b_hat = [0.0, 3.0]
+[reference]
+kind = sinusoid
+params = {"amplitude": 0.3}
+[learning]
+q = 0.07
+r = 0.03
+delta = 0.02
+sigma_c = 0.6
+alpha_c = 1.7
+sigma_a = 0.4
+alpha_a = 1.6
+eps_sing = 1e-9
+tol_conv = 2e-4
+probe_amplitude = 0.2
+probe_frequencies = [6.0, 8.0]
+t_probe = 4.0
+actor_rate_limit = 0.003
+actor_gain_guard = 1e3
+conv_window = 40
+conv_check_start = 2.0
+init = identity
+pi_cl0 = [-1.0, -2.0, -3.0]
+pi_ob0 = [1.0, 2.0, 3.0]
+pi_mf0 = [4.0, 5.0, 6.0]
+kernel_beta = 0.2
+kernel_smax = 3e-5
+[run]
+horizon = 3.5
+trajectory_csv = traj.csv
+weights_csv = w.csv
+summary_json = s.json
+"""
+    cfg = parse_config(text)
+    m, lc = cfg.model, cfg.learning
+    assert m.A[1, 0] == -1.0 and m.B[1, 0] == 2.0 and m.C[0, 0] == 1.0
+    assert m.A_hat[1, 0] == -2.0 and m.B_hat[1, 0] == 3.0
+    assert cfg.reference.kind == "sinusoid"
+    assert cfg.reference.params == {"amplitude": 0.3}
+    assert np.array_equal(lc.Q, 0.07 * np.eye(3)) and lc.R == 0.03
+    assert (lc.delta, lc.sigma_c, lc.alpha_c, lc.sigma_a, lc.alpha_a) == (
+        0.02, 0.6, 1.7, 0.4, 1.6)
+    assert (lc.eps_sing, lc.tol_conv) == (1e-9, 2e-4)
+    assert (lc.probe.amplitude, lc.probe.frequencies, lc.probe.t_probe) == (
+        0.2, (6.0, 8.0), 4.0)
+    assert (lc.actor_rate_limit, lc.actor_gain_guard) == (0.003, 1e3)
+    assert (lc.conv_window, lc.conv_check_start, lc.init) == (40, 2.0, "identity")
+    assert (lc.pi_cl0, lc.pi_ob0, lc.pi_mf0) == (
+        (-1.0, -2.0, -3.0), (1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
+    assert (lc.kernel_beta, lc.kernel_smax) == (0.2, 3e-5)
+    assert (cfg.horizon, cfg.trajectory_csv, cfg.weights_csv, cfg.summary_json) == (
+        3.5, "traj.csv", "w.csv", "s.json")
+
+
+@pytest.mark.parametrize("text, match", [
+    # misspelled keys and sections
+    ("[learning]\nsigmac = 0.7\n", r"\[learning\] unknown key 'sigmac'"),
+    ("[run]\nhorizn = 5\n", r"\[run\] unknown key 'horizn'"),
+    ("[learnin]\nsigma_c = 0.7\n", r"unknown section \[learnin\]"),
+    ("[DEFAULT]\nsigma_c = 0.7\n[learning]\n", r"unknown section \[DEFAULT\]"),
+    # dataclass fields that are not config keys
+    ("[learning]\nphases = 1\n", r"\[learning\] unknown key 'phases'"),
+    ("[reference]\nq = 2\n", r"\[reference\] unknown key 'q'"),
+])
+def test_unknown_section_or_key_rejected(text, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("section, line", [
+    ("run", "horizon = null"),
+    ("run", "horizon = [1]"),
+    ("learning", 'delta = "x"'),
+    ("learning", 'sigma_c = "0.5"'),
+    ("learning", "probe_frequencies = 5"),
+    ("learning", "r = [[0.01]]"),
+])
+def test_wrong_typed_value_rejected(section, line):
+    with pytest.raises(ConfigError, match=rf"\[{section}\]"):
+        parse_config(f"[{section}]\n{line}\n")
 
 
 def test_sigma_bound_rejected():
@@ -57,7 +184,8 @@ def test_run_command_artifacts(tmp_path):
     assert rc == 0
 
     traj = (tmp_path / "trajectory.csv").read_text().splitlines()
-    assert traj[0] == TRAJECTORY_HEADER
+    assert traj[0] == ("t,x1,x2,x3,xhat1,xhat2,xhat3,y,yhat,yref,"
+                       "e_ob,e_mf,u_total,mu_cl,u_ob,u_mf")
     assert len(traj) == 1 + int(round(2.0 / 0.01)) + 1  # header + rows
 
     weights = (tmp_path / "weights.csv").read_text().splitlines()
@@ -71,6 +199,14 @@ def test_run_command_artifacts(tmp_path):
         assert key in summary
     ol = sorted(ev[0] for ev in summary["open_loop_eigenvalues"])
     assert abs(ol[0] + 5.0) < 1e-3 and abs(ol[-1]) < 1e-9
+
+
+def test_trajectory_header_follows_state_width(tmp_path):
+    log = SimpleNamespace(**{name: np.zeros((1, 2)) if name in ("x", "xhat")
+                             else np.zeros(1) for name in TRAJECTORY})
+    write_trajectory_csv(log, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_text().splitlines()[0] == (
+        "t,x1,x2,xhat1,xhat2,y,yhat,yref,e_ob,e_mf,u_total,mu_cl,u_ob,u_mf")
 
 
 def test_diverging_run_trims_log(tmp_path):
@@ -148,6 +284,16 @@ def test_config_error_exit(tmp_path, capsys):
     rc = main(["run", str(config), "--outdir", str(tmp_path)])
     assert rc == 1
     assert "sigma_c" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "oracle-check", "eig"])
+def test_unknown_key_exit(tmp_path, capsys, command):
+    config = tmp_path / "typo.ini"
+    config.write_text("[learning]\nsigmac = 0.7\n")
+    rc = main([command, str(config)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "unknown key 'sigmac'" in err
 
 
 def test_seventeen_digit_serialization(tmp_path, model, default_config):

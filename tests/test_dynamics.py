@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm as scipy_expm
 
 from modelfollow.dynamics import (
-    ProcessModel, StateVector, step_lti, output, eigenvalues, expm_ss,
+    ProcessModel, eigenvalues, expm_ss,
     rk4_step, is_observable, is_stabilizable, observability_matrix,
 )
 
@@ -12,14 +12,14 @@ def test_step_pure_integrator():
     # A = 0, B = I: one step just accumulates u*h
     A = np.zeros((3, 3))
     B = np.eye(3)
-    s = step_lti((A, B), StateVector(np.zeros(3)), np.array([1.0, 2.0, 3.0]), 0.01)
-    assert np.allclose(s.x, [0.01, 0.02, 0.03], atol=1e-15)
-    assert s.t == 0.01
+    x = rk4_step(A, B, np.zeros(3), np.array([1.0, 2.0, 3.0]), 0.01)
+    assert np.allclose(x, [0.01, 0.02, 0.03], atol=1e-15)
 
 
 def test_step_scalar_decay():
-    s = step_lti(([[-1.0]], [[0.0]]), StateVector(np.array([1.0])), [0.0], 0.01)
-    assert abs(s.x[0] - np.exp(-0.01)) < 1e-12
+    x = rk4_step(np.array([[-1.0]]), np.array([[0.0]]), np.array([1.0]),
+                 np.array([0.0]), 0.01)
+    assert abs(x[0] - np.exp(-0.01)) < 1e-12
 
 
 def test_step_matches_exponential_oracle(model):
@@ -27,18 +27,6 @@ def test_step_matches_exponential_oracle(model):
     x = np.array([0.0, 1.0, 0.0])
     xn = rk4_step(model.A, model.B, x, np.zeros(1), h)
     assert np.linalg.norm(xn - expm_ss(model.A * h) @ x) < 1e-10
-
-
-def test_output_row_selection(model):
-    assert output(model, np.array([7.0, -2.0, 5.0]))[0] == -2.0
-    assert output(model, np.array([0.0, 1.0, 0.0]))[0] == 1.0
-
-
-def test_output_identity():
-    m = ProcessModel(A=[[-1.0, 0], [0, -2.0]], B=[[1.0], [1.0]], C=np.eye(2),
-                     A_hat=[[-1.0, 0], [0, -2.0]], B_hat=[[1.0], [1.0]])
-    x = np.array([3.0, 4.0])
-    assert np.allclose(output(m, x), x)
 
 
 def test_eigenvalues_open_loop(model):

@@ -5,12 +5,11 @@ and the independent exponential oracle."""
 import numpy as np
 
 from modelfollow import oracle
-from modelfollow.control_loop import run_episode, tick_cost_form
+from modelfollow.control_loop import SUBSTEPS, run_episode, tick_cost_form
 from modelfollow.dynamics import held_input_maps, rk4_step
 from modelfollow.learner import utility
 
 DELTA = 0.01
-SUBSTEPS = 10
 
 
 def rel_err(a, b):
