@@ -2,12 +2,12 @@
 
 Config files are INI-style documents with [model], [reference],
 [learning], and [run] sections; values are JSON (matrices are JSON arrays)
-except for the RAW_KEYS, which are taken verbatim.  KEYS lists every
-accepted key; an unknown section or key, or a value the dataclasses
-reject, is a ConfigError.  Omitted keys take the defaults of the
-dataclasses they configure (ProcessModel's are the DEFAULT_* matrices
-below).  All numbers are serialized with 17 significant digits so re-runs
-are byte-identical.
+except for the RAW_KEYS, which are taken verbatim (a % is a plain
+character).  KEYS lists every accepted key; an unknown section or key, a
+value the dataclasses reject, or a prior gain of the wrong length is a
+ConfigError.  Omitted keys take the defaults of the dataclasses they
+configure (ProcessModel's are the DEFAULT_* matrices below).  All numbers
+are serialized with 17 significant digits so re-runs are byte-identical.
 """
 
 import argparse
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from modelfollow.control_loop import STRATEGIES, TRAJECTORY, run_episode
+from modelfollow.control_loop import STACK_DEPTH, STRATEGIES, TRAJECTORY, run_episode
 from modelfollow.dynamics import ProcessModel, eigenvalues
 from modelfollow.learner import LearningConfig, ProbeSpec, theta_to_S, policy_from_kernel
 from modelfollow.reference import ReferenceSpec
@@ -94,7 +94,7 @@ def _build(section, cls, kwargs):
 
 def parse_config(text):
     """Parse a config document into a validated RunConfig."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -118,6 +118,9 @@ def parse_config(text):
     reference = _build("reference", ReferenceSpec, kwargs["reference"])
     probe = _build("learning", ProbeSpec, kwargs["probe"])
     learning = _build("learning", LearningConfig, dict(kwargs["learning"], probe=probe))
+    for key, size in (("pi_cl0", model.n), ("pi_ob0", STACK_DEPTH), ("pi_mf0", STACK_DEPTH)):
+        if np.shape(getattr(learning, key)) != (size,):
+            raise ConfigError(f"[learning] {key} must be a list of {size} numbers")
     return _build("run", RunConfig, dict(kwargs["run"], model=model,
                                          reference=reference, learning=learning))
 
@@ -166,7 +169,7 @@ def write_weights_csv(log, path):
 def build_summary(config, log):
     model = config.model
     pi_cl = log.pi_final["cl"]
-    summary = {
+    return {
         "open_loop_eigenvalues": _eig_pairs(model.A),
         "desired_model_eigenvalues": _eig_pairs(model.A_hat),
         "closed_loop_eigenvalues": _eig_pairs(
@@ -182,7 +185,6 @@ def build_summary(config, log):
         "convergence_time_s": {s: log.t_converged[s] for s in STRATEGIES},
         "diverged_at": log.diverged,
     }
-    return summary
 
 
 def cmd_run(args, config):
@@ -286,9 +288,10 @@ def main(argv=None):
     p_eig.set_defaults(func=cmd_eig)
 
     args = parser.parse_args(argv)
+    # a missing or unreadable file (OSError, UnicodeDecodeError) is a config error too
     try:
         config = load_config(args.config)
-    except ConfigError as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     return args.func(args, config)

@@ -5,13 +5,20 @@ and held, both systems advance by their exact per-tick maps of SUBSTEPS
 RK4 substeps (x+ = Phi x + Gamma u, built once per episode), the new
 sample is written to the columnar episode log, and each strategy still
 adapting performs one critic and one actor projection step on its Bellman
-sample (regressor and integral stage cost).  The observer and
-model-following strategies act on the last STACK_DEPTH rows of the logged
-tracking-error columns; their signals are incremental (u <- u + mu).
-The closed-loop term is direct feedback on the observed state; its stage
-cost is read off a fixed quadratic form.  Adaptation of a strategy stops
-once its kernel has remained settled for a configured window (convergence
-freeze); from then on the strategy does no per-tick learner work.
+sample (regressor and integral stage cost).  The sample times, the
+reference and the probes depend on t only and are evaluated once per
+episode, before the loop.
+
+strategy_views describes, once for all three strategies, which log rows a
+strategy sees as features and which action it prices: the observer and
+model-following strategies see the last STACK_DEPTH rows of the logged
+tracking-error columns and their signals are incremental (u <- u + mu);
+the closed-loop term is direct feedback on the observed state, its stage
+cost read off a fixed quadratic form.  The control law, the per-tick
+learner step and the Bellman pass all read that description.  Adaptation
+of a strategy stops once its kernel has remained settled for a configured
+window (convergence freeze); from then on the strategy does no per-tick
+learner work.
 
 The Bellman samples of every tick, frozen or not, are rebuilt from the log
 columns in one vectorized pass after the loop (bellman_log), with the same
@@ -42,9 +49,10 @@ SUBSTEPS = 10
 # per-tick signals of the episode log, in trajectory.csv column order
 TRAJECTORY = ("t", "x", "xhat", "y", "yhat", "yref", "e_ob", "e_mf",
               "u_total", "mu_cl", "u_ob", "u_mf")
-# every per-tick column: TRAJECTORY plus the ob/mf increments the Bellman
-# pass reads (not written to trajectory.csv)
-COLUMNS = TRAJECTORY + ("mu_ob", "mu_mf")
+# every per-tick column: TRAJECTORY plus the actions the learners price
+# that trajectory.csv does not hold, the ob/mf increments and the desired
+# model's input v
+COLUMNS = TRAJECTORY + ("mu_ob", "mu_mf", "v")
 
 
 @dataclass
@@ -92,6 +100,30 @@ class EpisodeLog:
         return (self.t >= t_lo) & (self.t <= t_hi)
 
 
+def _windows(e):
+    """The STACK_DEPTH-sample windows of an error column, as views."""
+    if len(e) < STACK_DEPTH:  # sliding_window_view raises when not one fits
+        return np.zeros((0, STACK_DEPTH))
+    return sliding_window_view(e, STACK_DEPTH)
+
+
+def strategy_views(log):
+    """{s: (rows, lag, action)}: how each strategy reads the columns of log.
+
+    rows[k - lag] is the strategy's feature vector at tick k >= lag and
+    action[k + 1] the action it prices during tick k.  Both are views of
+    the log columns, so they see each row as it is written.  The
+    closed-loop strategy sees the observed state from the first tick and
+    prices the full input v of the desired model; the observer and
+    model-following strategies see their last STACK_DEPTH tracking errors
+    once that many are logged and price their own increments.
+    """
+    lag = STACK_DEPTH - 1
+    return {"ob": (_windows(log.e_ob), lag, log.mu_ob),
+            "cl": (log.xhat, 0, log.v),
+            "mf": (_windows(log.e_mf), lag, log.mu_mf)}
+
+
 def embedded_gain_kernel(pi, beta, s_max):
     """Positive-definite kernel whose greedy policy equals the given gain.
 
@@ -124,9 +156,7 @@ def initial_strategies(model, cfg):
             states[s] = StrategyState(S_to_theta(np.eye(d)), np.zeros(d - 1))
         return states
 
-    priors = {"ob": np.asarray(cfg.pi_ob0, dtype=float),
-              "cl": np.asarray(cfg.pi_cl0, dtype=float),
-              "mf": np.asarray(cfg.pi_mf0, dtype=float)}
+    priors = {s: np.asarray(getattr(cfg, f"pi_{s}0"), dtype=float) for s in STRATEGIES}
     S_cl = oracle.policy_value_kernel(
         model.A_hat, model.B_hat, priors["cl"], cfg.Q, cfg.R, cfg.delta)
     states["cl"] = StrategyState(S_to_theta(S_cl), priors["cl"].copy())
@@ -156,22 +186,13 @@ def bellman_sample(s, F, mu, F_next, pi, cfg, W_cl):
 def bellman_log(log, cfg, W_cl):
     """Bellman samples of every tick of a learning episode, from the log.
 
-    Row k + 1 of the log holds the gains and increments acting during tick
-    k, so tick k of the closed-loop strategy pairs xhat[k] and xhat[k + 1],
-    and tick k >= STACK_DEPTH - 1 of an error-feature strategy pairs the
-    windows e[k-2:k+1] and e[k-1:k+2].  Returns {s: (Z, phi)}.
+    Row k + 1 of the log holds the gains and actions of tick k, so tick
+    k >= lag of a strategy pairs its feature rows k - lag and k - lag + 1
+    with the action and gain of log row k + 1.  Returns {s: (Z, phi)}.
     """
-    v = log.u_ob[1:] + log.u_total[1:]  # full input seen by the desired model
-    data = {"cl": bellman_sample("cl", log.xhat[:-1], v, log.xhat[1:],
-                                 log.pi_hist["cl"][1:], cfg, W_cl)}
-    for s, e, mu in (("ob", log.e_ob, log.mu_ob), ("mf", log.e_mf, log.mu_mf)):
-        if len(e) >= STACK_DEPTH:
-            windows = sliding_window_view(e, STACK_DEPTH)
-        else:  # sliding_window_view raises when not one window fits
-            windows = np.zeros((0, STACK_DEPTH))
-        data[s] = bellman_sample(s, windows[:-1], mu[STACK_DEPTH:], windows[1:],
-                                 log.pi_hist[s][STACK_DEPTH:], cfg, W_cl)
-    return data
+    return {s: bellman_sample(s, rows[:-1], action[lag + 1:], rows[1:],
+                              log.pi_hist[s][lag + 1:], cfg, W_cl)
+            for s, (rows, lag, action) in strategy_views(log).items()}
 
 
 def _learn_step(state, z_tilde, phi, F, cfg, t):
@@ -256,38 +277,39 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
     u_mf = 0.0
 
     log = EpisodeLog(n_ticks + 1, n, states)
-    columns = [getattr(log, name) for name in COLUMNS]
+    # the exogenous signals depend on t only: the sample times accumulate
+    # t + delta as the tick clock does, the reference is taken at them and
+    # each strategy's probe at the start of each tick
+    t_start = np.arange(n_ticks) * delta
+    log.t[1:] = t_start + delta
+    log.yref[:] = eval_reference(ref_spec, log.t)
+    probe = {s: cfg.probe.value(t_start, s).tolist() for s in STRATEGIES}
+    views = strategy_views(log)
+    # the columns that depend on the state, in COLUMNS order
+    columns = [getattr(log, name) for name in COLUMNS if name not in ("t", "yref")]
 
-    def record(k, t, mu_cl, mu_ob, mu_mf, u_tot):
+    def record(k, mu, u_tot, v):
         y = float(Crow @ x)
         yh = float(Crow @ xh)
-        yr = float(eval_reference(ref_spec, t)[0])
-        row = (t, x, xh, y, yh, yr, y - yh, yr - y, u_tot, mu_cl, u_ob, u_mf,
-               mu_ob, mu_mf)
+        row = (x, xh, y, yh, y - yh, log.yref[k] - y, u_tot, mu["cl"], u_ob, u_mf,
+               mu["ob"], mu["mf"], v)
         for col, value in zip(columns, row):
             col[k] = value
         for s in STRATEGIES:
             log.theta_hist[s][k] = states[s].theta
             log.pi_hist[s][k] = states[s].pi
 
-    record(0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    record(0, dict.fromkeys(STRATEGIES, 0.0), 0.0, 0.0)
 
     for k in range(n_ticks):
         t = k * delta
-        # the error features exist once STACK_DEPTH samples are logged;
-        # until then the incremental controls stay at zero (warm-up gating)
-        ready = k >= STACK_DEPTH - 1
-        lo = k - STACK_DEPTH + 1
-
-        mu_cl = float(states["cl"].pi @ xh) + cfg.probe.value(t, "cl")
-        mu_ob = mu_mf = 0.0
-        if ready:
-            mu_ob = float(states["ob"].pi @ log.e_ob[lo:k + 1]) + cfg.probe.value(t, "ob")
-            mu_mf = float(states["mf"].pi @ log.e_mf[lo:k + 1]) + cfg.probe.value(t, "mf")
-
-        u_ob += mu_ob
-        u_mf += mu_mf
-        u_tot = mu_cl + u_mf
+        # a strategy acts once its features exist (k >= lag); until then
+        # its increment stays at zero (warm-up gating)
+        mu = {s: float(states[s].pi @ rows[k - lag]) + probe[s][k] if k >= lag else 0.0
+              for s, (rows, lag, _) in views.items()}
+        u_ob += mu["ob"]
+        u_mf += mu["mf"]
+        u_tot = mu["cl"] + u_mf
         # the closed-loop learner prices the full input seen by the desired
         # model, which is what keeps its logged data Bellman-consistent
         v = u_ob + u_tot
@@ -302,23 +324,19 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
             log.trim(k + 1)
             break
 
-        record(k + 1, t_next, mu_cl, mu_ob, mu_mf, u_tot)
+        record(k + 1, mu, u_tot, v)
         if not learning_enabled:
             continue
 
-        # (strategy, features at t, features at t + delta, action) of each
-        # strategy still adapting; a frozen one costs nothing per tick
-        steps = []
-        if not states["cl"].frozen:
-            steps.append(("cl", log.xhat[k], log.xhat[k + 1], v))
-        for s, e, mu in (("ob", log.e_ob, mu_ob), ("mf", log.e_mf, mu_mf)):
-            if ready and not states[s].frozen:
-                steps.append((s, e[lo:k + 1], e[lo + 1:k + 2], mu))
-        for s, F, F_next, mu in steps:
-            z_tilde, phi = bellman_sample(s, F, mu, F_next, states[s].pi, cfg, W_cl)
-            _learn_step(states[s], z_tilde, phi, F, cfg, t)
-            if states[s].frozen:
-                log.t_converged[s] = t_next
+        # a frozen strategy costs nothing per tick
+        for s, (rows, lag, action) in views.items():
+            if k >= lag and not states[s].frozen:
+                F = rows[k - lag]
+                z_tilde, phi = bellman_sample(s, F, action[k + 1], rows[k - lag + 1],
+                                              states[s].pi, cfg, W_cl)
+                _learn_step(states[s], z_tilde, phi, F, cfg, t)
+                if states[s].frozen:
+                    log.t_converged[s] = t_next
 
     if learning_enabled:
         log.regressors = bellman_log(log, cfg, W_cl)

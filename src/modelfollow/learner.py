@@ -8,7 +8,8 @@ of the kernel blocks.  Critic and actor both use normalized-projection
 updates that contract for pace 0 < sigma < 2.
 """
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -155,6 +156,21 @@ def kernel_converged(S_prev, S_next, tol_conv):
     return float(np.linalg.norm(diff)) < tol_conv
 
 
+# probe phases of each strategy, one per frequency
+PROBE_PHASES = {"ob": (0.0, 1.0, 2.0), "cl": (0.5, 1.5, 2.5), "mf": (1.0, 2.0, 3.0)}
+
+
+def _require_numbers(obj):
+    """TypeError unless every float or int field of obj holds a real number
+    and every tuple field holds only real numbers."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        items = value if f.type is tuple else (value,)
+        numeric = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items)
+        if f.type in (tuple, float, int) and not numeric:
+            raise TypeError(f"{f.name} must be numeric, not {value!r}")
+
+
 @dataclass
 class ProbeSpec:
     """Exploration signal: a sum of sinusoids added to each control increment
@@ -164,21 +180,17 @@ class ProbeSpec:
     amplitude: float = 0.1
     frequencies: tuple = (7.0, 9.899, 15.652)
     t_probe: float = 5.0
-    phases: dict = field(default_factory=lambda: {
-        "ob": (0.0, 1.0, 2.0),
-        "cl": (0.5, 1.5, 2.5),
-        "mf": (1.0, 2.0, 3.0),
-    })
 
     def __post_init__(self):
         self.frequencies = tuple(self.frequencies)
+        _require_numbers(self)
 
     def value(self, t, strategy):
-        if t >= self.t_probe:
-            return 0.0
-        ph = self.phases[strategy]
-        return self.amplitude * sum(
-            np.sin(w * t + p) for w, p in zip(self.frequencies, ph))
+        """Probe of a strategy at time t, a scalar or an array of times."""
+        t = np.asarray(t, dtype=float)
+        wave = self.amplitude * sum(
+            np.sin(w * t + p) for w, p in zip(self.frequencies, PROBE_PHASES[strategy]))
+        return np.where(t >= self.t_probe, 0.0, wave)[()]
 
 
 @dataclass
@@ -205,7 +217,7 @@ class LearningConfig:
     probe: ProbeSpec = field(default_factory=ProbeSpec)
 
     # adaptation guards / termination
-    actor_rate_limit: float = 0.002
+    actor_rate_limit: float | None = 0.002
     actor_gain_guard: float = 1e4
     conv_window: int = 50
     conv_check_start: float = 1.0
@@ -224,6 +236,7 @@ class LearningConfig:
         self.Q = float(Q) * np.eye(3) if Q.ndim == 0 else np.atleast_2d(Q)
         self.pi_cl0, self.pi_ob0, self.pi_mf0 = map(
             tuple, (self.pi_cl0, self.pi_ob0, self.pi_mf0))
+        _require_numbers(self)
         if not (0.0 < self.sigma_c < 2.0):
             raise ValueError("sigma_c must satisfy 0 < sigma_c < 2")
         if not (0.0 < self.sigma_a < 2.0):

@@ -21,13 +21,12 @@ class ReferenceSpec:
 
     kind: str = "piecewise"
     params: dict = field(default_factory=dict)
-    q: int = 1
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError("output dimension q must be >= 1")
         if self.kind not in ("piecewise", "constant", "sinusoid", "table"):
             raise ValueError(f"unknown reference kind {self.kind!r}")
+        if not isinstance(self.params, dict):
+            raise TypeError(f"params must be a JSON object, not {self.params!r}")
         if self.kind == "table":
             times = np.asarray(self.params.get("times", []), dtype=float)
             if times.size < 1 or np.any(np.diff(times) <= 0):
@@ -37,24 +36,23 @@ class ReferenceSpec:
 def _piecewise(t):
     # Branch boundaries are non-strict on the left branch: t = 10 uses the
     # cosine segment.  Past 20 s the last value is held.
-    if t <= 10.0:
-        return 1.0 + np.exp(-0.01 * t) * np.cos(1.5 * t / 20.0)
-    if t <= 20.0:
-        return 0.5 * (1.0 + np.exp(-0.01 * (t - 10.0)))
-    return 0.5 * (1.0 + np.exp(-0.1))
+    return np.where(t <= 10.0, 1.0 + np.exp(-0.01 * t) * np.cos(1.5 * t / 20.0),
+                    np.where(t <= 20.0, 0.5 * (1.0 + np.exp(-0.01 * (t - 10.0))),
+                             0.5 * (1.0 + np.exp(-0.1))))
 
 
 def eval_reference(spec, t):
-    """Evaluate the reference at time t >= 0.
+    """Evaluate the reference at time t >= 0, a scalar or an array of times.
 
-    Returns a vector of length spec.q (the scalar kinds broadcast).
+    Returns a float for a scalar t and an array of t's shape otherwise.
     """
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("reference is defined for t >= 0 only")
     if spec.kind == "piecewise":
         v = _piecewise(t)
     elif spec.kind == "constant":
-        v = float(spec.params.get("value", 1.0))
+        v = np.full(t.shape, float(spec.params.get("value", 1.0)))
     elif spec.kind == "sinusoid":
         amp = float(spec.params.get("amplitude", 1.0))
         freq = float(spec.params.get("frequency", 1.0))
@@ -64,7 +62,6 @@ def eval_reference(spec, t):
     else:  # table: zero-order hold on the last breakpoint at or before t
         times = np.asarray(spec.params["times"], dtype=float)
         values = np.asarray(spec.params["values"], dtype=float)
-        idx = int(np.searchsorted(times, t, side="right")) - 1
-        idx = max(idx, 0)
+        idx = np.maximum(np.searchsorted(times, t, side="right") - 1, 0)
         v = values[idx]
-    return np.full(spec.q, v, dtype=float)
+    return v[()]

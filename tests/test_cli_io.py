@@ -88,7 +88,7 @@ actor_gain_guard = 1e3
 conv_window = 40
 conv_check_start = 2.0
 init = identity
-pi_cl0 = [-1.0, -2.0, -3.0]
+pi_cl0 = [-1.0, -2.0]
 pi_ob0 = [1.0, 2.0, 3.0]
 pi_mf0 = [4.0, 5.0, 6.0]
 kernel_beta = 0.2
@@ -114,7 +114,7 @@ summary_json = s.json
     assert (lc.actor_rate_limit, lc.actor_gain_guard) == (0.003, 1e3)
     assert (lc.conv_window, lc.conv_check_start, lc.init) == (40, 2.0, "identity")
     assert (lc.pi_cl0, lc.pi_ob0, lc.pi_mf0) == (
-        (-1.0, -2.0, -3.0), (1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
+        (-1.0, -2.0), (1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
     assert (lc.kernel_beta, lc.kernel_smax) == (0.2, 3e-5)
     assert (cfg.horizon, cfg.trajectory_csv, cfg.weights_csv, cfg.summary_json) == (
         3.5, "traj.csv", "w.csv", "s.json")
@@ -142,10 +142,19 @@ def test_unknown_section_or_key_rejected(text, match):
     ("learning", 'sigma_c = "0.5"'),
     ("learning", "probe_frequencies = 5"),
     ("learning", "r = [[0.01]]"),
+    ("learning", 'probe_amplitude = "x"'),
+    ("learning", "t_probe = null"),
+    ("learning", 'tol_conv = "x"'),
+    ("learning", "pi_cl0 = [1, 2]"),
+    ("reference", "params = 5"),
 ])
 def test_wrong_typed_value_rejected(section, line):
     with pytest.raises(ConfigError, match=rf"\[{section}\]"):
         parse_config(f"[{section}]\n{line}\n")
+
+
+def test_percent_taken_verbatim():
+    assert parse_config("[run]\ntrajectory_csv = a%b.csv\n").trajectory_csv == "a%b.csv"
 
 
 def test_sigma_bound_rejected():
@@ -171,6 +180,8 @@ b = [0.0, 1.0]
 c = [[1.0, 0.0]]
 a_hat = [[0.0, 1.0], [-1.0, -1.0]]
 b_hat = [0.0, 1.0]
+[learning]
+pi_cl0 = [-1.0, -1.0]
 """
     cfg = parse_config(text)
     assert cfg.model.n == 2
@@ -294,6 +305,15 @@ def test_unknown_key_exit(tmp_path, capsys, command):
     assert rc == 1
     err = capsys.readouterr().err
     assert "config error:" in err and "unknown key 'sigmac'" in err
+
+
+@pytest.mark.parametrize("command", ["run", "oracle-check", "eig"])
+def test_missing_config_exit(tmp_path, capsys, command):
+    rc = main([command, str(tmp_path / "missing.ini")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "missing.ini" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_seventeen_digit_serialization(tmp_path, model, default_config):

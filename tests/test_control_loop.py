@@ -83,6 +83,20 @@ def test_row_count_and_sampling(episode, default_config):
     assert np.allclose(dt, delta, atol=1e-12)
 
 
+@pytest.mark.parametrize("delta", [0.01, 0.02, 0.002])
+def test_sample_times_match_tick_clock(model, delta):
+    # row k >= 1 holds the end time of tick k - 1, accumulated as t + delta
+    # from the tick start t = (k - 1) * delta, bit for bit
+    log = run_episode(model, ReferenceSpec(), quiet_config(delta=delta), horizon=20.0,
+                      learning_enabled=False, initial=fixed_gain_states(np.zeros(3)))
+    n = int(round(20.0 / delta))
+    assert log.diverged is None and len(log.t) == n + 1
+    clock = [0.0] + [(k - 1) * delta + delta for k in range(1, n + 1)]
+    assert np.array_equal(log.t, clock)
+    # the product grid k * delta rounds differently on some rows
+    assert not np.array_equal(np.arange(1, n + 1) * delta, clock[1:])
+
+
 def test_zero_horizon(model, default_config):
     log = run_episode(model, default_config.reference, default_config.learning,
                       horizon=0.0)

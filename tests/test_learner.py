@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modelfollow.learner import (
-    LearningConfig, ProbeSpec, SingularKernelError,
+    LearningConfig, ProbeSpec, PROBE_PHASES, SingularKernelError,
     utility, quadratic_form, quadratic_value, bellman_regressor,
     qmonomials, policy_from_kernel, critic_update, actor_update,
     theta_to_S, S_to_theta, kernel_converged, tri_indices,
@@ -270,3 +270,18 @@ def test_probe_stops_after_window():
     assert p.value(0.3, "cl") != 0.0
     # distinct phases per strategy
     assert p.value(0.3, "cl") != p.value(0.3, "ob")
+
+
+@pytest.mark.parametrize("strategy", ["ob", "cl", "mf"])
+def test_probe_array_matches_per_tick_values(strategy):
+    # the probe of every tick start k * delta of a 20 s episode, as one
+    # array, equals the sum of sinusoids evaluated tick by tick
+    p = ProbeSpec()
+    delta = 0.01
+    per_tick = [
+        p.amplitude * sum(np.sin(w * (k * delta) + ph)
+                          for w, ph in zip(p.frequencies, PROBE_PHASES[strategy]))
+        if k * delta < p.t_probe else 0.0
+        for k in range(2000)]
+    assert np.array_equal(p.value(np.arange(2000) * delta, strategy), per_tick)
+    assert [p.value(k * delta, strategy) for k in range(2000)] == per_tick
