@@ -27,7 +27,8 @@ TRAJECTORY fixes the order of the logged signals in trajectory.csv; the
 writer derives the CSV header from it and the width of each column.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -57,10 +58,18 @@ COLUMNS = TRAJECTORY + ("mu_ob", "mu_mf", "v")
 
 @dataclass
 class StrategyState:
+    """Learner state of one strategy.  S is the kernel of theta, computed at
+    construction and replaced together with theta, so that a learner step
+    unflattens only the new theta."""
+
     theta: np.ndarray
     pi: np.ndarray
     frozen: bool = False
     conv_count: int = 0
+    S: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.S = theta_to_S(self.theta)
 
 
 class EpisodeLog:
@@ -197,20 +206,17 @@ def bellman_log(log, cfg, W_cl):
 
 def _learn_step(state, z_tilde, phi, F, cfg, t):
     """One critic + actor projection step for a single strategy."""
-    theta_next = critic_update(state.theta, z_tilde, phi, cfg.sigma_c, cfg.alpha_c)
-    S = theta_to_S(theta_next)
-    settled = kernel_converged(theta_to_S(state.theta), S, cfg.tol_conv)
-    state.theta = theta_next
+    state.theta = critic_update(state.theta, z_tilde, phi, cfg.sigma_c, cfg.alpha_c)
+    S_prev, state.S = state.S, theta_to_S(state.theta)
+    settled = kernel_converged(S_prev, state.S, cfg.tol_conv)
 
     nf = F.size
     try:
-        gain_row = policy_from_kernel(S, n_features=nf, eps_sing=cfg.eps_sing)
-        gain_ratio = np.linalg.norm(S[nf:, :nf]) / abs(S[nf, nf])
-        if gain_ratio <= cfg.actor_gain_guard:
-            target = gain_row @ F
-            pi_next = actor_update(state.pi, F, target, cfg.sigma_a, cfg.alpha_a,
-                                   rate_limit=cfg.actor_rate_limit)
-            state.pi = np.asarray(pi_next).reshape(-1)
+        gain_row = policy_from_kernel(state.S, n_features=nf, eps_sing=cfg.eps_sing)[0]
+        cross = state.S[nf, :nf]
+        if math.sqrt(cross @ cross) / abs(state.S[nf, nf]) <= cfg.actor_gain_guard:
+            state.pi = actor_update(state.pi, F, gain_row @ F, cfg.sigma_a, cfg.alpha_a,
+                                    rate_limit=cfg.actor_rate_limit)
     except SingularKernelError:
         pass  # keep the previous actor this cycle
 

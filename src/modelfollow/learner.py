@@ -4,10 +4,14 @@ Value functions are quadratic forms V = 1/2 Z' S Z over the joint vector
 Z = [F; mu].  The kernel S is estimated through its flattened parameter
 vector theta (upper-triangular entries, diagonal monomials carrying the
 1/2 factor so theta stores S entries directly), and the policy is read out
-of the kernel blocks.  Critic and actor both use normalized-projection
-updates that contract for pace 0 < sigma < 2.
+of the kernel blocks.  The plant has one input (m = 1), so the control
+block S_mumu is the last diagonal entry and the greedy gain is a scalar
+division.  Critic and actor both use normalized-projection updates that
+contract for pace 0 < sigma < 2; they run once per strategy and tick, so
+they take arrays as they are and do no shape conversion of their own.
 """
 
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
@@ -49,18 +53,25 @@ def qmonomials(Z):
     return weights * ZT[rows].T * ZT[cols].T
 
 
+@lru_cache(maxsize=None)
+def _kernel_index(size):
+    """(d, d) array of the theta slot that holds each kernel entry, for a
+    theta of the given length."""
+    # d(d+1)/2 = len  =>  d = (sqrt(8 len + 1) - 1) / 2
+    d = int(round((math.sqrt(8 * size + 1) - 1) / 2))
+    if d * (d + 1) // 2 != size:
+        raise ValueError(f"theta length {size} is not triangular")
+    rows, cols, _ = _tri_layout(d)
+    index = np.empty((d, d), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(size)
+    index.flags.writeable = False
+    return index
+
+
 def theta_to_S(theta):
     """Unflatten theta into the symmetric kernel matrix."""
     theta = np.asarray(theta, dtype=float)
-    # d(d+1)/2 = len  =>  d = (sqrt(8 len + 1) - 1) / 2
-    d = int(round((np.sqrt(8 * theta.size + 1) - 1) / 2))
-    if d * (d + 1) // 2 != theta.size:
-        raise ValueError(f"theta length {theta.size} is not triangular")
-    rows, cols, _ = _tri_layout(d)
-    S = np.empty((d, d))
-    S[rows, cols] = theta
-    S[cols, rows] = theta
-    return S
+    return theta[_kernel_index(theta.size)]
 
 
 def S_to_theta(S):
@@ -109,51 +120,56 @@ def bellman_regressor(Z_t, Z_next):
 
 
 def policy_from_kernel(S, n_features=None, eps_sing=1e-8):
-    """Greedy linear gain -S_mumu^{-1} S_muF from the kernel blocks.
+    """Greedy linear gain -S_mumu^{-1} S_muF from the kernel blocks, (1, d - 1).
 
-    n_features gives the size of the F partition; by default the control
-    block is taken to be the last row/column (m = 1).
+    The control block S_mumu is the scalar s = S[-1, -1] (one input, m = 1),
+    so the gain is -(S_muF * (1 / s)), which rounds as a LAPACK solve of the
+    1x1 system does (S_muF / s does not); |s| < eps_sing raises
+    SingularKernelError.  n_features gives the size of the F partition and
+    must leave that 1x1 block; ValueError otherwise.
     """
     S = np.asarray(S, dtype=float)
-    d = S.shape[0]
-    if n_features is None:
-        n_features = d - 1
-    S_mumu = S[n_features:, n_features:]
-    S_muF = S[n_features:, :n_features]
-    if abs(np.linalg.det(S_mumu)) < eps_sing:
-        raise SingularKernelError(
-            f"|det S_mumu| = {abs(np.linalg.det(S_mumu)):.3g} below {eps_sing:.3g}")
-    return -np.linalg.solve(S_mumu, S_muF)
+    nf = S.shape[0] - 1
+    if n_features not in (None, nf):
+        raise ValueError(f"n_features = {n_features} does not leave a 1x1 control block")
+    s = S[nf, nf]
+    if abs(s) < eps_sing:
+        raise SingularKernelError(f"|S_mumu| = {abs(s):.3g} below {eps_sing:.3g}")
+    return -(S[nf:, :nf] * (1 / s))
 
 
 def critic_update(theta, z_tilde, phi, sigma_c, alpha_c):
-    """Normalized-projection critic step toward theta' z_tilde = phi."""
-    theta = np.asarray(theta, dtype=float)
-    z_tilde = np.asarray(z_tilde, dtype=float)
-    residual = float(theta @ z_tilde) - phi
+    """Normalized-projection critic step toward theta' z_tilde = phi.
+
+    theta and z_tilde are float arrays of the same length.
+    """
+    residual = theta @ z_tilde - phi
     return theta - sigma_c * z_tilde / (alpha_c + z_tilde @ z_tilde) * residual
 
 
 def actor_update(pi, F, phi_target, sigma_a, alpha_a, rate_limit=None):
     """Normalized-projection actor step toward pi F = phi_target.
 
-    rate_limit, when set, clamps the residual magnitude before the step;
-    near-singular kernels make the greedy target hypersensitive to critic
-    noise and an unclamped step can destabilize the loop.
+    pi is a gain row with a scalar target, and the result a row; or pi is
+    (1, n) with a length-1 target, and the result (1, n).  F is a float
+    array.  rate_limit, when set, clamps the residual magnitude before the
+    step; near-singular kernels make the greedy target hypersensitive to
+    critic noise and an unclamped step can destabilize the loop.
     """
-    pi = np.atleast_2d(np.asarray(pi, dtype=float))
-    F = np.asarray(F, dtype=float)
-    phi_target = np.atleast_1d(np.asarray(phi_target, dtype=float))
     residual = pi @ F - phi_target
     if rate_limit is not None:
         residual = np.clip(residual, -rate_limit, rate_limit)
-    return pi - sigma_a * np.outer(residual, F) / (alpha_a + F @ F)
+    return pi - sigma_a * np.multiply.outer(residual, F) / (alpha_a + F @ F)
 
 
 def kernel_converged(S_prev, S_next, tol_conv):
-    """True when the Frobenius distance between kernels is below tol_conv."""
-    diff = np.asarray(S_next, dtype=float) - np.asarray(S_prev, dtype=float)
-    return float(np.linalg.norm(diff)) < tol_conv
+    """True when the Frobenius distance between kernels is below tol_conv.
+
+    The distance is sqrt(d . d) of the raveled difference, as np.linalg.norm
+    computes it.
+    """
+    diff = np.subtract(S_next, S_prev).ravel()
+    return math.sqrt(diff @ diff) < tol_conv
 
 
 # probe phases of each strategy, one per frequency
@@ -161,14 +177,15 @@ PROBE_PHASES = {"ob": (0.0, 1.0, 2.0), "cl": (0.5, 1.5, 2.5), "mf": (1.0, 2.0, 3
 
 
 def _require_numbers(obj):
-    """TypeError unless every float or int field of obj holds a real number
-    and every tuple field holds only real numbers."""
+    """TypeError unless every float or int field of obj holds a real number,
+    every float | None field holds None or a real number, and every tuple
+    field holds only real numbers."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        items = value if f.type is tuple else (value,)
-        numeric = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items)
-        if f.type in (tuple, float, int) and not numeric:
-            raise TypeError(f"{f.name} must be numeric, not {value!r}")
+        if f.type in (tuple, float, int) or f.type == float | None and value is not None:
+            items = value if f.type is tuple else (value,)
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items):
+                raise TypeError(f"{f.name} must be numeric, not {value!r}")
 
 
 @dataclass
@@ -237,14 +254,15 @@ class LearningConfig:
         self.pi_cl0, self.pi_ob0, self.pi_mf0 = map(
             tuple, (self.pi_cl0, self.pi_ob0, self.pi_mf0))
         _require_numbers(self)
-        if not (0.0 < self.sigma_c < 2.0):
-            raise ValueError("sigma_c must satisfy 0 < sigma_c < 2")
-        if not (0.0 < self.sigma_a < 2.0):
-            raise ValueError("sigma_a must satisfy 0 < sigma_a < 2")
+        for name in ("sigma_c", "sigma_a"):
+            if not (0.0 < getattr(self, name) < 2.0):
+                raise ValueError(f"{name} must satisfy 0 < {name} < 2")
         if self.alpha_c <= 0 or self.alpha_a <= 0:
             raise ValueError("alpha_c and alpha_a must be positive")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
+        if self.actor_rate_limit is not None and not self.actor_rate_limit >= 0:
+            raise ValueError("actor_rate_limit must be nonnegative or null")
         if float(self.R) <= 0:
             raise ValueError("R must be positive definite")
         ew = np.linalg.eigvalsh(0.5 * (self.Q + self.Q.T))

@@ -146,6 +146,9 @@ def test_unknown_section_or_key_rejected(text, match):
     ("learning", "t_probe = null"),
     ("learning", 'tol_conv = "x"'),
     ("learning", "pi_cl0 = [1, 2]"),
+    ("learning", 'actor_rate_limit = "x"'),
+    ("learning", "actor_rate_limit = true"),
+    ("learning", "actor_rate_limit = -1"),
     ("reference", "params = 5"),
 ])
 def test_wrong_typed_value_rejected(section, line):

@@ -149,6 +149,22 @@ def test_initial_strategies_modes(model, default_config):
     assert np.all(theta_to_S(ident["mf"].theta) == np.eye(4))
 
 
+def test_cached_kernel_follows_theta(model, default_config):
+    # each strategy keeps the kernel of its current theta; a learner step
+    # replaces both, so after an episode in which every strategy adapts on
+    # every tick the cache must still be the unflattened theta, bit for bit
+    cfg = parse_config("[learning]\ntol_conv = 0\n").learning
+    states = initial_strategies(model, cfg)
+    initial = {s: states[s].S for s in STRATEGIES}
+    for s in STRATEGIES:
+        assert np.array_equal(states[s].S, theta_to_S(states[s].theta))
+    log = run_episode(model, default_config.reference, cfg, horizon=20.0, initial=states)
+    assert log.diverged is None
+    for s in STRATEGIES:
+        assert not np.array_equal(states[s].S, initial[s])
+        assert np.array_equal(states[s].S, theta_to_S(states[s].theta))
+
+
 def test_non_scalar_plant_rejected(default_config):
     from modelfollow.dynamics import ProcessModel
     m = ProcessModel(A=-np.eye(2), B=np.eye(2), C=np.eye(2),

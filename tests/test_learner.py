@@ -87,6 +87,11 @@ def test_policy_singular_kernel():
         policy_from_kernel(S)
 
 
+def test_policy_rejects_wider_control_block():
+    with pytest.raises(ValueError, match="1x1"):
+        policy_from_kernel(np.eye(4), n_features=2)
+
+
 def test_policy_minimizes_value():
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -244,6 +249,50 @@ def test_kernel_converged():
     D2 = np.zeros((4, 4))
     D2[0, 0] = 0.9e-4
     assert kernel_converged(S, S + D2, 1e-4)
+
+
+# ---- bitwise guards ------------------------------------------------------
+# The learner step reads the 1x1 control block as a scalar, takes Frobenius
+# norms as sqrt(d @ d) and runs the actor on a gain row.  On the BLAS and
+# LAPACK build these tests run against, each gives the same floats as the
+# general linear solve, np.linalg.norm and the (1, n) actor arithmetic; a
+# failure here means the episode artifacts changed too.
+
+def test_scalar_gain_equals_linear_solve():
+    rng = np.random.default_rng(12)
+    for _ in range(20000):
+        S = rand_sym(rng, 4) * rng.uniform(1e-3, 1e3)
+        expected = -np.linalg.solve(S[3:, 3:], S[3:, :3])
+        assert np.array_equal(policy_from_kernel(S), expected)
+
+
+def test_kernel_converged_equals_norm_test():
+    # at tol = ||dS|| the test is false and one ulp above it true, so a
+    # norm that differs from np.linalg.norm by one ulp fails on one side
+    rng = np.random.default_rng(13)
+    for _ in range(20000):
+        S_prev = rand_sym(rng, 4)
+        S_next = S_prev + rand_sym(rng, 4) * rng.uniform(1e-8, 1.0)
+        norm = np.linalg.norm(S_next - S_prev)
+        for tol in (norm, np.nextafter(norm, np.inf)):
+            assert kernel_converged(S_prev, S_next, tol) == \
+                (np.linalg.norm(S_next - S_prev) < tol)
+
+
+def test_actor_row_equals_2d_call():
+    rng = np.random.default_rng(14)
+    for k in range(20000):
+        S = rand_sym(rng, 4)
+        gain = policy_from_kernel(S)
+        pi = rng.normal(size=3) * rng.uniform(0.1, 100)
+        F = rng.normal(size=3) * rng.uniform(1e-3, 10)
+        limit = (None, 0.002)[k % 2]
+        target = gain[0] @ F
+        assert target == (gain @ F)[0]
+        row = actor_update(pi, F, target, 0.5, 1.8, rate_limit=limit)
+        full = actor_update(pi[None, :], F, gain @ F, 0.5, 1.8, rate_limit=limit)
+        assert row.shape == (3,) and full.shape == (1, 3)
+        assert np.array_equal(row, full[0])
 
 
 # ---- config validation ---------------------------------------------------

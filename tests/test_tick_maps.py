@@ -5,6 +5,7 @@ and the independent exponential oracle."""
 import numpy as np
 
 from modelfollow import oracle
+from modelfollow.cli_io import parse_config
 from modelfollow.control_loop import SUBSTEPS, run_episode, tick_cost_form
 from modelfollow.dynamics import held_input_maps, rk4_step
 from modelfollow.learner import utility
@@ -80,6 +81,43 @@ def test_episode_matches_substep_golden(episode):
     for s in ("ob", "cl", "mf"):
         assert rel_err(episode.pi_final[s], GOLDEN["pi"][s]) <= 1e-12
         assert rel_err(episode.theta_final[s], GOLDEN["theta"][s]) <= 1e-12
+
+
+# Final learner values of a 20 s default episode with tol_conv = 0, so that
+# no strategy freezes and all 5996 strategy-ticks run a critic and actor
+# step; recorded with the general det/solve greedy gain, matrix norms and
+# 2-D actor arithmetic, at 17 significant digits.
+ADAPT_GOLDEN = {
+    "pi": {
+        "ob": [5.013849721048596, -29.989579475947814, 26.006753831958097],
+        "cl": [-3.470737938501309, -0.2442364616335851, 0.28833417521482696],
+        "mf": [19.9957793974195, -120.00998735534836, 103.98379487485083],
+    },
+    "theta": {
+        "ob": [0.2998395141929798, -0.0003318457490885438, -0.000333803146766103,
+               -0.000781754862751218, 0.29983204217943066, -0.0003309468686022889,
+               6.716354100555728e-05, 0.29984036968418704, -0.000894151347554762,
+               0.0012460530437720212],
+        "cl": [0.15749966756601097, 0.02169000355275274, 0.026860172353291217,
+               0.000254858185975455, 0.007509346595690286, 0.00756781321856521,
+               7.147460469225246e-05, 0.021543112904031055, 0.0002201858888522193,
+               0.00010363296836851243],
+        "mf": [0.29320228180008784, -0.013423468813347338, -0.01287680374955755,
+               -0.0004435519943068996, 0.29339219286215595, -0.012660377620130546,
+               0.0012845473899454252, 0.2939393238025526, 0.00023603489015931427,
+               0.0013249469625751227],
+    },
+}
+
+
+def test_adapting_episode_matches_learner_golden():
+    c = parse_config("[learning]\ntol_conv = 0\n")
+    log = run_episode(c.model, c.reference, c.learning, horizon=20.0)
+    assert log.diverged is None
+    assert all(t is None for t in log.t_converged.values())
+    for s in ("ob", "cl", "mf"):
+        assert rel_err(log.pi_final[s], ADAPT_GOLDEN["pi"][s]) <= 1e-12
+        assert rel_err(log.theta_final[s], ADAPT_GOLDEN["theta"][s]) <= 1e-12
 
 
 def test_maps_against_exponential_oracle(model, default_config):
