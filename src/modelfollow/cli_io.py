@@ -1,27 +1,33 @@
 """Experiment runner: config parsing, episode execution, serialization.
 
-Config files are INI-style documents with [model], [reference],
-[learning], and [run] sections; values are JSON (matrices are JSON arrays)
-except for the RAW_KEYS, which are taken verbatim (a % is a plain
-character).  KEYS lists every accepted key; an unknown section or key, a
-value the dataclasses reject, or a prior gain of the wrong length is a
-ConfigError.  Omitted keys take the defaults of the dataclasses they
-configure (ProcessModel's are the DEFAULT_* matrices below).  All numbers
-are serialized with 17 significant digits so re-runs are byte-identical.
+Config files are INI-style documents with one section per dataclass of
+SECTIONS: [model] configures ProcessModel, [reference] ReferenceSpec,
+[learning] LearningConfig and [run] RunConfig.  A key is the name of the
+field it sets, in lower case (the field A_hat is the key a_hat); the
+fields that hold another section's dataclass are not keys.  KEYS lists
+the keys so derived.  Values are JSON (matrices are JSON arrays), except
+for fields annotated str, which take the raw text (a % is a plain
+character).  An unknown section or key, a value the dataclasses reject, a
+prior gain of the wrong length or a plant that is not single-input
+single-output is a ConfigError.  Omitted keys take the defaults of the
+dataclasses they configure (ProcessModel's are the DEFAULT_* matrices
+below).  All numbers are serialized with 17 significant digits so re-runs
+are byte-identical.
 """
 
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from modelfollow.control_loop import STACK_DEPTH, STRATEGIES, TRAJECTORY, run_episode
 from modelfollow.dynamics import ProcessModel, eigenvalues
-from modelfollow.learner import LearningConfig, ProbeSpec, theta_to_S, policy_from_kernel
+from modelfollow.learner import LearningConfig, theta_to_S, policy_from_kernel
 from modelfollow.reference import ReferenceSpec
 from modelfollow import oracle
 
@@ -34,26 +40,6 @@ DEFAULT_A_HAT = [[0.0132, 1.0085, -0.0055],
                  [0.0132, -5.0286, 9.9132],
                  [-0.0526, -1.0155, -4.9374]]
 DEFAULT_B_HAT = [-0.0072, -0.0547, 1.0527]
-
-# every accepted config key, per section
-KEYS = {
-    "model": ("a", "b", "c", "a_hat", "b_hat"),
-    "reference": ("kind", "params"),
-    "learning": ("q", "r", "delta", "sigma_c", "alpha_c", "sigma_a", "alpha_a",
-                 "eps_sing", "tol_conv", "probe_amplitude", "probe_frequencies",
-                 "t_probe", "actor_rate_limit", "actor_gain_guard", "conv_window",
-                 "conv_check_start", "init", "pi_cl0", "pi_ob0", "pi_mf0",
-                 "kernel_beta", "kernel_smax"),
-    "run": ("horizon", "trajectory_csv", "weights_csv", "summary_json"),
-}
-# keys whose value is the raw string rather than a JSON document
-RAW_KEYS = {"kind", "init", "trajectory_csv", "weights_csv", "summary_json"}
-# [learning] keys that configure the ProbeSpec
-PROBE_KEYS = {"probe_amplitude", "probe_frequencies", "t_probe"}
-# config key -> dataclass field, where the two differ
-FIELDS = {"a": "A", "b": "B", "c": "C", "a_hat": "A_hat", "b_hat": "B_hat",
-          "q": "Q", "r": "R", "probe_amplitude": "amplitude",
-          "probe_frequencies": "frequencies"}
 
 
 class ConfigError(ValueError):
@@ -73,10 +59,20 @@ class RunConfig:
     def __post_init__(self):
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"horizon must be finite, not {self.horizon!r}")
+
+
+# the dataclass that each config section configures
+SECTIONS = {"model": ProcessModel, "reference": ReferenceSpec,
+            "learning": LearningConfig, "run": RunConfig}
+# every accepted config key, per section, and the field it sets
+KEYS = {section: {f.name.lower(): f for f in fields(cls) if f.type not in SECTIONS.values()}
+        for section, cls in SECTIONS.items()}
 
 
 def _value(section, key, raw):
-    if key in RAW_KEYS:
+    if KEYS[section][key].type is str:
         return raw
     try:
         return json.loads(raw)
@@ -84,11 +80,12 @@ def _value(section, key, raw):
         raise ConfigError(f"[{section}] bad value for key {key!r}: {raw!r}") from exc
 
 
-def _build(section, cls, kwargs):
-    """cls(**kwargs), with a rejected value reported as a ConfigError."""
+def _build(section, kwargs):
+    """The section's dataclass built from kwargs, with a rejected value
+    reported as a ConfigError."""
     try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+        return SECTIONS[section](**kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
 
 
@@ -104,25 +101,25 @@ def parse_config(text):
 
     kwargs = {"model": {"A": DEFAULT_A, "B": DEFAULT_B, "C": DEFAULT_C,
                         "A_hat": DEFAULT_A_HAT, "B_hat": DEFAULT_B_HAT},
-              "reference": {}, "probe": {}, "learning": {}, "run": {}}
+              "reference": {}, "learning": {}, "run": {}}
     for section in cp.sections():
         if section not in KEYS:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in cp[section].items():
             if key not in KEYS[section]:
                 raise ConfigError(f"[{section}] unknown key {key!r}")
-            target = "probe" if key in PROBE_KEYS else section
-            kwargs[target][FIELDS.get(key, key)] = _value(section, key, raw)
+            kwargs[section][KEYS[section][key].name] = _value(section, key, raw)
 
-    model = _build("model", ProcessModel, kwargs["model"])
-    reference = _build("reference", ReferenceSpec, kwargs["reference"])
-    probe = _build("learning", ProbeSpec, kwargs["probe"])
-    learning = _build("learning", LearningConfig, dict(kwargs["learning"], probe=probe))
+    model = _build("model", kwargs["model"])
+    if model.m != 1 or model.p != 1:
+        raise ConfigError("[model] single-input single-output plants only")
+    reference = _build("reference", kwargs["reference"])
+    learning = _build("learning", kwargs["learning"])
     for key, size in (("pi_cl0", model.n), ("pi_ob0", STACK_DEPTH), ("pi_mf0", STACK_DEPTH)):
         if np.shape(getattr(learning, key)) != (size,):
             raise ConfigError(f"[learning] {key} must be a list of {size} numbers")
-    return _build("run", RunConfig, dict(kwargs["run"], model=model,
-                                         reference=reference, learning=learning))
+    return _build("run", dict(kwargs["run"], model=model,
+                              reference=reference, learning=learning))
 
 
 def load_config(path):

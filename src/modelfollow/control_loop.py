@@ -289,7 +289,7 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
     t_start = np.arange(n_ticks) * delta
     log.t[1:] = t_start + delta
     log.yref[:] = eval_reference(ref_spec, log.t)
-    probe = {s: cfg.probe.value(t_start, s).tolist() for s in STRATEGIES}
+    probe = {s: cfg.probe(t_start, s).tolist() for s in STRATEGIES}
     views = strategy_views(log)
     # the columns that depend on the state, in COLUMNS order
     columns = [getattr(log, name) for name in COLUMNS if name not in ("t", "yref")]

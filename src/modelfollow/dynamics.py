@@ -20,8 +20,8 @@ class ProcessModel:
     """The exact process (A, B, C) together with the desired model (A_hat, B_hat).
 
     The desired model shares the output map C.  Construction checks the
-    standing assumptions: (A_hat, C) observable and (A_hat, B_hat)
-    stabilizable.
+    sizes, that every entry is finite, and the standing assumptions:
+    (A_hat, C) observable and (A_hat, B_hat) stabilizable.
     """
 
     A: np.ndarray
@@ -48,6 +48,9 @@ class ProcessModel:
             raise ValueError("B/B_hat rows must match the state dimension")
         if self.C.shape[1] != n:
             raise ValueError("C columns must match the state dimension")
+        if not all(np.isfinite(M).all()
+                   for M in (self.A, self.B, self.C, self.A_hat, self.B_hat)):
+            raise ValueError("model matrices must be finite")
 
         if not is_observable(self.A_hat, self.C):
             raise ValueError("(A_hat, C) is not observable")

@@ -13,7 +13,7 @@ they take arrays as they are and do no shape conversion of their own.
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -179,35 +179,18 @@ PROBE_PHASES = {"ob": (0.0, 1.0, 2.0), "cl": (0.5, 1.5, 2.5), "mf": (1.0, 2.0, 3
 def _require_numbers(obj):
     """TypeError unless every float or int field of obj holds a real number,
     every float | None field holds None or a real number, and every tuple
-    field holds only real numbers."""
+    field holds only real numbers; ValueError unless each of those numbers
+    is finite and each int field holds an integral value."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if f.type in (tuple, float, int) or f.type == float | None and value is not None:
             items = value if f.type is tuple else (value,)
             if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in items):
                 raise TypeError(f"{f.name} must be numeric, not {value!r}")
-
-
-@dataclass
-class ProbeSpec:
-    """Exploration signal: a sum of sinusoids added to each control increment
-    during the first t_probe seconds.  Frequencies have irrational mutual
-    ratios so the probe never repeats; each strategy gets its own phases."""
-
-    amplitude: float = 0.1
-    frequencies: tuple = (7.0, 9.899, 15.652)
-    t_probe: float = 5.0
-
-    def __post_init__(self):
-        self.frequencies = tuple(self.frequencies)
-        _require_numbers(self)
-
-    def value(self, t, strategy):
-        """Probe of a strategy at time t, a scalar or an array of times."""
-        t = np.asarray(t, dtype=float)
-        wave = self.amplitude * sum(
-            np.sin(w * t + p) for w, p in zip(self.frequencies, PROBE_PHASES[strategy]))
-        return np.where(t >= self.t_probe, 0.0, wave)[()]
+            if not all(math.isfinite(v) for v in items):
+                raise ValueError(f"{f.name} must be finite, not {value!r}")
+            if f.type is int and value != int(value):
+                raise ValueError(f"{f.name} must be an integer, not {value!r}")
 
 
 @dataclass
@@ -220,6 +203,11 @@ class LearningConfig:
     admissible: an actor rate limit, a kernel gain-ratio guard, and the
     convergence-freeze window that stops adaptation once the kernel has
     settled.
+
+    The exploration probe (probe) adds a sum of sinusoids of amplitude
+    probe_amplitude at probe_frequencies to each control increment during
+    the first t_probe seconds.  The frequencies have irrational mutual
+    ratios so the probe never repeats; each strategy gets its own phases.
     """
 
     Q: float | np.ndarray = 0.05
@@ -231,7 +219,9 @@ class LearningConfig:
     alpha_a: float = 1.8
     eps_sing: float = 1e-8
     tol_conv: float = 1e-4
-    probe: ProbeSpec = field(default_factory=ProbeSpec)
+    probe_amplitude: float = 0.1
+    probe_frequencies: tuple = (7.0, 9.899, 15.652)
+    t_probe: float = 5.0
 
     # adaptation guards / termination
     actor_rate_limit: float | None = 0.002
@@ -251,9 +241,12 @@ class LearningConfig:
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
         self.Q = float(Q) * np.eye(3) if Q.ndim == 0 else np.atleast_2d(Q)
-        self.pi_cl0, self.pi_ob0, self.pi_mf0 = map(
-            tuple, (self.pi_cl0, self.pi_ob0, self.pi_mf0))
+        for f in fields(self):
+            if f.type is tuple:
+                setattr(self, f.name, tuple(getattr(self, f.name)))
         _require_numbers(self)
+        if not np.isfinite(self.Q).all():
+            raise ValueError("Q must be finite")
         for name in ("sigma_c", "sigma_a"):
             if not (0.0 < getattr(self, name) < 2.0):
                 raise ValueError(f"{name} must satisfy 0 < {name} < 2")
@@ -270,3 +263,10 @@ class LearningConfig:
             raise ValueError("Q must be positive semidefinite")
         if self.init not in ("stabilizing", "identity"):
             raise ValueError("init must be 'stabilizing' or 'identity'")
+
+    def probe(self, t, strategy):
+        """Probe of a strategy at time t, a scalar or an array of times."""
+        t = np.asarray(t, dtype=float)
+        wave = self.probe_amplitude * sum(
+            np.sin(w * t + p) for w, p in zip(self.probe_frequencies, PROBE_PHASES[strategy]))
+        return np.where(t >= self.t_probe, 0.0, wave)[()]

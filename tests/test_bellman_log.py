@@ -44,7 +44,7 @@ def test_rows_match_per_tick_rebuild(model, default_config, episode):
         for k in range(STACK_DEPTH - 1, n_ticks):
             F, F_next = e[k - 2:k + 1], e[k - 1:k + 2]
             m = np.array([mu[k + 1]])
-            assert mu[k + 1] == float(pi[k + 1] @ F) + cfg.probe.value(k * cfg.delta, s)
+            assert mu[k + 1] == float(pi[k + 1] @ F) + cfg.probe(k * cfg.delta, s)
             z = bellman_regressor(np.append(F, m), np.append(F_next, float(pi[k + 1] @ F_next)))
             cost = cfg.delta * (0.5 * float(F @ cfg.Q @ F + m @ R @ m))
             row = k - (STACK_DEPTH - 1)

@@ -109,7 +109,7 @@ summary_json = s.json
     assert (lc.delta, lc.sigma_c, lc.alpha_c, lc.sigma_a, lc.alpha_a) == (
         0.02, 0.6, 1.7, 0.4, 1.6)
     assert (lc.eps_sing, lc.tol_conv) == (1e-9, 2e-4)
-    assert (lc.probe.amplitude, lc.probe.frequencies, lc.probe.t_probe) == (
+    assert (lc.probe_amplitude, lc.probe_frequencies, lc.t_probe) == (
         0.2, (6.0, 8.0), 4.0)
     assert (lc.actor_rate_limit, lc.actor_gain_guard) == (0.003, 1e3)
     assert (lc.conv_window, lc.conv_check_start, lc.init) == (40, 2.0, "identity")
@@ -150,10 +150,48 @@ def test_unknown_section_or_key_rejected(text, match):
     ("learning", "actor_rate_limit = true"),
     ("learning", "actor_rate_limit = -1"),
     ("reference", "params = 5"),
+    # non-finite numbers and a non-integral int field
+    ("learning", "delta = NaN"),
+    ("learning", "alpha_c = Infinity"),
+    ("learning", "tol_conv = NaN"),
+    ("learning", "r = NaN"),
+    ("learning", "pi_cl0 = [NaN, 0, 1]"),
+    ("learning", "probe_frequencies = [Infinity]"),
+    ("learning", "q = [[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]"),
+    ("learning", "conv_window = 1.5"),
+    ("run", "horizon = NaN"),
+    ("run", "horizon = Infinity"),
+    ("model", "b = [0.0, 0.0, NaN]"),
 ])
 def test_wrong_typed_value_rejected(section, line):
     with pytest.raises(ConfigError, match=rf"\[{section}\]"):
         parse_config(f"[{section}]\n{line}\n")
+
+
+def test_integral_float_accepted_for_int_field():
+    assert parse_config("[learning]\nconv_window = 40.0\n").learning.conv_window == 40
+
+
+# a 2-input and a 2-output plant; the learners are single-input single-output
+MIMO_MODELS = [
+    "[model]\nb = [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]\n"
+    "b_hat = [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]\n"
+    "[learning]\npi_cl0 = [-3.5711, -0.2329, 0.2986]\n",
+    "[model]\nc = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]\n",
+]
+
+
+@pytest.mark.parametrize("text", MIMO_MODELS, ids=["two_inputs", "two_outputs"])
+def test_mimo_model_rejected(tmp_path, capsys, text):
+    with pytest.raises(ConfigError, match=r"\[model\] single-input single-output plants only"):
+        parse_config(text)
+    config = tmp_path / "mimo.ini"
+    config.write_text(text)
+    for argv in (["run", str(config), "--outdir", str(tmp_path)],
+                 ["oracle-check", str(config)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "single-input" in err
 
 
 def test_percent_taken_verbatim():

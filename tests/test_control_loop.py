@@ -6,13 +6,12 @@ from modelfollow.control_loop import (
     StrategyState, run_episode,
     initial_strategies, embedded_gain_kernel, STRATEGIES,
 )
-from modelfollow.learner import LearningConfig, ProbeSpec, S_to_theta, policy_from_kernel, theta_to_S
+from modelfollow.learner import LearningConfig, S_to_theta, policy_from_kernel, theta_to_S
 from modelfollow.reference import ReferenceSpec
 
 
 def quiet_config(**kwargs):
-    probe = ProbeSpec(amplitude=0.0)
-    return LearningConfig(probe=probe, **kwargs)
+    return LearningConfig(probe_amplitude=0.0, **kwargs)
 
 
 def fixed_gain_states(pi_cl, pi_ob=None, pi_mf=None):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from modelfollow.control_loop import STACK_DEPTH, StrategyState, run_episode
-from modelfollow.learner import LearningConfig, ProbeSpec, S_to_theta, bellman_regressor
+from modelfollow.learner import LearningConfig, S_to_theta, bellman_regressor
 from modelfollow.reference import ReferenceSpec
 
 ERROR = {"ob": "e_ob", "mf": "e_mf"}
@@ -26,7 +26,7 @@ def expected_regressor(log, cfg, s, k):
     e = getattr(log, ERROR[s])
     F, F_next = e[k - STACK_DEPTH + 1:k + 1], e[k - STACK_DEPTH + 2:k + 2]
     pi = log.pi_hist[s][k + 1]  # row k+1 holds the gains acting during tick k
-    mu = float(pi @ F) + cfg.probe.value(k * cfg.delta, s)
+    mu = float(pi @ F) + cfg.probe(k * cfg.delta, s)
     return bellman_regressor(np.append(F, mu), np.append(F_next, float(pi @ F_next)))
 
 
@@ -87,7 +87,7 @@ def test_shift_property(short_run):
 
 
 def test_zero_fixed_point(model):
-    cfg = LearningConfig(probe=ProbeSpec(amplitude=0.0))
+    cfg = LearningConfig(probe_amplitude=0.0)
     ref = ReferenceSpec("constant", {"value": 0.0})
     states = {s: StrategyState(S_to_theta(np.eye(4)), np.zeros(3))
               for s in ("ob", "cl", "mf")}

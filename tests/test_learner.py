@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from modelfollow.learner import (
-    LearningConfig, ProbeSpec, PROBE_PHASES, SingularKernelError,
+    LearningConfig, PROBE_PHASES, SingularKernelError,
     utility, quadratic_form, quadratic_value, bellman_regressor,
     qmonomials, policy_from_kernel, critic_update, actor_update,
     theta_to_S, S_to_theta, kernel_converged, tri_indices,
@@ -314,23 +314,23 @@ def test_config_rejects(kwargs):
 
 
 def test_probe_stops_after_window():
-    p = ProbeSpec()
-    assert p.value(5.0, "cl") == 0.0
-    assert p.value(0.3, "cl") != 0.0
+    p = LearningConfig()
+    assert p.probe(5.0, "cl") == 0.0
+    assert p.probe(0.3, "cl") != 0.0
     # distinct phases per strategy
-    assert p.value(0.3, "cl") != p.value(0.3, "ob")
+    assert p.probe(0.3, "cl") != p.probe(0.3, "ob")
 
 
 @pytest.mark.parametrize("strategy", ["ob", "cl", "mf"])
 def test_probe_array_matches_per_tick_values(strategy):
     # the probe of every tick start k * delta of a 20 s episode, as one
     # array, equals the sum of sinusoids evaluated tick by tick
-    p = ProbeSpec()
+    p = LearningConfig()
     delta = 0.01
     per_tick = [
-        p.amplitude * sum(np.sin(w * (k * delta) + ph)
-                          for w, ph in zip(p.frequencies, PROBE_PHASES[strategy]))
+        p.probe_amplitude * sum(np.sin(w * (k * delta) + ph)
+                                for w, ph in zip(p.probe_frequencies, PROBE_PHASES[strategy]))
         if k * delta < p.t_probe else 0.0
         for k in range(2000)]
-    assert np.array_equal(p.value(np.arange(2000) * delta, strategy), per_tick)
-    assert [p.value(k * delta, strategy) for k in range(2000)] == per_tick
+    assert np.array_equal(p.probe(np.arange(2000) * delta, strategy), per_tick)
+    assert [p.probe(k * delta, strategy) for k in range(2000)] == per_tick
