@@ -18,7 +18,6 @@ are byte-identical.
 import argparse
 import configparser
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -27,7 +26,9 @@ import numpy as np
 
 from modelfollow.control_loop import STACK_DEPTH, STRATEGIES, TRAJECTORY, run_episode
 from modelfollow.dynamics import ProcessModel, eigenvalues
-from modelfollow.learner import LearningConfig, theta_to_S, policy_from_kernel
+from modelfollow.learner import (
+    LearningConfig, _require_numbers, theta_to_S, policy_from_kernel,
+)
 from modelfollow.reference import ReferenceSpec
 from modelfollow import oracle
 
@@ -57,10 +58,9 @@ class RunConfig:
     summary_json: str = "summary.json"
 
     def __post_init__(self):
+        _require_numbers(self)
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        if not math.isfinite(self.horizon):
-            raise ValueError(f"horizon must be finite, not {self.horizon!r}")
 
 
 # the dataclass that each config section configures
@@ -131,18 +131,35 @@ def _eig_pairs(M):
     return [[float(ev.real), float(ev.imag)] for ev in eigenvalues(M)]
 
 
-def _write_table(path, header, columns):
+def _write_table(path, header, groups):
     """Write per-tick columns as CSV rows of %.17g numbers.
 
+    groups is a list of column groups, each a list of per-tick arrays.
     Rows are stacked and formatted a block at a time, so the table never
-    exists in memory as a whole.
+    exists in memory as a whole.  A group whose values in a row have the
+    same float64 bit patterns as in the row before reuses that row's text;
+    bits, not ==, because -0.0 == 0.0 prints differently and NaN never
+    equals itself.  The previous row is carried across blocks.
     """
+    prev = [None] * len(groups)  # (bits, text) of each group's last row
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(columns[0]), 256):
-            block = np.column_stack([c[start:start + 256] for c in columns])
-            row_fmt = ",".join(["%.17g"] * block.shape[1]) + "\n"
-            fh.writelines(row_fmt % tuple(row) for row in block.tolist())
+        for start in range(0, len(groups[0][0]), 256):
+            texts = []
+            for g, columns in enumerate(groups):
+                block = np.column_stack([c[start:start + 256] for c in columns])
+                bits = block.view(np.uint64)
+                repeats = np.empty(len(block), dtype=bool)
+                repeats[1:] = (bits[1:] == bits[:-1]).all(axis=1)
+                repeats[0] = prev[g] is not None and (bits[0] == prev[g][0]).all()
+                # pool: the carried row's text, then one per row that does not
+                # repeat; each row takes the last text at or before it
+                row_fmt = ",".join(["%.17g"] * block.shape[1])
+                pool = [prev[g] and prev[g][1]]
+                pool += [row_fmt % tuple(row) for row in block[~repeats].tolist()]
+                texts.append([pool[i] for i in np.cumsum(~repeats).tolist()])
+                prev[g] = bits[-1], texts[-1][-1]
+            fh.writelines(",".join(row) + "\n" for row in zip(*texts))
 
 
 def write_trajectory_csv(log, path):
@@ -150,17 +167,20 @@ def write_trajectory_csv(log, path):
     columns = [getattr(log, name) for name in TRAJECTORY]
     for name, c in zip(TRAJECTORY, columns):
         cols += [name] if c.ndim == 1 else [f"{name}{j + 1}" for j in range(c.shape[1])]
-    _write_table(path, ",".join(cols), columns)
+    _write_table(path, ",".join(cols), [columns])
 
 
 def write_weights_csv(log, path):
+    """weights.csv: t, then each strategy's theta and pi columns; a
+    strategy's columns are one group, so the text of its frozen rows is
+    formatted once."""
     cols = ["t"]
-    columns = [log.t]
+    groups = [[log.t]]
     for s in STRATEGIES:
         cols += [f"{s}_theta_{j}" for j in range(log.theta_hist[s].shape[1])]
         cols += [f"{s}_pi_{j}" for j in range(log.pi_hist[s].shape[1])]
-        columns += [log.theta_hist[s], log.pi_hist[s]]
-    _write_table(path, ",".join(cols), columns)
+        groups.append([log.theta_hist[s], log.pi_hist[s]])
+    _write_table(path, ",".join(cols), groups)
 
 
 def build_summary(config, log):

@@ -78,6 +78,10 @@ class EpisodeLog:
     Every COLUMNS signal is an array with one row per sample time (x and
     xhat have n columns); theta_hist and pi_hist hold one (rows, size) array
     per strategy.  The columns are allocated once for the whole horizon.
+    Row k of theta_hist[s] and pi_hist[s] is the theta and pi that strategy
+    s held when row k was written; run_episode writes them only while s
+    adapts, and the rows after it froze (or all rows, if it never adapted)
+    repeat its final values.
     regressors[s] is a pair (Z, phi): one Bellman regressor row (Z has
     theta's size columns) and one stage cost per tick on which strategy s
     ran a learner step or would have, had it not frozen; empty until
@@ -291,19 +295,31 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
     log.yref[:] = eval_reference(ref_spec, log.t)
     probe = {s: cfg.probe(t_start, s).tolist() for s in STRATEGIES}
     views = strategy_views(log)
-    # the columns that depend on the state, in COLUMNS order
-    columns = [getattr(log, name) for name in COLUMNS if name not in ("t", "yref")]
+    # a strategy's theta/pi rows are written while it adapts; rows_held[s]
+    # counts them, and the rest are filled with its final values after the loop
+    adapting = [s for s in STRATEGIES if learning_enabled and not states[s].frozen]
+    rows_held = dict.fromkeys(STRATEGIES, 0)
 
     def record(k, mu, u_tot, v):
         y = float(Crow @ x)
         yh = float(Crow @ xh)
-        row = (x, xh, y, yh, y - yh, log.yref[k] - y, u_tot, mu["cl"], u_ob, u_mf,
-               mu["ob"], mu["mf"], v)
-        for col, value in zip(columns, row):
-            col[k] = value
-        for s in STRATEGIES:
+        log.x[k] = x
+        log.xhat[k] = xh
+        log.y[k] = y
+        log.yhat[k] = yh
+        log.e_ob[k] = y - yh
+        log.e_mf[k] = log.yref[k] - y
+        log.u_total[k] = u_tot
+        log.mu_cl[k] = mu["cl"]
+        log.u_ob[k] = u_ob
+        log.u_mf[k] = u_mf
+        log.mu_ob[k] = mu["ob"]
+        log.mu_mf[k] = mu["mf"]
+        log.v[k] = v
+        for s in adapting:
             log.theta_hist[s][k] = states[s].theta
             log.pi_hist[s][k] = states[s].pi
+            rows_held[s] = k + 1
 
     record(0, dict.fromkeys(STRATEGIES, 0.0), 0.0, 0.0)
 
@@ -343,7 +359,11 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
                 _learn_step(states[s], z_tilde, phi, F, cfg, t)
                 if states[s].frozen:
                     log.t_converged[s] = t_next
+                    adapting.remove(s)
 
+    for s in STRATEGIES:
+        log.theta_hist[s][rows_held[s]:] = states[s].theta
+        log.pi_hist[s][rows_held[s]:] = states[s].pi
     if learning_enabled:
         log.regressors = bellman_log(log, cfg, W_cl)
     for s in STRATEGIES:

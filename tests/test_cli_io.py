@@ -138,6 +138,7 @@ def test_unknown_section_or_key_rejected(text, match):
 @pytest.mark.parametrize("section, line", [
     ("run", "horizon = null"),
     ("run", "horizon = [1]"),
+    ("run", "horizon = true"),
     ("learning", 'delta = "x"'),
     ("learning", 'sigma_c = "0.5"'),
     ("learning", "probe_frequencies = 5"),
@@ -150,6 +151,17 @@ def test_unknown_section_or_key_rejected(text, match):
     ("learning", "actor_rate_limit = true"),
     ("learning", "actor_rate_limit = -1"),
     ("reference", "params = 5"),
+    # every parameter that the reference kind reads is checked
+    ("reference", 'kind = sinusoid\nparams = {"amplitude": "x"}'),
+    ("reference", 'kind = sinusoid\nparams = {"phase": true}'),
+    ("reference", 'kind = sinusoid\nparams = {"frequency": Infinity}'),
+    ("reference", 'kind = constant\nparams = {"value": NaN}'),
+    ("reference", 'kind = constant\nparams = {"value": null}'),
+    ("reference", 'kind = table\nparams = {"times": [0.0, 1.0, 2.0], "values": [1.0, 2.0]}'),
+    ("reference", 'kind = table\nparams = {"times": [0.0, 1.0]}'),
+    ("reference", 'kind = table\nparams = {"times": [0.0, 1.0], "values": [1.0, NaN]}'),
+    ("reference", 'kind = table\nparams = {"times": [0.0, NaN], "values": [1.0, 2.0]}'),
+    ("reference", 'kind = table\nparams = {"times": 0.0, "values": [1.0]}'),
     # non-finite numbers and a non-integral int field
     ("learning", "delta = NaN"),
     ("learning", "alpha_c = Infinity"),
@@ -166,6 +178,11 @@ def test_unknown_section_or_key_rejected(text, match):
 def test_wrong_typed_value_rejected(section, line):
     with pytest.raises(ConfigError, match=rf"\[{section}\]"):
         parse_config(f"[{section}]\n{line}\n")
+
+
+def test_reference_keys_not_read_are_ignored():
+    ref = parse_config('[reference]\nkind = constant\nparams = {"amplitude": "x"}\n').reference
+    assert ref.params == {"amplitude": "x"}
 
 
 def test_integral_float_accepted_for_int_field():
@@ -367,3 +384,56 @@ def test_seventeen_digit_serialization(tmp_path, model, default_config):
     # values survive a parse round trip bit-for-bit
     row = [float(v) for v in lines[-1].split(",")]
     assert row[1:4] == list(log.x[-1])
+
+
+def _per_row_table(header, groups):
+    """The CSV text of a table formatted one cell at a time with %.17g."""
+    columns = [c for group in groups for c in group]
+    lines = [header]
+    for k in range(len(columns[0])):
+        cells = [v for c in columns for v in np.atleast_1d(c[k]).tolist()]
+        lines.append(",".join("%.17g" % v for v in cells))
+    return "\n".join(lines) + "\n"
+
+
+def _repeating_groups(rows):
+    """The first `rows` of 600 rows: t, a (600, 3) group with a 2-column partner and a second group, full
+    of repeated rows: runs across the row 255/256 block boundary, -0.0 right
+    after 0.0, NaN and infinite cells."""
+    rng = np.random.default_rng(7)
+    t = np.arange(600) * 0.01
+    a = rng.standard_normal((600, 3))
+    a[40:300] = a[40]                 # one run over the first block boundary
+    a[510:515] = [0.0, np.nan, np.inf]
+    a[515] = [-0.0, np.nan, np.inf]   # equal by ==, printed differently
+    a[516:520] = a[515]
+    b = rng.standard_normal((600, 2))
+    b[250:262] = b[250]
+    b[262] = [np.nan, -np.inf]
+    b[263:] = b[262]
+    c = np.zeros(600)
+    c[::7] = -0.0
+    c[255] = c[256] = 1.5             # a two-row run split by the boundary
+    return [[column[:rows] for column in group] for group in ([t], [a, b], [c])]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 255, 256, 257, 600])
+def test_table_writer_equals_per_row_writer(tmp_path, rows):
+    groups = _repeating_groups(rows)
+    header = ",".join(f"c{j}" for j in range(1 + 3 + 2 + 1))
+    path = tmp_path / "table.csv"
+    cli_io._write_table(path, header, groups)
+    assert path.read_text() == _per_row_table(header, groups)
+
+
+def test_csv_files_equal_per_row_writer(tmp_path, episode):
+    # the paper's episode: all three strategies freeze by 1.5 s, so most
+    # weights.csv rows reuse the text of the row before
+    cli_io.write_weights_csv(episode, tmp_path / "w.csv")
+    groups = [[episode.t]] + [[episode.theta_hist[s], episode.pi_hist[s]] for s in STRATEGIES]
+    text = (tmp_path / "w.csv").read_text()
+    assert text == _per_row_table(text.split("\n", 1)[0], groups)
+    write_trajectory_csv(episode, tmp_path / "t.csv")
+    text = (tmp_path / "t.csv").read_text()
+    columns = [getattr(episode, name) for name in TRAJECTORY]
+    assert text == _per_row_table(text.split("\n", 1)[0], [columns])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modelfollow import control_loop
 from modelfollow.cli_io import parse_config
 from modelfollow.control_loop import (
     StrategyState, run_episode,
@@ -170,3 +171,62 @@ def test_non_scalar_plant_rejected(default_config):
                      A_hat=-np.eye(2), B_hat=np.eye(2))
     with pytest.raises(NotImplementedError):
         run_episode(m, default_config.reference, default_config.learning, horizon=0.1)
+
+
+def _per_tick_history(monkeypatch, model, c, rows_expected=None, **kwargs):
+    """Run an episode and rebuild theta_hist/pi_hist from the learner steps.
+
+    Row k of a history is the theta/pi a strategy held when row k was
+    written; row k + 1 is written before the step of tick k, so that step's
+    result is held from row k + 2 on.
+    """
+    learning = kwargs.pop("learning", c.learning)
+    states = kwargs.pop("initial", None) or initial_strategies(model, learning)
+    start = {s: (states[s].theta.copy(), states[s].pi.copy()) for s in STRATEGIES}
+    steps = []
+
+    def recorded(state, z_tilde, phi, F, cfg, t):
+        learn_step(state, z_tilde, phi, F, cfg, t)
+        s = next(s for s in STRATEGIES if states[s] is state)
+        steps.append((round(t / cfg.delta), s, state.theta.copy(), state.pi.copy()))
+
+    learn_step = control_loop._learn_step
+    monkeypatch.setattr(control_loop, "_learn_step", recorded)
+    log = run_episode(model, c.reference, learning, horizon=20.0, initial=states, **kwargs)
+    rows = len(log.t)
+    theta = {s: np.tile(start[s][0], (rows, 1)) for s in STRATEGIES}
+    pi = {s: np.tile(start[s][1], (rows, 1)) for s in STRATEGIES}
+    for k, s, th, p in steps:
+        theta[s][k + 2:] = th
+        pi[s][k + 2:] = p
+    return log, theta, pi, steps
+
+
+@pytest.mark.parametrize("case", ["default", "learning_off", "diverging", "ob_frozen"])
+def test_history_equals_per_tick_record(monkeypatch, model, default_config, case):
+    # the log writes a strategy's theta/pi only while it adapts and fills
+    # the rest after the loop; the result must equal a per-tick record
+    c = default_config
+    kwargs = {}
+    if case == "learning_off":
+        kwargs["learning_enabled"] = False
+    elif case == "diverging":
+        kwargs["learning"] = parse_config("[learning]\npi_cl0 = [5.0, 5.0, 5.0]\n").learning
+    elif case == "ob_frozen":
+        states = initial_strategies(model, c.learning)
+        states["ob"].frozen = True
+        kwargs["initial"] = states
+    log, theta, pi, steps = _per_tick_history(monkeypatch, model, c, **kwargs)
+    for s in STRATEGIES:
+        assert log.theta_hist[s].tobytes() == theta[s].tobytes(), s
+        assert log.pi_hist[s].tobytes() == pi[s].tobytes(), s
+    stepped = {s for _, s, _, _ in steps}
+    if case == "learning_off":
+        assert not steps
+    elif case == "diverging":
+        assert log.diverged == 18.42 and len(log.t) == 1842
+    elif case == "ob_frozen":
+        assert stepped == {"cl", "mf"} and log.t_converged["ob"] is None
+    if case != "learning_off":
+        # every strategy that learned moved its theta after its first row
+        assert all(not np.array_equal(theta[s][0], theta[s][-1]) for s in stepped)
