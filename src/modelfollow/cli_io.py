@@ -8,10 +8,11 @@ fields that hold another section's dataclass are not keys.  KEYS lists
 the keys so derived.  Values are JSON (matrices are JSON arrays), except
 for fields annotated str, which take the raw text (a % is a plain
 character).  An unknown section or key, a value the dataclasses reject, a
-prior gain of the wrong length or a plant that is not single-input
-single-output is a ConfigError.  Omitted keys take the defaults of the
-dataclasses they configure (ProcessModel's are the DEFAULT_* matrices
-below).  All numbers are serialized with 17 significant digits so re-runs
+prior gain of the wrong length, a plant that is not single-input
+single-output or one whose state count is not STACK_DEPTH (the one q
+weighs both the plant state and the error stacks) is a ConfigError.
+Omitted keys take the defaults of the dataclasses they configure
+(ProcessModel's are the DEFAULT_* matrices below).  All numbers are serialized with 17 significant digits so re-runs
 are byte-identical.
 """
 
@@ -118,6 +119,12 @@ def parse_config(text):
     for key, size in (("pi_cl0", model.n), ("pi_ob0", STACK_DEPTH), ("pi_mf0", STACK_DEPTH)):
         if np.shape(getattr(learning, key)) != (size,):
             raise ConfigError(f"[learning] {key} must be a list of {size} numbers")
+    # the one Q weighs the plant state of cl and the error stacks of ob/mf
+    if learning.Q.shape != (model.n, model.n) or model.n != STACK_DEPTH:
+        raise ConfigError(
+            f"[learning] q is {learning.Q.shape[0]}x{learning.Q.shape[1]}, but the one q must be "
+            f"{model.n}x{model.n} for cl ({model.n} plant states) and "
+            f"{STACK_DEPTH}x{STACK_DEPTH} for ob and mf ({STACK_DEPTH} stacked errors)")
     return _build("run", dict(kwargs["run"], model=model,
                               reference=reference, learning=learning))
 

@@ -5,9 +5,10 @@ their standing assumptions.  Both are advanced with the control held
 constant between learner updates (zero-order hold).  Over one update
 interval the RK4 substeps of a linear system with held input are a fixed
 linear map, so `held_input_maps` builds that map once from `rk4_step` and
-the episode loop applies it per tick.  A scaling-and-squaring matrix
-exponential is kept here as an integration oracle that shares no code
-with the Runge-Kutta stepper.
+the episode loop applies it per tick.  The scaling-and-squaring matrix
+exponential here shares no code with the Runge-Kutta stepper; it is the
+package's one matrix exponential, the one the oracle's exact
+discretization takes, and a check on the stepper in the tests.
 """
 
 from dataclasses import dataclass
@@ -116,9 +117,11 @@ def eigenvalues(M):
 def expm_ss(M, tol=1e-16):
     """Matrix exponential by scaling and squaring of a truncated series.
 
-    Independent of the RK4 stepper; used as a test oracle only.  The matrix
-    is scaled by 2**-s so its norm is below 0.5, the series is summed until
-    the term norm falls below tol, and the result is squared s times.
+    Independent of the RK4 stepper, so the oracle module, which takes its
+    exponentials from here, still shares no code with the learner or the
+    control loop.  The matrix is scaled by 2**-s so its norm is below 0.5,
+    the series is summed until the term norm falls below tol, and the
+    result is squared s times.
     """
     M = np.asarray(M, dtype=float)
     norm = np.linalg.norm(M, ord=np.inf)

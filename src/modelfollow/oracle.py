@@ -4,13 +4,16 @@ Everything here is sampled-data linear-quadratic bookkeeping: exact
 zero-order-hold discretization, a structured-doubling Riccati solver,
 assembly of the quadratic action-value kernel, policy-evaluation kernels
 for a given gain, and a batch least-squares counterpart of the projection
-iteration.  None of it shares code with the learner module.
+iteration.  It needs numpy alone: its matrix exponential is
+dynamics.expm_ss, and it shares no code with the learner or control_loop
+modules.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, solve_discrete_lyapunov
+
+from modelfollow.dynamics import expm_ss
 
 
 class NoConvergenceError(RuntimeError):
@@ -52,7 +55,7 @@ def zoh_discretize(A, B, delta):
     M = np.zeros((n + m, n + m))
     M[:n, :n] = A
     M[:n, n:] = B
-    E = expm(M * delta)
+    E = expm_ss(M * delta)
     return E[:n, :n], E[:n, n:]
 
 
@@ -72,10 +75,23 @@ def integrated_stage_cost(A, B, Q, R, delta):
 
         integral_0^delta 1/2 (x(tau)' Q x(tau) + u' R u) dtau = z' G z,
 
-    z = [x; u], computed with the block-exponential quadrature
-    G = F22' F12 where F = expm([[-M', C], [0, M]] delta), M the augmented
-    drift and C = blkdiag(Q, R)/2.
+    z = [x; u], computed with the block-exponential quadrature of
+    _cost_exponential.
     """
+    return _cost_exponential(A, B, Q, R, delta)[0]
+
+
+def _cost_exponential(A, B, Q, R, delta):
+    """The integrated stage cost G and the augmented exponential, from one
+    block exponential (Van Loan 1978).
+
+    With M the augmented drift [[A, B], [0, 0]] and C = blkdiag(Q, R)/2,
+    F = expm([[-M', C], [0, M]] delta) gives G = F22' F12, and its lower
+    right block F22 = exp(M delta) = [[A_d, B_d], [0, I]] is the
+    zero-order-hold map of zoh_discretize.
+    """
+    if delta <= 0:
+        raise ValueError("delta must be positive")
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
@@ -94,9 +110,9 @@ def integrated_stage_cost(A, B, Q, R, delta):
     H[:d, :d] = -M.T
     H[:d, d:] = Cc
     H[d:, d:] = M
-    F = expm(H * delta)
+    F = expm_ss(H * delta)
     G = F[d:, d:].T @ F[:d, d:]
-    return 0.5 * (G + G.T)
+    return 0.5 * (G + G.T), F[d:, d:]
 
 
 def solve_dare(A_d, B_d, Q_bar, R_bar, tol=1e-13, max_iter=64):
@@ -168,18 +184,17 @@ def policy_value_kernel(A, B, gain, Q, R, delta):
     """Action-value kernel of a fixed stabilizing gain (policy evaluation).
 
     Solves the sampled-data Bellman identity 1/2 Z'SZ = Z'GZ + 1/2 Z_+'SZ_+
-    with Z_+ = [x_+; gain x_+] and G the exact integrated stage cost, via a
-    discrete Lyapunov equation on the closed-loop lift.
+    with Z_+ = [x_+; gain x_+] and G the exact integrated stage cost.  With
+    T the closed-loop lift Z -> Z_+, that is the discrete Lyapunov equation
+    S = T' S T + 2G, solved in Kronecker form (I - T' kron T') vec S = vec 2G.
+    G and the zero-order-hold map in T come from one block exponential.
     """
-    A_d, B_d = zoh_discretize(A, B, delta)
+    G, E = _cost_exponential(A, B, Q, R, delta)
     gain = np.atleast_2d(np.asarray(gain, dtype=float))
-    n, m = A_d.shape[0], B_d.shape[1]
-    G = integrated_stage_cost(A, B, Q, R, delta)
-    T = np.zeros((n + m, n + m))
-    T[:n, :n] = A_d
-    T[:n, n:] = B_d
-    T[n:, :] = gain @ T[:n, :]
-    S = solve_discrete_lyapunov(T.T, 2.0 * G)
+    n, d = gain.shape[1], E.shape[0]
+    T = E.copy()  # [[A_d, B_d], [0, I]]; its last rows become gain [A_d, B_d]
+    T[n:, :] = gain @ E[:n, :]
+    S = np.linalg.solve(np.eye(d * d) - np.kron(T.T, T.T), 2.0 * G.ravel()).reshape(d, d)
     return 0.5 * (S + S.T)
 
 

@@ -62,11 +62,11 @@ def test_accepted_keys():
 def test_every_key_reaches_its_field():
     text = """
 [model]
-a = [[0.0, 1.0], [-1.0, -1.0]]
-b = [0.0, 2.0]
-c = [[1.0, 0.0]]
-a_hat = [[0.0, 1.0], [-2.0, -1.0]]
-b_hat = [0.0, 3.0]
+a = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -1.0, -1.0]]
+b = [0.0, 0.0, 2.0]
+c = [[1.0, 0.0, 0.0]]
+a_hat = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-2.0, -1.0, -1.0]]
+b_hat = [0.0, 0.0, 3.0]
 [reference]
 kind = sinusoid
 params = {"amplitude": 0.3}
@@ -88,7 +88,7 @@ actor_gain_guard = 1e3
 conv_window = 40
 conv_check_start = 2.0
 init = identity
-pi_cl0 = [-1.0, -2.0]
+pi_cl0 = [-1.0, -2.0, -3.0]
 pi_ob0 = [1.0, 2.0, 3.0]
 pi_mf0 = [4.0, 5.0, 6.0]
 kernel_beta = 0.2
@@ -101,8 +101,8 @@ summary_json = s.json
 """
     cfg = parse_config(text)
     m, lc = cfg.model, cfg.learning
-    assert m.A[1, 0] == -1.0 and m.B[1, 0] == 2.0 and m.C[0, 0] == 1.0
-    assert m.A_hat[1, 0] == -2.0 and m.B_hat[1, 0] == 3.0
+    assert m.A[2, 0] == -1.0 and m.B[2, 0] == 2.0 and m.C[0, 0] == 1.0
+    assert m.A_hat[2, 0] == -2.0 and m.B_hat[2, 0] == 3.0
     assert cfg.reference.kind == "sinusoid"
     assert cfg.reference.params == {"amplitude": 0.3}
     assert np.array_equal(lc.Q, 0.07 * np.eye(3)) and lc.R == 0.03
@@ -114,7 +114,7 @@ summary_json = s.json
     assert (lc.actor_rate_limit, lc.actor_gain_guard) == (0.003, 1e3)
     assert (lc.conv_window, lc.conv_check_start, lc.init) == (40, 2.0, "identity")
     assert (lc.pi_cl0, lc.pi_ob0, lc.pi_mf0) == (
-        (-1.0, -2.0), (1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
+        (-1.0, -2.0, -3.0), (1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
     assert (lc.kernel_beta, lc.kernel_smax) == (0.2, 3e-5)
     assert (cfg.horizon, cfg.trajectory_csv, cfg.weights_csv, cfg.summary_json) == (
         3.5, "traj.csv", "w.csv", "s.json")
@@ -147,6 +147,7 @@ def test_unknown_section_or_key_rejected(text, match):
     ("learning", "t_probe = null"),
     ("learning", 'tol_conv = "x"'),
     ("learning", "pi_cl0 = [1, 2]"),
+    ("learning", "q = [[1.0, 0.0], [0.0, 1.0]]"),
     ("learning", 'actor_rate_limit = "x"'),
     ("learning", "actor_rate_limit = true"),
     ("learning", "actor_rate_limit = -1"),
@@ -211,6 +212,36 @@ def test_mimo_model_rejected(tmp_path, capsys, text):
         assert err.startswith("config error:") and "single-input" in err
 
 
+# a 2-state and a 4-state plant; the one q must be n x n for cl and
+# STACK_DEPTH x STACK_DEPTH for ob and mf
+STATE_COUNT_MODELS = [
+    "[model]\na = [[0.0, 1.0], [-2.0, -3.0]]\nb = [0.0, 1.0]\nc = [[1.0, 0.0]]\n"
+    "a_hat = [[0.0, 1.0], [-2.0, -3.0]]\nb_hat = [0.0, 1.0]\n"
+    "[learning]\npi_cl0 = [-1.0, -1.0]\n",
+    "[model]\na = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -4, -6, -4]]\n"
+    "b = [0, 0, 0, 1]\nc = [[1, 0, 0, 0]]\n"
+    "a_hat = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [-1, -4, -6, -4]]\n"
+    "b_hat = [0, 0, 0, 1]\n"
+    "[learning]\npi_cl0 = [-1, -1, -1, -1]\nq = %s\n" % (0.05 * np.eye(4)).tolist(),
+]
+
+
+@pytest.mark.parametrize("text, match", zip(STATE_COUNT_MODELS, [
+    r"\[learning\] q is 3x3, but the one q must be 2x2 for cl .* and 3x3 for ob and mf",
+    r"\[learning\] q is 4x4, but the one q must be 4x4 for cl .* and 3x3 for ob and mf",
+]), ids=["two_states", "four_states"])
+def test_plant_without_three_states_rejected(tmp_path, capsys, text, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text)
+    config = tmp_path / "states.ini"
+    config.write_text(text)
+    for argv in (["run", str(config), "--outdir", str(tmp_path)],
+                 ["oracle-check", str(config)], ["eig", str(config)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [learning] q is"), err
+
+
 def test_percent_taken_verbatim():
     assert parse_config("[run]\ntrajectory_csv = a%b.csv\n").trajectory_csv == "a%b.csv"
 
@@ -231,19 +262,22 @@ def test_bad_json_value_rejected():
 
 
 def test_custom_model_roundtrip():
+    # plants have 3 states (test_plant_without_three_states_rejected)
     text = """
 [model]
-a = [[0.0, 1.0], [-1.0, -1.0]]
-b = [0.0, 1.0]
-c = [[1.0, 0.0]]
-a_hat = [[0.0, 1.0], [-1.0, -1.0]]
-b_hat = [0.0, 1.0]
+a = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -3.0, -3.0]]
+b = [0.0, 0.0, 1.0]
+c = [[1.0, 0.0, 0.0]]
+a_hat = [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, -3.0, -3.0]]
+b_hat = [0.0, 0.0, 1.0]
 [learning]
-pi_cl0 = [-1.0, -1.0]
+pi_cl0 = [-1.0, -1.0, -1.0]
 """
     cfg = parse_config(text)
-    assert cfg.model.n == 2
-    assert cfg.model.A[0, 1] == 1.0
+    assert cfg.model.n == 3
+    assert cfg.model.A[0, 1] == 1.0 and cfg.model.A[2, 1] == -3.0
+    log = run_episode(cfg.model, cfg.reference, cfg.learning, horizon=0.5)
+    assert log.diverged is None and log.x.shape == (51, 3)
 
 
 def test_run_command_artifacts(tmp_path):

@@ -1,11 +1,13 @@
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_discrete_are
+from scipy.linalg import expm, solve_discrete_are, solve_discrete_lyapunov
 
 from modelfollow import oracle
+from modelfollow.cli_io import load_config
 from modelfollow.dynamics import rk4_step
 from modelfollow.learner import (
     bellman_regressor, critic_update, quadratic_value, policy_from_kernel,
@@ -209,3 +211,93 @@ def test_projection_cycles_reach_batch_solution():
         for z, phi in data:
             theta = critic_update(theta, z, phi, 0.5, 1.8)
     assert np.linalg.norm(theta - batch) < 1e-4
+
+
+CORPUS = sorted((Path(__file__).parent / "corpus").glob("*.ini"))
+
+
+def _corpus_cases():
+    """The distinct (A, B, gain, Q, R) of the corpus configs, for the
+    plant and for the desired model."""
+    cases = {}
+    for path in CORPUS:
+        config = load_config(path)
+        m, cfg = config.model, config.learning
+        for A, B in ((m.A, m.B), (m.A_hat, m.B_hat)):
+            case = (A, B, np.asarray(cfg.pi_cl0), cfg.Q, cfg.R)
+            cases[repr(case)] = case
+    return list(cases.values())
+
+
+def _scipy_reference(A, B, gain, Q, R, delta):
+    """A_d, B_d, G and the policy-value kernel from scipy's expm and
+    solve_discrete_lyapunov, with two exponentials as the oracle once took."""
+    n = A.shape[0]
+    d = n + B.shape[1]
+    M = np.zeros((d, d))
+    M[:n, :n], M[:n, n:] = A, B
+    E = expm(M * delta)
+    C = np.zeros((d, d))
+    C[:n, :n], C[n:, n:] = 0.5 * Q, 0.5 * R
+    H = np.zeros((2 * d, 2 * d))
+    H[:d, :d], H[:d, d:], H[d:, d:] = -M.T, C, M
+    F = expm(H * delta)
+    G = F[d:, d:].T @ F[:d, d:]
+    G = 0.5 * (G + G.T)
+    T = E.copy()
+    T[n:, :] = np.atleast_2d(gain) @ E[:n, :]
+    S = solve_discrete_lyapunov(T.T, 2.0 * G)
+    return E[:n, :n], E[:n, n:], G, 0.5 * (S + S.T)
+
+
+def _rel(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("delta", [0.002, 0.005, 0.01, 0.02, 0.05])
+def test_numpy_oracle_matches_scipy_reference(delta):
+    """The numpy-only oracle against scipy's expm and Lyapunov solve.
+
+    The exponentials agree to 1e-13 relative (measured: 4e-16).  The
+    policy-value kernel is held to 2e-13: the Lyapunov solve amplifies the
+    exponentials' round-off differences by the condition number of
+    I - T' kron T', up to 7e4 at delta = 0.002, and the desired model's
+    prior-gain kernel then differs by 1.2e-13 relative.  A 40-digit
+    evaluation puts both kernels about 6e-14 from the exact one there.
+    """
+    for A, B, gain, Q, R in _corpus_cases():
+        A_d, B_d, G, S = _scipy_reference(A, B, gain, Q, R, delta)
+        got_A, got_B = oracle.zoh_discretize(A, B, delta)
+        assert _rel(got_A, A_d) <= 1e-13 and _rel(got_B, B_d) <= 1e-13
+        assert _rel(oracle.integrated_stage_cost(A, B, Q, R, delta), G) <= 1e-13
+        assert _rel(oracle.policy_value_kernel(A, B, gain, Q, R, delta), S) <= 2e-13
+
+
+@pytest.mark.parametrize("k", range(-4, 5))
+@pytest.mark.parametrize("path", CORPUS, ids=[p.stem for p in CORPUS])
+def test_cost_scaling_is_exact(path, k):
+    """Scaling (Q, R) by c = 2^k scales both kernels by exactly c.
+
+    Multiplying by a power of two is exact, and so is every step that the
+    scaling passes through, as long as the exponential takes the same
+    steps.  It does not for large c: expm_ss sums its series until a term
+    is below an absolute tolerance and scales by the norm of the block
+    matrix H, whose cost block grows with c.  On the corpus the
+    policy-value kernel is exact for -30 <= k <= 4 and breaks from k = 5
+    (pi_cl0 = [5, 5, 5]), k = 9 (delta = 0.02) or k = 11 (the others);
+    scipy's expm, whose Pade degree and scaling also follow the norm,
+    breaks from k = 11 at delta >= 0.02.  The DARE does not exponentiate
+    the costs and is exact for -25 <= k <= 30; below that its absolute
+    stopping tolerance ends the doubling earlier.
+    """
+    config = load_config(path)
+    m, cfg = config.model, config.learning
+    c = 2.0 ** k
+    S = oracle.policy_value_kernel(m.A_hat, m.B_hat, cfg.pi_cl0, cfg.Q, cfg.R, cfg.delta)
+    S_c = oracle.policy_value_kernel(m.A_hat, m.B_hat, cfg.pi_cl0, c * cfg.Q, c * cfg.R,
+                                     cfg.delta)
+    assert np.array_equal(S_c, c * S)
+    A_d, B_d = oracle.zoh_discretize(m.A_hat, m.B_hat, cfg.delta)
+    P = oracle.solve_dare(A_d, B_d, *oracle.stage_cost(cfg.Q, cfg.R, cfg.delta))
+    P_c = oracle.solve_dare(A_d, B_d, *oracle.stage_cost(c * cfg.Q, c * cfg.R, cfg.delta))
+    assert np.array_equal(P_c, c * P)
