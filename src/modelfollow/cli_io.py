@@ -241,12 +241,11 @@ def cmd_oracle_check(args, config):
     dmodel = oracle.DiscreteModel(A_d, B_d, Q_bar, R_bar, cfg.delta)
     S_star = oracle.qfun_kernel(P, dmodel)
     oracle_gain = policy_from_kernel(S_star, n_features=model.n).reshape(-1)
-    # textbook discrete LQR gain for comparison
-    lqr_gain = -np.linalg.solve(R_bar + B_d.T @ P @ B_d, B_d.T @ P @ A_d).reshape(-1)
+    # textbook discrete LQR gain -K for comparison, and the DARE residual
+    K = np.linalg.solve(R_bar + B_d.T @ P @ B_d, B_d.T @ P @ A_d)
+    lqr_gain = -K.reshape(-1)
     dare_residual = float(np.linalg.norm(
-        P - (Q_bar + A_d.T @ P @ A_d
-             - A_d.T @ P @ B_d @ np.linalg.solve(
-                 R_bar + B_d.T @ P @ B_d, B_d.T @ P @ A_d))))
+        P - (Q_bar + A_d.T @ P @ A_d - A_d.T @ P @ B_d @ K)))
 
     log = run_episode(model, config.reference, cfg, horizon=config.horizon)
     learned_gain = log.pi_final["cl"]

@@ -27,7 +27,6 @@ TRAJECTORY fixes the order of the logged signals in trajectory.csv; the
 writer derives the CSV header from it and the width of each column.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,10 +107,6 @@ class EpisodeLog:
             for s in STRATEGIES:
                 hist[s] = hist[s][:rows]
 
-    def window(self, t_lo, t_hi):
-        """Boolean mask over ticks with t_lo <= t <= t_hi."""
-        return (self.t >= t_lo) & (self.t <= t_hi)
-
 
 def _windows(e):
     """The STACK_DEPTH-sample windows of an error column, as views."""
@@ -141,11 +136,13 @@ def embedded_gain_kernel(pi, beta, s_max):
     """Positive-definite kernel whose greedy policy equals the given gain.
 
     Uses the bordered form [[beta I, -s pi'], [-s pi, s]]; choosing
-    s < beta / ||pi||^2 keeps the Schur complement positive definite.
+    s < beta / ||pi||^2 keeps the Schur complement positive definite.  A
+    zero gain takes s = s_max, the limit of s = min(s_max, beta / (2 ||pi||^2)).
     """
     pi = np.asarray(pi, dtype=float).reshape(-1)
     nf = pi.size
-    s = min(s_max, 0.5 * beta / float(pi @ pi))
+    norm2 = float(pi @ pi)
+    s = min(s_max, 0.5 * beta / norm2) if norm2 else s_max
     S = np.eye(nf + 1) * beta
     S[nf, nf] = s
     S[nf, :nf] = -s * pi
@@ -214,15 +211,13 @@ def _learn_step(state, z_tilde, phi, F, cfg, t):
     S_prev, state.S = state.S, theta_to_S(state.theta)
     settled = kernel_converged(S_prev, state.S, cfg.tol_conv)
 
-    nf = F.size
     try:
-        gain_row = policy_from_kernel(state.S, n_features=nf, eps_sing=cfg.eps_sing)[0]
-        cross = state.S[nf, :nf]
-        if math.sqrt(cross @ cross) / abs(state.S[nf, nf]) <= cfg.actor_gain_guard:
-            state.pi = actor_update(state.pi, F, gain_row @ F, cfg.sigma_a, cfg.alpha_a,
-                                    rate_limit=cfg.actor_rate_limit)
+        gain_row = policy_from_kernel(state.S, n_features=F.size, eps_sing=cfg.eps_sing)[0]
     except SingularKernelError:
         pass  # keep the previous actor this cycle
+    else:
+        state.pi = actor_update(state.pi, F, gain_row @ F, cfg.sigma_a, cfg.alpha_a,
+                                rate_limit=cfg.actor_rate_limit)
 
     if t >= cfg.conv_check_start:
         state.conv_count = state.conv_count + 1 if settled else 0

@@ -200,9 +200,10 @@ class LearningConfig:
     The same Q/R pair is applied to every strategy (the benchmark uses
     identical weights); a scalar Q = q stands for q I_3.  Beyond the basic
     paces this carries the practical guards that keep online adaptation
-    admissible: an actor rate limit, a kernel gain-ratio guard, and the
-    convergence-freeze window that stops adaptation once the kernel has
-    settled.
+    admissible: an actor rate limit, the singularity threshold eps_sing
+    below which a kernel's control block gives no greedy gain (positive,
+    so a zero block never does), and the convergence-freeze window that
+    stops adaptation once the kernel has settled.
 
     The exploration probe (probe) adds a sum of sinusoids of amplitude
     probe_amplitude at probe_frequencies to each control increment during
@@ -225,7 +226,6 @@ class LearningConfig:
 
     # adaptation guards / termination
     actor_rate_limit: float | None = 0.002
-    actor_gain_guard: float = 1e4
     conv_window: int = 50
     conv_check_start: float = 1.0
 
@@ -252,6 +252,8 @@ class LearningConfig:
                 raise ValueError(f"{name} must satisfy 0 < {name} < 2")
         if self.alpha_c <= 0 or self.alpha_a <= 0:
             raise ValueError("alpha_c and alpha_a must be positive")
+        if self.eps_sing <= 0:
+            raise ValueError("eps_sing must be positive")
         if self.delta <= 0:
             raise ValueError("delta must be positive")
         if self.actor_rate_limit is not None and not self.actor_rate_limit >= 0:

@@ -40,11 +40,9 @@ class DiscreteModel:
     delta: float
 
 
-def zoh_discretize(A, B, delta):
-    """Exact zero-order-hold discretization via the augmented exponential.
-
-    Returns (A_d, B_d) with A_d = exp(A delta) and B_d the held-input map.
-    """
+def _augmented_drift(A, B, delta):
+    """The drift [[A, B], [0, 0]] of the state augmented with an input held
+    over an interval delta, and the state count n; delta must be positive."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -55,6 +53,15 @@ def zoh_discretize(A, B, delta):
     M = np.zeros((n + m, n + m))
     M[:n, :n] = A
     M[:n, n:] = B
+    return M, n
+
+
+def zoh_discretize(A, B, delta):
+    """Exact zero-order-hold discretization via the augmented exponential.
+
+    Returns (A_d, B_d) with A_d = exp(A delta) and B_d the held-input map.
+    """
+    M, n = _augmented_drift(A, B, delta)
     E = expm_ss(M * delta)
     return E[:n, :n], E[:n, n:]
 
@@ -90,19 +97,10 @@ def _cost_exponential(A, B, Q, R, delta):
     right block F22 = exp(M delta) = [[A_d, B_d], [0, I]] is the
     zero-order-hold map of zoh_discretize.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
+    M, n = _augmented_drift(A, B, delta)
+    d = M.shape[0]
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
-    n, m = A.shape[0], B.shape[1]
-    d = n + m
-    M = np.zeros((d, d))
-    M[:n, :n] = A
-    M[:n, n:] = B
     Cc = np.zeros((d, d))
     Cc[:n, :n] = 0.5 * Q
     Cc[n:, n:] = 0.5 * R
@@ -125,9 +123,12 @@ def solve_dare(A_d, B_d, Q_bar, R_bar, tol=1e-13, max_iter=64):
 
     so H_k is 2^k steps from P = 0 of the value recursion
     P <- Q_bar + A_d' P A_d - A_d' P B_d (R_bar + B_d' P B_d)^-1 B_d' P A_d
-    (Chu, Fan & Lin 2005).  Stops when ||H_{k+1} - H_k||_F < tol; raises
-    NoConvergenceError after max_iter doubling steps or as soon as an
-    iterate is not finite.
+    (Chu, Fan & Lin 2005).  Stops when max|H_{k+1} - H_k| <= tol
+    max|H_{k+1}|, a test relative to the iterate, so that the result does
+    not depend on the scale of the costs (and Q_bar = 0 stops at once);
+    the max-abs norm does not overflow where a Frobenius norm of finite
+    entries would.  Raises NoConvergenceError after max_iter doubling
+    steps or as soon as an iterate is not finite.
     """
     A = np.atleast_2d(np.asarray(A_d, dtype=float))
     B_d = np.asarray(B_d, dtype=float)
@@ -154,7 +155,7 @@ def solve_dare(A_d, B_d, Q_bar, R_bar, tol=1e-13, max_iter=64):
                     and np.isfinite(A).all()):
                 raise NoConvergenceError(
                     "Riccati doubling iterate became non-finite")
-            if np.linalg.norm(Hn - H) < tol:
+            if np.abs(Hn - H).max() <= tol * np.abs(Hn).max():
                 return Hn
             H = Hn
     raise NoConvergenceError(

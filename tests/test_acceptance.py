@@ -64,7 +64,7 @@ def test_criterion_4_learner_vs_oracle(model, episode):
 
 
 def test_criterion_5_tracking(episode):
-    w = episode.window(18.0, 20.0)
+    w = (episode.t >= 18.0) & (episode.t <= 20.0)
     assert w.sum() > 0
     e_mf = np.abs(np.asarray(episode.e_mf)[w])
     e_ob = np.abs(np.asarray(episode.e_ob)[w])

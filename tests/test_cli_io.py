@@ -51,12 +51,11 @@ def test_accepted_keys():
         "learning": {"q", "r", "delta", "sigma_c", "alpha_c", "sigma_a",
                      "alpha_a", "eps_sing", "tol_conv", "probe_amplitude",
                      "probe_frequencies", "t_probe", "actor_rate_limit",
-                     "actor_gain_guard", "conv_window", "conv_check_start",
-                     "init", "pi_cl0", "pi_ob0", "pi_mf0", "kernel_beta",
-                     "kernel_smax"},
+                     "conv_window", "conv_check_start", "init", "pi_cl0",
+                     "pi_ob0", "pi_mf0", "kernel_beta", "kernel_smax"},
         "run": {"horizon", "trajectory_csv", "weights_csv", "summary_json"},
     }
-    assert sum(len(keys) for keys in KEYS.values()) == 33
+    assert sum(len(keys) for keys in KEYS.values()) == 32
 
 
 def test_every_key_reaches_its_field():
@@ -84,7 +83,6 @@ probe_amplitude = 0.2
 probe_frequencies = [6.0, 8.0]
 t_probe = 4.0
 actor_rate_limit = 0.003
-actor_gain_guard = 1e3
 conv_window = 40
 conv_check_start = 2.0
 init = identity
@@ -111,7 +109,7 @@ summary_json = s.json
     assert (lc.eps_sing, lc.tol_conv) == (1e-9, 2e-4)
     assert (lc.probe_amplitude, lc.probe_frequencies, lc.t_probe) == (
         0.2, (6.0, 8.0), 4.0)
-    assert (lc.actor_rate_limit, lc.actor_gain_guard) == (0.003, 1e3)
+    assert lc.actor_rate_limit == 0.003
     assert (lc.conv_window, lc.conv_check_start, lc.init) == (40, 2.0, "identity")
     assert (lc.pi_cl0, lc.pi_ob0, lc.pi_mf0) == (
         (-1.0, -2.0, -3.0), (1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
@@ -129,6 +127,8 @@ summary_json = s.json
     # dataclass fields that are not config keys
     ("[learning]\nphases = 1\n", r"\[learning\] unknown key 'phases'"),
     ("[reference]\nq = 2\n", r"\[reference\] unknown key 'q'"),
+    # a removed key
+    ("[learning]\nactor_gain_guard = 1e4\n", r"\[learning\] unknown key 'actor_gain_guard'"),
 ])
 def test_unknown_section_or_key_rejected(text, match):
     with pytest.raises(ConfigError, match=match):
@@ -151,6 +151,9 @@ def test_unknown_section_or_key_rejected(text, match):
     ("learning", 'actor_rate_limit = "x"'),
     ("learning", "actor_rate_limit = true"),
     ("learning", "actor_rate_limit = -1"),
+    # a zero control block must always give a singular-kernel skip
+    ("learning", "eps_sing = 0"),
+    ("learning", "eps_sing = -1e-8"),
     ("reference", "params = 5"),
     # every parameter that the reference kind reads is checked
     ("reference", 'kind = sinusoid\nparams = {"amplitude": "x"}'),
@@ -340,6 +343,19 @@ def test_diverging_run_trims_log(tmp_path):
     assert abs(log.t[-1] - 18.41) < 1e-9
     for name in ("trajectory.csv", "weights.csv"):
         assert len((tmp_path / name).read_text().splitlines()) == rows + 1
+
+
+@pytest.mark.parametrize("key, rc, err", [
+    ("pi_ob0", 2, "episode diverged at t = 15.34 s\n"),
+    ("pi_mf0", 0, ""),
+])
+def test_zero_prior_runs(tmp_path, capsys, key, rc, err):
+    # a zero ob/mf prior gain is accepted, so it must run: its kernel takes
+    # s = s_max instead of dividing by ||pi||^2 = 0
+    config = tmp_path / "zero_prior.ini"
+    config.write_text(f"[learning]\n{key} = [0, 0, 0]\n")
+    assert main(["run", str(config), "--outdir", str(tmp_path)]) == rc
+    assert capsys.readouterr().err == err
 
 
 def test_zero_horizon_run(tmp_path):

@@ -137,6 +137,14 @@ def test_embedded_gain_kernel_properties():
         assert np.allclose(policy_from_kernel(S).reshape(-1), pi, atol=1e-10)
 
 
+def test_embedded_gain_kernel_zero_gain():
+    # the limit of the bordered form as pi -> 0: s = s_max, no division by ||pi||^2
+    S = embedded_gain_kernel(np.zeros(3), beta=0.3, s_max=2e-5)
+    assert np.array_equal(np.diag(S), [0.3, 0.3, 0.3, 2e-5])
+    assert np.all(np.linalg.eigvalsh(S) > 0.0)
+    assert np.array_equal(policy_from_kernel(S), np.zeros((1, 3)))
+
+
 def test_initial_strategies_modes(model, default_config):
     cfg = default_config.learning
     st = initial_strategies(model, cfg)

@@ -287,8 +287,8 @@ def test_cost_scaling_is_exact(path, k):
     (pi_cl0 = [5, 5, 5]), k = 9 (delta = 0.02) or k = 11 (the others);
     scipy's expm, whose Pade degree and scaling also follow the norm,
     breaks from k = 11 at delta >= 0.02.  The DARE does not exponentiate
-    the costs and is exact for -25 <= k <= 30; below that its absolute
-    stopping tolerance ends the doubling earlier.
+    the costs and stops on a tolerance relative to its iterate, so it is
+    exact far outside this range (test_dare_cost_scaling_is_exact).
     """
     config = load_config(path)
     m, cfg = config.model, config.learning
@@ -301,3 +301,20 @@ def test_cost_scaling_is_exact(path, k):
     P = oracle.solve_dare(A_d, B_d, *oracle.stage_cost(cfg.Q, cfg.R, cfg.delta))
     P_c = oracle.solve_dare(A_d, B_d, *oracle.stage_cost(c * cfg.Q, c * cfg.R, cfg.delta))
     assert np.array_equal(P_c, c * P)
+
+
+@pytest.mark.parametrize("k", [-60, -40, -26, 40, 60])
+def test_dare_cost_scaling_is_exact(default_config, k):
+    """Scaling (Q, R) by c = 2^k scales the DARE solution by exactly c.
+
+    The doubling sees the costs only through H_0 = Q_bar (times c) and
+    G_0 = B_d R_bar^-1 B_d' (times 1/c), so every W = I + G H is unchanged
+    and each iterate H_k is exactly c times the unscaled one; a stopping
+    test relative to the iterate then ends both runs on the same step.
+    """
+    m, cfg = default_config.model, default_config.learning
+    c = 2.0 ** k
+    A_d, B_d = oracle.zoh_discretize(m.A_hat, m.B_hat, cfg.delta)
+    Q_bar, R_bar = oracle.stage_cost(cfg.Q, cfg.R, cfg.delta)
+    P = oracle.solve_dare(A_d, B_d, Q_bar, R_bar)
+    assert np.array_equal(oracle.solve_dare(A_d, B_d, c * Q_bar, c * R_bar), c * P)
