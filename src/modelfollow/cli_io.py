@@ -12,8 +12,8 @@ prior gain of the wrong length, a plant that is not single-input
 single-output or one whose state count is not STACK_DEPTH (the one q
 weighs both the plant state and the error stacks) is a ConfigError.
 Omitted keys take the defaults of the dataclasses they configure
-(ProcessModel's are the DEFAULT_* matrices below).  All numbers are serialized with 17 significant digits so re-runs
-are byte-identical.
+(ProcessModel's are the DEFAULT_* matrices below).  All numbers are
+serialized with 17 significant digits so re-runs are byte-identical.
 """
 
 import argparse

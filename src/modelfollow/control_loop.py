@@ -18,7 +18,12 @@ cost read off a fixed quadratic form.  The control law, the per-tick
 learner step and the Bellman pass all read that description.  Adaptation
 of a strategy stops once its kernel has remained settled for a configured
 window (convergence freeze); from then on the strategy does no per-tick
-learner work.
+learner work.  Once every strategy acts and none adapts, the rest of the
+episode is one fixed affine recurrence s+ = M s + N w on the state [x,
+xhat, u_ob, u_mf, both error windows] and the input [probes, reference]:
+M and N are built once by stepping identity columns through the frozen
+tick, each remaining tick is one matvec, and the logged signals are
+derived from the state history afterwards with the per-tick operations.
 
 The Bellman samples of every tick, frozen or not, are rebuilt from the log
 columns in one vectorized pass after the loop (bellman_log), with the same
@@ -242,6 +247,90 @@ def tick_cost_form(L, Q, R, h):
     return W
 
 
+def _row_dots(g, F):
+    """g @ F[i] for every row of F, rounded as the one-vector dot: the
+    stacked (1, d) @ (d, 1) product, as bellman_sample takes it."""
+    return (g[None, :] @ F[:, :, None])[:, 0, 0]
+
+
+def _frozen_tick(state, w, gains, maps):
+    """One tick with every gain frozen, on stacked columns.
+
+    Each column of state is a tail state [x, xhat, u_ob, u_mf, e_ob
+    window, e_mf window] as it stands once a row is written, and each
+    column of w a tick input [the probes of STRATEGIES; yref at the end of
+    the tick].  Returns the state columns after the tick, computed with the
+    per-tick loop's operations.  The tick is linear in (state, w), so
+    stepping the identity columns through it gives its matrices.
+    """
+    Phi, Gam, Phi_hat, Gam_hat, Crow = maps
+    n = Phi.shape[0]
+    x, xh, u_ob, u_mf, e_ob, e_mf = np.split(state, np.cumsum([n, n, 1, 1, STACK_DEPTH]))
+    p_ob, p_cl, p_mf, yref = w
+    u_ob = u_ob + gains["ob"] @ e_ob + p_ob
+    u_mf = u_mf + gains["mf"] @ e_mf + p_mf
+    u_tot = gains["cl"] @ xh + p_cl + u_mf
+    v = u_ob + u_tot
+    x = Phi @ x + Gam[:, None] * u_tot
+    xh = Phi_hat @ xh + Gam_hat[:, None] * v
+    y = Crow @ x
+    return np.vstack([x, xh, u_ob, u_mf, e_ob[1:], y - Crow @ xh, e_mf[1:], yref - y])
+
+
+def _frozen_tail(log, k0, start, gains, maps, probe):
+    """Ticks k0, k0 + 1, ... of an episode in which no strategy adapts.
+
+    With the gains fixed a tick is the affine map s+ = M s + N w of
+    _frozen_tick, built once here; N w of every tick is one matmul and each
+    tick one matvec.  start holds x, xhat, u_ob and u_mf after row k0; the
+    error windows are read from the log.  Rows k0 + 1 on are then written
+    from the state history, the logged signals derived from it with the
+    per-tick operations, and the log trimmed at the first row whose plant
+    state leaves the box, as the per-tick loop does.
+    """
+    n = log.x.shape[1]
+    size = 2 * n + 2 + 2 * STACK_DEPTH
+    basis = np.eye(size + len(STRATEGIES) + 1)
+    MN = _frozen_tick(basis[:size], basis[size:], gains, maps)
+    M, N = MN[:, :size], MN[:, size:]
+
+    x, xh, u_ob, u_mf = start
+    first = k0 + 1 - STACK_DEPTH
+    z = np.concatenate([x, xh, [u_ob, u_mf], log.e_ob[first:k0 + 1], log.e_mf[first:k0 + 1]])
+    w = np.column_stack([probe[s][k0:] for s in STRATEGIES] + [log.yref[k0 + 1:]])
+    # row i starts as N w of tail tick i and becomes the state after it
+    hist = w @ N.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in hist:
+            row += M @ z
+            z = row
+    # false for nan and inf as well as for a state outside the box
+    out = np.flatnonzero(~(np.abs(hist[:, :n]).max(axis=1) <= 1e7))
+    if out.size:
+        hist = hist[:out[0]]
+        log.diverged = float(log.t[k0 + 1 + out[0]])
+        log.trim(k0 + 1 + out[0])
+
+    rows = slice(k0 + 1, k0 + 1 + len(hist))
+    log.x[rows] = hist[:, :n]
+    log.xhat[rows] = hist[:, n:2 * n]
+    log.u_ob[rows] = hist[:, 2 * n]
+    log.u_mf[rows] = hist[:, 2 * n + 1]
+    Crow = maps[-1]
+    log.y[rows] = _row_dots(Crow, log.x[rows])
+    log.yhat[rows] = _row_dots(Crow, log.xhat[rows])
+    log.e_ob[rows] = log.y[rows] - log.yhat[rows]
+    log.e_mf[rows] = log.yref[rows] - log.y[rows]
+    mu = {"ob": log.mu_ob, "cl": log.mu_cl, "mf": log.mu_mf}
+    views = strategy_views(log)
+    for i, s in enumerate(STRATEGIES):
+        feats, lag, _ = views[s]
+        F = feats[k0 - lag:k0 - lag + len(hist)]
+        mu[s][rows] = _row_dots(gains[s], F) + w[:len(hist), i]
+    log.u_total[rows] = log.mu_cl[rows] + log.u_mf[rows]
+    log.v[rows] = log.u_ob[rows] + log.u_total[rows]
+
+
 def run_episode(model, ref_spec, cfg, horizon=20.0,
                 learning_enabled=True, initial=None, x0=None, xhat0=None):
     """Simulate one episode and return its log.
@@ -255,6 +344,11 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
             the initial gains act as fixed controllers and log.regressors
             stays empty.
         initial: optional dict of StrategyState overriding the defaults.
+
+    From the first tick on which every strategy acts and none adapts (the
+    learning has frozen, is off, or every initial state is frozen), the
+    rest of the episode runs as the fixed affine recurrence of _frozen_tail
+    instead of tick by tick.
 
     Returns:
         EpisodeLog.  Divergence stops the episode early and is recorded in
@@ -290,8 +384,9 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
     log.yref[:] = eval_reference(ref_spec, log.t)
     probe = {s: cfg.probe(t_start, s).tolist() for s in STRATEGIES}
     views = strategy_views(log)
-    # a strategy's theta/pi rows are written while it adapts; rows_held[s]
-    # counts them, and the rest are filled with its final values after the loop
+    # the strategies that take learner steps; a strategy's theta/pi rows are
+    # written while it adapts, rows_held[s] counts them, and the rest are
+    # filled with its final values after the loop
     adapting = [s for s in STRATEGIES if learning_enabled and not states[s].frozen]
     rows_held = dict.fromkeys(STRATEGIES, 0)
 
@@ -319,6 +414,12 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
     record(0, dict.fromkeys(STRATEGIES, 0.0), 0.0, 0.0)
 
     for k in range(n_ticks):
+        if k >= STACK_DEPTH - 1 and not adapting:
+            # every strategy acts and none adapts: the rest of the episode
+            # is one fixed affine recurrence
+            _frozen_tail(log, k, (x, xh, u_ob, u_mf), {s: states[s].pi for s in STRATEGIES},
+                         (Phi, Gam, Phi_hat, Gam_hat, Crow), probe)
+            break
         t = k * delta
         # a strategy acts once its features exist (k >= lag); until then
         # its increment stays at zero (warm-up gating)
@@ -342,12 +443,11 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
             break
 
         record(k + 1, mu, u_tot, v)
-        if not learning_enabled:
-            continue
 
         # a frozen strategy costs nothing per tick
-        for s, (rows, lag, action) in views.items():
-            if k >= lag and not states[s].frozen:
+        for s in tuple(adapting):
+            rows, lag, action = views[s]
+            if k >= lag:
                 F = rows[k - lag]
                 z_tilde, phi = bellman_sample(s, F, action[k + 1], rows[k - lag + 1],
                                               states[s].pi, cfg, W_cl)

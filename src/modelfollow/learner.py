@@ -258,6 +258,10 @@ class LearningConfig:
             raise ValueError("delta must be positive")
         if self.actor_rate_limit is not None and not self.actor_rate_limit >= 0:
             raise ValueError("actor_rate_limit must be nonnegative or null")
+        if self.conv_window < 1:
+            raise ValueError("conv_window must be at least 1")
+        if self.kernel_beta <= 0 or self.kernel_smax <= 0:
+            raise ValueError("kernel_beta and kernel_smax must be positive")
         if float(self.R) <= 0:
             raise ValueError("R must be positive definite")
         ew = np.linalg.eigvalsh(0.5 * (self.Q + self.Q.T))

@@ -175,6 +175,14 @@ def test_unknown_section_or_key_rejected(text, match):
     ("learning", "probe_frequencies = [Infinity]"),
     ("learning", "q = [[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]"),
     ("learning", "conv_window = 1.5"),
+    # a window below one freezes every strategy on its first check
+    ("learning", "conv_window = 0"),
+    ("learning", "conv_window = -3"),
+    # the initial ob/mf kernels must be positive definite
+    ("learning", "kernel_beta = 0"),
+    ("learning", "kernel_beta = -1"),
+    ("learning", "kernel_smax = 0"),
+    ("learning", "kernel_smax = -2e-5"),
     ("run", "horizon = NaN"),
     ("run", "horizon = Infinity"),
     ("model", "b = [0.0, 0.0, NaN]"),
