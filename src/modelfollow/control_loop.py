@@ -22,12 +22,18 @@ learner work.  Once every strategy acts and none adapts, the rest of the
 episode is one fixed affine recurrence s+ = M s + N w on the state [x,
 xhat, u_ob, u_mf, both error windows] and the input [probes, reference]:
 M and N are built once by stepping identity columns through the frozen
-tick, each remaining tick is one matvec, and the logged signals are
-derived from the state history afterwards with the per-tick operations.
+tick, each remaining tick is one matvec, the divergence box is checked
+once per TAIL_BLOCK ticks, and the logged signals are derived from the
+state history afterwards with the per-tick operations.
 
-The Bellman samples of every tick, frozen or not, are rebuilt from the log
-columns in one vectorized pass after the loop (bellman_log), with the same
-formula (bellman_sample) and float operations as the per-tick learner.
+An adapting strategy takes its Bellman sample (regressor and stage cost)
+tick by tick, writing Z_t = [F; mu] and Z_next = [F_next; pi F_next] into
+two buffers of its own.  The samples of every tick, frozen or not, are
+rebuilt from the log columns in one vectorized pass after the loop
+(bellman_log, the stacked formula bellman_sample), with the same float
+operations: test_per_tick_samples_equal_log_rows checks on every corpus
+config that each sample a learner step consumed equals its logged row bit
+for bit.
 TRAJECTORY fixes the order of the logged signals in trajectory.csv; the
 writer derives the CSV header from it and the width of each column.
 """
@@ -51,6 +57,8 @@ STRATEGIES = ("ob", "cl", "mf")
 STACK_DEPTH = 3
 # RK4 substeps per learner tick, folded into the per-tick maps
 SUBSTEPS = 10
+# frozen-tail rows stepped between two checks of the divergence box
+TAIL_BLOCK = 64
 # per-tick signals of the episode log, in trajectory.csv column order
 TRAJECTORY = ("t", "x", "xhat", "y", "yhat", "yref", "e_ob", "e_mf",
               "u_total", "mu_cl", "u_ob", "u_mf")
@@ -182,17 +190,17 @@ def initial_strategies(model, cfg):
 
 
 def bellman_sample(s, F, mu, F_next, pi, cfg, W_cl):
-    """Bellman regressor and integral stage cost of strategy s.
+    """Bellman regressors and integral stage costs of strategy s, one row per
+    tick of a stack.
 
-    Acts on the last axis: F, F_next (features at t and t + delta), mu (the
-    action taken) and pi (the gain that prices the next action) describe one
-    tick, or one tick per row of a stack.  The closed-loop cost is the tick
-    form W_cl on [xhat; v]; the error-feature strategies use delta * U(F, mu).
+    F and F_next are the features at t and t + delta, mu the action taken
+    and pi the gain that prices the next action, one row per tick.  The
+    closed-loop cost is the tick form W_cl on [xhat; v]; the error-feature
+    strategies use delta * U(F, mu).
     """
-    mu = np.asarray(mu, dtype=float)[..., None]
-    Z_t = np.concatenate([F, mu], axis=-1)
-    mu_next = (pi[..., None, :] @ F_next[..., :, None])[..., 0]
-    z_tilde = bellman_regressor(Z_t, np.concatenate([F_next, mu_next], axis=-1))
+    Z_t = np.column_stack([F, mu])
+    mu_next = (pi[:, None, :] @ F_next[:, :, None])[:, 0]
+    z_tilde = bellman_regressor(Z_t, np.concatenate([F_next, mu_next], axis=1))
     if s == "cl":
         return z_tilde, quadratic_form(Z_t, W_cl)
     return z_tilde, cfg.delta * utility(F, mu, cfg.Q, cfg.R)
@@ -277,6 +285,16 @@ def _frozen_tick(state, w, gains, maps):
     return np.vstack([x, xh, u_ob, u_mf, e_ob[1:], y - Crow @ xh, e_mf[1:], yref - y])
 
 
+def _step_rows(rows, z, M):
+    """Run the recurrence s+ = M s + N w through rows in place: each row
+    holds N w of its tick and becomes the state after it, z is the state
+    before the first row.  Returns the state after the last row."""
+    for row in rows:
+        row += M @ z
+        z = row
+    return z
+
+
 def _frozen_tail(log, k0, start, gains, maps, probe):
     """Ticks k0, k0 + 1, ... of an episode in which no strategy adapts.
 
@@ -286,7 +304,8 @@ def _frozen_tail(log, k0, start, gains, maps, probe):
     error windows are read from the log.  Rows k0 + 1 on are then written
     from the state history, the logged signals derived from it with the
     per-tick operations, and the log trimmed at the first row whose plant
-    state leaves the box, as the per-tick loop does.
+    state leaves the box, as the per-tick loop does; the ticks after the
+    block that holds that row are not run.
     """
     n = log.x.shape[1]
     size = 2 * n + 2 + 2 * STACK_DEPTH
@@ -298,18 +317,22 @@ def _frozen_tail(log, k0, start, gains, maps, probe):
     first = k0 + 1 - STACK_DEPTH
     z = np.concatenate([x, xh, [u_ob, u_mf], log.e_ob[first:k0 + 1], log.e_mf[first:k0 + 1]])
     w = np.column_stack([probe[s][k0:] for s in STRATEGIES] + [log.yref[k0 + 1:]])
-    # row i starts as N w of tail tick i and becomes the state after it
+    # row i starts as N w of tail tick i and becomes the state after it;
+    # the rows are stepped TAIL_BLOCK at a time and the box checked after
+    # each block, so a diverging tail stops within one block of its exit
     hist = w @ N.T
     with np.errstate(over="ignore", invalid="ignore"):
-        for row in hist:
-            row += M @ z
-            z = row
-    # false for nan and inf as well as for a state outside the box
-    out = np.flatnonzero(~(np.abs(hist[:, :n]).max(axis=1) <= 1e7))
-    if out.size:
-        hist = hist[:out[0]]
-        log.diverged = float(log.t[k0 + 1 + out[0]])
-        log.trim(k0 + 1 + out[0])
+        for i in range(0, len(hist), TAIL_BLOCK):
+            block = hist[i:i + TAIL_BLOCK]
+            z = _step_rows(block, z, M)
+            # false for nan and inf as well as for a state outside the box
+            out = np.flatnonzero(~(np.abs(block[:, :n]).max(axis=1) <= 1e7))
+            if out.size:
+                exit_row = i + out[0]
+                hist = hist[:exit_row]
+                log.diverged = float(log.t[k0 + 1 + exit_row])
+                log.trim(k0 + 1 + exit_row)
+                break
 
     rows = slice(k0 + 1, k0 + 1 + len(hist))
     log.x[rows] = hist[:, :n]
@@ -389,6 +412,8 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
     # filled with its final values after the loop
     adapting = [s for s in STRATEGIES if learning_enabled and not states[s].frozen]
     rows_held = dict.fromkeys(STRATEGIES, 0)
+    buffers = {s: (np.empty(states[s].pi.size + 1), np.empty(states[s].pi.size + 1))
+               for s in adapting}
 
     def record(k, mu, u_tot, v):
         y = float(Crow @ x)
@@ -444,13 +469,23 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
 
         record(k + 1, mu, u_tot, v)
 
-        # a frozen strategy costs nothing per tick
+        # a frozen strategy costs nothing per tick; an adapting one takes
+        # bellman_sample's formula for one tick.  F, F_next and the buffers
+        # are contiguous, so each dot rounds as its row of the stacked rebuild
         for s in tuple(adapting):
             rows, lag, action = views[s]
             if k >= lag:
-                F = rows[k - lag]
-                z_tilde, phi = bellman_sample(s, F, action[k + 1], rows[k - lag + 1],
-                                              states[s].pi, cfg, W_cl)
+                F, F_next, mu_s = rows[k - lag], rows[k - lag + 1], action[k + 1]
+                Z_t, Z_next = buffers[s]
+                Z_t[:-1] = F
+                Z_t[-1] = mu_s
+                Z_next[:-1] = F_next
+                Z_next[-1] = states[s].pi @ F_next
+                z_tilde = bellman_regressor(Z_t, Z_next)
+                if s == "cl":
+                    phi = quadratic_form(Z_t, W_cl)
+                else:
+                    phi = cfg.delta * utility(F, mu_s, cfg.Q, cfg.R)
                 _learn_step(states[s], z_tilde, phi, F, cfg, t)
                 if states[s].frozen:
                     log.t_converged[s] = t_next

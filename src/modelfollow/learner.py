@@ -84,28 +84,26 @@ def S_to_theta(S):
 def quadratic_form(x, M):
     """x' M x over the last axis of x, one value per vector of a stack.
 
-    Written as stacked matmuls, (.., 1, d) @ (d, d) @ (.., d, 1): numpy
-    takes the same BLAS path for one vector as for each row of a stack, so
-    a row of a stacked result equals the single-vector value bit for bit
-    (a stacked einsum or an elementwise sum does not).
+    One vector takes (x @ M) @ x and a stack the stacked matmuls
+    (.., 1, d) @ (d, d) @ (.., d, 1).  numpy runs both as one gemv and one
+    dot per vector, so a row of a stacked result equals the single-vector
+    value bit for bit (a stacked einsum, an elementwise sum or an (n, d) @
+    (d, d) product does not).  x must be contiguous along its last axis:
+    other strides take another dot and round differently.
     """
-    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return (x @ M) @ x
     return ((x[..., None, :] @ M) @ x[..., :, None])[..., 0, 0]
 
 
 def utility(F, mu, Q, R):
-    """Stage utility U = 1/2 (F' Q F + mu' R mu) over the last axis of F.
+    """Stage utility U = 1/2 (F' Q F + mu R mu) over the last axis of F.
 
-    mu carries the action on its last axis; a scalar action per vector of
-    F may omit that axis.
+    The plant has one input, so R is a scalar and mu holds one action per
+    vector of F (a scalar for one vector); (mu * R) * mu rounds as the
+    1x1 matmul mu' R mu does.
     """
-    F = np.atleast_1d(np.asarray(F, dtype=float))
-    mu = np.asarray(mu, dtype=float)
-    if mu.ndim < F.ndim:
-        mu = mu[..., None]
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    return 0.5 * (quadratic_form(F, Q) + quadratic_form(mu, R))
+    return 0.5 * (quadratic_form(F, Q) + (mu * R) * mu)
 
 
 def quadratic_value(S, Z):
@@ -152,14 +150,17 @@ def actor_update(pi, F, phi_target, sigma_a, alpha_a, rate_limit=None):
 
     pi is a gain row with a scalar target, and the result a row; or pi is
     (1, n) with a length-1 target, and the result (1, n).  F is a float
-    array.  rate_limit, when set, clamps the residual magnitude before the
-    step; near-singular kernels make the greedy target hypersensitive to
-    critic noise and an unclamped step can destabilize the loop.
+    array.  rate_limit, when set, clamps the residual to [-rate_limit,
+    rate_limit] before the step; near-singular kernels make the greedy
+    target hypersensitive to critic noise and an unclamped step can
+    destabilize the loop.  The clamp is Python's min and max, which give
+    what np.clip gives (a NaN residual stays NaN), and residual * F holds
+    the entries of their outer product.
     """
     residual = pi @ F - phi_target
     if rate_limit is not None:
-        residual = np.clip(residual, -rate_limit, rate_limit)
-    return pi - sigma_a * np.multiply.outer(residual, F) / (alpha_a + F @ F)
+        residual = min(max(residual, -rate_limit), rate_limit)
+    return pi - sigma_a * (residual * F) / (alpha_a + F @ F)
 
 
 def kernel_converged(S_prev, S_next, tol_conv):

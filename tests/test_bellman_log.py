@@ -5,13 +5,21 @@ row at a time, as the per-tick learner computes them, and count the
 per-tick regressor calls."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from modelfollow import control_loop
-from modelfollow.control_loop import STACK_DEPTH, SUBSTEPS, run_episode, tick_cost_form
+from modelfollow.cli_io import load_config
+from modelfollow.control_loop import (
+    STACK_DEPTH, STRATEGIES, SUBSTEPS, initial_strategies, run_episode, strategy_views,
+    tick_cost_form,
+)
 from modelfollow.dynamics import held_input_maps
 from modelfollow.learner import bellman_regressor
+
+CORPUS = Path(__file__).parent / "corpus"
 
 
 def closed_loop_form(model, cfg):
@@ -93,3 +101,30 @@ def test_short_and_stopped_episodes_have_empty_logs(model, default_config):
     log = run_episode(model, c.reference, c.learning, horizon=1.0,
                       learning_enabled=False)
     assert shapes(log) == {"ob": empty, "cl": empty, "mf": empty}
+
+
+@pytest.mark.parametrize("config", sorted(CORPUS.glob("*.ini")), ids=lambda p: p.stem)
+def test_per_tick_samples_equal_log_rows(monkeypatch, config):
+    # the learner builds its Bellman sample one tick at a time and
+    # bellman_log rebuilds every tick's sample stacked after the loop: each
+    # (z_tilde, phi) a learner step consumed must equal its logged row bit
+    # for bit
+    c = load_config(config)
+    states = initial_strategies(c.model, c.learning)
+    consumed = []
+
+    def spied(state, z_tilde, phi, F, cfg, t):
+        s = next(s for s in STRATEGIES if states[s] is state)
+        consumed.append((s, round(t / cfg.delta), z_tilde.copy(), phi))
+        learn_step(state, z_tilde, phi, F, cfg, t)
+
+    learn_step = control_loop._learn_step
+    monkeypatch.setattr(control_loop, "_learn_step", spied)
+    log = run_episode(c.model, c.reference, c.learning, horizon=c.horizon, initial=states)
+    assert consumed
+    views = strategy_views(log)
+    for s, k, z_tilde, phi in consumed:
+        Z, costs = log.regressors[s]
+        row = k - views[s][1]
+        assert z_tilde.tobytes() == Z[row].tobytes(), (s, k)
+        assert np.float64(phi).tobytes() == costs[row].tobytes(), (s, k)

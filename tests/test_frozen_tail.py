@@ -89,3 +89,37 @@ def test_tail_overflow_is_silent():
     # the divergence time of the per-tick loop
     assert log.diverged == 0.29000000000000004
     assert len(log.t) == 29 and np.isfinite(log.x).all()
+
+
+@pytest.mark.parametrize("text", ["", "[learning]\npi_cl0 = [100, 100, 100]\n"])
+def test_tail_stops_within_one_block_of_its_exit(monkeypatch, text):
+    # with learning off the tail starts at the third tick; the default
+    # episode steps every tail row once, and the pi_cl0 = 100 one leaves
+    # the 1e7 box on row 29 (t = 0.29 s), after which the tail steps at most
+    # one block of rows more.  The rows up to the exit are those of an
+    # episode that ends just before it.
+    stepped = []
+
+    def spied(rows, z, M):
+        stepped.append(len(rows))
+        return step_rows(rows, z, M)
+
+    step_rows = control_loop._step_rows
+    monkeypatch.setattr(control_loop, "_step_rows", spied)
+    c = parse_config(text)
+    log = run_episode(c.model, c.reference, c.learning, horizon=20.0, learning_enabled=False)
+    k0 = control_loop.STACK_DEPTH - 1
+    if not text:
+        assert log.diverged is None and sum(stepped) == 2000 - k0
+        return
+    assert log.diverged == 0.29000000000000004 and len(log.t) == 29
+    exit_row = len(log.t) - (k0 + 1)
+    assert exit_row < sum(stepped) <= exit_row + control_loop.TAIL_BLOCK
+    monkeypatch.undo()
+    short = run_episode(c.model, c.reference, c.learning, horizon=0.28, learning_enabled=False)
+    assert short.diverged is None
+    for name in control_loop.COLUMNS:
+        assert getattr(log, name).tobytes() == getattr(short, name).tobytes(), name
+    for s in STRATEGIES:
+        assert log.theta_hist[s].tobytes() == short.theta_hist[s].tobytes(), s
+        assert log.pi_hist[s].tobytes() == short.pi_hist[s].tobytes(), s

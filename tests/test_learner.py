@@ -293,6 +293,22 @@ def test_actor_row_equals_2d_call():
         full = actor_update(pi[None, :], F, gain @ F, 0.5, 1.8, rate_limit=limit)
         assert row.shape == (3,) and full.shape == (1, 3)
         assert np.array_equal(row, full[0])
+    # residuals the clamp must treat as np.clip does: NaN and +-inf targets,
+    # and a zero rate limit that clamps every residual to a signed zero, on
+    # gains with zero entries of either sign
+    for k in range(960):
+        pi = rng.normal(size=3) * (k // 16 % 2)
+        F = rng.normal(size=3) * rng.uniform(1e-3, 10)
+        target = (np.nan, np.inf, -np.inf, pi @ F + rng.normal())[k % 4]
+        limit = (None, 0.002, 0.0, 0)[k // 4 % 4]
+        residual = pi @ F - target
+        if limit is not None:
+            residual = np.clip(residual, -limit, limit)
+        ref = pi - 0.5 * np.multiply.outer(residual, F) / (1.8 + F @ F)
+        row = actor_update(pi, F, target, 0.5, 1.8, rate_limit=limit)
+        full = actor_update(pi[None, :], F, np.array([target]), 0.5, 1.8, rate_limit=limit)
+        assert row.shape == (3,) and full.shape == (1, 3)
+        assert row.tobytes() == full[0].tobytes() == ref.tobytes(), k
 
 
 # ---- config validation ---------------------------------------------------
