@@ -9,8 +9,9 @@ the keys so derived.  Values are JSON (matrices are JSON arrays), except
 for fields annotated str, which take the raw text (a % is a plain
 character).  An unknown section or key, a value the dataclasses reject, a
 prior gain of the wrong length, a plant that is not single-input
-single-output or one whose state count is not STACK_DEPTH (the one q
-weighs both the plant state and the error stacks) is a ConfigError.
+single-output, one whose state count is not STACK_DEPTH (the one q
+weighs both the plant state and the error stacks) or a horizon that is not
+a whole number of ticks of delta is a ConfigError.
 Omitted keys take the defaults of the dataclasses they configure
 (ProcessModel's are the DEFAULT_* matrices below).  All numbers are
 serialized with 17 significant digits so re-runs are byte-identical.
@@ -19,6 +20,7 @@ serialized with 17 significant digits so re-runs are byte-identical.
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -62,6 +64,12 @@ class RunConfig:
         _require_numbers(self)
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
+        # an episode runs whole ticks; a horizon between two of them would
+        # be rounded to the nearer one
+        ticks = self.horizon / self.learning.delta
+        if not (math.isfinite(ticks) and math.isclose(ticks, round(ticks), rel_tol=1e-9)):
+            raise ValueError(f"horizon = {self.horizon!r} is not a whole number of ticks of "
+                             f"delta = {self.learning.delta!r}")
 
 
 # the dataclass that each config section configures

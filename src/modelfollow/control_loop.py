@@ -24,20 +24,23 @@ xhat, u_ob, u_mf, both error windows] and the input [probes, reference]:
 M and N are built once by stepping identity columns through the frozen
 tick, each remaining tick is one matvec, the divergence box is checked
 once per TAIL_BLOCK ticks, and the logged signals are derived from the
-state history afterwards with the per-tick operations.
+state history afterwards with the per-tick formulas.
 
-An adapting strategy takes its Bellman sample (regressor and stage cost)
-tick by tick, writing Z_t = [F; mu] and Z_next = [F_next; pi F_next] into
-two buffers of its own.  The samples of every tick, frozen or not, are
-rebuilt from the log columns in one vectorized pass after the loop
-(bellman_log, the stacked formula bellman_sample), with the same float
-operations: test_per_tick_samples_equal_log_rows checks on every corpus
-config that each sample a learner step consumed equals its logged row bit
-for bit.
+A tick that adapts runs on Python floats: the controls, the plant and
+desired-model step, the features read from the log, the Bellman sample
+and the critic and actor steps, each with the learner's component-wise
+formulas (sums in index order, no BLAS call).  The samples of every tick,
+frozen or not, are rebuilt after the loop by the same function,
+bellman_sample, run on the log columns (bellman_log), and the frozen tail
+derives its logged outputs and actions with the same formulas; numpy's
+elementwise operations round as Python's float operations do, so each
+sample a learner step consumed equals its logged row bit for bit
+(test_per_tick_samples_equal_log_rows checks this on every corpus config).
 TRAJECTORY fixes the order of the logged signals in trajectory.csv; the
 writer derives the CSV header from it and the width of each column.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +51,7 @@ from modelfollow.dynamics import held_input_maps
 from modelfollow.learner import (
     SingularKernelError, theta_to_S, S_to_theta,
     bellman_regressor, policy_from_kernel, critic_update, actor_update,
-    kernel_converged, quadratic_form, utility,
+    kernel_converged, quadratic_form, utility, dot, components,
 )
 from modelfollow.reference import eval_reference
 
@@ -66,13 +69,20 @@ TRAJECTORY = ("t", "x", "xhat", "y", "yhat", "yref", "e_ob", "e_mf",
 # that trajectory.csv does not hold, the ob/mf increments and the desired
 # model's input v
 COLUMNS = TRAJECTORY + ("mu_ob", "mu_mf", "v")
+# the columns that depend on t alone, written for the whole episode before
+# the loop; a tick writes the others, in this order, and each strategy's
+# theta and pi
+EXOGENOUS = ("t", "yref")
+TICK_COLUMNS = tuple(name for name in COLUMNS if name not in EXOGENOUS)
 
 
 @dataclass
 class StrategyState:
     """Learner state of one strategy.  S is the kernel of theta, computed at
     construction and replaced together with theta, so that a learner step
-    unflattens only the new theta."""
+    unflattens only the new theta.  theta, pi and S are numpy arrays; while
+    run_episode runs they are lists of Python floats (S a list of rows),
+    the form its learner steps compute on."""
 
     theta: np.ndarray
     pi: np.ndarray
@@ -89,11 +99,13 @@ class EpisodeLog:
 
     Every COLUMNS signal is an array with one row per sample time (x and
     xhat have n columns); theta_hist and pi_hist hold one (rows, size) array
-    per strategy.  The columns are allocated once for the whole horizon.
+    per strategy.  All of them are views of one table allocated once for
+    the whole horizon, whose row k holds the EXOGENOUS columns, then the
+    TICK_COLUMNS and then each strategy's theta and pi, so that a tick
+    writes its row with one assignment (write_row).
     Row k of theta_hist[s] and pi_hist[s] is the theta and pi that strategy
-    s held when row k was written; run_episode writes them only while s
-    adapts, and the rows after it froze (or all rows, if it never adapted)
-    repeat its final values.
+    s held when row k was written; a strategy that does not adapt holds
+    its final values.
     regressors[s] is a pair (Z, phi): one Bellman regressor row (Z has
     theta's size columns) and one stage cost per tick on which strategy s
     ran a learner step or would have, had it not frozen; empty until
@@ -101,10 +113,19 @@ class EpisodeLog:
     """
 
     def __init__(self, rows, n, states):
-        for name in COLUMNS:
-            setattr(self, name, np.zeros((rows, n) if name in ("x", "xhat") else rows))
-        self.theta_hist = {s: np.zeros((rows, states[s].theta.size)) for s in STRATEGIES}
-        self.pi_hist = {s: np.zeros((rows, states[s].pi.size)) for s in STRATEGIES}
+        # each field's table columns: an index for a signal of one column,
+        # a slice for x, xhat, theta and pi
+        sizes = [(name, n if name in ("x", "xhat") else None)
+                 for name in EXOGENOUS + TICK_COLUMNS]
+        sizes += [((kind, s), getattr(states[s], kind).size)
+                  for s in STRATEGIES for kind in ("theta", "pi")]
+        self._fields = {}
+        col = 0
+        for name, size in sizes:
+            self._fields[name] = col if size is None else slice(col, col + size)
+            col += 1 if size is None else size
+        self._table = np.zeros((rows, col))
+        self._bind()
         self.regressors = {s: (np.zeros((0, states[s].theta.size)), np.zeros(0))
                            for s in STRATEGIES}
         self.t_converged = dict.fromkeys(STRATEGIES)
@@ -112,13 +133,22 @@ class EpisodeLog:
         self.theta_final = {}
         self.diverged = None
 
+    def _bind(self):
+        """Point every signal and history at its columns of the table."""
+        for name in COLUMNS:
+            setattr(self, name, self._table[:, self._fields[name]])
+        self.theta_hist = {s: self._table[:, self._fields["theta", s]] for s in STRATEGIES}
+        self.pi_hist = {s: self._table[:, self._fields["pi", s]] for s in STRATEGIES}
+
+    def write_row(self, k, values):
+        """Write row k from values: the TICK_COLUMNS, then the theta and pi
+        of each strategy."""
+        self._table[k, len(EXOGENOUS):] = values
+
     def trim(self, rows):
         """Keep only the first `rows` rows of every per-tick column."""
-        for name in COLUMNS:
-            setattr(self, name, getattr(self, name)[:rows])
-        for hist in (self.theta_hist, self.pi_hist):
-            for s in STRATEGIES:
-                hist[s] = hist[s][:rows]
+        self._table = self._table[:rows]
+        self._bind()
 
 
 def _windows(e):
@@ -189,33 +219,39 @@ def initial_strategies(model, cfg):
     return states
 
 
-def bellman_sample(s, F, mu, F_next, pi, cfg, W_cl):
-    """Bellman regressors and integral stage costs of strategy s, one row per
-    tick of a stack.
+def bellman_sample(s, F, mu, F_next, pi, cfg, form):
+    """Bellman regressor and integral stage cost of strategy s on one tick,
+    or one of each per tick of a stack.
 
     F and F_next are the features at t and t + delta, mu the action taken
-    and pi the gain that prices the next action, one row per tick.  The
-    closed-loop cost is the tick form W_cl on [xhat; v]; the error-feature
-    strategies use delta * U(F, mu).
+    and pi the gain that prices the next action.  The vectors are given by
+    their components: Python floats for one tick, numpy columns for a
+    stack, on which the learner's component-wise formulas give each row
+    the one-tick value bit for bit.  form is the weight of the stage cost
+    as a list of rows: the tick form W_cl on [xhat; v] for the closed-loop
+    strategy, Q for the error-feature strategies, which cost delta * U(F, mu).
     """
-    Z_t = np.column_stack([F, mu])
-    mu_next = (pi[:, None, :] @ F_next[:, :, None])[:, 0]
-    z_tilde = bellman_regressor(Z_t, np.concatenate([F_next, mu_next], axis=1))
+    Z_t = [*F, mu]
+    z_tilde = bellman_regressor(Z_t, [*F_next, dot(pi, F_next)])
     if s == "cl":
-        return z_tilde, quadratic_form(Z_t, W_cl)
-    return z_tilde, cfg.delta * utility(F, mu, cfg.Q, cfg.R)
+        return z_tilde, quadratic_form(Z_t, form)
+    return z_tilde, cfg.delta * utility(F, mu, form, cfg.R)
 
 
-def bellman_log(log, cfg, W_cl):
+def bellman_log(log, cfg, forms):
     """Bellman samples of every tick of a learning episode, from the log.
 
     Row k + 1 of the log holds the gains and actions of tick k, so tick
     k >= lag of a strategy pairs its feature rows k - lag and k - lag + 1
-    with the action and gain of log row k + 1.  Returns {s: (Z, phi)}.
+    with the action and gain of log row k + 1; each enters bellman_sample
+    as its columns.  forms[s] is the stage-cost weight of strategy s.
+    Returns {s: (Z, phi)}.
     """
-    return {s: bellman_sample(s, rows[:-1], action[lag + 1:], rows[1:],
-                              log.pi_hist[s][lag + 1:], cfg, W_cl)
-            for s, (rows, lag, action) in strategy_views(log).items()}
+    samples = {}
+    for s, (rows, lag, action) in strategy_views(log).items():
+        F, F_next, pi = (components(a) for a in (rows[:-1], rows[1:], log.pi_hist[s][lag + 1:]))
+        samples[s] = bellman_sample(s, F, action[lag + 1:], F_next, pi, cfg, forms[s])
+    return samples
 
 
 def _learn_step(state, z_tilde, phi, F, cfg, t):
@@ -225,11 +261,11 @@ def _learn_step(state, z_tilde, phi, F, cfg, t):
     settled = kernel_converged(S_prev, state.S, cfg.tol_conv)
 
     try:
-        gain_row = policy_from_kernel(state.S, n_features=F.size, eps_sing=cfg.eps_sing)[0]
+        gain_row = policy_from_kernel(state.S, n_features=len(F), eps_sing=cfg.eps_sing)[0]
     except SingularKernelError:
         pass  # keep the previous actor this cycle
     else:
-        state.pi = actor_update(state.pi, F, gain_row @ F, cfg.sigma_a, cfg.alpha_a,
+        state.pi = actor_update(state.pi, F, dot(gain_row, F), cfg.sigma_a, cfg.alpha_a,
                                 rate_limit=cfg.actor_rate_limit)
 
     if t >= cfg.conv_check_start:
@@ -253,12 +289,6 @@ def tick_cost_form(L, Q, R, h):
     W = 0.5 * sum(wj * Lj.T @ Q @ Lj for wj, Lj in zip(w, L))
     W[n:, n:] += 0.5 * w.sum() * R
     return W
-
-
-def _row_dots(g, F):
-    """g @ F[i] for every row of F, rounded as the one-vector dot: the
-    stacked (1, d) @ (d, 1) product, as bellman_sample takes it."""
-    return (g[None, :] @ F[:, :, None])[:, 0, 0]
 
 
 def _frozen_tick(state, w, gains, maps):
@@ -302,10 +332,10 @@ def _frozen_tail(log, k0, start, gains, maps, probe):
     _frozen_tick, built once here; N w of every tick is one matmul and each
     tick one matvec.  start holds x, xhat, u_ob and u_mf after row k0; the
     error windows are read from the log.  Rows k0 + 1 on are then written
-    from the state history, the logged signals derived from it with the
-    per-tick operations, and the log trimmed at the first row whose plant
-    state leaves the box, as the per-tick loop does; the ticks after the
-    block that holds that row are not run.
+    from the state history, the logged outputs and actions derived from it
+    with the per-tick formulas run on its columns, and the log trimmed at
+    the first row whose plant state leaves the box, as the per-tick loop
+    does; the ticks after the block that holds that row are not run.
     """
     n = log.x.shape[1]
     size = 2 * n + 2 + 2 * STACK_DEPTH
@@ -340,8 +370,8 @@ def _frozen_tail(log, k0, start, gains, maps, probe):
     log.u_ob[rows] = hist[:, 2 * n]
     log.u_mf[rows] = hist[:, 2 * n + 1]
     Crow = maps[-1]
-    log.y[rows] = _row_dots(Crow, log.x[rows])
-    log.yhat[rows] = _row_dots(Crow, log.xhat[rows])
+    log.y[rows] = dot(Crow, components(log.x[rows]))
+    log.yhat[rows] = dot(Crow, components(log.xhat[rows]))
     log.e_ob[rows] = log.y[rows] - log.yhat[rows]
     log.e_mf[rows] = log.yref[rows] - log.y[rows]
     mu = {"ob": log.mu_ob, "cl": log.mu_cl, "mf": log.mu_mf}
@@ -349,9 +379,22 @@ def _frozen_tail(log, k0, start, gains, maps, probe):
     for i, s in enumerate(STRATEGIES):
         feats, lag, _ = views[s]
         F = feats[k0 - lag:k0 - lag + len(hist)]
-        mu[s][rows] = _row_dots(gains[s], F) + w[:len(hist), i]
+        mu[s][rows] = dot(gains[s], components(F)) + w[:len(hist), i]
     log.u_total[rows] = log.mu_cl[rows] + log.u_mf[rows]
     log.v[rows] = log.u_ob[rows] + log.u_total[rows]
+
+
+@contextmanager
+def _float_states(states):
+    """The states with theta, pi and S as lists of Python floats inside the
+    block, and as numpy arrays again after it."""
+    for st in states.values():
+        st.theta, st.pi, st.S = st.theta.tolist(), st.pi.tolist(), st.S.tolist()
+    try:
+        yield
+    finally:
+        for st in states.values():
+            st.theta, st.pi, st.S = np.array(st.theta), np.array(st.pi), np.array(st.S)
 
 
 def run_episode(model, ref_spec, cfg, horizon=20.0,
@@ -366,7 +409,8 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
         learning_enabled: when False the critic/actor updates are skipped,
             the initial gains act as fixed controllers and log.regressors
             stays empty.
-        initial: optional dict of StrategyState overriding the defaults.
+        initial: optional dict of StrategyState overriding the defaults;
+            the states are updated in place.
 
     From the first tick on which every strategy acts and none adapts (the
     learning has frozen, is off, or every initial state is frozen), the
@@ -389,12 +433,16 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
     Phi, Gam = L[-1, :, :n], L[-1, :, n]
     L_hat = held_input_maps(model.A_hat, model.B_hat, h, SUBSTEPS)
     Phi_hat, Gam_hat = L_hat[-1, :, :n], L_hat[-1, :, n]
-    # the closed-loop learner's stage cost is priced on [xhat; v]
-    W_cl = tick_cost_form(L_hat, cfg.Q, cfg.R, h)
-    Crow = model.C[0]
+    maps = (Phi, Gam, Phi_hat, Gam_hat, model.C[0])
+    # the tick computes on Python floats, so it takes the maps and the
+    # stage-cost weights as lists; the closed-loop learner's stage cost is
+    # priced on [xhat; v]
+    Phi, Gam, Phi_hat, Gam_hat, Crow = (a.tolist() for a in maps)
+    Q = cfg.Q.tolist()
+    forms = {"ob": Q, "cl": tick_cost_form(L_hat, cfg.Q, cfg.R, h).tolist(), "mf": Q}
 
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    xh = np.zeros(n) if xhat0 is None else np.asarray(xhat0, dtype=float).copy()
+    x = [0.0] * n if x0 is None else np.asarray(x0, dtype=float).tolist()
+    xh = [0.0] * n if xhat0 is None else np.asarray(xhat0, dtype=float).tolist()
     u_ob = 0.0
     u_mf = 0.0
 
@@ -405,97 +453,86 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
     t_start = np.arange(n_ticks) * delta
     log.t[1:] = t_start + delta
     log.yref[:] = eval_reference(ref_spec, log.t)
+    yref = log.yref.tolist()
     probe = {s: cfg.probe(t_start, s).tolist() for s in STRATEGIES}
     views = strategy_views(log)
-    # the strategies that take learner steps; a strategy's theta/pi rows are
-    # written while it adapts, rows_held[s] counts them, and the rest are
-    # filled with its final values after the loop
+    # the strategies that take learner steps
     adapting = [s for s in STRATEGIES if learning_enabled and not states[s].frozen]
-    rows_held = dict.fromkeys(STRATEGIES, 0)
-    buffers = {s: (np.empty(states[s].pi.size + 1), np.empty(states[s].pi.size + 1))
-               for s in adapting}
 
     def record(k, mu, u_tot, v):
-        y = float(Crow @ x)
-        yh = float(Crow @ xh)
-        log.x[k] = x
-        log.xhat[k] = xh
-        log.y[k] = y
-        log.yhat[k] = yh
-        log.e_ob[k] = y - yh
-        log.e_mf[k] = log.yref[k] - y
-        log.u_total[k] = u_tot
-        log.mu_cl[k] = mu["cl"]
-        log.u_ob[k] = u_ob
-        log.u_mf[k] = u_mf
-        log.mu_ob[k] = mu["ob"]
-        log.mu_mf[k] = mu["mf"]
-        log.v[k] = v
-        for s in adapting:
-            log.theta_hist[s][k] = states[s].theta
-            log.pi_hist[s][k] = states[s].pi
-            rows_held[s] = k + 1
+        # row k: the TICK_COLUMNS in order, then each strategy's theta and pi
+        y = dot(Crow, x)
+        yh = dot(Crow, xh)
+        row = [*x, *xh, y, yh, y - yh, yref[k] - y, u_tot, mu["cl"], u_ob, u_mf,
+               mu["ob"], mu["mf"], v]
+        for s in STRATEGIES:
+            row += states[s].theta
+            row += states[s].pi
+        log.write_row(k, row)
 
-    record(0, dict.fromkeys(STRATEGIES, 0.0), 0.0, 0.0)
+    # rows from tail_start on are written by the frozen tail, which leaves
+    # theta and pi to be filled after the loop
+    tail_start = n_ticks + 1
+    with _float_states(states):
+        record(0, dict.fromkeys(STRATEGIES, 0.0), 0.0, 0.0)
 
-    for k in range(n_ticks):
-        if k >= STACK_DEPTH - 1 and not adapting:
-            # every strategy acts and none adapts: the rest of the episode
-            # is one fixed affine recurrence
-            _frozen_tail(log, k, (x, xh, u_ob, u_mf), {s: states[s].pi for s in STRATEGIES},
-                         (Phi, Gam, Phi_hat, Gam_hat, Crow), probe)
-            break
-        t = k * delta
-        # a strategy acts once its features exist (k >= lag); until then
-        # its increment stays at zero (warm-up gating)
-        mu = {s: float(states[s].pi @ rows[k - lag]) + probe[s][k] if k >= lag else 0.0
-              for s, (rows, lag, _) in views.items()}
-        u_ob += mu["ob"]
-        u_mf += mu["mf"]
-        u_tot = mu["cl"] + u_mf
-        # the closed-loop learner prices the full input seen by the desired
-        # model, which is what keeps its logged data Bellman-consistent
-        v = u_ob + u_tot
+        for k in range(n_ticks):
+            if k >= STACK_DEPTH - 1 and not adapting:
+                # every strategy acts and none adapts: the rest of the
+                # episode is one fixed affine recurrence
+                _frozen_tail(log, k, (x, xh, u_ob, u_mf),
+                             {s: np.array(states[s].pi) for s in STRATEGIES}, maps, probe)
+                tail_start = k + 1
+                break
+            t = k * delta
+            # a strategy acts once its features exist (k >= lag); until then
+            # its increment stays at zero (warm-up gating)
+            F = {}
+            mu = dict.fromkeys(STRATEGIES, 0.0)
+            for s, (rows, lag, _) in views.items():
+                if k >= lag:
+                    F[s] = rows[k - lag].tolist()
+                    mu[s] = dot(states[s].pi, F[s]) + probe[s][k]
+            u_ob += mu["ob"]
+            u_mf += mu["mf"]
+            u_tot = mu["cl"] + u_mf
+            # the closed-loop learner prices the full input seen by the
+            # desired model, which is what keeps its logged data
+            # Bellman-consistent
+            v = u_ob + u_tot
 
-        x = Phi @ x + Gam * u_tot
-        xh = Phi_hat @ xh + Gam_hat * v
-        t_next = t + delta
+            x = [dot(row, x) + g * u_tot for row, g in zip(Phi, Gam)]
+            xh = [dot(row, xh) + g * v for row, g in zip(Phi_hat, Gam_hat)]
+            t_next = t + delta
 
-        # false for nan and inf as well as for a state outside the box
-        if not (np.abs(x).max() <= 1e7):
-            log.diverged = t_next
-            log.trim(k + 1)
-            break
+            # false for nan and inf as well as for a state outside the box;
+            # max() would pass a nan that is not its first argument
+            if not all(abs(c) <= 1e7 for c in x):
+                log.diverged = t_next
+                log.trim(k + 1)
+                break
 
-        record(k + 1, mu, u_tot, v)
+            record(k + 1, mu, u_tot, v)
 
-        # a frozen strategy costs nothing per tick; an adapting one takes
-        # bellman_sample's formula for one tick.  F, F_next and the buffers
-        # are contiguous, so each dot rounds as its row of the stacked rebuild
-        for s in tuple(adapting):
-            rows, lag, action = views[s]
-            if k >= lag:
-                F, F_next, mu_s = rows[k - lag], rows[k - lag + 1], action[k + 1]
-                Z_t, Z_next = buffers[s]
-                Z_t[:-1] = F
-                Z_t[-1] = mu_s
-                Z_next[:-1] = F_next
-                Z_next[-1] = states[s].pi @ F_next
-                z_tilde = bellman_regressor(Z_t, Z_next)
-                if s == "cl":
-                    phi = quadratic_form(Z_t, W_cl)
-                else:
-                    phi = cfg.delta * utility(F, mu_s, cfg.Q, cfg.R)
-                _learn_step(states[s], z_tilde, phi, F, cfg, t)
-                if states[s].frozen:
-                    log.t_converged[s] = t_next
-                    adapting.remove(s)
+            # a frozen strategy costs nothing per tick; an adapting one
+            # takes its Bellman sample with the formula bellman_log runs on
+            # the log columns
+            for s in tuple(adapting):
+                rows, lag, action = views[s]
+                if k >= lag:
+                    z_tilde, phi = bellman_sample(s, F[s], float(action[k + 1]),
+                                                  rows[k - lag + 1].tolist(), states[s].pi,
+                                                  cfg, forms[s])
+                    _learn_step(states[s], z_tilde, phi, F[s], cfg, t)
+                    if states[s].frozen:
+                        log.t_converged[s] = t_next
+                        adapting.remove(s)
 
     for s in STRATEGIES:
-        log.theta_hist[s][rows_held[s]:] = states[s].theta
-        log.pi_hist[s][rows_held[s]:] = states[s].pi
+        log.theta_hist[s][tail_start:] = states[s].theta
+        log.pi_hist[s][tail_start:] = states[s].pi
     if learning_enabled:
-        log.regressors = bellman_log(log, cfg, W_cl)
+        log.regressors = bellman_log(log, cfg, forms)
     for s in STRATEGIES:
         log.pi_final[s] = states[s].pi.copy()
         log.theta_final[s] = states[s].theta.copy()

@@ -7,14 +7,27 @@ vector theta (upper-triangular entries, diagonal monomials carrying the
 of the kernel blocks.  The plant has one input (m = 1), so the control
 block S_mumu is the last diagonal entry and the greedy gain is a scalar
 division.  Critic and actor both use normalized-projection updates that
-contract for pace 0 < sigma < 2; they run once per strategy and tick, so
-they take arrays as they are and do no shape conversion of their own.
+contract for pace 0 < sigma < 2.
+
+Every formula is written component by component: a vector is a sequence of
+components, a sum runs in index order as s = s + a_i * b_i from s = 0.0,
+and nothing calls BLAS.  A learner tick passes lists of Python floats (a
+kernel as a list of rows), which cost far less per operation than numpy
+calls on 4-vectors do.  A stack of ticks passes one numpy column per
+component: numpy's elementwise operations round as Python's float
+operations do, so each row of a stacked result equals the one-tick value
+bit for bit, whatever the memory layout of the columns.  A numpy vector is
+read along its last axis (a stack of vectors gives its columns), and a
+vector result is a numpy array when the vector argument is one (the
+regressors always are).
 """
 
 import math
 import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -39,18 +52,40 @@ def _tri_layout(d):
     return rows, cols, weights
 
 
+@lru_cache(maxsize=None)
+def _monomial_terms(d):
+    """(i, j, w) of each theta slot: its index pair and monomial weight."""
+    return tuple(zip(*(a.tolist() for a in _tri_layout(d))))
+
+
+def components(x):
+    """The components of a numpy vector, the form the formulas below compute
+    on: its floats, or for a stack of vectors (the last axis indexing the
+    components) one column per component, as views."""
+    return x.tolist() if x.ndim == 1 else list(x.T)
+
+
+def dot(a, b):
+    """sum_i a_i b_i, in index order from 0.0, of two sequences of
+    components: a float for two vectors of floats, one value per row for
+    two stacks given as columns.  The sequences are taken as they are, so
+    a numpy stack is passed as its columns."""
+    s = 0.0
+    for i in range(len(a)):
+        s = s + a[i] * b[i]
+    return s
+
+
 def qmonomials(Z):
     """Quadratic monomials of Z matching the theta layout.
 
-    Diagonal slots hold 1/2 Z_i^2 and off-diagonal slots Z_i Z_j, so that
-    theta' qmonomials(Z) = 1/2 Z' S Z when theta stores S entrywise.  Acts
-    on the last axis: a stack of vectors gives a stack of monomial rows.
+    Diagonal slots hold 1/2 Z_i^2 and off-diagonal slots Z_i Z_j, each
+    taken as (w Z_i) Z_j with the slot weight w, so that theta'
+    qmonomials(Z) = 1/2 Z' S Z when theta stores S entrywise.  Returns a
+    numpy array; a stack of vectors gives a stack of monomial rows.
     """
-    # index the transpose, whose first axis is the last axis of Z: one
-    # vector and a stack of them take the same fast fancy-indexing path
-    ZT = np.asarray(Z, dtype=float).T
-    rows, cols, weights = _tri_layout(ZT.shape[0])
-    return weights * ZT[rows].T * ZT[cols].T
+    z = components(Z) if isinstance(Z, np.ndarray) else Z
+    return np.array([w * z[i] * z[j] for i, j, w in _monomial_terms(len(z))]).T
 
 
 @lru_cache(maxsize=None)
@@ -68,8 +103,18 @@ def _kernel_index(size):
     return index
 
 
+@lru_cache(maxsize=None)
+def _kernel_rows(size):
+    """One getter per kernel row, taking the row's entries (a tuple) from a
+    theta of the given length."""
+    return tuple(itemgetter(*row) for row in _kernel_index(size).tolist())
+
+
 def theta_to_S(theta):
-    """Unflatten theta into the symmetric kernel matrix."""
+    """Unflatten theta into the symmetric kernel matrix: a list of row
+    tuples for a list of floats, a numpy array for anything else."""
+    if isinstance(theta, list):
+        return [row(theta) for row in _kernel_rows(len(theta))]
     theta = np.asarray(theta, dtype=float)
     return theta[_kernel_index(theta.size)]
 
@@ -82,39 +127,44 @@ def S_to_theta(S):
 
 
 def quadratic_form(x, M):
-    """x' M x over the last axis of x, one value per vector of a stack.
-
-    One vector takes (x @ M) @ x and a stack the stacked matmuls
-    (.., 1, d) @ (d, d) @ (.., d, 1).  numpy runs both as one gemv and one
-    dot per vector, so a row of a stacked result equals the single-vector
-    value bit for bit (a stacked einsum, an elementwise sum or an (n, d) @
-    (d, d) product does not).  x must be contiguous along its last axis:
-    other strides take another dot and round differently.
-    """
-    if x.ndim == 1:
-        return (x @ M) @ x
-    return ((x[..., None, :] @ M) @ x[..., :, None])[..., 0, 0]
+    """x' M x over the last axis of x, one value per vector of a stack:
+    sum_i x_i (M_i . x), every sum in index order.  M is a matrix or a
+    sequence of its rows."""
+    if isinstance(x, np.ndarray):
+        x = components(x)
+    if isinstance(M, np.ndarray):
+        M = M.tolist()
+    s = 0.0
+    for i in range(len(x)):
+        row = M[i]
+        r = 0.0
+        for j in range(len(x)):
+            r = r + row[j] * x[j]
+        s = s + x[i] * r
+    return s
 
 
 def utility(F, mu, Q, R):
     """Stage utility U = 1/2 (F' Q F + mu R mu) over the last axis of F.
 
     The plant has one input, so R is a scalar and mu holds one action per
-    vector of F (a scalar for one vector); (mu * R) * mu rounds as the
-    1x1 matmul mu' R mu does.
+    vector of F (a scalar for one vector).
     """
     return 0.5 * (quadratic_form(F, Q) + (mu * R) * mu)
 
 
 def quadratic_value(S, Z):
     """V = 1/2 Z' S Z."""
-    Z = np.asarray(Z, dtype=float)
-    return 0.5 * float(Z @ np.asarray(S, dtype=float) @ Z)
+    return 0.5 * quadratic_form(Z, S)
 
 
 def bellman_regressor(Z_t, Z_next):
-    """Regressor z_tilde with theta' z_tilde = V(Z_t) - V(Z_next)."""
-    return qmonomials(Z_t) - qmonomials(Z_next)
+    """Regressor z_tilde with theta' z_tilde = V(Z_t) - V(Z_next), the
+    difference of the qmonomials of the two vectors, as a numpy array."""
+    a = components(Z_t) if isinstance(Z_t, np.ndarray) else Z_t
+    b = components(Z_next) if isinstance(Z_next, np.ndarray) else Z_next
+    return np.array([w * a[i] * a[j] - w * b[i] * b[j]
+                     for i, j, w in _monomial_terms(len(a))]).T
 
 
 def policy_from_kernel(S, n_features=None, eps_sing=1e-8):
@@ -124,53 +174,84 @@ def policy_from_kernel(S, n_features=None, eps_sing=1e-8):
     so the gain is -(S_muF * (1 / s)), which rounds as a LAPACK solve of the
     1x1 system does (S_muF / s does not); |s| < eps_sing raises
     SingularKernelError.  n_features gives the size of the F partition and
-    must leave that 1x1 block; ValueError otherwise.
+    must leave that 1x1 block; ValueError otherwise.  A kernel given as a
+    sequence of rows gives the gain as a list holding one row.
     """
-    S = np.asarray(S, dtype=float)
-    nf = S.shape[0] - 1
-    if n_features not in (None, nf):
+    rows = S.tolist() if isinstance(S, np.ndarray) else S
+    nf = len(rows) - 1
+    if n_features is not None and n_features != nf:
         raise ValueError(f"n_features = {n_features} does not leave a 1x1 control block")
-    s = S[nf, nf]
+    last = rows[nf]
+    s = last[nf]
     if abs(s) < eps_sing:
         raise SingularKernelError(f"|S_mumu| = {abs(s):.3g} below {eps_sing:.3g}")
-    return -(S[nf:, :nf] * (1 / s))
+    inv = 1 / s
+    gain = [[-(v * inv) for v in last[:nf]]]
+    return np.array(gain) if isinstance(S, np.ndarray) else gain
 
 
 def critic_update(theta, z_tilde, phi, sigma_c, alpha_c):
     """Normalized-projection critic step toward theta' z_tilde = phi.
 
-    theta and z_tilde are float arrays of the same length.
+    theta and z_tilde are vectors of the same length; the result is a list,
+    or a numpy array if theta is one.
     """
-    residual = theta @ z_tilde - phi
-    return theta - sigma_c * z_tilde / (alpha_c + z_tilde @ z_tilde) * residual
+    th = components(theta) if isinstance(theta, np.ndarray) else theta
+    z = components(z_tilde) if isinstance(z_tilde, np.ndarray) else z_tilde
+    # theta . z and z . z, each summed in index order
+    r = n = 0.0
+    for i in range(len(z)):
+        zi = z[i]
+        r = r + th[i] * zi
+        n = n + zi * zi
+    residual = r - phi
+    denom = alpha_c + n
+    new = [th[i] - sigma_c * z[i] / denom * residual for i in range(len(th))]
+    return np.array(new).T if isinstance(theta, np.ndarray) else new
 
 
 def actor_update(pi, F, phi_target, sigma_a, alpha_a, rate_limit=None):
     """Normalized-projection actor step toward pi F = phi_target.
 
-    pi is a gain row with a scalar target, and the result a row; or pi is
-    (1, n) with a length-1 target, and the result (1, n).  F is a float
-    array.  rate_limit, when set, clamps the residual to [-rate_limit,
-    rate_limit] before the step; near-singular kernels make the greedy
-    target hypersensitive to critic noise and an unclamped step can
-    destabilize the loop.  The clamp is Python's min and max, which give
-    what np.clip gives (a NaN residual stays NaN), and residual * F holds
-    the entries of their outer product.
+    pi is a gain row with a scalar target, and the result a row (a list,
+    or a numpy array if pi is one); or pi is a (1, n) array with a length-1
+    target, and the result (1, n).  rate_limit, when set, clamps the
+    residual to [-rate_limit, rate_limit] before the step; near-singular
+    kernels make the greedy target hypersensitive to critic noise and an
+    unclamped step can destabilize the loop.  The clamp is Python's min and
+    max, which give what np.clip gives (a NaN residual stays NaN).
     """
-    residual = pi @ F - phi_target
+    p = components(pi) if isinstance(pi, np.ndarray) else pi
+    f = components(F) if isinstance(F, np.ndarray) else F
+    # pi . F and F . F, each summed in index order
+    r = n = 0.0
+    for i in range(len(f)):
+        fi = f[i]
+        r = r + p[i] * fi
+        n = n + fi * fi
+    residual = r - phi_target
     if rate_limit is not None:
         residual = min(max(residual, -rate_limit), rate_limit)
-    return pi - sigma_a * (residual * F) / (alpha_a + F @ F)
+    denom = alpha_a + n
+    new = [p[i] - sigma_a * (residual * f[i]) / denom for i in range(len(p))]
+    return np.array(new).T if isinstance(pi, np.ndarray) else new
 
 
 def kernel_converged(S_prev, S_next, tol_conv):
     """True when the Frobenius distance between kernels is below tol_conv.
 
-    The distance is sqrt(d . d) of the raveled difference, as np.linalg.norm
-    computes it.
+    The distance is the square root of the sum of the squared entry
+    differences, summed row by row in index order.
     """
-    diff = np.subtract(S_next, S_prev).ravel()
-    return math.sqrt(diff @ diff) < tol_conv
+    if isinstance(S_prev, np.ndarray):
+        S_prev = S_prev.tolist()
+    if isinstance(S_next, np.ndarray):
+        S_next = S_next.tolist()
+    s = 0.0
+    for p, q in zip(chain.from_iterable(S_prev), chain.from_iterable(S_next)):
+        d = q - p
+        s = s + d * d
+    return math.sqrt(s) < tol_conv
 
 
 # probe phases of each strategy, one per frequency
@@ -269,7 +350,7 @@ class LearningConfig:
         if ew.min() < -1e-12:
             raise ValueError("Q must be positive semidefinite")
         if self.init not in ("stabilizing", "identity"):
-            raise ValueError("init must be 'stabilizing' or 'identity'")
+            raise ValueError(f"init must be 'stabilizing' or 'identity', not {self.init!r}")
 
     def probe(self, t, strategy):
         """Probe of a strategy at time t, a scalar or an array of times."""

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from modelfollow.cli_io import parse_config
 from modelfollow.control_loop import run_episode
+
+# every run draws the same examples, locally and in CI, and writes no
+# example database; no deadline, since a shared runner's timing varies
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,7 @@ from modelfollow.control_loop import (
 )
 from modelfollow.dynamics import held_input_maps
 from modelfollow.learner import bellman_regressor
+from sequential import seq_dot, seq_quadratic_form
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -34,16 +35,15 @@ def test_rows_match_per_tick_rebuild(model, default_config, episode):
     assert all(t is not None and t < 2.0 for t in log.t_converged.values())
     n_ticks = len(log.t) - 1
     W_cl = closed_loop_form(model, cfg)
-    R = np.atleast_2d(cfg.R)
 
     Z, phi = log.regressors["cl"]
     assert Z.shape == (n_ticks, 10) and phi.shape == (n_ticks,)
     pi = log.pi_hist["cl"]
     for k in range(n_ticks):
         z = np.append(log.xhat[k], log.u_ob[k + 1] + log.u_total[k + 1])
-        z_next = np.append(log.xhat[k + 1], float(pi[k + 1] @ log.xhat[k + 1]))
+        z_next = np.append(log.xhat[k + 1], seq_dot(pi[k + 1], log.xhat[k + 1]))
         assert np.array_equal(Z[k], bellman_regressor(z, z_next)), ("cl", k)
-        assert phi[k] == float(z @ W_cl @ z), ("cl", k)
+        assert phi[k] == seq_quadratic_form(z, W_cl), ("cl", k)
 
     for s in ("ob", "mf"):
         e, mu, pi = getattr(log, "e_" + s), getattr(log, "mu_" + s), log.pi_hist[s]
@@ -51,10 +51,10 @@ def test_rows_match_per_tick_rebuild(model, default_config, episode):
         assert Z.shape == (n_ticks - (STACK_DEPTH - 1), 10) == (len(phi), 10)
         for k in range(STACK_DEPTH - 1, n_ticks):
             F, F_next = e[k - 2:k + 1], e[k - 1:k + 2]
-            m = np.array([mu[k + 1]])
-            assert mu[k + 1] == float(pi[k + 1] @ F) + cfg.probe(k * cfg.delta, s)
-            z = bellman_regressor(np.append(F, m), np.append(F_next, float(pi[k + 1] @ F_next)))
-            cost = cfg.delta * (0.5 * float(F @ cfg.Q @ F + m @ R @ m))
+            m = mu[k + 1]
+            assert m == seq_dot(pi[k + 1], F) + cfg.probe(k * cfg.delta, s)
+            z = bellman_regressor(np.append(F, m), np.append(F_next, seq_dot(pi[k + 1], F_next)))
+            cost = cfg.delta * (0.5 * (seq_quadratic_form(F, cfg.Q) + (m * cfg.R) * m))
             row = k - (STACK_DEPTH - 1)
             assert np.array_equal(Z[row], z), (s, k)
             assert phi[row] == cost, (s, k)

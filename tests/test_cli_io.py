@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -364,6 +365,54 @@ def test_zero_prior_runs(tmp_path, capsys, key, rc, err):
     config.write_text(f"[learning]\n{key} = [0, 0, 0]\n")
     assert main(["run", str(config), "--outdir", str(tmp_path)]) == rc
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("text, diverged", [
+    # the plant state leaves the 1e7 box on tick 28, with all three
+    # strategies adapting on every tick
+    ("[learning]\npi_cl0 = [100, 100, 100]\n", 0.29000000000000004),
+    # S = I with the freeze off: every strategy adapts until the divergence
+    ("[learning]\ninit = identity\ntol_conv = 0\n", 13.96),
+])
+def test_overflowing_learning_run_exits_2(tmp_path, capsys, text, diverged):
+    # the adapting tick computes on Python floats, whose division by zero
+    # and overflow raise where numpy's warn: the episode must still end at
+    # the divergence time with exit code 2, and nothing may raise or warn
+    config = tmp_path / "overflow.ini"
+    config.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(config), "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"episode diverged at t = {diverged:.4g} s\n"
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["diverged_at"] == diverged
+    assert summary["convergence_time_s"] == dict.fromkeys(STRATEGIES)
+
+
+@pytest.mark.parametrize("horizon", ["0.015", "0.025", "0.004", "20.005"])
+def test_horizon_between_ticks_rejected(horizon):
+    # an episode runs whole ticks: a horizon between two ticks used to be
+    # rounded half to even (0.015 and 0.025 both ran 0.02 s, 0.004 no tick)
+    with pytest.raises(ConfigError, match=rf"\[run\] horizon = {horizon} .*delta = 0\.01"):
+        parse_config(f"[run]\nhorizon = {horizon}\n")
+
+
+@pytest.mark.parametrize("text, ticks", [
+    ("[run]\nhorizon = 0.29\n", 29),
+    ("[run]\nhorizon = 18.42\n", 1842),
+    ("[learning]\ndelta = 0.05\n", 400),
+    ("[learning]\ndelta = 0.002\n[run]\nhorizon = 0.3\n", 150),
+])
+def test_horizon_of_whole_ticks_accepted(text, ticks):
+    # a decimal horizon divides by delta only to within rounding
+    cfg = parse_config(text)
+    assert round(cfg.horizon / cfg.learning.delta) == ticks
+
+
+def test_bad_init_is_echoed():
+    # a JSON-quoted value is taken as the plain text, quotes included
+    with pytest.raises(ConfigError, match=r"""init must be 'stabilizing' or 'identity', not '"identity"'"""):
+        parse_config('[learning]\ninit = "identity"\n')
 
 
 def test_zero_horizon_run(tmp_path):

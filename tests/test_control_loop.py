@@ -51,13 +51,16 @@ def test_converged_gain_decays(model):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_nonfinite_state_diverges_on_first_tick(model, default_config, bad):
     # a nan or inf plant state fails the divergence test like a state
-    # outside the 1e7 box: the first tick ends the episode
+    # outside the 1e7 box, in whichever component it is: the first tick
+    # ends the episode
     c = default_config
-    with np.errstate(invalid="ignore"):  # inf * 0 in the output and state maps
-        log = run_episode(model, c.reference, c.learning, horizon=1.0,
-                          x0=[bad, 0.0, 0.0])
-    assert log.diverged == 0.01
-    assert len(log.t) == 1 and log.x.shape == (1, 3)
+    for position in range(3):
+        x0 = [0.0, 0.0, 0.0]
+        x0[position] = bad
+        with np.errstate(invalid="ignore"):  # inf * 0 in the output and state maps
+            log = run_episode(model, c.reference, c.learning, horizon=1.0, x0=x0)
+        assert log.diverged == 0.01, position
+        assert len(log.t) == 1 and log.x.shape == (1, 3), position
 
 
 def test_warmup_gating(model, default_config):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from modelfollow.learner import (
     qmonomials, policy_from_kernel, critic_update, actor_update,
     theta_to_S, S_to_theta, kernel_converged, tri_indices,
 )
+from sequential import seq_dot, seq_quadratic_form
 
 
 def rand_sym(rng, d):
@@ -208,7 +211,7 @@ def test_stacked_rows_match_single_vectors():
     for i in range(n):
         assert U[i] == utility(F[i], mu[i], Q, 0.01), i
         assert np.array_equal(z[i], bellman_regressor(Zt[i], Zn[i])), i
-        assert q[i] == float(Zt[i] @ W @ Zt[i]), i
+        assert q[i] == seq_quadratic_form(Zt[i], W), i
 
 
 def test_layout_matches_loop_reference():
@@ -268,15 +271,16 @@ def test_scalar_gain_equals_linear_solve():
 
 def test_kernel_converged_equals_norm_test():
     # at tol = ||dS|| the test is false and one ulp above it true, so a
-    # norm that differs from np.linalg.norm by one ulp fails on one side
+    # norm that differs from the sequential sum of the squared raveled
+    # differences by one ulp fails on one side
     rng = np.random.default_rng(13)
     for _ in range(20000):
         S_prev = rand_sym(rng, 4)
         S_next = S_prev + rand_sym(rng, 4) * rng.uniform(1e-8, 1.0)
-        norm = np.linalg.norm(S_next - S_prev)
+        diff = (S_next - S_prev).ravel()
+        norm = math.sqrt(seq_dot(diff, diff))
         for tol in (norm, np.nextafter(norm, np.inf)):
-            assert kernel_converged(S_prev, S_next, tol) == \
-                (np.linalg.norm(S_next - S_prev) < tol)
+            assert kernel_converged(S_prev, S_next, tol) == (norm < tol)
 
 
 def test_actor_row_equals_2d_call():
@@ -301,10 +305,10 @@ def test_actor_row_equals_2d_call():
         F = rng.normal(size=3) * rng.uniform(1e-3, 10)
         target = (np.nan, np.inf, -np.inf, pi @ F + rng.normal())[k % 4]
         limit = (None, 0.002, 0.0, 0)[k // 4 % 4]
-        residual = pi @ F - target
+        residual = seq_dot(pi, F) - target
         if limit is not None:
             residual = np.clip(residual, -limit, limit)
-        ref = pi - 0.5 * np.multiply.outer(residual, F) / (1.8 + F @ F)
+        ref = pi - 0.5 * np.multiply.outer(residual, F) / (1.8 + seq_dot(F, F))
         row = actor_update(pi, F, target, 0.5, 1.8, rate_limit=limit)
         full = actor_update(pi[None, :], F, np.array([target]), 0.5, 1.8, rate_limit=limit)
         assert row.shape == (3,) and full.shape == (1, 3)
