@@ -176,6 +176,35 @@ def test_cached_kernel_follows_theta(model, default_config):
         assert np.array_equal(states[s].S, theta_to_S(states[s].theta))
 
 
+def test_states_hold_arrays_after_an_episode(monkeypatch, model, default_config):
+    # a learner step computes on lists of Python floats; the initial= states
+    # hold numpy arrays again once run_episode returns, and also when a step
+    # raises part way through the episode
+    def arrays(st):
+        return [type(a) for a in (st.theta, st.pi, st.S)] == [np.ndarray] * 3
+
+    c = default_config
+    states = initial_strategies(model, c.learning)
+    log = run_episode(model, c.reference, c.learning, horizon=1.0, initial=states)
+    assert all(arrays(states[s]) for s in STRATEGIES)
+    assert all(np.array_equal(states[s].theta, log.theta_final[s]) for s in STRATEGIES)
+
+    steps = []
+
+    def failing(state, *args):
+        steps.append(state)
+        if len(steps) == 10:
+            raise RuntimeError("step failed")
+        learn_step(state, *args)
+
+    learn_step = control_loop._learn_step
+    monkeypatch.setattr(control_loop, "_learn_step", failing)
+    with pytest.raises(RuntimeError, match="step failed"):
+        run_episode(model, c.reference, c.learning, horizon=1.0, initial=states)
+    assert all(arrays(states[s]) for s in STRATEGIES)
+    assert all(np.array_equal(states[s].S, theta_to_S(states[s].theta)) for s in STRATEGIES)
+
+
 def test_non_scalar_plant_rejected(default_config):
     from modelfollow.dynamics import ProcessModel
     m = ProcessModel(A=-np.eye(2), B=np.eye(2), C=np.eye(2),
