@@ -81,8 +81,9 @@ class StrategyState:
     """Learner state of one strategy.  S is the kernel of theta, computed at
     construction and replaced together with theta, so that a learner step
     unflattens only the new theta.  theta, pi and S are numpy arrays; while
-    run_episode runs they are lists of Python floats (S a list of rows),
-    the form its learner steps compute on."""
+    run_episode runs theta and pi are lists of Python floats and S the
+    tuple of its entries (theta_to_S of the list), the form its learner
+    steps compute on."""
 
     theta: np.ndarray
     pi: np.ndarray
@@ -389,12 +390,14 @@ def _float_states(states):
     """The states with theta, pi and S as lists of Python floats inside the
     block, and as numpy arrays again after it."""
     for st in states.values():
-        st.theta, st.pi, st.S = st.theta.tolist(), st.pi.tolist(), st.S.tolist()
+        st.theta, st.pi = st.theta.tolist(), st.pi.tolist()
+        st.S = theta_to_S(st.theta)
     try:
         yield
     finally:
         for st in states.values():
-            st.theta, st.pi, st.S = np.array(st.theta), np.array(st.pi), np.array(st.S)
+            st.theta, st.pi = np.array(st.theta), np.array(st.pi)
+            st.S = theta_to_S(st.theta)
 
 
 def run_episode(model, ref_spec, cfg, horizon=20.0,

@@ -12,8 +12,8 @@ contract for pace 0 < sigma < 2.
 Every formula is written component by component: a vector is a sequence of
 components, a sum runs in index order as s = s + a_i * b_i from s = 0.0,
 and nothing calls BLAS.  A learner tick passes lists of Python floats (a
-kernel as a list of rows), which cost far less per operation than numpy
-calls on 4-vectors do.  A stack of ticks passes one numpy column per
+kernel as the tuple of its entries in row-major order), which cost far less
+per operation than numpy calls on 4-vectors do.  A stack of ticks passes one numpy column per
 component: numpy's elementwise operations round as Python's float
 operations do, so each row of a stacked result equals the one-tick value
 bit for bit, whatever the memory layout of the columns.  A numpy vector is
@@ -26,7 +26,6 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -104,17 +103,18 @@ def _kernel_index(size):
 
 
 @lru_cache(maxsize=None)
-def _kernel_rows(size):
-    """One getter per kernel row, taking the row's entries (a tuple) from a
+def _kernel_entries(size):
+    """A getter of the kernel's entries in row-major order (a tuple) from a
     theta of the given length."""
-    return tuple(itemgetter(*row) for row in _kernel_index(size).tolist())
+    return itemgetter(*_kernel_index(size).ravel().tolist())
 
 
 def theta_to_S(theta):
-    """Unflatten theta into the symmetric kernel matrix: a list of row
-    tuples for a list of floats, a numpy array for anything else."""
+    """Unflatten theta into the symmetric kernel matrix: for a list of
+    floats the tuple of its entries in row-major order, for anything else a
+    numpy array."""
     if isinstance(theta, list):
-        return [row(theta) for row in _kernel_rows(len(theta))]
+        return _kernel_entries(len(theta))(theta)
     theta = np.asarray(theta, dtype=float)
     return theta[_kernel_index(theta.size)]
 
@@ -174,14 +174,16 @@ def policy_from_kernel(S, n_features=None, eps_sing=1e-8):
     so the gain is -(S_muF * (1 / s)), which rounds as a LAPACK solve of the
     1x1 system does (S_muF / s does not); |s| < eps_sing raises
     SingularKernelError.  n_features gives the size of the F partition and
-    must leave that 1x1 block; ValueError otherwise.  A kernel given as a
-    sequence of rows gives the gain as a list holding one row.
+    must leave that 1x1 block; ValueError otherwise.  A kernel given as its
+    entries in row-major order (as theta_to_S gives it for a list) gives
+    the gain as a list holding one row.
     """
-    rows = S.tolist() if isinstance(S, np.ndarray) else S
-    nf = len(rows) - 1
+    entries = S.ravel().tolist() if isinstance(S, np.ndarray) else S
+    d = math.isqrt(len(entries))
+    nf = d - 1
     if n_features is not None and n_features != nf:
         raise ValueError(f"n_features = {n_features} does not leave a 1x1 control block")
-    last = rows[nf]
+    last = entries[-d:]
     s = last[nf]
     if abs(s) < eps_sing:
         raise SingularKernelError(f"|S_mumu| = {abs(s):.3g} below {eps_sing:.3g}")
@@ -241,14 +243,15 @@ def kernel_converged(S_prev, S_next, tol_conv):
     """True when the Frobenius distance between kernels is below tol_conv.
 
     The distance is the square root of the sum of the squared entry
-    differences, summed row by row in index order.
+    differences, summed in row-major order.  A kernel is a matrix or its
+    entries in row-major order.
     """
     if isinstance(S_prev, np.ndarray):
-        S_prev = S_prev.tolist()
+        S_prev = S_prev.ravel().tolist()
     if isinstance(S_next, np.ndarray):
-        S_next = S_next.tolist()
+        S_next = S_next.ravel().tolist()
     s = 0.0
-    for p, q in zip(chain.from_iterable(S_prev), chain.from_iterable(S_next)):
+    for p, q in zip(S_prev, S_next):
         d = q - p
         s = s + d * d
     return math.sqrt(s) < tol_conv
