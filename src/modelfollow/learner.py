@@ -174,11 +174,11 @@ def policy_from_kernel(S, n_features=None, eps_sing=1e-8):
     so the gain is -(S_muF * (1 / s)), which rounds as a LAPACK solve of the
     1x1 system does (S_muF / s does not); |s| < eps_sing raises
     SingularKernelError.  n_features gives the size of the F partition and
-    must leave that 1x1 block; ValueError otherwise.  A kernel given as its
-    entries in row-major order (as theta_to_S gives it for a list) gives
-    the gain as a list holding one row.
+    must leave that 1x1 block; ValueError otherwise.  A kernel given as the
+    tuple of its entries in row-major order (as theta_to_S gives it for a
+    list) gives the gain as a list holding one row, any other a numpy array.
     """
-    entries = S.ravel().tolist() if isinstance(S, np.ndarray) else S
+    entries = S if isinstance(S, tuple) else np.asarray(S, dtype=float).ravel().tolist()
     d = math.isqrt(len(entries))
     nf = d - 1
     if n_features is not None and n_features != nf:
@@ -189,7 +189,7 @@ def policy_from_kernel(S, n_features=None, eps_sing=1e-8):
         raise SingularKernelError(f"|S_mumu| = {abs(s):.3g} below {eps_sing:.3g}")
     inv = 1 / s
     gain = [[-(v * inv) for v in last[:nf]]]
-    return np.array(gain) if isinstance(S, np.ndarray) else gain
+    return gain if isinstance(S, tuple) else np.array(gain)
 
 
 def critic_update(theta, z_tilde, phi, sigma_c, alpha_c):
@@ -243,13 +243,13 @@ def kernel_converged(S_prev, S_next, tol_conv):
     """True when the Frobenius distance between kernels is below tol_conv.
 
     The distance is the square root of the sum of the squared entry
-    differences, summed in row-major order.  A kernel is a matrix or its
-    entries in row-major order.
+    differences, summed in row-major order.  A kernel is a matrix or the
+    tuple of its entries in row-major order.
     """
-    if isinstance(S_prev, np.ndarray):
-        S_prev = S_prev.ravel().tolist()
-    if isinstance(S_next, np.ndarray):
-        S_next = S_next.ravel().tolist()
+    if not isinstance(S_prev, tuple):
+        S_prev = np.asarray(S_prev, dtype=float).ravel().tolist()
+    if not isinstance(S_next, tuple):
+        S_next = np.asarray(S_next, dtype=float).ravel().tolist()
     s = 0.0
     for p, q in zip(S_prev, S_next):
         d = q - p
