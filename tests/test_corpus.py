@@ -11,7 +11,8 @@ number must match to 1e-12 of the largest magnitude of its quantity (a
 theta vector, a gain, one report field), since another numpy or BLAS may
 round differently; a report field that is a difference of larger terms
 takes the scale of those terms (_report_scales).  The hashes are
-compared only on the recorded build.
+compared only on the recorded build, and so are the numbers of the
+AMPLIFYING configs.
 
 A change of behaviour on purpose regenerates the file:
 
@@ -39,6 +40,13 @@ CORPUS = Path(__file__).parent / "corpus"
 GOLDEN = CORPUS / "golden.json"
 ARTIFACTS = ("trajectory.csv", "weights.csv", "summary.json")
 RTOL = 1e-12
+# configs whose learner amplifies last-bit rounding differences: stepping
+# every entry of the per-tick maps one ulp up or down moves the unclamped
+# actor's final theta and pi by 4e-8 and 8e-6 of their size and the
+# oracle-check numbers with them, while its exit codes, stderr, divergence
+# and freeze times stay put; another numpy or BLAS rounds the maps
+# differently, so those numbers are compared only on the recorded build
+AMPLIFYING = {"actor_rate_limit_null.ini"}
 
 
 def build():
@@ -128,17 +136,21 @@ def test_corpus_config_matches_golden(name):
     for key in ("exit", "stderr"):
         assert got["oracle_check"][key] == want["oracle_check"][key], key
     assert got["final"].keys() == want["final"].keys()
-    for key, values in want["final"].items():
-        _assert_close(got["final"][key], values, key)
     report, want_report = got["oracle_check"]["report"], want["oracle_check"]["report"]
     assert report.keys() == want_report.keys()
-    scales = _report_scales(load_config(CORPUS / name), want_report)
+    recorded_build = build() == GOLDEN_DATA["build"]
     for key, value in want_report.items():
         if isinstance(value, (bool, int)):
             assert report[key] == value, key
-        else:
+    if name in AMPLIFYING and not recorded_build:
+        return
+    for key, values in want["final"].items():
+        _assert_close(got["final"][key], values, key)
+    scales = _report_scales(load_config(CORPUS / name), want_report)
+    for key, value in want_report.items():
+        if not isinstance(value, (bool, int)):
             _assert_close(report[key], value, key, scales.get(key))
-    if build() == GOLDEN_DATA["build"]:
+    if recorded_build:
         assert got["sha256"] == want["sha256"]
 
 
