@@ -231,6 +231,7 @@ def bellman_sample(s, F, mu, F_next, pi, cfg, form):
     the one-tick value bit for bit.  form is the weight of the stage cost
     as a list of rows: the tick form W_cl on [xhat; v] for the closed-loop
     strategy, Q for the error-feature strategies, which cost delta * U(F, mu).
+    The regressor is returned as the list of its components.
     """
     Z_t = [*F, mu]
     z_tilde = bellman_regressor(Z_t, [*F_next, dot(pi, F_next)])
@@ -246,12 +247,14 @@ def bellman_log(log, cfg, forms):
     k >= lag of a strategy pairs its feature rows k - lag and k - lag + 1
     with the action and gain of log row k + 1; each enters bellman_sample
     as its columns.  forms[s] is the stage-cost weight of strategy s.
-    Returns {s: (Z, phi)}.
+    Returns {s: (Z, phi)}, Z stacked once from the regressor's columns
+    into one C-ordered row per tick.
     """
     samples = {}
     for s, (rows, lag, action) in strategy_views(log).items():
         F, F_next, pi = (components(a) for a in (rows[:-1], rows[1:], log.pi_hist[s][lag + 1:]))
-        samples[s] = bellman_sample(s, F, action[lag + 1:], F_next, pi, cfg, forms[s])
+        z_tilde, phi = bellman_sample(s, F, action[lag + 1:], F_next, pi, cfg, forms[s])
+        samples[s] = np.stack(z_tilde, axis=1), phi
     return samples
 
 

@@ -9,17 +9,22 @@ block S_mumu is the last diagonal entry and the greedy gain is a scalar
 division.  Critic and actor both use normalized-projection updates that
 contract for pace 0 < sigma < 2.
 
-Every formula is written component by component: a vector is a sequence of
-components, a sum runs in index order as s = s + a_i * b_i from s = 0.0,
-and nothing calls BLAS.  A learner tick passes lists of Python floats (a
-kernel as the tuple of its entries in row-major order), which cost far less
-per operation than numpy calls on 4-vectors do.  A stack of ticks passes one numpy column per
-component: numpy's elementwise operations round as Python's float
-operations do, so each row of a stacked result equals the one-tick value
-bit for bit, whatever the memory layout of the columns.  A numpy vector is
-read along its last axis (a stack of vectors gives its columns), and a
-vector result is a numpy array when the vector argument is one (the
-regressors always are).
+Every formula is written component by component, and a vector is a
+sequence of its components: Python floats for one vector (a kernel as the
+tuple of its entries in row-major order), one numpy column per component
+for a stack of vectors (components gives them).  dot, quadratic_form,
+bellman_regressor, critic_update, actor_update and kernel_converged each
+have one source generator; for a vector size n it writes the formula as
+straight-line Python, the components unpacked into locals and every sum
+one explicit left-to-right + chain in index order that starts at 0.0, as
+s = 0.0; s = s + a_i * b_i would compute it, never sum().  The kernel of a
+size is compiled on its first call and kept in a dict keyed by the size,
+so importing compiles nothing.  Nothing calls BLAS: numpy's elementwise
+operations round as Python's float operations do, so a stack of ticks run
+through a kernel gives each row the one-tick value bit for bit, whatever
+the memory layout of the columns.  A numpy vector or stack is converted at
+the boundary (components); only theta_to_S and policy_from_kernel take and
+give numpy kernels as well.
 """
 
 import math
@@ -51,12 +56,6 @@ def _tri_layout(d):
     return rows, cols, weights
 
 
-@lru_cache(maxsize=None)
-def _monomial_terms(d):
-    """(i, j, w) of each theta slot: its index pair and monomial weight."""
-    return tuple(zip(*(a.tolist() for a in _tri_layout(d))))
-
-
 def components(x):
     """The components of a numpy vector, the form the formulas below compute
     on: its floats, or for a stack of vectors (the last axis indexing the
@@ -64,27 +63,121 @@ def components(x):
     return x.tolist() if x.ndim == 1 else list(x.T)
 
 
+class _Kernels(dict):
+    """The kernels of one formula by vector size: kernels[n] is the function
+    that source(n) defines, compiled on its first lookup."""
+
+    def __init__(self, source):
+        super().__init__()
+        self.source = source
+
+    def __missing__(self, n):
+        namespace = {"sqrt": math.sqrt}
+        exec(compile(self.source(n), f"<{self.source.__name__}({n})>", "exec"), namespace)
+        kernel = self[n] = namespace["kernel"]
+        return kernel
+
+
+def _unpack(name, n):
+    """Bind the n components of the sequence `name` to name0, name1, ...;
+    a sequence of another length raises ValueError."""
+    return f"[{', '.join(f'{name}{i}' for i in range(n))}] = {name}"
+
+
+def _index_sum(terms):
+    """sum_i terms_i in index order as one left-to-right + chain from 0.0:
+    the value of s = 0.0; s = s + term for each term, so that the sum of
+    signed zeros is +0.0 as it is there."""
+    return " + ".join(["0.0", *terms])
+
+
+def _products(a, b, n):
+    """The terms a_i * b_i, i = 0 .. n - 1."""
+    return [f"{a}{i} * {b}{i}" for i in range(n)]
+
+
+def _dot_source(n):
+    return f"""
+def kernel(a, b):
+    {_unpack("a", n)}
+    {_unpack("b", n)}
+    return {_index_sum(_products("a", "b", n))}
+"""
+
+
+_DOT = _Kernels(_dot_source)
+
+
 def dot(a, b):
     """sum_i a_i b_i, in index order from 0.0, of two sequences of
     components: a float for two vectors of floats, one value per row for
-    two stacks given as columns.  The sequences are taken as they are, so
-    a numpy stack is passed as its columns."""
-    s = 0.0
-    for i in range(len(a)):
-        s = s + a[i] * b[i]
-    return s
+    two stacks given as columns."""
+    return _DOT[len(a)](a, b)
 
 
-def qmonomials(Z):
-    """Quadratic monomials of Z matching the theta layout.
+def _quadratic_form_source(n):
+    rows = ", ".join(f"[{', '.join(f'M{i}_{j}' for j in range(n))}]" for i in range(n))
+    terms = [f"x{i} * ({_index_sum(f'M{i}_{j} * x{j}' for j in range(n))})" for i in range(n)]
+    return f"""
+def kernel(x, M):
+    {_unpack("x", n)}
+    [{rows}] = M
+    return {_index_sum(terms)}
+"""
 
-    Diagonal slots hold 1/2 Z_i^2 and off-diagonal slots Z_i Z_j, each
-    taken as (w Z_i) Z_j with the slot weight w, so that theta'
-    qmonomials(Z) = 1/2 Z' S Z when theta stores S entrywise.  Returns a
-    numpy array; a stack of vectors gives a stack of monomial rows.
+
+_QUADRATIC_FORM = _Kernels(_quadratic_form_source)
+
+
+def quadratic_form(x, M):
+    """x' M x as sum_i x_i (M_i . x), every sum in index order from 0.0: a
+    float for a vector of floats, one value per row for a stack given as
+    columns.  M is a sequence of the n rows of its n entries."""
+    return _QUADRATIC_FORM[len(x)](x, M)
+
+
+def utility(F, mu, Q, R):
+    """Stage utility U = 1/2 (F' Q F + mu R mu) of the components F.
+
+    The plant has one input, so R is a scalar and mu holds one action per
+    vector of F (a scalar for one vector).
     """
-    z = components(Z) if isinstance(Z, np.ndarray) else Z
-    return np.array([w * z[i] * z[j] for i, j, w in _monomial_terms(len(z))]).T
+    return 0.5 * (quadratic_form(F, Q) + (mu * R) * mu)
+
+
+def quadratic_value(S, Z):
+    """V = 1/2 Z' S Z of a numpy kernel and vector, or one value per row of
+    a stack of vectors."""
+    return 0.5 * quadratic_form(components(np.asarray(Z, dtype=float)),
+                                np.asarray(S, dtype=float).tolist())
+
+
+def _monomials(z, n):
+    """The quadratic monomials of z in the theta layout (tri_indices): the
+    diagonal slots 1/2 z_i^2 as (0.5 z_i) z_i, the others z_i z_j, so that
+    theta' monomials = 1/2 Z' S Z when theta stores S entrywise."""
+    return [f"0.5 * {z}{i} * {z}{i}" if i == j else f"{z}{i} * {z}{j}"
+            for i, j in tri_indices(n)]
+
+
+def _bellman_regressor_source(n):
+    terms = (f"{m_t} - {m_next}" for m_t, m_next in zip(_monomials("a", n), _monomials("b", n)))
+    return f"""
+def kernel(a, b):
+    {_unpack("a", n)}
+    {_unpack("b", n)}
+    return [{", ".join(terms)}]
+"""
+
+
+_BELLMAN_REGRESSOR = _Kernels(_bellman_regressor_source)
+
+
+def bellman_regressor(Z_t, Z_next):
+    """Regressor z_tilde with theta' z_tilde = V(Z_t) - V(Z_next): the list
+    of the differences of the quadratic monomials of the two vectors, one
+    per theta slot (one column per slot for two stacks given as columns)."""
+    return _BELLMAN_REGRESSOR[len(Z_t)](Z_t, Z_next)
 
 
 @lru_cache(maxsize=None)
@@ -126,47 +219,6 @@ def S_to_theta(S):
     return S[rows, cols]
 
 
-def quadratic_form(x, M):
-    """x' M x over the last axis of x, one value per vector of a stack:
-    sum_i x_i (M_i . x), every sum in index order.  M is a matrix or a
-    sequence of its rows."""
-    if isinstance(x, np.ndarray):
-        x = components(x)
-    if isinstance(M, np.ndarray):
-        M = M.tolist()
-    s = 0.0
-    for i in range(len(x)):
-        row = M[i]
-        r = 0.0
-        for j in range(len(x)):
-            r = r + row[j] * x[j]
-        s = s + x[i] * r
-    return s
-
-
-def utility(F, mu, Q, R):
-    """Stage utility U = 1/2 (F' Q F + mu R mu) over the last axis of F.
-
-    The plant has one input, so R is a scalar and mu holds one action per
-    vector of F (a scalar for one vector).
-    """
-    return 0.5 * (quadratic_form(F, Q) + (mu * R) * mu)
-
-
-def quadratic_value(S, Z):
-    """V = 1/2 Z' S Z."""
-    return 0.5 * quadratic_form(Z, S)
-
-
-def bellman_regressor(Z_t, Z_next):
-    """Regressor z_tilde with theta' z_tilde = V(Z_t) - V(Z_next), the
-    difference of the qmonomials of the two vectors, as a numpy array."""
-    a = components(Z_t) if isinstance(Z_t, np.ndarray) else Z_t
-    b = components(Z_next) if isinstance(Z_next, np.ndarray) else Z_next
-    return np.array([w * a[i] * a[j] - w * b[i] * b[j]
-                     for i, j, w in _monomial_terms(len(a))]).T
-
-
 def policy_from_kernel(S, n_features=None, eps_sing=1e-8):
     """Greedy linear gain -S_mumu^{-1} S_muF from the kernel blocks, (1, d - 1).
 
@@ -192,69 +244,83 @@ def policy_from_kernel(S, n_features=None, eps_sing=1e-8):
     return gain if isinstance(S, tuple) else np.array(gain)
 
 
+def _critic_update_source(n):
+    steps = ", ".join(f"t{i} - sigma_c * z{i} / denom * residual" for i in range(n))
+    return f"""
+def kernel(t, z, phi, sigma_c, alpha_c):
+    {_unpack("t", n)}
+    {_unpack("z", n)}
+    residual = {_index_sum(_products("t", "z", n))} - phi
+    denom = alpha_c + ({_index_sum(_products("z", "z", n))})
+    return [{steps}]
+"""
+
+
+_CRITIC_UPDATE = _Kernels(_critic_update_source)
+
+
 def critic_update(theta, z_tilde, phi, sigma_c, alpha_c):
     """Normalized-projection critic step toward theta' z_tilde = phi.
 
-    theta and z_tilde are vectors of the same length; the result is a list,
-    or a numpy array if theta is one.
+    theta and z_tilde are sequences of the same length; the result is a
+    list.  theta . z_tilde and z_tilde . z_tilde are summed in index order.
     """
-    th = components(theta) if isinstance(theta, np.ndarray) else theta
-    z = components(z_tilde) if isinstance(z_tilde, np.ndarray) else z_tilde
-    # theta . z and z . z, each summed in index order
-    r = n = 0.0
-    for i in range(len(z)):
-        zi = z[i]
-        r = r + th[i] * zi
-        n = n + zi * zi
-    residual = r - phi
-    denom = alpha_c + n
-    new = [th[i] - sigma_c * z[i] / denom * residual for i in range(len(th))]
-    return np.array(new).T if isinstance(theta, np.ndarray) else new
+    return _CRITIC_UPDATE[len(theta)](theta, z_tilde, phi, sigma_c, alpha_c)
+
+
+def _actor_update_source(n):
+    steps = ", ".join(f"p{i} - sigma_a * (residual * F{i}) / denom" for i in range(n))
+    return f"""
+def kernel(p, F, phi_target, sigma_a, alpha_a, rate_limit):
+    {_unpack("p", n)}
+    {_unpack("F", n)}
+    residual = {_index_sum(_products("p", "F", n))} - phi_target
+    if rate_limit is not None:
+        residual = min(max(residual, -rate_limit), rate_limit)
+    denom = alpha_a + ({_index_sum(_products("F", "F", n))})
+    return [{steps}]
+"""
+
+
+_ACTOR_UPDATE = _Kernels(_actor_update_source)
 
 
 def actor_update(pi, F, phi_target, sigma_a, alpha_a, rate_limit=None):
     """Normalized-projection actor step toward pi F = phi_target.
 
-    pi is a gain row with a scalar target, and the result a row (a list,
-    or a numpy array if pi is one); or pi is a (1, n) array with a length-1
-    target, and the result (1, n).  rate_limit, when set, clamps the
-    residual to [-rate_limit, rate_limit] before the step; near-singular
-    kernels make the greedy target hypersensitive to critic noise and an
-    unclamped step can destabilize the loop.  The clamp is Python's min and
-    max, which give what np.clip gives (a NaN residual stays NaN).
+    pi is a gain row and F a feature vector of the same length, phi_target
+    a scalar; the result is a list.  pi . F and F . F are summed in index
+    order.  rate_limit, when set, clamps the residual to [-rate_limit,
+    rate_limit] before the step; near-singular kernels make the greedy
+    target hypersensitive to critic noise and an unclamped step can
+    destabilize the loop.  The clamp is Python's min and max, which give
+    what np.clip gives (a NaN residual stays NaN).
     """
-    p = components(pi) if isinstance(pi, np.ndarray) else pi
-    f = components(F) if isinstance(F, np.ndarray) else F
-    # pi . F and F . F, each summed in index order
-    r = n = 0.0
-    for i in range(len(f)):
-        fi = f[i]
-        r = r + p[i] * fi
-        n = n + fi * fi
-    residual = r - phi_target
-    if rate_limit is not None:
-        residual = min(max(residual, -rate_limit), rate_limit)
-    denom = alpha_a + n
-    new = [p[i] - sigma_a * (residual * f[i]) / denom for i in range(len(p))]
-    return np.array(new).T if isinstance(pi, np.ndarray) else new
+    return _ACTOR_UPDATE[len(pi)](pi, F, phi_target, sigma_a, alpha_a, rate_limit)
+
+
+def _kernel_converged_source(n):
+    diffs = "\n    ".join(f"d{i} = q{i} - p{i}" for i in range(n))
+    return f"""
+def kernel(p, q, tol_conv):
+    {_unpack("p", n)}
+    {_unpack("q", n)}
+    {diffs}
+    return sqrt({_index_sum(_products("d", "d", n))}) < tol_conv
+"""
+
+
+_KERNEL_CONVERGED = _Kernels(_kernel_converged_source)
 
 
 def kernel_converged(S_prev, S_next, tol_conv):
     """True when the Frobenius distance between kernels is below tol_conv.
 
-    The distance is the square root of the sum of the squared entry
-    differences, summed in row-major order.  A kernel is a matrix or the
-    tuple of its entries in row-major order.
+    A kernel is the sequence of its entries in row-major order (the tuple
+    theta_to_S gives for a list).  The distance is the square root of the
+    sum of the squared entry differences, summed in row-major order.
     """
-    if not isinstance(S_prev, tuple):
-        S_prev = np.asarray(S_prev, dtype=float).ravel().tolist()
-    if not isinstance(S_next, tuple):
-        S_next = np.asarray(S_next, dtype=float).ravel().tolist()
-    s = 0.0
-    for p, q in zip(S_prev, S_next):
-        d = q - p
-        s = s + d * d
-    return math.sqrt(s) < tol_conv
+    return _KERNEL_CONVERGED[len(S_prev)](S_prev, S_next, tol_conv)
 
 
 # probe phases of each strategy, one per frequency

@@ -2,10 +2,14 @@
 learner results bit for bit.
 
 Each sum runs in index order from 0.0, s = s + a_i * b_i, as the learner's
-component formulas are specified to; the references are written out here,
+component formulas are specified to; the references are written out here
+as the index-order loops the learner's generated kernels replace,
 independently of modelfollow, so that an exact test compares against a
-sum it spells out rather than against the code under test.
+sum it spells out rather than against the code under test.  Like the
+kernels, they take sequences of components: floats, or numpy columns.
 """
+
+import math
 
 
 def seq_dot(a, b):
@@ -25,3 +29,48 @@ def seq_quadratic_form(x, M):
             r = r + M[i][j] * x[j]
         s = s + x[i] * r
     return s
+
+
+def seq_regressor(a, b):
+    """The differences w a_i a_j - w b_i b_j of the quadratic monomials in
+    the theta layout (i <= j row-major), w = 1/2 on the diagonal, 1 off it."""
+    d = len(a)
+    return [w * a[i] * a[j] - w * b[i] * b[j]
+            for i in range(d) for j in range(i, d) for w in [0.5 if i == j else 1.0]]
+
+
+def seq_critic_update(theta, z, phi, sigma, alpha):
+    """The projection step theta - sigma z / (alpha + z.z) (theta.z - phi)."""
+    r = n = 0.0
+    for i in range(len(z)):
+        zi = z[i]
+        r = r + theta[i] * zi
+        n = n + zi * zi
+    residual = r - phi
+    denom = alpha + n
+    return [theta[i] - sigma * z[i] / denom * residual for i in range(len(theta))]
+
+
+def seq_actor_update(pi, F, target, sigma, alpha, rate_limit=None):
+    """The projection step pi - sigma (residual F) / (alpha + F.F) on the
+    residual pi.F - target, clamped to +-rate_limit when that is set."""
+    r = n = 0.0
+    for i in range(len(F)):
+        fi = F[i]
+        r = r + pi[i] * fi
+        n = n + fi * fi
+    residual = r - target
+    if rate_limit is not None:
+        residual = min(max(residual, -rate_limit), rate_limit)
+    denom = alpha + n
+    return [pi[i] - sigma * (residual * F[i]) / denom for i in range(len(pi))]
+
+
+def seq_distance(p, q):
+    """The Frobenius distance of two kernels given as their entries: the
+    square root of the squared differences summed in order."""
+    s = 0.0
+    for a, b in zip(p, q):
+        d = b - a
+        s = s + d * d
+    return math.sqrt(s)

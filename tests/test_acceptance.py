@@ -86,8 +86,8 @@ def test_criterion_6_contraction_suite():
                 np.linalg.norm(theta - theta_star) + 1e-12
 
             F = rng.normal(size=3) * rng.uniform(0.1, 10)
-            pi_star = rng.normal(size=(1, 3))
-            pi = rng.normal(size=(1, 3))
+            pi_star = rng.normal(size=3)
+            pi = rng.normal(size=3)
             target = pi_star @ F
             pi_next = actor_update(pi, F, target, sigma, alpha)
             assert np.linalg.norm(pi_next - pi_star) <= \

@@ -126,5 +126,5 @@ def test_per_tick_samples_equal_log_rows(monkeypatch, config):
     for s, k, z_tilde, phi in consumed:
         Z, costs = log.regressors[s]
         row = k - views[s][1]
-        assert z_tilde.tobytes() == Z[row].tobytes(), (s, k)
+        assert np.array(z_tilde).tobytes() == Z[row].tobytes(), (s, k)
         assert np.float64(phi).tobytes() == costs[row].tobytes(), (s, k)

@@ -1,26 +1,43 @@
-"""The learner's component-wise formulas give the same bits on one tick of
-Python floats and on the same values stacked as numpy columns.
+"""The learner's generated kernels give the bytes of the index-order loops
+they replace, on one tick of Python floats and on stacks of ticks given as
+numpy columns.
 
-The adapting tick runs each formula on lists of floats; bellman_log and the
-frozen tail run it on log columns.  Every sum is taken in index order and
-numpy's elementwise operations round as Python's float operations do, so
-each row of a stacked result must equal the one-tick value byte for byte,
-whatever the memory layout the columns come from: a C-ordered stack (its
-columns are strided), a Fortran-ordered one (contiguous columns) or a
-strided view into a larger array (neither axis contiguous).
+Each kernel is straight-line code written out for one vector size: its
+components unpacked into locals and every sum one + chain from 0.0.  The
+references in sequential.py are the loops (s = 0.0; s = s + a_i * b_i).
+The tests draw sizes 1-6 (size 1 is a one-element unpacking) and the
+sizes an episode runs (10 theta slots, 16 kernel entries), floats with
+signed zeros among them (the leading 0.0 + turns a sum of -0.0 terms into
++0.0, as s = 0.0 does), and vectors as lists and as tuples.  A stack of
+ticks must give each row its one-tick value byte for byte, whatever the
+memory layout the columns come from: a C-ordered stack (its columns are
+strided), a Fortran-ordered one (contiguous columns) or a strided view
+into a larger array (neither axis contiguous).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from modelfollow.control_loop import bellman_sample
 from modelfollow.learner import (
-    LearningConfig, bellman_regressor, dot, qmonomials, quadratic_form, utility,
+    LearningConfig, actor_update, bellman_regressor, critic_update, dot, kernel_converged,
+    quadratic_form, utility,
+)
+from sequential import (
+    seq_actor_update, seq_critic_update, seq_distance, seq_dot, seq_quadratic_form,
+    seq_regressor,
 )
 
-# finite values, signed zeros and subnormals included, small enough that no
-# product of the formulas overflows
-FLOATS = st.floats(min_value=-1e50, max_value=1e50, allow_nan=False, allow_infinity=False)
+# finite values, signed zeros drawn often and subnormals included, small
+# enough that no product of the formulas overflows
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(min_value=-1e50, max_value=1e50, allow_nan=False, allow_infinity=False))
+SIZES = st.one_of(st.integers(1, 6), st.sampled_from([10, 16]))
+SEQUENCES = st.sampled_from([list, tuple])
+PACES = st.floats(min_value=0.01, max_value=1.99)
+ALPHAS = st.floats(min_value=1e-3, max_value=10.0)
 
 
 def vectors(d):
@@ -55,41 +72,117 @@ def columns(a):
     return list(a.T)
 
 
-def same_bits(stacked, per_tick):
-    """Row i of stacked equals per_tick[i], byte for byte."""
-    stacked = np.asarray(stacked)
+def same_bytes(got, want):
+    """Equal values of equal types: a float, or a list of them, or numpy
+    columns; compared as float arrays, byte for byte."""
+    assert type(got) is type(want)
+    assert np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def same_rows(stacked, per_tick):
+    """Row i of a stacked result (an array, or a list of its columns)
+    equals per_tick[i], byte for byte."""
+    stacked = np.stack(stacked, axis=-1) if isinstance(stacked, list) else np.asarray(stacked)
     assert stacked.shape[0] == len(per_tick)
     for i, value in enumerate(per_tick):
         assert stacked[i].tobytes() == np.asarray(value, dtype=float).tobytes(), i
 
 
-@given(st.data(), N_ROWS, st.integers(1, 10), LAYOUTS, LAYOUTS)
-def test_dot(data, n, d, layout_a, layout_b):
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 10, 16])
+def test_sums_of_signed_zeros_are_positive(n):
+    # every product -0.0: the loop's s = 0.0 start makes the sum +0.0, and
+    # so must the kernel's leading 0.0 +
+    neg, one = [-0.0] * n, [1.0] * n
+    same_bytes(dot(neg, one), 0.0)
+    same_bytes(quadratic_form(one, [neg] * n), 0.0)
+    assert seq_dot(neg, one) == 0.0 and np.signbit(-0.0)
+    # theta . z = +0.0, so the critic's residual is 0.0 - phi
+    same_bytes(critic_update(neg, one, -0.0, 0.5, 1.8), seq_critic_update(neg, one, -0.0, 0.5, 1.8))
+    same_bytes(actor_update(neg, one, -0.0, 0.5, 1.8), seq_actor_update(neg, one, -0.0, 0.5, 1.8))
+
+
+@given(st.data(), N_ROWS, SIZES, SEQUENCES, LAYOUTS, LAYOUTS)
+def test_dot(data, n, d, seq, layout_a, layout_b):
     a, b = data.draw(stacks(d, n)), data.draw(stacks(d, n))
-    same_bits(dot(columns(layout_a(a)), columns(layout_b(b))),
-              [dot(ai, bi) for ai, bi in zip(a, b)])
+    per_tick = [dot(seq(ai), seq(bi)) for ai, bi in zip(a, b)]
+    for value, ai, bi in zip(per_tick, a, b):
+        same_bytes(value, seq_dot(ai, bi))
+    A, B = columns(layout_a(a)), columns(layout_b(b))
+    same_bytes(dot(A, B), seq_dot(A, B))
+    same_rows(dot(A, B), per_tick)
 
 
-@given(st.data(), N_ROWS, st.integers(1, 5), LAYOUTS)
-def test_quadratic_form(data, n, d, layout):
+@given(st.data(), N_ROWS, st.integers(1, 6), SEQUENCES, LAYOUTS)
+def test_quadratic_form(data, n, d, seq, layout):
     x, M = data.draw(stacks(d, n)), data.draw(stacks(d, d))
-    same_bits(quadratic_form(layout(x), np.array(M)), [quadratic_form(xi, M) for xi in x])
+    M = seq(seq(row) for row in M)
+    per_tick = [quadratic_form(seq(xi), M) for xi in x]
+    for value, xi in zip(per_tick, x):
+        same_bytes(value, seq_quadratic_form(xi, M))
+    X = columns(layout(x))
+    same_bytes(quadratic_form(X, M), seq_quadratic_form(X, M))
+    same_rows(quadratic_form(X, M), per_tick)
 
 
 @given(st.data(), N_ROWS, LAYOUTS, LAYOUTS, FLOATS.filter(lambda r: r > 0))
 def test_utility(data, n, layout_F, layout_mu, R):
     F, Q = data.draw(stacks(3, n)), data.draw(stacks(3, 3))
     mu = data.draw(stacks(1, n))
-    same_bits(utility(layout_F(F), layout_mu(mu)[:, 0], np.array(Q), R),
+    same_rows(utility(columns(layout_F(F)), layout_mu(mu)[:, 0], Q, R),
               [utility(Fi, mi[0], Q, R) for Fi, mi in zip(F, mu)])
 
 
-@given(st.data(), N_ROWS, st.integers(1, 5), LAYOUTS, LAYOUTS)
-def test_monomials_and_regressor(data, n, d, layout_t, layout_next):
+@given(st.data(), N_ROWS, SIZES, SEQUENCES, LAYOUTS, LAYOUTS)
+def test_monomials_and_regressor(data, n, d, seq, layout_t, layout_next):
     Z_t, Z_next = data.draw(stacks(d, n)), data.draw(stacks(d, n))
-    same_bits(qmonomials(layout_t(Z_t)), [qmonomials(z) for z in Z_t])
-    same_bits(bellman_regressor(layout_t(Z_t), layout_next(Z_next)),
-              [bellman_regressor(a, b) for a, b in zip(Z_t, Z_next)])
+    per_tick = [bellman_regressor(seq(a), seq(b)) for a, b in zip(Z_t, Z_next)]
+    for value, a, b in zip(per_tick, Z_t, Z_next):
+        same_bytes(value, seq_regressor(a, b))
+    # against a zero vector the regressor is the monomials themselves
+    same_bytes(bellman_regressor(seq(Z_t[0]), [0.0] * d), seq_regressor(Z_t[0], [0.0] * d))
+    A, B = columns(layout_t(Z_t)), columns(layout_next(Z_next))
+    same_bytes(bellman_regressor(A, B), seq_regressor(A, B))
+    same_rows(bellman_regressor(A, B), per_tick)
+
+
+@given(st.data(), N_ROWS, SIZES, SEQUENCES, LAYOUTS, PACES, ALPHAS)
+def test_critic_update(data, n, d, seq, layout, sigma, alpha):
+    theta, z = data.draw(stacks(d, n)), data.draw(stacks(d, n))
+    phi = data.draw(stacks(1, n))
+    per_tick = [critic_update(seq(t), seq(zi), p[0], sigma, alpha)
+                for t, zi, p in zip(theta, z, phi)]
+    for value, t, zi, p in zip(per_tick, theta, z, phi):
+        same_bytes(value, seq_critic_update(t, zi, p[0], sigma, alpha))
+    stacked = columns(layout(np.hstack([theta, z, phi])))
+    T, Z, P = stacked[:d], stacked[d:2 * d], stacked[2 * d]
+    same_bytes(critic_update(T, Z, P, sigma, alpha), seq_critic_update(T, Z, P, sigma, alpha))
+    same_rows(critic_update(T, Z, P, sigma, alpha), per_tick)
+
+
+@given(st.data(), N_ROWS, SIZES, SEQUENCES, LAYOUTS, PACES, ALPHAS,
+       st.sampled_from([None, 0.0, 0.002, 1.0]))
+def test_actor_update(data, n, d, seq, layout, sigma, alpha, limit):
+    pi, F = data.draw(stacks(d, n)), data.draw(stacks(d, n))
+    target = data.draw(stacks(1, n))
+    for p, f, t in zip(pi, F, target):
+        same_bytes(actor_update(seq(p), seq(f), t[0], sigma, alpha, rate_limit=limit),
+                   seq_actor_update(p, f, t[0], sigma, alpha, rate_limit=limit))
+    # the clamp compares one residual, so a stack runs unclamped
+    per_tick = [actor_update(seq(p), seq(f), t[0], sigma, alpha) for p, f, t in zip(pi, F, target)]
+    stacked = columns(layout(np.hstack([pi, F, target])))
+    P, G, T = stacked[:d], stacked[d:2 * d], stacked[2 * d]
+    same_bytes(actor_update(P, G, T, sigma, alpha), seq_actor_update(P, G, T, sigma, alpha))
+    same_rows(actor_update(P, G, T, sigma, alpha), per_tick)
+
+
+@given(st.data(), SIZES, SEQUENCES)
+def test_kernel_converged(data, d, seq):
+    # at tol = the distance the test is false and one ulp above it true, so
+    # a distance one ulp off the loop's fails on one side
+    S_prev, S_next = data.draw(vectors(d)), data.draw(vectors(d))
+    distance = seq_distance(S_prev, S_next)
+    for tol in (distance, np.nextafter(distance, np.inf)):
+        assert kernel_converged(seq(S_prev), seq(S_next), tol) is (distance < tol)
 
 
 @given(st.data(), N_ROWS, st.sampled_from(["ob", "cl", "mf"]), LAYOUTS, LAYOUTS)
@@ -104,5 +197,5 @@ def test_bellman_sample(data, n, s, layout_F, layout_pi):
     z, phi = bellman_sample(s, columns(stacked[:, :3]), stacked[:, 6], columns(stacked[:, 3:6]),
                             columns(layout_pi(pi)), cfg, form)
     per_tick = [bellman_sample(s, F[i], mu[i][0], F_next[i], pi[i], cfg, form) for i in range(n)]
-    same_bits(z, [zi for zi, _ in per_tick])
-    same_bits(phi, [p for _, p in per_tick])
+    same_rows(z, [zi for zi, _ in per_tick])
+    same_rows(phi, [p for _, p in per_tick])

@@ -6,8 +6,8 @@ import pytest
 from modelfollow.learner import (
     LearningConfig, PROBE_PHASES, SingularKernelError,
     utility, quadratic_form, quadratic_value, bellman_regressor,
-    qmonomials, policy_from_kernel, critic_update, actor_update,
-    theta_to_S, S_to_theta, kernel_converged, tri_indices,
+    policy_from_kernel, critic_update, actor_update,
+    theta_to_S, S_to_theta, kernel_converged, tri_indices, components,
 )
 from sequential import seq_dot, seq_quadratic_form
 
@@ -15,6 +15,11 @@ from sequential import seq_dot, seq_quadratic_form
 def rand_sym(rng, d):
     M = rng.normal(size=(d, d))
     return 0.5 * (M + M.T)
+
+
+def entries(S):
+    """A kernel matrix as the tuple of its entries in row-major order."""
+    return tuple(np.ravel(S).tolist())
 
 
 # ---- utility -------------------------------------------------------------
@@ -53,9 +58,9 @@ def test_quadratic_value_double_sum():
 
 
 def test_regressor_zero_and_length():
-    Z = np.array([1.0, 2.0, 3.0, 4.0])
-    assert np.all(bellman_regressor(Z, Z) == 0.0)
-    assert bellman_regressor(Z, np.zeros(4)).shape == (10,)
+    Z = [1.0, 2.0, 3.0, 4.0]
+    assert bellman_regressor(Z, Z) == [0.0] * 10
+    assert len(bellman_regressor(Z, [0.0] * 4)) == 10
     assert len(tri_indices(4)) == 10
 
 
@@ -137,20 +142,20 @@ def test_critic_contracts():
 
 
 def test_actor_fixed_point_and_scalar():
-    pi = np.array([[1.0, -2.0, 0.5]])
+    pi = np.array([1.0, -2.0, 0.5])
     F = np.array([0.2, 0.4, -0.1])
     target = pi @ F
     assert np.allclose(actor_update(pi, F, target, 0.5, 1.8), pi)
-    out = actor_update(np.zeros((1, 3)), np.array([1.0, 0, 0]), [1.0], 0.5, 1.8)
-    assert abs(out[0, 0] - 0.5 / 2.8) < 1e-15
-    assert np.all(out[0, 1:] == 0.0)
+    out = actor_update([0.0] * 3, [1.0, 0.0, 0.0], 1.0, 0.5, 1.8)
+    assert abs(out[0] - 0.5 / 2.8) < 1e-15
+    assert out[1:] == [0.0, 0.0]
 
 
 def test_actor_contracts():
     rng = np.random.default_rng(7)
     for _ in range(200):
-        pi_star = rng.normal(size=(1, 3))
-        pi = rng.normal(size=(1, 3))
+        pi_star = rng.normal(size=3)
+        pi = rng.normal(size=3)
         F = rng.normal(size=3)
         target = pi_star @ F
         pi_next = actor_update(pi, F, target, 0.5, 1.8)
@@ -159,11 +164,11 @@ def test_actor_contracts():
 
 
 def test_actor_rate_limit():
-    pi = np.zeros((1, 3))
-    F = np.array([10.0, 0.0, 0.0])
-    out = actor_update(pi, F, [1000.0], 0.5, 1.8, rate_limit=0.01)
+    pi = [0.0] * 3
+    F = [10.0, 0.0, 0.0]
+    out = actor_update(pi, F, 1000.0, 0.5, 1.8, rate_limit=0.01)
     # residual clamped to 0.01 regardless of the huge target
-    assert abs(out[0, 0]) <= 0.5 * 0.01 * 10.0 / (1.8 + 100.0) + 1e-15
+    assert abs(out[0]) <= 0.5 * 0.01 * 10.0 / (1.8 + 100.0) + 1e-15
 
 
 def test_pace_boundary_divergence():
@@ -194,36 +199,36 @@ def test_theta_round_trip():
 
 
 def test_stacked_rows_match_single_vectors():
-    # qmonomials, bellman_regressor, quadratic_form and utility act on the
-    # last axis; each row of a stacked call must equal the one-vector call
+    # bellman_regressor, quadratic_form and utility run on a stack given as
+    # its columns; each row of a stacked call must equal the one-vector call
     # bit for bit, since the episode's logged Bellman data are built stacked
     rng = np.random.default_rng(11)
     n = 2000
     F = rng.normal(size=(n, 3)) * rng.uniform(1e-3, 1e3, size=(n, 1))
     mu = rng.normal(size=n)
     Zt, Zn = rng.normal(size=(n, 4)), rng.normal(size=(n, 4))
-    Q, W = 0.05 * np.eye(3) + 0.01, rand_sym(rng, 4)
-    U = utility(F, mu, Q, 0.01)
-    z = bellman_regressor(Zt, Zn)
-    q = quadratic_form(Zt, W)
+    Q, W = (0.05 * np.eye(3) + 0.01).tolist(), rand_sym(rng, 4).tolist()
+    U = utility(components(F), mu, Q, 0.01)
+    z = np.stack(bellman_regressor(components(Zt), components(Zn)), axis=1)
+    q = quadratic_form(components(Zt), W)
     assert U.shape == q.shape == (n,) and z.shape == (n, 10)
-    assert np.array_equal(qmonomials(Zt)[7], qmonomials(Zt[7]))
     for i in range(n):
-        assert U[i] == utility(F[i], mu[i], Q, 0.01), i
-        assert np.array_equal(z[i], bellman_regressor(Zt[i], Zn[i])), i
+        assert U[i] == utility(F[i].tolist(), mu[i], Q, 0.01), i
+        assert z[i].tolist() == bellman_regressor(Zt[i].tolist(), Zn[i].tolist()), i
         assert q[i] == seq_quadratic_form(Zt[i], W), i
 
 
 def test_layout_matches_loop_reference():
-    # the tri_indices loops the vectorized layout replaced; same arithmetic,
-    # so the results must be bit-identical
+    # the tri_indices loops the regressor and the kernel layout replaced;
+    # same arithmetic, so the results must be bit-identical
     rng = np.random.default_rng(9)
     for d in range(1, 7):
         pairs = tri_indices(d)
         for _ in range(5):
-            Z = rng.normal(size=d)
-            ref = [0.5 * Z[i] * Z[i] if i == j else Z[i] * Z[j] for (i, j) in pairs]
-            assert np.array_equal(qmonomials(Z), ref)
+            Z, Zn = rng.normal(size=d).tolist(), rng.normal(size=d).tolist()
+            ref = [0.5 * Z[i] * Z[i] - 0.5 * Zn[i] * Zn[i] if i == j else Z[i] * Z[j] - Zn[i] * Zn[j]
+                   for (i, j) in pairs]
+            assert bellman_regressor(Z, Zn) == ref
             th = rng.normal(size=len(pairs))
             S_ref = np.zeros((d, d))
             for k, (i, j) in enumerate(pairs):
@@ -245,21 +250,22 @@ def test_identity_theta_layout():
 
 def test_kernel_converged():
     S = np.eye(4)
-    assert kernel_converged(S, S, 1e-4)
+    assert kernel_converged(entries(S), entries(S), 1e-4)
     D = np.zeros((4, 4))
     D[0, 0] = 2e-4
-    assert not kernel_converged(S, S + D, 1e-4)
+    assert not kernel_converged(entries(S), entries(S + D), 1e-4)
     D2 = np.zeros((4, 4))
     D2[0, 0] = 0.9e-4
-    assert kernel_converged(S, S + D2, 1e-4)
+    assert kernel_converged(entries(S), entries(S + D2), 1e-4)
 
 
 # ---- bitwise guards ------------------------------------------------------
 # The learner step reads the 1x1 control block as a scalar, takes Frobenius
-# norms as sqrt(d @ d) and runs the actor on a gain row.  On the BLAS and
-# LAPACK build these tests run against, each gives the same floats as the
-# general linear solve, np.linalg.norm and the (1, n) actor arithmetic; a
-# failure here means the episode artifacts changed too.
+# norms as the square root of a sequential sum and clamps the actor's
+# residual with min and max.  On the LAPACK build these tests run against,
+# the gain equals the general linear solve; the norm and the actor step
+# equal their explicit references; a failure here means the episode
+# artifacts changed too.
 
 def test_scalar_gain_equals_linear_solve():
     rng = np.random.default_rng(12)
@@ -280,10 +286,18 @@ def test_kernel_converged_equals_norm_test():
         diff = (S_next - S_prev).ravel()
         norm = math.sqrt(seq_dot(diff, diff))
         for tol in (norm, np.nextafter(norm, np.inf)):
-            assert kernel_converged(S_prev, S_next, tol) == (norm < tol)
+            assert kernel_converged(entries(S_prev), entries(S_next), tol) == (norm < tol)
 
 
-def test_actor_row_equals_2d_call():
+def actor_reference(pi, F, target, limit):
+    """The actor step with np.clip as the clamp and sequential sums."""
+    residual = seq_dot(pi, F) - target
+    if limit is not None:
+        residual = np.clip(residual, -limit, limit)
+    return pi - 0.5 * np.multiply.outer(residual, F) / (1.8 + seq_dot(F, F))
+
+
+def test_actor_clamp_matches_clip_reference():
     rng = np.random.default_rng(14)
     for k in range(20000):
         S = rand_sym(rng, 4)
@@ -291,12 +305,9 @@ def test_actor_row_equals_2d_call():
         pi = rng.normal(size=3) * rng.uniform(0.1, 100)
         F = rng.normal(size=3) * rng.uniform(1e-3, 10)
         limit = (None, 0.002)[k % 2]
-        target = gain[0] @ F
-        assert target == (gain @ F)[0]
-        row = actor_update(pi, F, target, 0.5, 1.8, rate_limit=limit)
-        full = actor_update(pi[None, :], F, gain @ F, 0.5, 1.8, rate_limit=limit)
-        assert row.shape == (3,) and full.shape == (1, 3)
-        assert np.array_equal(row, full[0])
+        target = seq_dot(gain[0], F)
+        row = actor_update(pi.tolist(), F.tolist(), target, 0.5, 1.8, rate_limit=limit)
+        assert np.array(row).tobytes() == actor_reference(pi, F, target, limit).tobytes(), k
     # residuals the clamp must treat as np.clip does: NaN and +-inf targets,
     # and a zero rate limit that clamps every residual to a signed zero, on
     # gains with zero entries of either sign
@@ -305,14 +316,8 @@ def test_actor_row_equals_2d_call():
         F = rng.normal(size=3) * rng.uniform(1e-3, 10)
         target = (np.nan, np.inf, -np.inf, pi @ F + rng.normal())[k % 4]
         limit = (None, 0.002, 0.0, 0)[k // 4 % 4]
-        residual = seq_dot(pi, F) - target
-        if limit is not None:
-            residual = np.clip(residual, -limit, limit)
-        ref = pi - 0.5 * np.multiply.outer(residual, F) / (1.8 + seq_dot(F, F))
-        row = actor_update(pi, F, target, 0.5, 1.8, rate_limit=limit)
-        full = actor_update(pi[None, :], F, np.array([target]), 0.5, 1.8, rate_limit=limit)
-        assert row.shape == (3,) and full.shape == (1, 3)
-        assert row.tobytes() == full[0].tobytes() == ref.tobytes(), k
+        row = actor_update(pi.tolist(), F.tolist(), float(target), 0.5, 1.8, rate_limit=limit)
+        assert np.array(row).tobytes() == actor_reference(pi, F, target, limit).tobytes(), k
 
 
 # ---- config validation ---------------------------------------------------
