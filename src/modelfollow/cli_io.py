@@ -274,7 +274,7 @@ def cmd_oracle_check(args, config):
         report["regressor_rank"] = int(np.linalg.matrix_rank(Z))
         report["regressor_count"] = int(Z.shape[0])
         report["learned_theta_bellman_residual"] = oracle.bellman_residual(
-            log.theta_final["cl"], list(zip(Z, phi)))
+            log.theta_final["cl"], Z, phi)
     json.dump(report, sys.stdout, indent=2)
     print()
     return 0 if report.get("within_tolerance", True) else 2

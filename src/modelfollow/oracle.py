@@ -199,14 +199,24 @@ def policy_value_kernel(A, B, gain, Q, R, delta):
     return 0.5 * (S + S.T)
 
 
-def batch_bellman_solve(dataset):
-    """Least-squares theta from logged (z_tilde, phi) pairs.
+def _regressor_log(Z, phi):
+    """The regressor log as arrays: Z with one regressor row per tick and
+    phi the stage costs, or, with phi None, Z a list of (z_tilde, phi)
+    pairs, stacked here."""
+    if phi is None:
+        phi = np.array([p for (_, p) in Z], dtype=float)
+        Z = np.array([np.asarray(z, dtype=float) for (z, _) in Z])
+    return np.asarray(Z, dtype=float), np.asarray(phi, dtype=float)
+
+
+def batch_bellman_solve(Z, phi=None):
+    """Least-squares theta with Z theta = phi from a regressor log (rows Z,
+    stage costs phi; see _regressor_log for a list of pairs).
 
     Raises UnderExcitationError when the regressor matrix is rank
     deficient; otherwise returns the minimum-residual theta.
     """
-    Z = np.array([np.asarray(z, dtype=float) for (z, _) in dataset])
-    phi = np.array([p for (_, p) in dataset], dtype=float)
+    Z, phi = _regressor_log(Z, phi)
     needed = Z.shape[1] if Z.ndim == 2 else 0
     if Z.shape[0] < needed:
         raise UnderExcitationError(Z.shape[0], needed)
@@ -216,8 +226,8 @@ def batch_bellman_solve(dataset):
     return theta
 
 
-def bellman_residual(theta, dataset):
-    """Relative residual ||Z theta - phi|| / ||phi|| over a regressor log."""
-    Z = np.array([np.asarray(z, dtype=float) for (z, _) in dataset])
-    phi = np.array([p for (_, p) in dataset], dtype=float)
+def bellman_residual(theta, Z, phi=None):
+    """Relative residual ||Z theta - phi|| / ||phi|| over a regressor log
+    (rows Z, stage costs phi; see _regressor_log for a list of pairs)."""
+    Z, phi = _regressor_log(Z, phi)
     return float(np.linalg.norm(Z @ theta - phi) / np.linalg.norm(phi))

@@ -190,6 +190,20 @@ def test_batch_solve_recovers_truth():
     assert np.linalg.norm(theta - theta_star) < 1e-8
 
 
+def test_regressor_log_arrays_equal_pairs():
+    # the solve and the residual take the log as (Z, phi) arrays, and a
+    # list of (z_tilde, phi) pairs gives the same results
+    rng = np.random.default_rng(15)
+    Z = rng.normal(size=(40, 10))
+    phi = Z @ rng.normal(size=10) + 1e-3 * rng.normal(size=40)
+    pairs = list(zip(Z.tolist(), phi.tolist()))
+    theta = oracle.batch_bellman_solve(Z, phi)
+    assert np.array_equal(theta, oracle.batch_bellman_solve(pairs))
+    assert oracle.bellman_residual(theta, Z, phi) == oracle.bellman_residual(theta, pairs)
+    with pytest.raises(oracle.UnderExcitationError):
+        oracle.batch_bellman_solve(Z[:5], phi[:5])
+
+
 def test_batch_solve_under_excitation():
     rng = np.random.default_rng(13)
     z = bellman_regressor(rng.normal(size=4), rng.normal(size=4))
