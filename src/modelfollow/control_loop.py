@@ -14,25 +14,29 @@ strategy sees as features and which action it prices: the observer and
 model-following strategies see the last STACK_DEPTH rows of the logged
 tracking-error columns and their signals are incremental (u <- u + mu);
 the closed-loop term is direct feedback on the observed state, its stage
-cost read off a fixed quadratic form.  The control law, the per-tick
-learner step and the Bellman pass all read that description.  Adaptation
-of a strategy stops once its kernel has remained settled for a configured
-window (convergence freeze); from then on the strategy does no per-tick
-learner work.  Once every strategy acts and none adapts, the rest of the
-episode is one fixed affine recurrence s+ = M s + N w on the state [x,
-xhat, u_ob, u_mf, both error windows] and the input [probes, reference]:
-M and N are built once by stepping identity columns through the frozen
-tick, each remaining tick is one matvec, the divergence box is checked
-once per TAIL_BLOCK ticks, and the logged signals are derived from the
-state history afterwards with the per-tick formulas.
+cost read off a fixed quadratic form.  The per-tick loop, the frozen tail
+and the Bellman pass all read the log through that description.
 
-A tick that adapts runs on Python floats: the controls, the plant and
-desired-model step, the features read from the log, the Bellman sample
-and the critic and actor steps, each with the learner's component-wise
-formulas (sums in index order, no BLAS call).  The samples of every tick,
-frozen or not, are rebuilt after the loop by the same function,
-bellman_sample, run on the log columns (bellman_log), and the frozen tail
-derives its logged outputs and actions with the same formulas; numpy's
+_tick states one tick once: the actions mu = pi . F + probe (zero, no
+probe, for a strategy whose features do not exist yet), the ob/mf
+increments, the held inputs u_total and v, the step of both systems and
+their output errors, with the learner's component-wise formulas (sums in
+index order, no BLAS call).  Like those it runs on Python floats for one
+tick and on numpy columns for a stack of ticks, with the same bits in
+each column.  Adaptation of a strategy stops once its kernel has remained
+settled for a configured window (convergence freeze); from then on the
+strategy does no per-tick learner work.  Once every strategy acts and
+none adapts, the rest of the episode is one fixed affine recurrence s+ =
+M s + N w on the state [x, xhat, u_ob, u_mf, both error windows] and the
+input [probes, reference]: M and N are built once by running _tick on
+identity columns, each remaining tick is one matvec, the divergence box
+is checked once per TAIL_BLOCK ticks, and the logged outputs and actions
+are derived from the state history afterwards with _tick's formulas.
+
+A tick that adapts runs on Python floats: _tick, the features read from
+the log, the Bellman sample and the critic and actor steps.  The samples
+of every tick, frozen or not, are rebuilt after the loop by the same
+function, bellman_sample, run on the log columns (bellman_log); numpy's
 elementwise operations round as Python's float operations do, so each
 sample a learner step consumed equals its logged row bit for bit
 (test_per_tick_samples_equal_log_rows checks this on every corpus config).
@@ -65,15 +69,17 @@ TAIL_BLOCK = 64
 # per-tick signals of the episode log, in trajectory.csv column order
 TRAJECTORY = ("t", "x", "xhat", "y", "yhat", "yref", "e_ob", "e_mf",
               "u_total", "mu_cl", "u_ob", "u_mf")
-# every per-tick column: TRAJECTORY plus the actions the learners price
-# that trajectory.csv does not hold, the ob/mf increments and the desired
-# model's input v
-COLUMNS = TRAJECTORY + ("mu_ob", "mu_mf", "v")
 # the columns that depend on t alone, written for the whole episode before
-# the loop; a tick writes the others, in this order, and each strategy's
-# theta and pi
+# the loop
 EXOGENOUS = ("t", "yref")
-TICK_COLUMNS = tuple(name for name in COLUMNS if name not in EXOGENOUS)
+# the columns a tick writes, in the order _tick returns them: the state
+# after the tick, its outputs, the actions and the held inputs; besides
+# TRAJECTORY they hold the ob/mf increments the learners price and the
+# desired model's input v
+TICK_COLUMNS = ("x", "xhat", "u_ob", "u_mf", "y", "yhat", "e_ob", "e_mf",
+                "mu_ob", "mu_cl", "mu_mf", "u_total", "v")
+# every per-tick column
+COLUMNS = EXOGENOUS + TICK_COLUMNS
 
 
 @dataclass
@@ -116,8 +122,7 @@ class EpisodeLog:
     def __init__(self, rows, n, states):
         # each field's table columns: an index for a signal of one column,
         # a slice for x, xhat, theta and pi
-        sizes = [(name, n if name in ("x", "xhat") else None)
-                 for name in EXOGENOUS + TICK_COLUMNS]
+        sizes = [(name, n if name in ("x", "xhat") else None) for name in COLUMNS]
         sizes += [((kind, s), getattr(states[s], kind).size)
                   for s in STRATEGIES for kind in ("theta", "pi")]
         self._fields = {}
@@ -295,28 +300,54 @@ def tick_cost_form(L, Q, R, h):
     return W
 
 
-def _frozen_tick(state, w, gains, maps):
-    """One tick with every gain frozen, on stacked columns.
+def _actions(F, pi, probe):
+    """{s: mu}: the action pi[s] . F[s] + p of each strategy s that has its
+    features in F, p its entry of probe (one per strategy, in STRATEGIES
+    order), and 0.0, no probe, for one whose features do not exist yet
+    (warm-up gating)."""
+    return {s: dot(pi[s], F[s]) + p if s in F else 0.0 for s, p in zip(STRATEGIES, probe)}
 
-    Each column of state is a tail state [x, xhat, u_ob, u_mf, e_ob
-    window, e_mf window] as it stands once a row is written, and each
-    column of w a tick input [the probes of STRATEGIES; yref at the end of
-    the tick].  Returns the state columns after the tick, computed with the
-    per-tick loop's operations.  The tick is linear in (state, w), so
-    stepping the identity columns through it gives its matrices.
+
+def _inputs(mu, u_ob, u_mf):
+    """The inputs held over a tick, from its actions and the ob/mf signals
+    after their increments: the plant's u_total and the desired model's
+    v = u_ob + u_total, the full input the closed-loop learner prices,
+    which keeps its logged data Bellman-consistent."""
+    u_tot = mu["cl"] + u_mf
+    return u_tot, u_ob + u_tot
+
+
+def _outputs(x, xh, yref, Crow):
+    """y, yhat and the output errors e_ob = y - yhat and e_mf = yref - y of
+    the plant state x and the desired-model state xh."""
+    y, yh = dot(Crow, x), dot(Crow, xh)
+    return y, yh, y - yh, yref - y
+
+
+def _tick(F, pi, probe, state, yref, maps):
+    """One tick of the control law and both systems, component-wise.
+
+    state is (x, xhat, u_ob, u_mf) before the tick, F holds the features
+    of each strategy that acts (strategy_views), pi the gain of each
+    strategy, probe the probes in STRATEGIES order, and yref the reference
+    at the end of the tick.  The three strategies compose the held inputs,
+    the plant and the desired model advance by their per-tick maps (lists:
+    Phi, Gamma, Phi_hat, Gamma_hat and the output row), and the
+    TICK_COLUMNS values after the tick are returned in order, x and xhat
+    as lists of components.  Like the learner formulas it runs on Python
+    floats for one tick and on numpy columns for a stack of them, giving
+    each column the one-tick value bit for bit; the tick is linear in
+    (state, probe, yref), so identity columns give its matrices.
     """
+    x, xh, u_ob, u_mf = state
     Phi, Gam, Phi_hat, Gam_hat, Crow = maps
-    n = Phi.shape[0]
-    x, xh, u_ob, u_mf, e_ob, e_mf = np.split(state, np.cumsum([n, n, 1, 1, STACK_DEPTH]))
-    p_ob, p_cl, p_mf, yref = w
-    u_ob = u_ob + gains["ob"] @ e_ob + p_ob
-    u_mf = u_mf + gains["mf"] @ e_mf + p_mf
-    u_tot = gains["cl"] @ xh + p_cl + u_mf
-    v = u_ob + u_tot
-    x = Phi @ x + Gam[:, None] * u_tot
-    xh = Phi_hat @ xh + Gam_hat[:, None] * v
-    y = Crow @ x
-    return np.vstack([x, xh, u_ob, u_mf, e_ob[1:], y - Crow @ xh, e_mf[1:], yref - y])
+    mu = _actions(F, pi, probe)
+    u_ob = u_ob + mu["ob"]
+    u_mf = u_mf + mu["mf"]
+    u_tot, v = _inputs(mu, u_ob, u_mf)
+    x = [dot(row, x) + g * u_tot for row, g in zip(Phi, Gam)]
+    xh = [dot(row, xh) + g * v for row, g in zip(Phi_hat, Gam_hat)]
+    return (x, xh, u_ob, u_mf, *_outputs(x, xh, yref, Crow), *mu.values(), u_tot, v)
 
 
 def _step_rows(rows, z, M):
@@ -332,25 +363,34 @@ def _step_rows(rows, z, M):
 def _frozen_tail(log, k0, start, gains, maps, probe):
     """Ticks k0, k0 + 1, ... of an episode in which no strategy adapts.
 
-    With the gains fixed a tick is the affine map s+ = M s + N w of
-    _frozen_tick, built once here; N w of every tick is one matmul and each
-    tick one matvec.  start holds x, xhat, u_ob and u_mf after row k0; the
-    error windows are read from the log.  Rows k0 + 1 on are then written
-    from the state history, the logged outputs and actions derived from it
-    with the per-tick formulas run on its columns, and the log trimmed at
-    the first row whose plant state leaves the box, as the per-tick loop
-    does; the ticks after the block that holds that row are not run.
+    With the gains fixed a tick is an affine map s+ = M s + N w, built once
+    here by running _tick on identity columns; N w of every tick is one
+    matmul and each tick one matvec.  start holds x, xhat, u_ob and u_mf
+    after row k0; the error windows are the features strategy_views reads
+    off the log at row k0.  gains holds each strategy's gain and row k of
+    probe the probes of tick k.  Rows k0 + 1 on are then written from the
+    state history, the logged outputs and actions derived from it with
+    _tick's formulas run on its columns, and the log trimmed at the first
+    row whose plant state leaves the box, as the per-tick loop does; the
+    ticks after the block that holds that row are not run.
     """
     n = log.x.shape[1]
     size = 2 * n + 2 + 2 * STACK_DEPTH
-    basis = np.eye(size + len(STRATEGIES) + 1)
-    MN = _frozen_tick(basis[:size], basis[size:], gains, maps)
+    # one identity column per component of the state s = [x, xhat, u_ob,
+    # u_mf, e_ob window, e_mf window] and of the input w = [the probes of
+    # STRATEGIES, yref at the end of the tick]
+    x, xh, u, win_ob, win_mf, p, (yref,) = np.split(
+        np.eye(size + len(STRATEGIES) + 1),
+        np.cumsum([n, n, 2, STACK_DEPTH, STACK_DEPTH, len(STRATEGIES)]))
+    x, xh, u_ob, u_mf, _, _, e_ob, e_mf = _tick(
+        {"ob": win_ob, "cl": xh, "mf": win_mf}, gains, p, (x, xh, *u), yref, maps)[:8]
+    MN = np.vstack([*x, *xh, u_ob, u_mf, *win_ob[1:], e_ob, *win_mf[1:], e_mf])
     M, N = MN[:, :size], MN[:, size:]
 
     x, xh, u_ob, u_mf = start
-    first = k0 + 1 - STACK_DEPTH
-    z = np.concatenate([x, xh, [u_ob, u_mf], log.e_ob[first:k0 + 1], log.e_mf[first:k0 + 1]])
-    w = np.column_stack([probe[s][k0:] for s in STRATEGIES] + [log.yref[k0 + 1:]])
+    F = {s: rows[k0 - lag] for s, (rows, lag, _) in strategy_views(log).items()}
+    z = np.concatenate([x, xh, [u_ob, u_mf], F["ob"], F["mf"]])
+    w = np.column_stack([probe[k0:], log.yref[k0 + 1:]])
     # row i starts as N w of tail tick i and becomes the state after it;
     # the rows are stepped TAIL_BLOCK at a time and the box checked after
     # each block, so a diverging tail stops within one block of its exit
@@ -373,19 +413,13 @@ def _frozen_tail(log, k0, start, gains, maps, probe):
     log.xhat[rows] = hist[:, n:2 * n]
     log.u_ob[rows] = hist[:, 2 * n]
     log.u_mf[rows] = hist[:, 2 * n + 1]
-    Crow = maps[-1]
-    log.y[rows] = dot(Crow, components(log.x[rows]))
-    log.yhat[rows] = dot(Crow, components(log.xhat[rows]))
-    log.e_ob[rows] = log.y[rows] - log.yhat[rows]
-    log.e_mf[rows] = log.yref[rows] - log.y[rows]
-    mu = {"ob": log.mu_ob, "cl": log.mu_cl, "mf": log.mu_mf}
-    views = strategy_views(log)
-    for i, s in enumerate(STRATEGIES):
-        feats, lag, _ = views[s]
-        F = feats[k0 - lag:k0 - lag + len(hist)]
-        mu[s][rows] = dot(gains[s], components(F)) + w[:len(hist), i]
-    log.u_total[rows] = log.mu_cl[rows] + log.u_mf[rows]
-    log.v[rows] = log.u_ob[rows] + log.u_total[rows]
+    log.y[rows], log.yhat[rows], log.e_ob[rows], log.e_mf[rows] = _outputs(
+        components(log.x[rows]), components(log.xhat[rows]), log.yref[rows], maps[-1])
+    F = {s: components(feats[k0 - lag:k0 - lag + len(hist)])
+         for s, (feats, lag, _) in strategy_views(log).items()}
+    mu = _actions(F, gains, w[:len(hist)].T)
+    log.mu_ob[rows], log.mu_cl[rows], log.mu_mf[rows] = mu.values()
+    log.u_total[rows], log.v[rows] = _inputs(mu, log.u_ob[rows], log.u_mf[rows])
 
 
 @contextmanager
@@ -436,21 +470,16 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
     n_ticks = int(round(horizon / delta))
     n = model.n
     L = held_input_maps(model.A, model.B, h, SUBSTEPS)
-    Phi, Gam = L[-1, :, :n], L[-1, :, n]
     L_hat = held_input_maps(model.A_hat, model.B_hat, h, SUBSTEPS)
-    Phi_hat, Gam_hat = L_hat[-1, :, :n], L_hat[-1, :, n]
-    maps = (Phi, Gam, Phi_hat, Gam_hat, model.C[0])
-    # the tick computes on Python floats, so it takes the maps and the
-    # stage-cost weights as lists; the closed-loop learner's stage cost is
-    # priced on [xhat; v]
-    Phi, Gam, Phi_hat, Gam_hat, Crow = (a.tolist() for a in maps)
+    # the tick takes the maps and the stage-cost weights as lists; the
+    # closed-loop learner's stage cost is priced on [xhat; v]
+    maps = tuple(a.tolist() for a in (L[-1, :, :n], L[-1, :, n],
+                                      L_hat[-1, :, :n], L_hat[-1, :, n], model.C[0]))
     Q = cfg.Q.tolist()
     forms = {"ob": Q, "cl": tick_cost_form(L_hat, cfg.Q, cfg.R, h).tolist(), "mf": Q}
 
     x = [0.0] * n if x0 is None else np.asarray(x0, dtype=float).tolist()
     xh = [0.0] * n if xhat0 is None else np.asarray(xhat0, dtype=float).tolist()
-    u_ob = 0.0
-    u_mf = 0.0
 
     log = EpisodeLog(n_ticks + 1, n, states)
     # the exogenous signals depend on t only: the sample times accumulate
@@ -460,17 +489,17 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
     log.t[1:] = t_start + delta
     log.yref[:] = eval_reference(ref_spec, log.t)
     yref = log.yref.tolist()
-    probe = {s: cfg.probe(t_start, s).tolist() for s in STRATEGIES}
+    # row k: the probes of tick k, one column per strategy in STRATEGIES order
+    probe = np.column_stack([cfg.probe(t_start, s) for s in STRATEGIES])
+    probes = probe.tolist()
     views = strategy_views(log)
     # the strategies that take learner steps
     adapting = [s for s in STRATEGIES if learning_enabled and not states[s].frozen]
 
-    def record(k, mu, u_tot, v):
-        # row k: the TICK_COLUMNS in order, then each strategy's theta and pi
-        y = dot(Crow, x)
-        yh = dot(Crow, xh)
-        row = [*x, *xh, y, yh, y - yh, yref[k] - y, u_tot, mu["cl"], u_ob, u_mf,
-               mu["ob"], mu["mf"], v]
+    def record(k, tick):
+        # row k: the TICK_COLUMNS of the tick, then each strategy's theta and pi
+        x, xh, *signals = tick
+        row = [*x, *xh, *signals]
         for s in STRATEGIES:
             row += states[s].theta
             row += states[s].pi
@@ -480,45 +509,33 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
     # theta and pi to be filled after the loop
     tail_start = n_ticks + 1
     with _float_states(states):
-        record(0, dict.fromkeys(STRATEGIES, 0.0), 0.0, 0.0)
+        # the gain each strategy holds, replaced by its learner steps
+        pi = {s: states[s].pi for s in STRATEGIES}
+        state = (x, xh, 0.0, 0.0)
+        record(0, (*state, *_outputs(x, xh, yref[0], maps[-1]), 0.0, 0.0, 0.0, 0.0, 0.0))
 
         for k in range(n_ticks):
             if k >= STACK_DEPTH - 1 and not adapting:
                 # every strategy acts and none adapts: the rest of the
                 # episode is one fixed affine recurrence
-                _frozen_tail(log, k, (x, xh, u_ob, u_mf),
-                             {s: np.array(states[s].pi) for s in STRATEGIES}, maps, probe)
+                _frozen_tail(log, k, state, pi, maps, probe)
                 tail_start = k + 1
                 break
             t = k * delta
-            # a strategy acts once its features exist (k >= lag); until then
-            # its increment stays at zero (warm-up gating)
-            F = {}
-            mu = dict.fromkeys(STRATEGIES, 0.0)
-            for s, (rows, lag, _) in views.items():
-                if k >= lag:
-                    F[s] = rows[k - lag].tolist()
-                    mu[s] = dot(states[s].pi, F[s]) + probe[s][k]
-            u_ob += mu["ob"]
-            u_mf += mu["mf"]
-            u_tot = mu["cl"] + u_mf
-            # the closed-loop learner prices the full input seen by the
-            # desired model, which is what keeps its logged data
-            # Bellman-consistent
-            v = u_ob + u_tot
-
-            x = [dot(row, x) + g * u_tot for row, g in zip(Phi, Gam)]
-            xh = [dot(row, xh) + g * v for row, g in zip(Phi_hat, Gam_hat)]
+            # a strategy acts once its features exist (k >= lag)
+            F = {s: rows[k - lag].tolist() for s, (rows, lag, _) in views.items() if k >= lag}
+            tick = _tick(F, pi, probes[k], state, yref[k + 1], maps)
+            state = tick[:4]
             t_next = t + delta
 
             # false for nan and inf as well as for a state outside the box;
             # max() would pass a nan that is not its first argument
-            if not all(abs(c) <= 1e7 for c in x):
+            if not all(abs(c) <= 1e7 for c in state[0]):
                 log.diverged = t_next
                 log.trim(k + 1)
                 break
 
-            record(k + 1, mu, u_tot, v)
+            record(k + 1, tick)
 
             # a frozen strategy costs nothing per tick; an adapting one
             # takes its Bellman sample with the formula bellman_log runs on
@@ -530,6 +547,7 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
                                                   rows[k - lag + 1].tolist(), states[s].pi,
                                                   cfg, forms[s])
                     _learn_step(states[s], z_tilde, phi, F[s], cfg, t)
+                    pi[s] = states[s].pi
                     if states[s].frozen:
                         log.t_converged[s] = t_next
                         adapting.remove(s)

@@ -12,14 +12,20 @@ signed zeros among them (the leading 0.0 + turns a sum of -0.0 terms into
 ticks must give each row its one-tick value byte for byte, whatever the
 memory layout the columns come from: a C-ordered stack (its columns are
 strided), a Fortran-ordered one (contiguous columns) or a strided view
-into a larger array (neither axis contiguous).
+into a larger array (neither axis contiguous).  control_loop's _tick is
+held to the same property, which lets the frozen tail build its matrices
+from identity columns run through the one-tick formula.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from modelfollow.control_loop import bellman_sample
+from modelfollow.cli_io import parse_config
+from modelfollow.control_loop import (
+    STRATEGIES, SUBSTEPS, TICK_COLUMNS, _tick, bellman_sample,
+)
+from modelfollow.dynamics import held_input_maps
 from modelfollow.learner import (
     LearningConfig, actor_update, bellman_regressor, critic_update, dot, kernel_converged,
     quadratic_form, utility,
@@ -199,3 +205,75 @@ def test_bellman_sample(data, n, s, layout_F, layout_pi):
     per_tick = [bellman_sample(s, F[i], mu[i][0], F_next[i], pi[i], cfg, form) for i in range(n)]
     same_rows(z, [zi for zi, _ in per_tick])
     same_rows(phi, [p for _, p in per_tick])
+
+
+def default_maps():
+    """The per-tick maps run_episode builds for the default config, as lists."""
+    c = parse_config("")
+    m, h, n = c.model, c.learning.delta / SUBSTEPS, c.model.n
+    L = held_input_maps(m.A, m.B, h, SUBSTEPS)
+    L_hat = held_input_maps(m.A_hat, m.B_hat, h, SUBSTEPS)
+    return tuple(a.tolist() for a in (L[-1, :, :n], L[-1, :, n],
+                                      L_hat[-1, :, :n], L_hat[-1, :, n], m.C[0]))
+
+
+DEFAULT_MAPS = default_maps()
+# Phi, Gamma, Phi_hat, Gamma_hat and the output row of a 3-state plant
+RANDOM_MAPS = st.tuples(stacks(3, 3), vectors(3), stacks(3, 3), vectors(3), vectors(3))
+# per tick: x, xhat, u_ob, u_mf, the ob, cl and mf features, the three
+# probes and yref
+TICK_SIZE = 3 + 3 + 1 + 1 + 3 * 3 + 3 + 1
+
+
+def tick_inputs(values, acting):
+    """The F, probe, state and yref arguments of _tick, taken in the order
+    above from one tick's floats or from one column per component."""
+    it = iter(values)
+
+    def take(k):
+        return [next(it) for _ in range(k)]
+
+    x, xh, (u_ob,), (u_mf,) = take(3), take(3), take(1), take(1)
+    F = {s: take(3) for s in STRATEGIES}
+    probe = take(3)
+    (yref,) = take(1)
+    return {s: F[s] for s in acting}, probe, (x, xh, u_ob, u_mf), yref
+
+
+def check_tick_stack(ticks, layout, pi, maps, acting):
+    """_tick on each tick's floats, and on the ticks stacked in layout as
+    columns, which must give every row its one-tick value byte for byte."""
+    per_tick = []
+    for values in ticks:
+        F, probe, state, yref = tick_inputs(values, acting)
+        out = _tick(F, pi, probe, state, yref, maps)
+        assert len(out) == len(TICK_COLUMNS)
+        assert all(type(v) is float for v in [*out[0], *out[1], *out[2:]])
+        # the actions are pi . F + probe, and 0.0 for a strategy not acting
+        row = dict(zip(TICK_COLUMNS, out))
+        same_bytes([row["mu_" + s] for s in STRATEGIES],
+                   [seq_dot(pi[s], F[s]) + p if s in acting else 0.0
+                    for s, p in zip(STRATEGIES, probe)])
+        per_tick.append(out)
+    F, probe, state, yref = tick_inputs(columns(layout(ticks)), acting)
+    stacked = _tick(F, pi, probe, state, yref, maps)
+    assert len(stacked) == len(TICK_COLUMNS)
+    for j, value in enumerate(stacked):
+        value = value if isinstance(value, list) else np.broadcast_to(value, (len(ticks),))
+        same_rows(value, [out[j] for out in per_tick])
+
+
+@given(st.data(), N_ROWS, LAYOUTS, st.one_of(st.just(DEFAULT_MAPS), RANDOM_MAPS),
+       st.sets(st.sampled_from(STRATEGIES)))
+def test_tick(data, n, layout, maps, acting):
+    # every strategy acts on a frozen-tail tick; a subset covers the
+    # warm-up ticks, on which the others have no features yet
+    pi = {s: data.draw(vectors(3)) for s in STRATEGIES}
+    check_tick_stack(data.draw(stacks(TICK_SIZE, n)), layout, pi, maps, acting)
+
+
+@pytest.mark.parametrize("layout", [c_order, f_order, strided])
+def test_tick_on_identity_columns(layout):
+    # the frozen tail's stack: the unit ticks, with the default prior gains
+    pi = {s: list(getattr(LearningConfig(), f"pi_{s}0")) for s in STRATEGIES}
+    check_tick_stack(np.eye(TICK_SIZE).tolist(), layout, pi, DEFAULT_MAPS, set(STRATEGIES))
