@@ -280,6 +280,22 @@ def cmd_oracle_check(args, config):
     return 0 if report.get("within_tolerance", True) else 2
 
 
+def _gain_row(text, n):
+    """eig's --gain as a (1, n) array: a JSON list of n finite numbers, or
+    a list holding one such list; anything else is a ValueError."""
+    try:
+        gain = json.loads(text)
+        if isinstance(gain, list) and len(gain) == 1 and isinstance(gain[0], list):
+            gain = gain[0]
+        # math.isfinite of an integer too large for a float overflows
+        if isinstance(gain, list) and len(gain) == n and all(
+                type(g) in (int, float) and math.isfinite(g) for g in gain):
+            return np.array([gain], dtype=float)
+    except (ValueError, OverflowError):
+        pass
+    raise ValueError(f"--gain must be a JSON list of {n} finite numbers, not {text!r}")
+
+
 def cmd_eig(args, config):
     model = config.model
     out = {
@@ -287,7 +303,11 @@ def cmd_eig(args, config):
         "desired_model_eigenvalues": _eig_pairs(model.A_hat),
     }
     if args.gain is not None:
-        gain = np.array(json.loads(args.gain), dtype=float).reshape(1, -1)
+        try:
+            gain = _gain_row(args.gain, model.n)
+        except ValueError as exc:
+            print(f"gain error: {exc}", file=sys.stderr)
+            return 1
         out["closed_loop_eigenvalues"] = _eig_pairs(model.A + model.B @ gain)
         out["desired_closed_loop_eigenvalues"] = _eig_pairs(
             model.A_hat + model.B_hat @ gain)

@@ -359,7 +359,8 @@ class LearningConfig:
     The exploration probe (probe) adds a sum of sinusoids of amplitude
     probe_amplitude at probe_frequencies to each control increment during
     the first t_probe seconds.  The frequencies have irrational mutual
-    ratios so the probe never repeats; each strategy gets its own phases.
+    ratios so the probe never repeats; each strategy gets its own phases,
+    one per frequency (PROBE_PHASES), so at most three frequencies.
     """
 
     Q: float | np.ndarray = 0.05
@@ -418,6 +419,11 @@ class LearningConfig:
         ew = np.linalg.eigvalsh(0.5 * (self.Q + self.Q.T))
         if ew.min() < -1e-12:
             raise ValueError("Q must be positive semidefinite")
+        # probe pairs each frequency with a phase of each strategy
+        phases = min(map(len, PROBE_PHASES.values()))
+        if len(self.probe_frequencies) > phases:
+            raise ValueError(f"probe_frequencies takes at most {phases} frequencies, "
+                             f"one per probe phase, not {len(self.probe_frequencies)}")
         if self.init not in ("stabilizing", "identity"):
             raise ValueError(f"init must be 'stabilizing' or 'identity', not {self.init!r}")
 

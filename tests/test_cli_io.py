@@ -174,6 +174,8 @@ def test_unknown_section_or_key_rejected(text, match):
     ("learning", "r = NaN"),
     ("learning", "pi_cl0 = [NaN, 0, 1]"),
     ("learning", "probe_frequencies = [Infinity]"),
+    # each strategy has one probe phase per frequency, three in all
+    ("learning", "probe_frequencies = [7.0, 9.899, 15.652, 123.0]"),
     ("learning", "q = [[NaN, 0, 0], [0, 1, 0], [0, 0, 1]]"),
     ("learning", "conv_window = 1.5"),
     # a window below one freezes every strategy on its first check
@@ -479,6 +481,35 @@ def test_missing_config_exit(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "missing.ini" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("gain", [
+    "abc", '[1, 2, "x"]', "[1, 2]", "[1, 2, 3, 4]", "[1e400, 0, 0]", "[NaN, 0, 0]",
+    "[true, 0, 0]", "[null, 0, 0]", "null", "3", '{"gain": [1, 2, 3]}',
+    "[[1, 2, 3], [4, 5, 6]]", "[[1], [2], [3]]", "[" + "9" * 400 + ", 0, 0]",
+])
+def test_eig_bad_gain_exit(tmp_path, capsys, gain):
+    config = tmp_path / "default.ini"
+    config.write_text("")
+    rc = main(["eig", str(config), "--gain", gain])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("gain error: --gain must be a JSON list of 3 finite numbers")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("gain", ["[-15.9517, -4.0410, -4.9822]",
+                                  "[[-15.9517, -4.0410, -4.9822]]", "[-16, -4, -5]"])
+def test_eig_gain_spectra(tmp_path, capsys, model, gain):
+    config = tmp_path / "default.ini"
+    config.write_text("")
+    assert main(["eig", str(config), "--gain", gain]) == 0
+    out = json.loads(capsys.readouterr().out)
+    row = np.array(json.loads(gain), dtype=float).reshape(1, 3)
+    for key, A, B in (("closed_loop_eigenvalues", model.A, model.B),
+                      ("desired_closed_loop_eigenvalues", model.A_hat, model.B_hat)):
+        assert out[key] == cli_io._eig_pairs(A + B @ row)
 
 
 def test_seventeen_digit_serialization(tmp_path, model, default_config):
