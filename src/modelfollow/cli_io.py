@@ -10,8 +10,9 @@ for fields annotated str, which take the raw text (a % is a plain
 character).  An unknown section or key, a value the dataclasses reject, a
 prior gain of the wrong length, a plant that is not single-input
 single-output, one whose state count is not STACK_DEPTH (the one q
-weighs both the plant state and the error stacks) or a horizon that is not
-a whole number of ticks of delta is a ConfigError.
+weighs both the plant state and the error stacks), a horizon that is not
+a whole number of ticks of delta or an empty artifact name, or two that
+name the same file, is a ConfigError.
 Omitted keys take the defaults of the dataclasses they configure
 (ProcessModel's are the DEFAULT_* matrices below).  All numbers are
 serialized with 17 significant digits so re-runs are byte-identical.
@@ -64,6 +65,15 @@ class RunConfig:
         _require_numbers(self)
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
+        # run writes each artifact to its own file of the output directory
+        files = {}
+        for key in ("trajectory_csv", "weights_csv", "summary_json"):
+            name = getattr(self, key)
+            if not name:
+                raise ValueError(f"{key} must name a file")
+            other = files.setdefault(os.path.normpath(name), key)
+            if other != key:
+                raise ValueError(f"{key} = {name!r} names the file of {other}")
         # an episode runs whole ticks; a horizon between two of them would
         # be rounded to the nearer one
         ticks = self.horizon / self.learning.delta
@@ -220,10 +230,14 @@ def build_summary(config, log):
 
 
 def cmd_run(args, config):
+    outdir = args.outdir
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     log = run_episode(config.model, config.reference, config.learning,
                       horizon=config.horizon)
-    outdir = args.outdir
-    os.makedirs(outdir, exist_ok=True)
     write_trajectory_csv(log, os.path.join(outdir, config.trajectory_csv))
     write_weights_csv(log, os.path.join(outdir, config.weights_csv))
     summary = build_summary(config, log)

@@ -188,6 +188,10 @@ def test_unknown_section_or_key_rejected(text, match):
     ("learning", "kernel_smax = -2e-5"),
     ("run", "horizon = NaN"),
     ("run", "horizon = Infinity"),
+    # each artifact needs a file of its own
+    ("run", "weights_csv = trajectory.csv"),
+    ("run", "summary_json = ./weights.csv"),
+    ("run", "summary_json ="),
     ("model", "b = [0.0, 0.0, NaN]"),
 ])
 def test_wrong_typed_value_rejected(section, line):
@@ -462,6 +466,25 @@ def test_config_error_exit(tmp_path, capsys):
     rc = main(["run", str(config), "--outdir", str(tmp_path)])
     assert rc == 1
     assert "sigma_c" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("outdir", ["file", "file/sub"])
+def test_unusable_outdir_exit(tmp_path, capsys, monkeypatch, outdir):
+    # an output directory that is a file, or cannot be made under one, is
+    # reported in one line before the episode runs
+    config = tmp_path / "default.ini"
+    config.write_text("")
+    (tmp_path / "file").write_text("kept\n")
+
+    def no_episode(*args, **kwargs):
+        raise AssertionError("the episode ran")
+
+    monkeypatch.setattr(cli_io, "run_episode", no_episode)
+    rc = main(["run", str(config), "--outdir", str(tmp_path / outdir)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("output error:") and len(err.splitlines()) == 1
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("command", ["run", "oracle-check", "eig"])
