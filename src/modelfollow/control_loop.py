@@ -14,31 +14,44 @@ strategy sees as features and which action it prices: the observer and
 model-following strategies see the last STACK_DEPTH rows of the logged
 tracking-error columns and their signals are incremental (u <- u + mu);
 the closed-loop term is direct feedback on the observed state, its stage
-cost read off a fixed quadratic form.  The per-tick loop, the frozen tail
-and the Bellman pass all read the log through that description.
+cost read off a fixed quadratic form.  The frozen tail and the Bellman
+pass read the log through that description (LAGS and PRICED give each
+strategy's warm-up lag and priced action).
 
-_tick states one tick once: the actions mu = pi . F + probe (zero, no
-probe, for a strategy whose features do not exist yet), the ob/mf
-increments, the held inputs u_total and v, the step of both systems and
-their output errors, with the learner's component-wise formulas (sums in
-index order, no BLAS call).  Like those it runs on Python floats for one
-tick and on numpy columns for a stack of ticks, with the same bits in
-each column.  Adaptation of a strategy stops once its kernel has remained
-settled for a configured window (convergence freeze); from then on the
-strategy does no per-tick learner work.  Once every strategy acts and
-none adapts, the rest of the episode is one fixed affine recurrence s+ =
-M s + N w on the state [x, xhat, u_ob, u_mf, both error windows] and the
-input [probes, reference]: M and N are built once by running _tick on
-identity columns, each remaining tick is one matvec, the divergence box
-is checked once per TAIL_BLOCK ticks, and the logged outputs and actions
-are derived from the state history afterwards with _tick's formulas.
+The tick is generated code, as the learner's formulas are: one source
+piece per formula (the actions mu = pi . F + probe, zero and unprobed for
+a strategy whose features do not exist yet; the ob/mf increments; the held
+inputs u_total and v; the step of both systems; the outputs and output
+errors), written with the learner's helpers as straight-line Python with
+every sum in index order from 0.0 and no BLAS call.  _TICK compiles the
+tick of a plant size and a set of acting strategies on first use; it takes
+the lifted state s = [x, xhat, u_ob, u_mf, e_ob window, e_mf window] by its
+components and returns the lifted state after the tick and the row it
+logs.  Like the learner's kernels it runs on Python floats for one tick
+and on numpy columns for a stack of ticks, with the same bits in each
+column.
 
-A tick that adapts runs on Python floats: _tick, the features read from
-the log, the Bellman sample and the critic and actor steps.  The samples
-of every tick, frozen or not, are rebuilt after the loop by the same
-function, bellman_sample, run on the log columns (bellman_log); numpy's
-elementwise operations round as Python's float operations do, so each
-sample a learner step consumed equals its logged row bit for bit
+A tick that adapts runs on Python floats: the loop carries the lifted
+state, each strategy's features and next features are slices of it before
+and after the tick, the priced action is read off the tick's row, and the
+row, with each strategy's theta and pi, is written to the log with one
+assignment; nothing is read back from the log.  Each adapting strategy
+then takes its Bellman sample and its critic and actor steps.  Adaptation
+of a strategy stops once its kernel has remained settled for a configured
+window (convergence freeze); from then on the strategy does no per-tick
+learner work.  Once every strategy acts and none adapts, the rest of the
+episode is one fixed affine recurrence s+ = M s + N w on the lifted state,
+started from the loop's, and the input w = [probes, reference]: M and N
+are built once by running the tick on identity columns, each remaining tick
+is one matvec, the divergence box is checked once per TAIL_BLOCK ticks, and
+the logged outputs and actions are derived from the state history
+afterwards by the generated output, action and input pieces (_OUTPUTS,
+_ACTIONS) run on its columns.
+
+The samples of every tick, frozen or not, are rebuilt after the loop by
+the same function, bellman_sample, run on the log columns (bellman_log);
+numpy's elementwise operations round as Python's float operations do, so
+each sample a learner step consumed equals its logged row bit for bit
 (test_per_tick_samples_equal_log_rows checks this on every corpus config).
 TRAJECTORY fixes the order of the logged signals in trajectory.csv; the
 writer derives the CSV header from it and the width of each column.
@@ -56,6 +69,7 @@ from modelfollow.learner import (
     SingularKernelError, theta_to_S, S_to_theta,
     bellman_regressor, policy_from_kernel, critic_update, actor_update,
     kernel_converged, quadratic_form, utility, dot, components,
+    _Kernels, _index_sum, _products, _unpack,
 )
 from modelfollow.reference import eval_reference
 
@@ -72,7 +86,7 @@ TRAJECTORY = ("t", "x", "xhat", "y", "yhat", "yref", "e_ob", "e_mf",
 # the columns that depend on t alone, written for the whole episode before
 # the loop
 EXOGENOUS = ("t", "yref")
-# the columns a tick writes, in the order _tick returns them: the state
+# the columns a tick writes, in the order _TICK returns them: the state
 # after the tick, its outputs, the actions and the held inputs; besides
 # TRAJECTORY they hold the ob/mf increments the learners price and the
 # desired model's input v
@@ -80,6 +94,10 @@ TICK_COLUMNS = ("x", "xhat", "u_ob", "u_mf", "y", "yhat", "e_ob", "e_mf",
                 "mu_ob", "mu_cl", "mu_mf", "u_total", "v")
 # every per-tick column
 COLUMNS = EXOGENOUS + TICK_COLUMNS
+# each strategy's warm-up lag: it acts on the ticks k >= lag, on which its
+# features exist; and the action it prices, a TICK_COLUMNS name
+LAGS = {"ob": STACK_DEPTH - 1, "cl": 0, "mf": STACK_DEPTH - 1}
+PRICED = {"ob": "mu_ob", "cl": "v", "mf": "mu_mf"}
 
 
 @dataclass
@@ -175,10 +193,8 @@ def strategy_views(log):
     model-following strategies see their last STACK_DEPTH tracking errors
     once that many are logged and price their own increments.
     """
-    lag = STACK_DEPTH - 1
-    return {"ob": (_windows(log.e_ob), lag, log.mu_ob),
-            "cl": (log.xhat, 0, log.v),
-            "mf": (_windows(log.e_mf), lag, log.mu_mf)}
+    rows = {"ob": _windows(log.e_ob), "cl": log.xhat, "mf": _windows(log.e_mf)}
+    return {s: (rows[s], LAGS[s], getattr(log, PRICED[s])) for s in STRATEGIES}
 
 
 def embedded_gain_kernel(pi, beta, s_max):
@@ -300,54 +316,124 @@ def tick_cost_form(L, Q, R, h):
     return W
 
 
-def _actions(F, pi, probe):
-    """{s: mu}: the action pi[s] . F[s] + p of each strategy s that has its
-    features in F, p its entry of probe (one per strategy, in STRATEGIES
-    order), and 0.0, no probe, for one whose features do not exist yet
-    (warm-up gating)."""
-    return {s: dot(pi[s], F[s]) + p if s in F else 0.0 for s, p in zip(STRATEGIES, probe)}
+def _features(n):
+    """{s: (name, size)}: the features of each strategy in the generated
+    kernels, the components name0 .. name{size - 1} of the lifted state:
+    the observer and model-following error windows (oldest first) and the
+    closed-loop observed state."""
+    return {"ob": ("w_ob", STACK_DEPTH), "cl": ("xh", n), "mf": ("w_mf", STACK_DEPTH)}
 
 
-def _inputs(mu, u_ob, u_mf):
-    """The inputs held over a tick, from its actions and the ob/mf signals
-    after their increments: the plant's u_total and the desired model's
-    v = u_ob + u_total, the full input the closed-loop learner prices,
-    which keeps its logged data Bellman-consistent."""
-    u_tot = mu["cl"] + u_mf
-    return u_tot, u_ob + u_tot
+def _names(name, n):
+    return [f"{name}{i}" for i in range(n)]
 
 
-def _outputs(x, xh, yref, Crow):
-    """y, yhat and the output errors e_ob = y - yhat and e_mf = yref - y of
-    the plant state x and the desired-model state xh."""
-    y, yh = dot(Crow, x), dot(Crow, xh)
-    return y, yh, y - yh, yref - y
+def _lifted(n):
+    """The components of the lifted state [x, xhat, u_ob, u_mf, e_ob window,
+    e_mf window], as the generated kernels name them."""
+    return [*_names("x", n), *_names("xh", n), "u_ob", "u_mf",
+            *_names("w_ob", STACK_DEPTH), *_names("w_mf", STACK_DEPTH)]
 
 
-def _tick(F, pi, probe, state, yref, maps):
-    """One tick of the control law and both systems, component-wise.
+def _row(n):
+    """The TICK_COLUMNS values of a tick, x and xhat by their components, as
+    the generated kernels name them."""
+    return [*_names("x", n), *_names("xh", n), *TICK_COLUMNS[2:]]
 
-    state is (x, xhat, u_ob, u_mf) before the tick, F holds the features
-    of each strategy that acts (strategy_views), pi the gain of each
-    strategy, probe the probes in STRATEGIES order, and yref the reference
-    at the end of the tick.  The three strategies compose the held inputs,
-    the plant and the desired model advance by their per-tick maps (lists:
-    Phi, Gamma, Phi_hat, Gamma_hat and the output row), and the
-    TICK_COLUMNS values after the tick are returned in order, x and xhat
-    as lists of components.  Like the learner formulas it runs on Python
-    floats for one tick and on numpy columns for a stack of them, giving
-    each column the one-tick value bit for bit; the tick is linear in
-    (state, probe, yref), so identity columns give its matrices.
-    """
-    x, xh, u_ob, u_mf = state
-    Phi, Gam, Phi_hat, Gam_hat, Crow = maps
-    mu = _actions(F, pi, probe)
-    u_ob = u_ob + mu["ob"]
-    u_mf = u_mf + mu["mf"]
-    u_tot, v = _inputs(mu, u_ob, u_mf)
-    x = [dot(row, x) + g * u_tot for row, g in zip(Phi, Gam)]
-    xh = [dot(row, xh) + g * v for row, g in zip(Phi_hat, Gam_hat)]
-    return (x, xh, u_ob, u_mf, *_outputs(x, xh, yref, Crow), *mu.values(), u_tot, v)
+
+def _gain_lines(n):
+    """Unpack each strategy's gain pi_s and probe p_s from the sequences pi
+    and probe, in STRATEGIES order."""
+    lines = [f"[{', '.join(f'pi_{s}' for s in STRATEGIES)}] = pi",
+             f"[{', '.join(f'p_{s}' for s in STRATEGIES)}] = probe"]
+    return lines + [_unpack(f"pi_{s}", size) for s, (_, size) in _features(n).items()]
+
+
+def _action_lines(n, acting):
+    """The actions mu_s = pi_s . F_s + p_s of the acting strategies, and 0.0,
+    no probe, for one whose features do not exist yet (warm-up gating)."""
+    return [f"mu_{s} = {_index_sum(_products(f'pi_{s}', name, size))} + p_{s}"
+            if s in acting else f"mu_{s} = 0.0"
+            for s, (name, size) in _features(n).items()]
+
+
+# the inputs held over a tick, from its actions and the ob/mf signals after
+# their increments: the plant's u_total and the desired model's v = u_ob +
+# u_total, the full input the closed-loop learner prices, which keeps its
+# logged data Bellman-consistent
+_INPUT_LINES = ["u_total = mu_cl + u_mf", "v = u_ob + u_total"]
+
+
+def _step_lines(n):
+    """Both systems advance by their per-tick maps, x+ = Phi x + Gam u_total
+    and xhat+ = Phih xhat + Gamh v, each row an index-order sum."""
+    lines = []
+    for x, Phi, Gam, u in (("x", "Phi", "Gam", "u_total"), ("xh", "Phih", "Gamh", "v")):
+        rows = (f"{_index_sum(f'{Phi}{i * n + j} * {x}{j}' for j in range(n))} + {Gam}{i} * {u}"
+                for i in range(n))
+        lines.append(f"[{', '.join(_names(x, n))}] = [{', '.join(rows)}]")
+    return lines
+
+
+def _output_lines(n):
+    """y and yhat of the states x and xh and the output errors e_ob = y - yhat
+    and e_mf = yref - y."""
+    return [f"y = {_index_sum(_products('C', 'x', n))}",
+            f"yhat = {_index_sum(_products('C', 'xh', n))}",
+            "e_ob = y - yhat", "e_mf = yref - y"]
+
+
+def _kernel_source(signature, lines, result):
+    body = "\n    ".join(lines)
+    return f"""
+def kernel({signature}):
+    {body}
+    return {result}
+"""
+
+
+def _tick_source(key):
+    n, acting = key
+    w_ob, w_mf = _names("w_ob", STACK_DEPTH), _names("w_mf", STACK_DEPTH)
+    state = [*_names("x", n), *_names("xh", n), "u_ob", "u_mf",
+             *w_ob[1:], "e_ob", *w_mf[1:], "e_mf"]
+    lines = [f"[{', '.join(_lifted(n))}] = z", *_gain_lines(n),
+             "[Phi, Gam, Phih, Gamh, C] = maps",
+             *(_unpack(name, size) for name, size in
+               (("Phi", n * n), ("Gam", n), ("Phih", n * n), ("Gamh", n), ("C", n))),
+             *_action_lines(n, acting), "u_ob = u_ob + mu_ob", "u_mf = u_mf + mu_mf",
+             *_INPUT_LINES, *_step_lines(n), *_output_lines(n)]
+    return _kernel_source("z, pi, probe, yref, maps", lines,
+                          f"[{', '.join(state)}], [{', '.join(_row(n))}]")
+
+
+def _outputs_source(n):
+    lines = [_unpack("x", n), _unpack("xh", n), _unpack("C", n), *_output_lines(n)]
+    return _kernel_source("x, xh, yref, C", lines, "y, yhat, e_ob, e_mf")
+
+
+def _actions_source(n):
+    features = _features(n).values()
+    lines = [*(_unpack(name, size) for name, size in features), *_gain_lines(n),
+             *_action_lines(n, STRATEGIES), *_INPUT_LINES]
+    return _kernel_source(f"{', '.join(name for name, _ in features)}, pi, probe, u_ob, u_mf",
+                          lines, "mu_ob, mu_cl, mu_mf, u_total, v")
+
+
+# _TICK[n, acting](z, pi, probe, yref, maps): one tick of the control law and
+# both systems, of a plant of n states, on which the strategies in acting
+# have their features.  z is the lifted state before the tick, pi the gains
+# and probe the probes in STRATEGIES order, yref the reference at the end of
+# the tick and maps (Phi, Gamma, Phi_hat, Gamma_hat, the output row), Phi and
+# Phi_hat flattened row-major.  Returns the lifted state after the tick and
+# the row of TICK_COLUMNS values it logs, x and xhat by their components.
+_TICK = _Kernels(_tick_source)
+# _OUTPUTS[n](x, xh, yref, C): y, yhat, e_ob and e_mf of the states x, xh
+_OUTPUTS = _Kernels(_outputs_source)
+# _ACTIONS[n](w_ob, xh, w_mf, pi, probe, u_ob, u_mf): the actions of the
+# features of every strategy and the held inputs they give with the ob/mf
+# signals after their increments: mu_ob, mu_cl, mu_mf, u_total and v
+_ACTIONS = _Kernels(_actions_source)
 
 
 def _step_rows(rows, z, M):
@@ -360,41 +446,34 @@ def _step_rows(rows, z, M):
     return z
 
 
-def _frozen_tail(log, k0, start, gains, maps, probe):
+def _frozen_tail(log, k0, z, gains, maps, probe):
     """Ticks k0, k0 + 1, ... of an episode in which no strategy adapts.
 
-    With the gains fixed a tick is an affine map s+ = M s + N w, built once
-    here by running _tick on identity columns; N w of every tick is one
-    matmul and each tick one matvec.  start holds x, xhat, u_ob and u_mf
-    after row k0; the error windows are the features strategy_views reads
-    off the log at row k0.  gains holds each strategy's gain and row k of
-    probe the probes of tick k.  Rows k0 + 1 on are then written from the
-    state history, the logged outputs and actions derived from it with
-    _tick's formulas run on its columns, and the log trimmed at the first
-    row whose plant state leaves the box, as the per-tick loop does; the
-    ticks after the block that holds that row are not run.
+    With the gains fixed a tick is an affine map s+ = M s + N w of the
+    lifted state s and the input w = [the probes of STRATEGIES, yref at the
+    end of the tick], built once here by running _TICK on identity columns;
+    N w of every tick is one matmul and each tick one matvec.  z is the
+    lifted state after row k0, gains holds each strategy's gain in
+    STRATEGIES order and row k of probe the probes of tick k.  Rows k0 + 1
+    on are then written from the state history, the logged outputs and
+    actions derived from it with _OUTPUTS and _ACTIONS run on its columns,
+    and the log trimmed at the first row whose plant state leaves the box,
+    as the per-tick loop does; the ticks after the block that holds that row
+    are not run.
     """
     n = log.x.shape[1]
-    size = 2 * n + 2 + 2 * STACK_DEPTH
-    # one identity column per component of the state s = [x, xhat, u_ob,
-    # u_mf, e_ob window, e_mf window] and of the input w = [the probes of
-    # STRATEGIES, yref at the end of the tick]
-    x, xh, u, win_ob, win_mf, p, (yref,) = np.split(
-        np.eye(size + len(STRATEGIES) + 1),
-        np.cumsum([n, n, 2, STACK_DEPTH, STACK_DEPTH, len(STRATEGIES)]))
-    x, xh, u_ob, u_mf, _, _, e_ob, e_mf = _tick(
-        {"ob": win_ob, "cl": xh, "mf": win_mf}, gains, p, (x, xh, *u), yref, maps)[:8]
-    MN = np.vstack([*x, *xh, u_ob, u_mf, *win_ob[1:], e_ob, *win_mf[1:], e_mf])
+    size = len(z)
+    # one identity column per component of s and of w
+    unit = list(np.eye(size + len(STRATEGIES) + 1))
+    MN = np.vstack(_TICK[n, STRATEGIES](unit[:size], gains, unit[size:-1], unit[-1], maps)[0])
     M, N = MN[:, :size], MN[:, size:]
 
-    x, xh, u_ob, u_mf = start
-    F = {s: rows[k0 - lag] for s, (rows, lag, _) in strategy_views(log).items()}
-    z = np.concatenate([x, xh, [u_ob, u_mf], F["ob"], F["mf"]])
     w = np.column_stack([probe[k0:], log.yref[k0 + 1:]])
     # row i starts as N w of tail tick i and becomes the state after it;
     # the rows are stepped TAIL_BLOCK at a time and the box checked after
     # each block, so a diverging tail stops within one block of its exit
     hist = w @ N.T
+    z = np.array(z)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, len(hist), TAIL_BLOCK):
             block = hist[i:i + TAIL_BLOCK]
@@ -413,13 +492,13 @@ def _frozen_tail(log, k0, start, gains, maps, probe):
     log.xhat[rows] = hist[:, n:2 * n]
     log.u_ob[rows] = hist[:, 2 * n]
     log.u_mf[rows] = hist[:, 2 * n + 1]
-    log.y[rows], log.yhat[rows], log.e_ob[rows], log.e_mf[rows] = _outputs(
+    log.y[rows], log.yhat[rows], log.e_ob[rows], log.e_mf[rows] = _OUTPUTS[n](
         components(log.x[rows]), components(log.xhat[rows]), log.yref[rows], maps[-1])
-    F = {s: components(feats[k0 - lag:k0 - lag + len(hist)])
-         for s, (feats, lag, _) in strategy_views(log).items()}
-    mu = _actions(F, gains, w[:len(hist)].T)
-    log.mu_ob[rows], log.mu_cl[rows], log.mu_mf[rows] = mu.values()
-    log.u_total[rows], log.v[rows] = _inputs(mu, log.u_ob[rows], log.u_mf[rows])
+    F = [components(feats[k0 - lag:k0 - lag + len(hist)])
+         for feats, lag, _ in strategy_views(log).values()]
+    (log.mu_ob[rows], log.mu_cl[rows], log.mu_mf[rows], log.u_total[rows],
+     log.v[rows]) = _ACTIONS[n](*F, gains, probe[k0:k0 + len(hist)].T,
+                                log.u_ob[rows], log.u_mf[rows])
 
 
 @contextmanager
@@ -471,10 +550,10 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
     n = model.n
     L = held_input_maps(model.A, model.B, h, SUBSTEPS)
     L_hat = held_input_maps(model.A_hat, model.B_hat, h, SUBSTEPS)
-    # the tick takes the maps and the stage-cost weights as lists; the
+    # the kernels take the maps and the stage-cost weights as lists; the
     # closed-loop learner's stage cost is priced on [xhat; v]
-    maps = tuple(a.tolist() for a in (L[-1, :, :n], L[-1, :, n],
-                                      L_hat[-1, :, :n], L_hat[-1, :, n], model.C[0]))
+    maps = tuple(a.ravel().tolist() for a in (L[-1, :, :n], L[-1, :, n],
+                                              L_hat[-1, :, :n], L_hat[-1, :, n], model.C[0]))
     Q = cfg.Q.tolist()
     forms = {"ob": Q, "cl": tick_cost_form(L_hat, cfg.Q, cfg.R, h).tolist(), "mf": Q}
 
@@ -492,65 +571,74 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
     # row k: the probes of tick k, one column per strategy in STRATEGIES order
     probe = np.column_stack([cfg.probe(t_start, s) for s in STRATEGIES])
     probes = probe.tolist()
-    views = strategy_views(log)
-    # the strategies that take learner steps
-    adapting = [s for s in STRATEGIES if learning_enabled and not states[s].frozen]
-
-    def record(k, tick):
-        # row k: the TICK_COLUMNS of the tick, then each strategy's theta and pi
-        x, xh, *signals = tick
-        row = [*x, *xh, *signals]
-        for s in STRATEGIES:
-            row += states[s].theta
-            row += states[s].pi
-        log.write_row(k, row)
+    # before tick STACK_DEPTH - 1 only the closed-loop strategy acts
+    lag = STACK_DEPTH - 1
+    warm_up, full = _TICK[n, ("cl",)], _TICK[n, STRATEGIES]
+    # per adapting strategy: its state, its features (a slice of the lifted
+    # state), the index of the action it prices in a tick's row, its lag,
+    # its stage-cost weight and the index of its gain
+    adapting = []
+    for g, s in enumerate(STRATEGIES):
+        if learning_enabled and not states[s].frozen:
+            name, size = _features(n)[s]
+            start = _lifted(n).index(f"{name}0")
+            adapting.append((s, states[s], slice(start, start + size),
+                             _row(n).index(PRICED[s]), LAGS[s], forms[s], g))
 
     # rows from tail_start on are written by the frozen tail, which leaves
     # theta and pi to be filled after the loop
     tail_start = n_ticks + 1
     with _float_states(states):
+        ordered = [states[s] for s in STRATEGIES]
         # the gain each strategy holds, replaced by its learner steps
-        pi = {s: states[s].pi for s in STRATEGIES}
-        state = (x, xh, 0.0, 0.0)
-        record(0, (*state, *_outputs(x, xh, yref[0], maps[-1]), 0.0, 0.0, 0.0, 0.0, 0.0))
+        gains = [st.pi for st in ordered]
+
+        def record(k, row):
+            # row k: the TICK_COLUMNS of a tick, then each strategy's theta and pi
+            for st in ordered:
+                row += st.theta
+                row += st.pi
+            log.write_row(k, row)
+
+        y, yhat, e_ob, e_mf = _OUTPUTS[n](x, xh, yref[0], maps[-1])
+        record(0, [*x, *xh, 0.0, 0.0, y, yhat, e_ob, e_mf, 0.0, 0.0, 0.0, 0.0, 0.0])
+        # the lifted state: the error windows hold the logged errors, oldest
+        # first, and zeros before the first row
+        z = [*x, *xh, 0.0, 0.0, *[0.0] * lag, e_ob, *[0.0] * lag, e_mf]
 
         for k in range(n_ticks):
-            if k >= STACK_DEPTH - 1 and not adapting:
+            if k >= lag and not adapting:
                 # every strategy acts and none adapts: the rest of the
                 # episode is one fixed affine recurrence
-                _frozen_tail(log, k, state, pi, maps, probe)
+                _frozen_tail(log, k, z, gains, maps, probe)
                 tail_start = k + 1
                 break
             t = k * delta
-            # a strategy acts once its features exist (k >= lag)
-            F = {s: rows[k - lag].tolist() for s, (rows, lag, _) in views.items() if k >= lag}
-            tick = _tick(F, pi, probes[k], state, yref[k + 1], maps)
-            state = tick[:4]
-            t_next = t + delta
+            z_next, row = (full if k >= lag else warm_up)(z, gains, probes[k], yref[k + 1], maps)
 
             # false for nan and inf as well as for a state outside the box;
             # max() would pass a nan that is not its first argument
-            if not all(abs(c) <= 1e7 for c in state[0]):
-                log.diverged = t_next
+            if not all(abs(c) <= 1e7 for c in z_next[:n]):
+                log.diverged = t + delta
                 log.trim(k + 1)
                 break
 
-            record(k + 1, tick)
+            record(k + 1, row)
 
             # a frozen strategy costs nothing per tick; an adapting one
             # takes its Bellman sample with the formula bellman_log runs on
             # the log columns
-            for s in tuple(adapting):
-                rows, lag, action = views[s]
-                if k >= lag:
-                    z_tilde, phi = bellman_sample(s, F[s], float(action[k + 1]),
-                                                  rows[k - lag + 1].tolist(), states[s].pi,
-                                                  cfg, forms[s])
-                    _learn_step(states[s], z_tilde, phi, F[s], cfg, t)
-                    pi[s] = states[s].pi
-                    if states[s].frozen:
-                        log.t_converged[s] = t_next
-                        adapting.remove(s)
+            for learner in tuple(adapting):
+                s, st, F, mu, lag_s, form, g = learner
+                if k >= lag_s:
+                    F_t = z[F]
+                    z_tilde, phi = bellman_sample(s, F_t, row[mu], z_next[F], st.pi, cfg, form)
+                    _learn_step(st, z_tilde, phi, F_t, cfg, t)
+                    gains[g] = st.pi
+                    if st.frozen:
+                        log.t_converged[s] = t + delta
+                        adapting.remove(learner)
+            z = z_next
 
     for s in STRATEGIES:
         log.theta_hist[s][tail_start:] = states[s].theta

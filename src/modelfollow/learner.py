@@ -13,18 +13,20 @@ Every formula is written component by component, and a vector is a
 sequence of its components: Python floats for one vector (a kernel as the
 tuple of its entries in row-major order), one numpy column per component
 for a stack of vectors (components gives them).  dot, quadratic_form,
-bellman_regressor, critic_update, actor_update and kernel_converged each
-have one source generator; for a vector size n it writes the formula as
-straight-line Python, the components unpacked into locals and every sum
-one explicit left-to-right + chain in index order that starts at 0.0, as
-s = 0.0; s = s + a_i * b_i would compute it, never sum().  The kernel of a
-size is compiled on its first call and kept in a dict keyed by the size,
-so importing compiles nothing.  Nothing calls BLAS: numpy's elementwise
-operations round as Python's float operations do, so a stack of ticks run
-through a kernel gives each row the one-tick value bit for bit, whatever
-the memory layout of the columns.  A numpy vector or stack is converted at
-the boundary (components); only theta_to_S and policy_from_kernel take and
-give numpy kernels as well.
+bellman_regressor, critic_update, actor_update, kernel_converged and
+policy_from_kernel each have one source generator; for a vector size n it
+writes the formula as straight-line Python, the components unpacked into
+locals and every sum one explicit left-to-right + chain in index order
+that starts at 0.0, as s = 0.0; s = s + a_i * b_i would compute it, never
+sum().  The kernel of a size is compiled on its first call and kept in a
+dict keyed by the size (_Kernels), so importing compiles nothing;
+control_loop writes its tick with the same helpers (_unpack, _index_sum,
+_products) and compiles it the same way.  Nothing calls BLAS: numpy's
+elementwise operations round as Python's float operations do, so a stack
+of ticks run through a kernel gives each row the one-tick value bit for
+bit, whatever the memory layout of the columns.  A numpy vector or stack
+is converted at the boundary (components); only theta_to_S and
+policy_from_kernel take and give numpy kernels as well.
 """
 
 import math
@@ -72,7 +74,7 @@ class _Kernels(dict):
         self.source = source
 
     def __missing__(self, n):
-        namespace = {"sqrt": math.sqrt}
+        namespace = {"sqrt": math.sqrt, "SingularKernelError": SingularKernelError}
         exec(compile(self.source(n), f"<{self.source.__name__}({n})>", "exec"), namespace)
         kernel = self[n] = namespace["kernel"]
         return kernel
@@ -219,6 +221,27 @@ def S_to_theta(S):
     return S[rows, cols]
 
 
+def _policy_from_kernel_source(size):
+    d = math.isqrt(size)
+    if d * d != size:
+        raise ValueError(f"a kernel of {size} entries is not square")
+    s = f"S{size - 1}"
+    gain = ", ".join(f"-(S{i} * inv)" for i in range(size - d, size - 1))
+    return f"""
+def kernel(S, n_features, eps_sing):
+    {_unpack("S", size)}
+    if n_features is not None and n_features != {d - 1}:
+        raise ValueError(f"n_features = {{n_features}} does not leave a 1x1 control block")
+    if abs({s}) < eps_sing:
+        raise SingularKernelError(f"|S_mumu| = {{abs({s}):.3g}} below {{eps_sing:.3g}}")
+    inv = 1 / {s}
+    return [[{gain}]]
+"""
+
+
+_POLICY_FROM_KERNEL = _Kernels(_policy_from_kernel_source)
+
+
 def policy_from_kernel(S, n_features=None, eps_sing=1e-8):
     """Greedy linear gain -S_mumu^{-1} S_muF from the kernel blocks, (1, d - 1).
 
@@ -228,20 +251,14 @@ def policy_from_kernel(S, n_features=None, eps_sing=1e-8):
     SingularKernelError.  n_features gives the size of the F partition and
     must leave that 1x1 block; ValueError otherwise.  A kernel given as the
     tuple of its entries in row-major order (as theta_to_S gives it for a
-    list) gives the gain as a list holding one row, any other a numpy array.
+    list) gives the gain as a list holding one row, from the straight-line
+    kernel of its size; any other is read as a numpy array, and its gain,
+    from the same kernel, returned as one.
     """
-    entries = S if isinstance(S, tuple) else np.asarray(S, dtype=float).ravel().tolist()
-    d = math.isqrt(len(entries))
-    nf = d - 1
-    if n_features is not None and n_features != nf:
-        raise ValueError(f"n_features = {n_features} does not leave a 1x1 control block")
-    last = entries[-d:]
-    s = last[nf]
-    if abs(s) < eps_sing:
-        raise SingularKernelError(f"|S_mumu| = {abs(s):.3g} below {eps_sing:.3g}")
-    inv = 1 / s
-    gain = [[-(v * inv) for v in last[:nf]]]
-    return gain if isinstance(S, tuple) else np.array(gain)
+    if isinstance(S, tuple):
+        return _POLICY_FROM_KERNEL[len(S)](S, n_features, eps_sing)
+    entries = np.asarray(S, dtype=float).ravel().tolist()
+    return np.array(_POLICY_FROM_KERNEL[len(entries)](entries, n_features, eps_sing))
 
 
 def _critic_update_source(n):

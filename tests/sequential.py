@@ -74,3 +74,29 @@ def seq_distance(p, q):
         d = b - a
         s = s + d * d
     return math.sqrt(s)
+
+
+def seq_policy_row(S, d):
+    """The greedy gain row -(v * (1 / s)) of a kernel given as its d * d
+    entries in row-major order: v the first d - 1 entries of its last row,
+    s the last entry."""
+    inv = 1 / S[d * d - 1]
+    return [-(S[(d - 1) * d + j] * inv) for j in range(d - 1)]
+
+
+def seq_tick(x, xh, u_ob, u_mf, mu, yref, maps):
+    """The TICK_COLUMNS values of one tick of the control law from its
+    actions mu = (mu_ob, mu_cl, mu_mf): the ob/mf increments, the held
+    inputs u_total = mu_cl + u_mf and v = u_ob + u_total, the step
+    x+ = Phi x + Gam u_total and xhat+ = Phi_hat xhat + Gam_hat v, the
+    outputs y = C x+ and yhat = C xhat+ and the errors y - yhat, yref - y."""
+    Phi, Gam, Phi_hat, Gam_hat, C = maps
+    mu_ob, mu_cl, mu_mf = mu
+    u_ob = u_ob + mu_ob
+    u_mf = u_mf + mu_mf
+    u_total = mu_cl + u_mf
+    v = u_ob + u_total
+    x = [seq_dot(Phi[i], x) + Gam[i] * u_total for i in range(len(x))]
+    xh = [seq_dot(Phi_hat[i], xh) + Gam_hat[i] * v for i in range(len(xh))]
+    y, yhat = seq_dot(C, x), seq_dot(C, xh)
+    return (x, xh, u_ob, u_mf, y, yhat, y - yhat, yref - y, mu_ob, mu_cl, mu_mf, u_total, v)

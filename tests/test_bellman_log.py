@@ -84,6 +84,43 @@ def test_only_active_strategies_compute_regressors(monkeypatch, model, default_c
     assert count_regressor_calls(monkeypatch, model, c, never_frozen) == {1: 5996, 2: 3}
 
 
+# the learner functions run_episode calls through control_loop's own names,
+# the call sites a tracer of the episode wraps
+LEARNER_CALLS = ("bellman_regressor", "utility", "critic_update", "kernel_converged",
+                 "policy_from_kernel", "actor_update")
+
+
+def count_learner_calls(monkeypatch, model, c, learning):
+    """Calls of each LEARNER_CALLS name in control_loop during one episode."""
+    calls = dict.fromkeys(LEARNER_CALLS, 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    with monkeypatch.context() as mp:
+        for name in LEARNER_CALLS:
+            mp.setattr(control_loop, name, counted(name, getattr(control_loop, name)))
+        run_episode(model, c.reference, learning, horizon=20.0)
+    return calls
+
+
+def test_learner_calls_stay_at_control_loop_names(monkeypatch, model, default_config):
+    # one call of each per learner step: 446 steps on the default episode
+    # (150 closed-loop, 296 observer and model-following) and 5996 with the
+    # freeze disabled; the stacked rebuild adds one regressor per strategy
+    # and one utility per error-feature strategy.  A learner call fused
+    # into another or skipped changes a count.
+    c = default_config
+    assert count_learner_calls(monkeypatch, model, c, c.learning) == {
+        "bellman_regressor": 449, "utility": 298, **dict.fromkeys(LEARNER_CALLS[2:], 446)}
+    never_frozen = dataclasses.replace(c.learning, tol_conv=0.0)
+    assert count_learner_calls(monkeypatch, model, c, never_frozen) == {
+        "bellman_regressor": 5999, "utility": 3998, **dict.fromkeys(LEARNER_CALLS[2:], 5996)}
+
+
 def test_short_and_stopped_episodes_have_empty_logs(model, default_config):
     c = default_config
 

@@ -12,9 +12,11 @@ signed zeros among them (the leading 0.0 + turns a sum of -0.0 terms into
 ticks must give each row its one-tick value byte for byte, whatever the
 memory layout the columns come from: a C-ordered stack (its columns are
 strided), a Fortran-ordered one (contiguous columns) or a strided view
-into a larger array (neither axis contiguous).  control_loop's _tick is
-held to the same property, which lets the frozen tail build its matrices
-from identity columns run through the one-tick formula.
+into a larger array (neither axis contiguous).  control_loop's generated
+tick kernel is held to the same property, which lets the frozen tail build
+its matrices from identity columns run through the one-tick formula, and
+to the tick spelled out with the same sums (seq_tick).  policy_from_kernel's
+kernel is checked against -(v * (1 / s)) for kernels of 2-7 rows.
 """
 
 import numpy as np
@@ -23,16 +25,16 @@ from hypothesis import given, strategies as st
 
 from modelfollow.cli_io import parse_config
 from modelfollow.control_loop import (
-    STRATEGIES, SUBSTEPS, TICK_COLUMNS, _tick, bellman_sample,
+    STRATEGIES, SUBSTEPS, TICK_COLUMNS, _TICK, bellman_sample,
 )
 from modelfollow.dynamics import held_input_maps
 from modelfollow.learner import (
-    LearningConfig, actor_update, bellman_regressor, critic_update, dot, kernel_converged,
-    quadratic_form, utility,
+    LearningConfig, SingularKernelError, actor_update, bellman_regressor, critic_update, dot,
+    kernel_converged, policy_from_kernel, quadratic_form, utility,
 )
 from sequential import (
-    seq_actor_update, seq_critic_update, seq_distance, seq_dot, seq_quadratic_form,
-    seq_regressor,
+    seq_actor_update, seq_critic_update, seq_distance, seq_dot, seq_policy_row,
+    seq_quadratic_form, seq_regressor, seq_tick,
 )
 
 # finite values, signed zeros drawn often and subnormals included, small
@@ -191,6 +193,41 @@ def test_kernel_converged(data, d, seq):
         assert kernel_converged(seq(S_prev), seq(S_next), tol) is (distance < tol)
 
 
+def check_policy(S, d, n_features=None, eps_sing=1e-8):
+    """policy_from_kernel of the d * d entries S, as a tuple and as a numpy
+    kernel, against the reference row, byte for byte."""
+    want = seq_policy_row(S, d)
+    same_bytes(policy_from_kernel(tuple(S), n_features, eps_sing), [want])
+    same_bytes(policy_from_kernel(np.reshape(S, (d, d)), n_features, eps_sing), np.array([want]))
+
+
+@given(st.data(), st.integers(2, 7))
+def test_policy_from_kernel(data, d):
+    # kernel entries in row-major order, the control block clear of eps_sing
+    S = data.draw(vectors(d * d).filter(lambda S: abs(S[-1]) >= 1e-8))
+    check_policy(S, d, n_features=d - 1)
+    check_policy(S, d)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_policy_from_kernel_edges(d):
+    # signed zeros in the cross block: -(v * (1 / s)) keeps the sign rules
+    for s in (2.0, -2.0):
+        check_policy([1.0] * (d * d - d) + [(0.0, -0.0)[j % 2] for j in range(d - 1)] + [s], d)
+    # |s| == eps_sing gives a gain, one ulp below raises
+    for sign in (1.0, -1.0):
+        check_policy([1.0] * (d * d - 1) + [sign * 1e-8], d, eps_sing=1e-8)
+        below = [1.0] * (d * d - 1) + [sign * np.nextafter(1e-8, 0.0)]
+        for S in (tuple(below), np.reshape(below, (d, d))):
+            with pytest.raises(SingularKernelError):
+                policy_from_kernel(S, eps_sing=1e-8)
+    # n_features must leave a 1x1 control block
+    for n_features in (d - 2, d):
+        for S in (tuple(np.eye(d).ravel().tolist()), np.eye(d)):
+            with pytest.raises(ValueError, match="1x1"):
+                policy_from_kernel(S, n_features=n_features)
+
+
 @given(st.data(), N_ROWS, st.sampled_from(["ob", "cl", "mf"]), LAYOUTS, LAYOUTS)
 def test_bellman_sample(data, n, s, layout_F, layout_pi):
     # the closed-loop strategy prices [F; mu] with a 4x4 tick form, the
@@ -220,43 +257,57 @@ def default_maps():
 DEFAULT_MAPS = default_maps()
 # Phi, Gamma, Phi_hat, Gamma_hat and the output row of a 3-state plant
 RANDOM_MAPS = st.tuples(stacks(3, 3), vectors(3), stacks(3, 3), vectors(3), vectors(3))
-# per tick: x, xhat, u_ob, u_mf, the ob, cl and mf features, the three
-# probes and yref
-TICK_SIZE = 3 + 3 + 1 + 1 + 3 * 3 + 3 + 1
+# per tick: the lifted state (x, xhat, u_ob, u_mf, the ob and mf error
+# windows; xhat is the closed-loop strategy's features), the three probes
+# and yref
+TICK_SIZE = 3 + 3 + 1 + 1 + 2 * 3 + 3 + 1
 
 
 def tick_inputs(values, acting):
-    """The F, probe, state and yref arguments of _tick, taken in the order
-    above from one tick's floats or from one column per component."""
-    it = iter(values)
+    """The features of each acting strategy and the z, probe and yref
+    arguments of the tick kernel, taken in the order above from one tick's
+    floats or from one column per component."""
+    values = list(values)
+    z, probe, (yref,) = values[:14], values[14:17], values[17:]
+    F = {"ob": z[8:11], "cl": z[3:6], "mf": z[11:14]}
+    return {s: F[s] for s in acting}, z, probe, yref
 
-    def take(k):
-        return [next(it) for _ in range(k)]
 
-    x, xh, (u_ob,), (u_mf,) = take(3), take(3), take(1), take(1)
-    F = {s: take(3) for s in STRATEGIES}
-    probe = take(3)
-    (yref,) = take(1)
-    return {s: F[s] for s in acting}, probe, (x, xh, u_ob, u_mf), yref
+def tick(values, pi, maps, acting):
+    """The tick kernel of the acting strategies on one tick or a stack: the
+    features of each acting strategy, the probes and the TICK_COLUMNS
+    values, x and xhat as lists of components.  The lifted state it returns
+    must hold the state after the tick and the error windows shifted by
+    its errors."""
+    F, z, probe, yref = tick_inputs(values, acting)
+    Phi, Gam, Phi_hat, Gam_hat, C = maps
+    flat = ([v for r in Phi for v in r], Gam, [v for r in Phi_hat for v in r], Gam_hat, C)
+    kernel = _TICK[3, tuple(s for s in STRATEGIES if s in acting)]
+    z_next, row = kernel(z, [pi[s] for s in STRATEGIES], probe, yref, flat)
+    out = (row[:3], row[3:6], *row[6:])
+    e_ob, e_mf = out[TICK_COLUMNS.index("e_ob")], out[TICK_COLUMNS.index("e_mf")]
+    same_bytes(z_next, [*row[:8], *z[9:11], e_ob, *z[12:14], e_mf])
+    return F, probe, out
 
 
 def check_tick_stack(ticks, layout, pi, maps, acting):
-    """_tick on each tick's floats, and on the ticks stacked in layout as
-    columns, which must give every row its one-tick value byte for byte."""
+    """The tick kernel on each tick's floats, and on the ticks stacked in
+    layout as columns, which must give every row its one-tick value byte
+    for byte."""
     per_tick = []
     for values in ticks:
-        F, probe, state, yref = tick_inputs(values, acting)
-        out = _tick(F, pi, probe, state, yref, maps)
+        F, probe, out = tick(values, pi, maps, acting)
         assert len(out) == len(TICK_COLUMNS)
         assert all(type(v) is float for v in [*out[0], *out[1], *out[2:]])
         # the actions are pi . F + probe, and 0.0 for a strategy not acting
         row = dict(zip(TICK_COLUMNS, out))
-        same_bytes([row["mu_" + s] for s in STRATEGIES],
-                   [seq_dot(pi[s], F[s]) + p if s in acting else 0.0
-                    for s, p in zip(STRATEGIES, probe)])
+        mu = [seq_dot(pi[s], F[s]) + p if s in acting else 0.0 for s, p in zip(STRATEGIES, probe)]
+        same_bytes([row["mu_" + s] for s in STRATEGIES], mu)
+        # and the rest of the tick follows from them by the index-order sums
+        want = seq_tick(values[:3], values[3:6], values[6], values[7], mu, values[-1], maps)
+        same_bytes([*out[0], *out[1], *out[2:]], [*want[0], *want[1], *want[2:]])
         per_tick.append(out)
-    F, probe, state, yref = tick_inputs(columns(layout(ticks)), acting)
-    stacked = _tick(F, pi, probe, state, yref, maps)
+    _, _, stacked = tick(columns(layout(ticks)), pi, maps, acting)
     assert len(stacked) == len(TICK_COLUMNS)
     for j, value in enumerate(stacked):
         value = value if isinstance(value, list) else np.broadcast_to(value, (len(ticks),))
