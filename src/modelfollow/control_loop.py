@@ -629,11 +629,12 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
             # takes its Bellman sample with the formula bellman_log runs on
             # the log columns
             for learner in tuple(adapting):
-                s, st, F, mu, lag_s, form, g = learner
+                s, st, feats, priced, lag_s, form, g = learner
                 if k >= lag_s:
-                    F_t = z[F]
-                    z_tilde, phi = bellman_sample(s, F_t, row[mu], z_next[F], st.pi, cfg, form)
-                    _learn_step(st, z_tilde, phi, F_t, cfg, t)
+                    F = z[feats]
+                    z_tilde, phi = bellman_sample(s, F, row[priced], z_next[feats], st.pi,
+                                                  cfg, form)
+                    _learn_step(st, z_tilde, phi, F, cfg, t)
                     gains[g] = st.pi
                     if st.frozen:
                         log.t_converged[s] = t + delta
