@@ -15,11 +15,17 @@ a whole number of ticks of delta or an empty artifact name, or two that
 name the same file, is a ConfigError.
 Omitted keys take the defaults of the dataclasses they configure
 (ProcessModel's are the DEFAULT_* matrices below).  All numbers are
-serialized with 17 significant digits so re-runs are byte-identical.
+serialized with 17 significant digits so re-runs are byte-identical.  A CSV
+cell holds exactly what '%.17g' writes: numpy formats the cells with
+1e-6 < |x| < 1e17 and the signed zeros a block of rows at a time, and every
+other cell (smaller or larger, inf, nan) goes through '%.17g' itself.  A
+column group whose float64 bits in a row equal those of the row before
+reuses that row's text, so a frozen strategy's weights are formatted once.
 """
 
 import argparse
 import configparser
+import functools
 import json
 import math
 import os
@@ -156,35 +162,177 @@ def _eig_pairs(M):
     return [[float(ev.real), float(ev.imag)] for ev in eigenvalues(M)]
 
 
+# The CSV formatter's numpy path takes 1e-6 < |x| < 1e17 and not 1e-6
+# itself: that double lies below 10^-6 ('%.17g' writes 9.9999999999999995e-07).
+_SLOT = 25    # a cell's bytes: its text, NUL-padded to the longest '%.17g'
+              # text (-1.2345678901234567e-308), then its separator
+_BLOCK = 256  # rows formatted and written at a time
+# the rows of a block's source array, one column per cell: the '0' of the
+# zero-padded first digit group, the 17 significant digits, the digits again
+# with the number's trailing zeros NUL, the sign ('-' or NUL), the point ('.',
+# or NUL when no digit follows it), then constant rows
+_ZERO, _DIGITS, _TRIMMED = 0, 1, 18
+_SIGN, _POINT, _DOT, _E, _MINUS, _FIVE, _SIX, _NUL = range(35, 43)
+
+
+def _layout(E):
+    """The source rows of the text of a number with decimal exponent E: the
+    integer digits as they are and the fraction's from the trimmed rows, so
+    that its trailing zeros, and a point that no digit follows, are NUL."""
+    trimmed = [_TRIMMED + j for j in range(17)]
+    if E >= 0:
+        return [_SIGN, *range(_DIGITS, _DIGITS + E + 1), _POINT, *trimmed[E + 1:]]
+    if E >= -4:
+        return [_SIGN, _ZERO, _DOT, *[_ZERO] * (-E - 1), *trimmed]
+    return [_SIGN, _DIGITS, _POINT, *trimmed[1:], _E, _MINUS, _ZERO, _FIVE if E == -5 else _SIX]
+
+
+@functools.cache
+def _format_tables():
+    """The formatter's tables, built on the first write: the ASCII digits of
+    every 3-digit group (hundreds, tens, units), 10^k for k = 0 .. 22 (each
+    an exact double) with its Veltkamp halves, the place (1-based) of each
+    significant digit, the constant source rows, and each layout's source
+    rows (one per decimal exponent -6 .. 16, then a signed zero's)."""
+    group = np.arange(1000)
+    digits = (np.stack([group // 100, group // 10 % 10, group % 10]) + ord("0")).astype(np.uint8)
+    power = np.array([float(10 ** k) for k in range(23)])
+    split = power * 134217729.0  # 2^27 + 1
+    high = split - (split - power)
+    places = np.arange(1, 18, dtype=np.uint8)[:, None]
+    constants = np.frombuffer(b".e-56\0", np.uint8)[:, None]
+    layouts = [_layout(E) for E in range(-6, 17)] + [[_SIGN, _ZERO]]
+    gather = np.array([rows + [_NUL] * (_SLOT - len(rows)) for rows in layouts])
+    return digits, power, high, power - high, places, constants, gather
+
+
+def _scaled(a, k, power, high, low):
+    """hi + lo = a * 10^k exactly: Dekker's product of a and the exact 10^k."""
+    split = a * 134217729.0
+    a_high = split - (split - a)
+    a_low = a - a_high
+    p_high, p_low = high[k], low[k]
+    hi = a * power[k]
+    lo = ((a_high * p_high - hi) + a_high * p_low + a_low * p_high) + a_low * p_low
+    return hi, lo
+
+
+def _format_cells(x):
+    """The '%.17g' text of each value of the float64 array x, as a
+    (len(x), _SLOT) uint8 array whose row i holds x[i]'s text in order, with
+    NUL bytes between, and a NUL last.
+
+    Let E = floor(log10 |x|).  Then |x| * 10^(16 - E) = hi + lo exactly, hi
+    an even integer >= 2^53, so its 17 digits rounded half to even, as
+    '%.17g' rounds the exact binary value, are N = hi + rint(lo).  N never
+    rounds up to 10^17: the largest double below each power of ten from
+    1e-5 to 1e17 lies more than 8e-17 of it below, and half a unit of the
+    17th digit is 5e-18.  The cells are sorted by layout, so that each
+    layout is one gather of source rows.
+    """
+    digits, power, high, low, places, constants, gather = _format_tables()
+    n = len(x)
+    ax = np.abs(x)
+    numpy_path = (ax > 1e-6) & (ax < 1e17)
+    zero = ax == 0
+    a = np.where(numpy_path, ax, 1.0)
+    E = np.clip(np.floor(np.log10(a)).astype(np.intp), -6, 16)
+    hi, lo = _scaled(a, 16 - E, power, high, low)
+    # log10 may be one off next to a power of ten: the exact product, not
+    # its rounding, must lie in [10^16, 10^17); hi - 10^k is exact wherever
+    # it decides the sign
+    shift = ((hi - 1e17) + lo >= 0).astype(np.intp) - ((hi - 1e16) + lo < 0)
+    if shift.any():
+        E += shift
+        hi, lo = _scaled(a, 16 - E, power, high, low)
+    N = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+    layout = np.where(zero, len(gather) - 1, E + 6).astype(np.int8)
+    order = np.argsort(layout, kind="stable")
+    counts = np.bincount(layout, minlength=len(gather)).tolist()
+    N, E, negative = N[order], E[order], np.signbit(x)[order]
+    src = np.empty((_NUL + 1, n), np.uint8)
+    # N's two 9-digit halves (the first with a leading zero), three 3-digit
+    # groups each; row 3 * group + j of src is digit j of a group
+    high_half = N // 10 ** 9
+    for h, half in enumerate((high_half, N - high_half * 10 ** 9)):
+        first = half // 10 ** 6
+        rest = half - first * 10 ** 6
+        second = rest // 1000
+        for g, group in enumerate((first, second, rest - second * 1000)):
+            for j in range(3):
+                digits[j].take(group, out=src[9 * h + 3 * g + j])
+    kept = (places * (src[_DIGITS:_TRIMMED] != ord("0"))).max(axis=0)
+    np.multiply(src[_DIGITS:_TRIMMED], places <= kept, out=src[_TRIMMED:_SIGN])
+    src[_SIGN] = np.where(negative, ord("-"), 0)
+    src[_POINT] = np.where(kept > np.maximum(E + 1, 1), ord("."), 0)
+    src[_DOT:] = constants
+
+    text = np.empty((_SLOT, n), np.uint8)
+    start = 0
+    for rows, count in zip(gather, counts):
+        if count:
+            text[:, start:start + count] = src[rows, start:start + count]
+            start += count
+    cells = np.empty((n, _SLOT), np.uint8)
+    cells[order] = text.T
+    for i in np.flatnonzero(~(numpy_path | zero)).tolist():
+        cell = b"%.17g" % x[i]
+        cells[i] = 0
+        cells[i, :len(cell)] = np.frombuffer(cell, np.uint8)
+    return cells
+
+
+def _csv_lines(blocks):
+    """The CSV line, without its newline, of each row of each 2-D float64
+    array of blocks: a list of lines per block, from one _format_cells call."""
+    cells = _format_cells(np.concatenate([block.ravel() for block in blocks]))
+    end = 0
+    for block in blocks:
+        rows = cells[end:end + block.size].reshape(block.shape + (_SLOT,))
+        rows[:, :, -1] = ord(",")
+        rows[:, -1, -1] = ord("\n")
+        end += block.size
+    lines = cells.tobytes().translate(None, b"\0").split(b"\n")
+    ends = np.cumsum([0] + [len(block) for block in blocks]).tolist()
+    return [lines[a:b] for a, b in zip(ends, ends[1:])]
+
+
 def _write_table(path, header, groups):
-    """Write per-tick columns as CSV rows of %.17g numbers.
+    """Write per-tick columns as CSV rows of '%.17g' numbers.
 
     groups is a list of column groups, each a list of per-tick arrays.
-    Rows are stacked and formatted a block at a time, so the table never
-    exists in memory as a whole.  A group whose values in a row have the
-    same float64 bit patterns as in the row before reuses that row's text;
-    bits, not ==, because -0.0 == 0.0 prints differently and NaN never
-    equals itself.  The previous row is carried across blocks.
+    Rows are stacked, formatted and written _BLOCK at a time, so the table
+    never exists in memory as a whole.  _format_cells writes the cells with
+    1e-6 < |x| < 1e17 and the signed zeros in numpy and every other cell
+    through '%.17g' itself; each cell is byte for byte what '%.17g' writes.
+    A group whose values in a row have the same float64 bit patterns as in
+    the row before reuses that row's text; bits, not ==, because
+    -0.0 == 0.0 prints differently and NaN never equals itself.  The
+    previous row is carried across blocks.
     """
     prev = [None] * len(groups)  # (bits, text) of each group's last row
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for start in range(0, len(groups[0][0]), 256):
-            texts = []
-            for g, columns in enumerate(groups):
-                block = np.column_stack([c[start:start + 256] for c in columns])
+    with open(path, "wb") as fh:
+        fh.write(header.encode("utf-8") + b"\n")
+        for start in range(0, len(groups[0][0]), _BLOCK):
+            blocks, repeats = [], []
+            for columns, last in zip(groups, prev):
+                block = np.column_stack([c[start:start + _BLOCK] for c in columns])
                 bits = block.view(np.uint64)
-                repeats = np.empty(len(block), dtype=bool)
-                repeats[1:] = (bits[1:] == bits[:-1]).all(axis=1)
-                repeats[0] = prev[g] is not None and (bits[0] == prev[g][0]).all()
+                repeat = np.empty(len(block), dtype=bool)
+                repeat[1:] = (bits[1:] == bits[:-1]).all(axis=1)
+                repeat[0] = last is not None and (bits[0] == last[0]).all()
+                blocks.append(block)
+                repeats.append(repeat)
+            fresh = _csv_lines([block[~repeat] for block, repeat in zip(blocks, repeats)])
+            texts = []
+            for g, (block, repeat) in enumerate(zip(blocks, repeats)):
                 # pool: the carried row's text, then one per row that does not
                 # repeat; each row takes the last text at or before it
-                row_fmt = ",".join(["%.17g"] * block.shape[1])
-                pool = [prev[g] and prev[g][1]]
-                pool += [row_fmt % tuple(row) for row in block[~repeats].tolist()]
-                texts.append([pool[i] for i in np.cumsum(~repeats).tolist()])
-                prev[g] = bits[-1], texts[-1][-1]
-            fh.writelines(",".join(row) + "\n" for row in zip(*texts))
+                pool = [prev[g] and prev[g][1]] + fresh[g]
+                texts.append([pool[i] for i in np.cumsum(~repeat).tolist()])
+                prev[g] = block[-1].view(np.uint64), texts[-1][-1]
+            fh.write(b"\n".join(map(b",".join, zip(*texts))) + b"\n")
 
 
 def write_trajectory_csv(log, path):
@@ -231,8 +379,10 @@ def build_summary(config, log):
 
 def cmd_run(args, config):
     outdir = args.outdir
+    # the output directory and each artifact's own directory under it
     try:
-        os.makedirs(outdir, exist_ok=True)
+        for name in (config.trajectory_csv, config.weights_csv, config.summary_json):
+            os.makedirs(os.path.join(outdir, os.path.dirname(name)), exist_ok=True)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 1

@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import math
+import struct
+import sys
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from modelfollow import cli_io
 from modelfollow.cli_io import (
@@ -487,6 +491,35 @@ def test_unusable_outdir_exit(tmp_path, capsys, monkeypatch, outdir):
     assert (tmp_path / "file").read_text() == "kept\n"
 
 
+def test_artifact_in_subdirectory(tmp_path):
+    # an artifact name with a directory is written under --outdir
+    config = tmp_path / "sub.ini"
+    config.write_text("[run]\nhorizon = 0.1\ntrajectory_csv = sub/t.csv\n")
+    assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "sub" / "t.csv").read_text().splitlines()
+    assert lines[0].startswith("t,x1,") and len(lines) == 1 + 11
+    assert (tmp_path / "out" / "weights.csv").is_file()
+
+
+def test_blocked_artifact_subdirectory_exit(tmp_path, capsys, monkeypatch):
+    # an artifact's directory that a file blocks is reported in one line
+    # before the episode runs
+    config = tmp_path / "sub.ini"
+    config.write_text("[run]\ntrajectory_csv = sub/t.csv\n")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "sub").write_text("kept\n")
+
+    def no_episode(*args, **kwargs):
+        raise AssertionError("the episode ran")
+
+    monkeypatch.setattr(cli_io, "run_episode", no_episode)
+    rc = main(["run", str(config), "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("output error:") and len(err.splitlines()) == 1
+    assert (tmp_path / "out" / "sub").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("command", ["run", "oracle-check", "eig"])
 def test_unknown_key_exit(tmp_path, capsys, command):
     config = tmp_path / "typo.ini"
@@ -547,6 +580,36 @@ def test_seventeen_digit_serialization(tmp_path, model, default_config):
     assert row[1:4] == list(log.x[-1])
 
 
+def _float64(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _neighbours(x, ulps):
+    """x and the floats up to `ulps` steps below and above it."""
+    below, above = [x], [x]
+    for _ in range(ulps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+# 10^k with 2 ulps either side (among them the numpy path's ends 1e-6 and
+# 1e17, the switch from d.ddde-05 to 0.0001 at 1e-4, and 1e16, the largest
+# exponent of that path), special values, and 2^42 + k * 2^-10: 13 integer
+# digits, so every k = 32 (mod 64) is a tie at the 17th digit
+FORMAT_EDGES = [s * v for s in (1.0, -1.0)
+                for v in [y for k in range(-12, 19) for y in _neighbours(float(f"1e{k}"), 2)]
+                + [0.0, math.inf, 5e-324, sys.float_info.max]
+                + [(2 ** 52 + k) * 2.0 ** -10 for k in range(2048)]] + [math.nan]
+
+
+@example(FORMAT_EDGES)
+@given(st.lists(st.one_of(st.integers(0, 2 ** 64 - 1).map(_float64), st.floats()), max_size=64))
+def test_formatter_equals_percent_17g(values):
+    cells = cli_io._format_cells(np.array(values, dtype=float))
+    assert [bytes(c).replace(b"\0", b"").decode() for c in cells] == ["%.17g" % v for v in values]
+
+
 def _per_row_table(header, groups):
     """The CSV text of a table formatted one cell at a time with %.17g."""
     columns = [c for group in groups for c in group]
@@ -560,21 +623,27 @@ def _per_row_table(header, groups):
 def _repeating_groups(rows):
     """The first `rows` of 600 rows: t, a (600, 3) group with a 2-column partner and a second group, full
     of repeated rows: runs across the row 255/256 block boundary, -0.0 right
-    after 0.0, NaN and infinite cells."""
+    after 0.0, NaN and infinite cells, and cells of the formatter's
+    scientific notation and of its '%.17g' path, in runs over the boundary
+    and on fresh rows next to it."""
     rng = np.random.default_rng(7)
     t = np.arange(600) * 0.01
     a = rng.standard_normal((600, 3))
+    a[40] = [3e-5, -7e-6, 1e20]
     a[40:300] = a[40]                 # one run over the first block boundary
     a[510:515] = [0.0, np.nan, np.inf]
     a[515] = [-0.0, np.nan, np.inf]   # equal by ==, printed differently
     a[516:520] = a[515]
     b = rng.standard_normal((600, 2))
+    b[250] = [1e-300, -1e17]
     b[250:262] = b[250]
     b[262] = [np.nan, -np.inf]
     b[263:] = b[262]
     c = np.zeros(600)
     c[::7] = -0.0
+    c[253:255] = [3e-5, 5e-324]
     c[255] = c[256] = 1.5             # a two-row run split by the boundary
+    c[257:259] = [-7e-6, 1e20]
     return [[column[:rows] for column in group] for group in ([t], [a, b], [c])]
 
 
