@@ -11,8 +11,9 @@ character).  An unknown section or key, a value the dataclasses reject, a
 prior gain of the wrong length, a plant that is not single-input
 single-output, one whose state count is not STACK_DEPTH (the one q
 weighs both the plant state and the error stacks), a horizon that is not
-a whole number of ticks of delta or an empty artifact name, or two that
-name the same file, is a ConfigError.
+a whole number of ticks of delta, an empty artifact name or one that
+ends in a path separator, or two that name the same file, is a
+ConfigError.
 Omitted keys take the defaults of the dataclasses they configure
 (ProcessModel's are the DEFAULT_* matrices below).  All numbers are
 serialized with 17 significant digits so re-runs are byte-identical.  A CSV
@@ -75,8 +76,8 @@ class RunConfig:
         files = {}
         for key in ("trajectory_csv", "weights_csv", "summary_json"):
             name = getattr(self, key)
-            if not name:
-                raise ValueError(f"{key} must name a file")
+            if not name or name.endswith(("/", os.sep)):
+                raise ValueError(f"{key} = {name!r} must name a file")
             other = files.setdefault(os.path.normpath(name), key)
             if other != key:
                 raise ValueError(f"{key} = {name!r} names the file of {other}")
@@ -379,10 +380,14 @@ def build_summary(config, log):
 
 def cmd_run(args, config):
     outdir = args.outdir
-    # the output directory and each artifact's own directory under it
+    # the output directory and each artifact's own directory under it; an
+    # artifact path that is a directory fails here, not after the episode
     try:
         for name in (config.trajectory_csv, config.weights_csv, config.summary_json):
             os.makedirs(os.path.join(outdir, os.path.dirname(name)), exist_ok=True)
+            path = os.path.join(outdir, name)
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"artifact path {path!r} is a directory")
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 1

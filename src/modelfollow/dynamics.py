@@ -124,7 +124,8 @@ def expm_ss(M, tol=1e-16):
     result is squared s times.
     """
     M = np.asarray(M, dtype=float)
-    norm = np.linalg.norm(M, ord=np.inf)
+    # the infinity norm, max row sum of |.|, as np.linalg.norm(ord=inf) forms it
+    norm = np.abs(M).sum(axis=1).max()
     s = 0
     if norm > 0.5:
         s = int(np.ceil(np.log2(norm / 0.5)))
@@ -133,9 +134,10 @@ def expm_ss(M, tol=1e-16):
     E = np.eye(n)
     term = np.eye(n)
     for k in range(1, 60):
-        term = term @ Ms / k
-        E = E + term
-        if np.linalg.norm(term, ord=np.inf) < tol:
+        term = term @ Ms
+        term /= k
+        E += term
+        if np.abs(term).sum(axis=1).max() < tol:
             break
     for _ in range(s):
         E = E @ E

@@ -99,16 +99,14 @@ def _cost_exponential(A, B, Q, R, delta):
     """
     M, n = _augmented_drift(A, B, delta)
     d = M.shape[0]
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    Cc = np.zeros((d, d))
-    Cc[:n, :n] = 0.5 * Q
-    Cc[n:, n:] = 0.5 * R
     H = np.zeros((2 * d, 2 * d))
     H[:d, :d] = -M.T
-    H[:d, d:] = Cc
+    H[:n, d:d + n] = Q
+    H[n:d, d + n:] = R
+    H[:d, d:] *= 0.5  # C = blkdiag(Q, R) / 2
     H[d:, d:] = M
-    F = expm_ss(H * delta)
+    H *= delta
+    F = expm_ss(H)
     G = F[d:, d:].T @ F[:d, d:]
     return 0.5 * (G + G.T), F[d:, d:]
 
@@ -127,8 +125,15 @@ def solve_dare(A_d, B_d, Q_bar, R_bar, tol=1e-13, max_iter=64):
     max|H_{k+1}|, a test relative to the iterate, so that the result does
     not depend on the scale of the costs (and Q_bar = 0 stops at once);
     the max-abs norm does not overflow where a Frobenius norm of finite
-    entries would.  Raises NoConvergenceError after max_iter doubling
-    steps or as soon as an iterate is not finite.
+    entries would.
+
+    Raises NoConvergenceError after max_iter doubling steps, or when an
+    iterate is not finite.  The max|H_{k+1}| of the stopping test is the
+    finiteness check: a NaN or inf in H_{k+1} fails it on the step that
+    makes it.  One in A_k or G_k (A_0 and G_0 come from the inputs)
+    reaches H_{k+1} through W^-1 [A_k, G_k], so it fails the check one
+    step after it appears; only when H_{k+1} passes the stopping test are
+    A_{k+1} and G_{k+1} checked themselves, before H_{k+1} is returned.
     """
     A = np.atleast_2d(np.asarray(A_d, dtype=float))
     B_d = np.asarray(B_d, dtype=float)
@@ -140,22 +145,28 @@ def solve_dare(A_d, B_d, Q_bar, R_bar, tol=1e-13, max_iter=64):
     G = 0.5 * (G + G.T)
     n = A.shape[0]
     eye = np.eye(n)
+    AG = np.empty((n, 2 * n))  # [A, G], the right-hand side of each solve
     # an unstabilizable pair overflows within about ten steps; the
-    # finiteness check below reports that instead of numpy warnings
+    # finiteness checks below report that instead of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            WinvAG = np.linalg.solve(eye + G @ H, np.hstack([A, G]))
+            AG[:, :n] = A
+            AG[:, n:] = G
+            WinvAG = np.linalg.solve(eye + G @ H, AG)
             WinvA, WinvG = WinvAG[:, :n], WinvAG[:, n:]
             Hn = H + A.T @ H @ WinvA
             Hn = 0.5 * (Hn + Hn.T)
             G = G + A @ WinvG @ A.T
             G = 0.5 * (G + G.T)
             A = A @ WinvA
-            if not (np.isfinite(Hn).all() and np.isfinite(G).all()
-                    and np.isfinite(A).all()):
+            size = np.abs(Hn).max()
+            if not size < np.inf:  # NaN or inf in Hn
                 raise NoConvergenceError(
                     "Riccati doubling iterate became non-finite")
-            if np.abs(Hn - H).max() <= tol * np.abs(Hn).max():
+            if np.abs(Hn - H).max() <= tol * size:
+                if not (np.isfinite(A).all() and np.isfinite(G).all()):
+                    raise NoConvergenceError(
+                        "Riccati doubling iterate became non-finite")
                 return Hn
             H = Hn
     raise NoConvergenceError(
@@ -195,7 +206,10 @@ def policy_value_kernel(A, B, gain, Q, R, delta):
     n, d = gain.shape[1], E.shape[0]
     T = E.copy()  # [[A_d, B_d], [0, I]]; its last rows become gain [A_d, B_d]
     T[n:, :] = gain @ E[:n, :]
-    S = np.linalg.solve(np.eye(d * d) - np.kron(T.T, T.T), 2.0 * G.ravel()).reshape(d, d)
+    # T' kron T' as np.kron forms it: entry (i d + k, j d + l) = T'_ij T'_kl
+    Tt = T.T
+    TkT = (Tt[:, None, :, None] * Tt[None, :, None, :]).reshape(d * d, d * d)
+    S = np.linalg.solve(np.eye(d * d) - TkT, 2.0 * G.ravel()).reshape(d, d)
     return 0.5 * (S + S.T)
 
 
@@ -204,8 +218,8 @@ def _regressor_log(Z, phi):
     phi the stage costs, or, with phi None, Z a list of (z_tilde, phi)
     pairs, stacked here."""
     if phi is None:
-        phi = np.array([p for (_, p) in Z], dtype=float)
-        Z = np.array([np.asarray(z, dtype=float) for (z, _) in Z])
+        phi = np.array([p for _, p in Z], dtype=float)
+        Z = np.array([z for z, _ in Z], dtype=float)
     return np.asarray(Z, dtype=float), np.asarray(phi, dtype=float)
 
 

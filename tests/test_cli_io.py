@@ -520,6 +520,45 @@ def test_blocked_artifact_subdirectory_exit(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "out" / "sub").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("key", ["trajectory_csv", "weights_csv", "summary_json"])
+def test_artifact_name_ending_in_separator_rejected(tmp_path, capsys, key):
+    # a name that ends in a path separator names a directory, not a file;
+    # it is a config error, so no directory is made and no episode runs
+    with pytest.raises(ConfigError, match=rf"\[run\] {key} = 'sub/'"):
+        parse_config(f"[run]\n{key} = sub/\n")
+    config = tmp_path / "dir.ini"
+    config.write_text(f"[run]\n{key} = sub/\n")
+    assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line, directory", [
+    ("weights_csv = w.csv", "w.csv"),
+    ("", "trajectory.csv"),
+    ("summary_json = sub/s.json", "sub/s.json"),
+    ("summary_json = .", "."),
+])
+def test_artifact_that_is_a_directory_exit(tmp_path, capsys, monkeypatch, line, directory):
+    # an artifact path that is an existing directory under --outdir is
+    # reported in one line before the episode runs
+    config = tmp_path / "dir.ini"
+    config.write_text(f"[run]\n{line}\n")
+    (tmp_path / "out" / directory).mkdir(parents=True, exist_ok=True)
+
+    def no_episode(*args, **kwargs):
+        raise AssertionError("the episode ran")
+
+    monkeypatch.setattr(cli_io, "run_episode", no_episode)
+    rc = main(["run", str(config), "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("output error:") and len(err.splitlines()) == 1
+    assert "is a directory" in err
+    assert not any((tmp_path / "out" / directory).iterdir())
+
+
 @pytest.mark.parametrize("command", ["run", "oracle-check", "eig"])
 def test_unknown_key_exit(tmp_path, capsys, command):
     config = tmp_path / "typo.ini"
@@ -620,6 +659,19 @@ def _per_row_table(header, groups):
     return "\n".join(lines) + "\n"
 
 
+def _assert_same_text(written, expected):
+    """Exact equality of two texts that fails on the first line that
+    differs; pytest's own diff of two CSV files of about 1.7 MB takes
+    minutes."""
+    if written == expected:
+        return
+    a, b = written.split("\n"), expected.split("\n")
+    for k, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            pytest.fail(f"line {k} differs:\n  written:  {x!r}\n  expected: {y!r}")
+    pytest.fail(f"{len(a)} lines written, {len(b)} expected")
+
+
 def _repeating_groups(rows):
     """The first `rows` of 600 rows: t, a (600, 3) group with a 2-column partner and a second group, full
     of repeated rows: runs across the row 255/256 block boundary, -0.0 right
@@ -662,8 +714,8 @@ def test_csv_files_equal_per_row_writer(tmp_path, episode):
     cli_io.write_weights_csv(episode, tmp_path / "w.csv")
     groups = [[episode.t]] + [[episode.theta_hist[s], episode.pi_hist[s]] for s in STRATEGIES]
     text = (tmp_path / "w.csv").read_text()
-    assert text == _per_row_table(text.split("\n", 1)[0], groups)
+    _assert_same_text(text, _per_row_table(text.split("\n", 1)[0], groups))
     write_trajectory_csv(episode, tmp_path / "t.csv")
     text = (tmp_path / "t.csv").read_text()
     columns = [getattr(episode, name) for name in TRAJECTORY]
-    assert text == _per_row_table(text.split("\n", 1)[0], [columns])
+    _assert_same_text(text, _per_row_table(text.split("\n", 1)[0], [columns]))

@@ -84,6 +84,38 @@ def test_expm_against_scipy():
         assert np.linalg.norm(expm_ss(M) - scipy_expm(M)) < 1e-10
 
 
+def _taylor_expm(M, tol=1e-16):
+    """The scaling-and-squaring Taylor loop as first written, with
+    np.linalg.norm(ord=inf) for the scaling and the stopping test."""
+    norm = np.linalg.norm(M, ord=np.inf)
+    s = 0
+    if norm > 0.5:
+        s = int(np.ceil(np.log2(norm / 0.5)))
+    Ms = M / (2.0 ** s)
+    E = np.eye(M.shape[0])
+    term = np.eye(M.shape[0])
+    for k in range(1, 60):
+        term = term @ Ms / k
+        E = E + term
+        if np.linalg.norm(term, ord=np.inf) < tol:
+            break
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
+@pytest.mark.parametrize("size", [4, 8])
+@pytest.mark.parametrize("norm", [1e-3, 0.1, 0.4, 0.5, 0.7, 3.0, 40.0])
+def test_expm_bytes_equal_reference_loop(size, norm):
+    # expm_ss forms the infinity norm as the max row sum of |.| and updates
+    # the term and the sum in place: the same operations, so the same bits
+    rng = np.random.default_rng(size)
+    for _ in range(5):
+        M = rng.normal(size=(size, size))
+        M *= norm / np.linalg.norm(M, ord=np.inf)
+        assert expm_ss(M).tobytes() == _taylor_expm(M).tobytes()
+
+
 def test_observability(model):
     assert is_observable(model.A_hat, model.C)
     assert not is_observable(model.A_hat, np.zeros((1, 3)))

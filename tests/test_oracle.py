@@ -117,6 +117,26 @@ def test_dare_unstabilizable_raises_fast():
     assert time.perf_counter() - start < 0.5
 
 
+@pytest.mark.parametrize("case", ["nan_Q_bar", "inf_A_d", "overflow", "settles_as_A_overflows"])
+def test_dare_non_finite_raises_without_warning(case):
+    # the doubling's finiteness checks: a NaN or inf in H is caught by the
+    # stopping test's max|H|, one in A or G on the next step or, if H has
+    # settled on the step that made it, before returning.  In the last case
+    # H settles after six steps, as 0.5^(2^6) vanishes, while 1e5^(2^6)
+    # overflows the unobserved entry of A on that same step.
+    args = {
+        "nan_Q_bar": ([[0.5]], [[1.0]], [[np.nan]], [[1.0]]),
+        "inf_A_d": (np.diag([0.5, np.inf]), [[1.0], [1.0]], np.eye(2), [[1.0]]),
+        "overflow": ([[1.0, 3.0], [0.0, 1.5]], [[1.0], [0.0]], np.eye(2), [[1.0]]),
+        "settles_as_A_overflows": (np.diag([0.5, 1e5]), np.zeros((2, 1)),
+                                   np.diag([1.0, 0.0]), [[1.0]]),
+    }[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(oracle.NoConvergenceError, match="non-finite"):
+            oracle.solve_dare(*args)
+
+
 def test_qfun_kernel_blocks(model):
     A_d, B_d = oracle.zoh_discretize(model.A_hat, model.B_hat, 0.01)
     Q_bar, R_bar = oracle.stage_cost(0.05 * np.eye(3), 0.01, 0.01)
