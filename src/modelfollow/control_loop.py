@@ -36,17 +36,20 @@ state, each strategy's features and next features are slices of it before
 and after the tick, the priced action is read off the tick's row, and the
 row, with each strategy's theta and pi, is written to the log with one
 assignment; nothing is read back from the log.  Each adapting strategy
-then takes its Bellman sample and its critic and actor steps.  Adaptation
-of a strategy stops once its kernel has remained settled for a configured
-window (convergence freeze); from then on the strategy does no per-tick
-learner work.  Once every strategy acts and none adapts, the rest of the
-episode is one fixed affine recurrence s+ = M s + N w on the lifted state,
-started from the loop's, and the input w = [probes, reference]: M and N
-are built once by running the tick on identity columns, each remaining tick
-is one matvec, the divergence box is checked once per TAIL_BLOCK ticks, and
-the logged outputs and actions are derived from the state history
-afterwards by the generated output, action and input pieces (_OUTPUTS,
-_ACTIONS) run on its columns.
+then takes its Bellman sample and its critic and actor steps on its
+StrategyState, which holds theta and pi as lists of Python floats and the
+kernel as the tuple of its entries from construction on; only the log's
+theta_final and pi_final are numpy arrays, built when the episode ends.
+Adaptation of a strategy stops once its kernel has remained settled for a
+configured window (convergence freeze); from then on the strategy does no
+per-tick learner work.  Once every strategy acts and none adapts, the rest
+of the episode is one fixed affine recurrence s+ = M s + N w on the lifted
+state, started from the loop's, and the input w = [probes, reference]: M
+and N are built once by running the tick on identity columns, each
+remaining tick is one matvec, the divergence box is checked once per
+TAIL_BLOCK ticks, and the logged outputs and actions are derived from the
+state history afterwards by the generated output, action and input pieces
+(_OUTPUTS, _ACTIONS) run on its columns.
 
 The samples of every tick, frozen or not, are rebuilt after the loop by
 the same function, bellman_sample, run on the log columns (bellman_log);
@@ -57,7 +60,6 @@ TRAJECTORY fixes the order of the logged signals in trajectory.csv; the
 writer derives the CSV header from it and the width of each column.
 """
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,20 +104,21 @@ PRICED = {"ob": "mu_ob", "cl": "v", "mf": "mu_mf"}
 
 @dataclass
 class StrategyState:
-    """Learner state of one strategy.  S is the kernel of theta, computed at
-    construction and replaced together with theta, so that a learner step
-    unflattens only the new theta.  theta, pi and S are numpy arrays; while
-    run_episode runs theta and pi are lists of Python floats and S the
-    tuple of its entries (theta_to_S of the list), the form its learner
-    steps compute on."""
+    """Learner state of one strategy, in the form its learner steps compute
+    on.  theta and pi, given as any sequences of numbers, are held as lists
+    of Python floats; S is the kernel of theta (theta_to_S, the tuple of its
+    entries in row-major order), computed at construction and replaced
+    together with theta, so that a learner step unflattens only the new
+    theta."""
 
-    theta: np.ndarray
-    pi: np.ndarray
+    theta: list
+    pi: list
     frozen: bool = False
     conv_count: int = 0
-    S: np.ndarray = field(init=False, repr=False)
+    S: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.theta, self.pi = [float(v) for v in self.theta], [float(v) for v in self.pi]
         self.S = theta_to_S(self.theta)
 
 
@@ -141,7 +144,7 @@ class EpisodeLog:
         # each field's table columns: an index for a signal of one column,
         # a slice for x, xhat, theta and pi
         sizes = [(name, n if name in ("x", "xhat") else None) for name in COLUMNS]
-        sizes += [((kind, s), getattr(states[s], kind).size)
+        sizes += [((kind, s), len(getattr(states[s], kind)))
                   for s in STRATEGIES for kind in ("theta", "pi")]
         self._fields = {}
         col = 0
@@ -150,7 +153,7 @@ class EpisodeLog:
             col += 1 if size is None else size
         self._table = np.zeros((rows, col))
         self._bind()
-        self.regressors = {s: (np.zeros((0, states[s].theta.size)), np.zeros(0))
+        self.regressors = {s: (np.zeros((0, len(states[s].theta))), np.zeros(0))
                            for s in STRATEGIES}
         self.t_converged = dict.fromkeys(STRATEGIES)
         self.pi_final = {}
@@ -234,10 +237,10 @@ def initial_strategies(model, cfg):
     priors = {s: np.asarray(getattr(cfg, f"pi_{s}0"), dtype=float) for s in STRATEGIES}
     S_cl = oracle.policy_value_kernel(
         model.A_hat, model.B_hat, priors["cl"], cfg.Q, cfg.R, cfg.delta)
-    states["cl"] = StrategyState(S_to_theta(S_cl), priors["cl"].copy())
+    states["cl"] = StrategyState(S_to_theta(S_cl), priors["cl"])
     for s in ("ob", "mf"):
         S = embedded_gain_kernel(priors[s], cfg.kernel_beta, cfg.kernel_smax)
-        states[s] = StrategyState(S_to_theta(S), priors[s].copy())
+        states[s] = StrategyState(S_to_theta(S), priors[s])
     return states
 
 
@@ -501,21 +504,6 @@ def _frozen_tail(log, k0, z, gains, maps, probe):
                                 log.u_ob[rows], log.u_mf[rows])
 
 
-@contextmanager
-def _float_states(states):
-    """The states with theta, pi and S as lists of Python floats inside the
-    block, and as numpy arrays again after it."""
-    for st in states.values():
-        st.theta, st.pi = st.theta.tolist(), st.pi.tolist()
-        st.S = theta_to_S(st.theta)
-    try:
-        yield
-    finally:
-        for st in states.values():
-            st.theta, st.pi = np.array(st.theta), np.array(st.pi)
-            st.S = theta_to_S(st.theta)
-
-
 def run_episode(model, ref_spec, cfg, horizon=20.0,
                 learning_enabled=True, initial=None, x0=None, xhat0=None):
     """Simulate one episode and return its log.
@@ -588,58 +576,57 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
     # rows from tail_start on are written by the frozen tail, which leaves
     # theta and pi to be filled after the loop
     tail_start = n_ticks + 1
-    with _float_states(states):
-        ordered = [states[s] for s in STRATEGIES]
-        # the gain each strategy holds, replaced by its learner steps
-        gains = [st.pi for st in ordered]
+    ordered = [states[s] for s in STRATEGIES]
+    # the gain each strategy holds, replaced by its learner steps
+    gains = [st.pi for st in ordered]
 
-        def record(k, row):
-            # row k: the TICK_COLUMNS of a tick, then each strategy's theta and pi
-            for st in ordered:
-                row += st.theta
-                row += st.pi
-            log.write_row(k, row)
+    def record(k, row):
+        # row k: the TICK_COLUMNS of a tick, then each strategy's theta and pi
+        for st in ordered:
+            row += st.theta
+            row += st.pi
+        log.write_row(k, row)
 
-        y, yhat, e_ob, e_mf = _OUTPUTS[n](x, xh, yref[0], maps[-1])
-        record(0, [*x, *xh, 0.0, 0.0, y, yhat, e_ob, e_mf, 0.0, 0.0, 0.0, 0.0, 0.0])
-        # the lifted state: the error windows hold the logged errors, oldest
-        # first, and zeros before the first row
-        z = [*x, *xh, 0.0, 0.0, *[0.0] * lag, e_ob, *[0.0] * lag, e_mf]
+    y, yhat, e_ob, e_mf = _OUTPUTS[n](x, xh, yref[0], maps[-1])
+    record(0, [*x, *xh, 0.0, 0.0, y, yhat, e_ob, e_mf, 0.0, 0.0, 0.0, 0.0, 0.0])
+    # the lifted state: the error windows hold the logged errors, oldest
+    # first, and zeros before the first row
+    z = [*x, *xh, 0.0, 0.0, *[0.0] * lag, e_ob, *[0.0] * lag, e_mf]
 
-        for k in range(n_ticks):
-            if k >= lag and not adapting:
-                # every strategy acts and none adapts: the rest of the
-                # episode is one fixed affine recurrence
-                _frozen_tail(log, k, z, gains, maps, probe)
-                tail_start = k + 1
-                break
-            t = k * delta
-            z_next, row = (full if k >= lag else warm_up)(z, gains, probes[k], yref[k + 1], maps)
+    for k in range(n_ticks):
+        if k >= lag and not adapting:
+            # every strategy acts and none adapts: the rest of the
+            # episode is one fixed affine recurrence
+            _frozen_tail(log, k, z, gains, maps, probe)
+            tail_start = k + 1
+            break
+        t = k * delta
+        z_next, row = (full if k >= lag else warm_up)(z, gains, probes[k], yref[k + 1], maps)
 
-            # false for nan and inf as well as for a state outside the box;
-            # max() would pass a nan that is not its first argument
-            if not all(abs(c) <= 1e7 for c in z_next[:n]):
-                log.diverged = t + delta
-                log.trim(k + 1)
-                break
+        # false for nan and inf as well as for a state outside the box;
+        # max() would pass a nan that is not its first argument
+        if not all(abs(c) <= 1e7 for c in z_next[:n]):
+            log.diverged = t + delta
+            log.trim(k + 1)
+            break
 
-            record(k + 1, row)
+        record(k + 1, row)
 
-            # a frozen strategy costs nothing per tick; an adapting one
-            # takes its Bellman sample with the formula bellman_log runs on
-            # the log columns
-            for learner in tuple(adapting):
-                s, st, feats, priced, lag_s, form, g = learner
-                if k >= lag_s:
-                    F = z[feats]
-                    z_tilde, phi = bellman_sample(s, F, row[priced], z_next[feats], st.pi,
-                                                  cfg, form)
-                    _learn_step(st, z_tilde, phi, F, cfg, t)
-                    gains[g] = st.pi
-                    if st.frozen:
-                        log.t_converged[s] = t + delta
-                        adapting.remove(learner)
-            z = z_next
+        # a frozen strategy costs nothing per tick; an adapting one
+        # takes its Bellman sample with the formula bellman_log runs on
+        # the log columns
+        for learner in tuple(adapting):
+            s, st, feats, priced, lag_s, form, g = learner
+            if k >= lag_s:
+                F = z[feats]
+                z_tilde, phi = bellman_sample(s, F, row[priced], z_next[feats], st.pi,
+                                              cfg, form)
+                _learn_step(st, z_tilde, phi, F, cfg, t)
+                gains[g] = st.pi
+                if st.frozen:
+                    log.t_converged[s] = t + delta
+                    adapting.remove(learner)
+        z = z_next
 
     for s in STRATEGIES:
         log.theta_hist[s][tail_start:] = states[s].theta
@@ -647,6 +634,6 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
     if learning_enabled:
         log.regressors = bellman_log(log, cfg, forms)
     for s in STRATEGIES:
-        log.pi_final[s] = states[s].pi.copy()
-        log.theta_final[s] = states[s].theta.copy()
+        log.pi_final[s] = np.array(states[s].pi)
+        log.theta_final[s] = np.array(states[s].theta)
     return log

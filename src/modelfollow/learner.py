@@ -25,8 +25,8 @@ _products) and compiles it the same way.  Nothing calls BLAS: numpy's
 elementwise operations round as Python's float operations do, so a stack
 of ticks run through a kernel gives each row the one-tick value bit for
 bit, whatever the memory layout of the columns.  A numpy vector or stack
-is converted at the boundary (components); only theta_to_S and
-policy_from_kernel take and give numpy kernels as well.
+is converted at the boundary (components); only policy_from_kernel takes
+and gives a numpy kernel as well.
 """
 
 import math
@@ -45,17 +45,6 @@ class SingularKernelError(RuntimeError):
 def tri_indices(d):
     """Upper-triangular index pairs (i, j), i <= j, row-major."""
     return [(i, j) for i in range(d) for j in range(i, d)]
-
-
-@lru_cache(maxsize=None)
-def _tri_layout(d):
-    """Row and column index arrays of the theta layout (the order of
-    tri_indices) and the monomial weights: 1/2 on the diagonal, 1 off it."""
-    rows, cols = np.triu_indices(d)
-    weights = np.where(rows == cols, 0.5, 1.0)
-    for a in (rows, cols, weights):
-        a.flags.writeable = False
-    return rows, cols, weights
 
 
 def components(x):
@@ -183,42 +172,28 @@ def bellman_regressor(Z_t, Z_next):
 
 
 @lru_cache(maxsize=None)
-def _kernel_index(size):
-    """(d, d) array of the theta slot that holds each kernel entry, for a
+def _kernel_entries(size):
+    """A getter of the kernel's entries in row-major order (a tuple) from a
     theta of the given length."""
     # d(d+1)/2 = len  =>  d = (sqrt(8 len + 1) - 1) / 2
     d = int(round((math.sqrt(8 * size + 1) - 1) / 2))
     if d * (d + 1) // 2 != size:
         raise ValueError(f"theta length {size} is not triangular")
-    rows, cols, _ = _tri_layout(d)
-    index = np.empty((d, d), dtype=np.intp)
-    index[rows, cols] = index[cols, rows] = np.arange(size)
-    index.flags.writeable = False
-    return index
-
-
-@lru_cache(maxsize=None)
-def _kernel_entries(size):
-    """A getter of the kernel's entries in row-major order (a tuple) from a
-    theta of the given length."""
-    return itemgetter(*_kernel_index(size).ravel().tolist())
+    slot = {pair: k for k, pair in enumerate(tri_indices(d))}
+    getter = itemgetter(*(slot[min(i, j), max(i, j)] for i in range(d) for j in range(d)))
+    return getter if d > 1 else lambda theta: (getter(theta),)
 
 
 def theta_to_S(theta):
-    """Unflatten theta into the symmetric kernel matrix: for a list of
-    floats the tuple of its entries in row-major order, for anything else a
-    numpy array."""
-    if isinstance(theta, list):
-        return _kernel_entries(len(theta))(theta)
-    theta = np.asarray(theta, dtype=float)
-    return theta[_kernel_index(theta.size)]
+    """Unflatten a theta sequence into the symmetric kernel matrix, given as
+    the tuple of its entries in row-major order."""
+    return _kernel_entries(len(theta))(theta)
 
 
 def S_to_theta(S):
     """Flatten a symmetric kernel into its theta vector."""
     S = np.asarray(S, dtype=float)
-    rows, cols, _ = _tri_layout(S.shape[0])
-    return S[rows, cols]
+    return S[np.triu_indices(S.shape[0])]
 
 
 def _policy_from_kernel_source(size):
@@ -250,10 +225,10 @@ def policy_from_kernel(S, n_features=None, eps_sing=1e-8):
     1x1 system does (S_muF / s does not); |s| < eps_sing raises
     SingularKernelError.  n_features gives the size of the F partition and
     must leave that 1x1 block; ValueError otherwise.  A kernel given as the
-    tuple of its entries in row-major order (as theta_to_S gives it for a
-    list) gives the gain as a list holding one row, from the straight-line
-    kernel of its size; any other is read as a numpy array, and its gain,
-    from the same kernel, returned as one.
+    tuple of its entries in row-major order (as theta_to_S gives it) gives
+    the gain as a list holding one row, from the straight-line kernel of its
+    size; any other is read as a numpy array, and its gain, from the same
+    kernel, returned as one.
     """
     if isinstance(S, tuple):
         return _POLICY_FROM_KERNEL[len(S)](S, n_features, eps_sing)
@@ -334,7 +309,7 @@ def kernel_converged(S_prev, S_next, tol_conv):
     """True when the Frobenius distance between kernels is below tol_conv.
 
     A kernel is the sequence of its entries in row-major order (the tuple
-    theta_to_S gives for a list).  The distance is the square root of the
+    theta_to_S gives).  The distance is the square root of the
     sum of the squared entry differences, summed in row-major order.
     """
     return _KERNEL_CONVERGED[len(S_prev)](S_prev, S_next, tol_conv)
@@ -409,7 +384,9 @@ class LearningConfig:
 
     def __post_init__(self):
         Q = np.asarray(self.Q, dtype=float)
-        self.Q = float(Q) * np.eye(3) if Q.ndim == 0 else np.atleast_2d(Q)
+        self.Q = float(Q) * np.eye(3) if Q.ndim == 0 else Q
+        if self.Q.ndim != 2 or self.Q.shape[0] != self.Q.shape[1]:
+            raise ValueError(f"Q must be a square matrix, not shape {self.Q.shape}")
         for f in fields(self):
             if f.type is tuple:
                 setattr(self, f.name, tuple(getattr(self, f.name)))

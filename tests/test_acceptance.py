@@ -119,7 +119,7 @@ def test_criterion_7_exactness_micro_suite(model):
     for _ in range(50):
         M = rng.normal(size=(4, 4))
         S = 0.5 * (M + M.T)
-        assert np.linalg.norm(theta_to_S(S_to_theta(S)) - S) < 1e-12
+        assert np.linalg.norm(np.reshape(theta_to_S(S_to_theta(S)), (4, 4)) - S) < 1e-12
 
     # RK4 vs matrix exponential at the loop substep
     h = 0.01 / 10

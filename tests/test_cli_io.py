@@ -134,6 +134,15 @@ summary_json = s.json
     ("[reference]\nq = 2\n", r"\[reference\] unknown key 'q'"),
     # a removed key
     ("[learning]\nactor_gain_guard = 1e4\n", r"\[learning\] unknown key 'actor_gain_guard'"),
+    # a q that is not a square matrix, caught before the semidefinite test
+    # (which would misreport a row and fail to broadcast a tall matrix) and
+    # before the 3x3 check (which reads only its first two dimensions)
+    ("[learning]\nq = [[1, 2, 3]]\n", r"\[learning\] Q must be a square matrix, not shape \(1, 3\)"),
+    ("[learning]\nq = [[1, 0], [0, 1], [0, 0]]\n",
+     r"\[learning\] Q must be a square matrix, not shape \(3, 2\)"),
+    ("[learning]\nq = [[[1, 1], [1, 1]], [[1, 1], [1, 1]]]\n",
+     r"\[learning\] Q must be a square matrix, not shape \(2, 2, 2\)"),
+    ("[learning]\nq = [[[1.0]]]\n", r"\[learning\] Q must be a square matrix, not shape \(1, 1, 1\)"),
 ])
 def test_unknown_section_or_key_rejected(text, match):
     with pytest.raises(ConfigError, match=match):

@@ -153,11 +153,32 @@ def test_initial_strategies_modes(model, default_config):
     st = initial_strategies(model, cfg)
     # stabilizing init embeds the prior gains
     assert np.allclose(st["cl"].pi, cfg.pi_cl0)
-    S_cl = theta_to_S(st["cl"].theta)
+    S_cl = np.reshape(theta_to_S(st["cl"].theta), (4, 4))
     assert np.all(np.linalg.eigvalsh(S_cl) > 0.0)
     ident = initial_strategies(model, LearningConfig(init="identity"))
-    assert np.all(ident["cl"].pi == 0.0)
-    assert np.all(theta_to_S(ident["mf"].theta) == np.eye(4))
+    assert ident["cl"].pi == [0.0] * 3
+    assert np.all(np.reshape(theta_to_S(ident["mf"].theta), (4, 4)) == np.eye(4))
+
+
+def test_state_construction_is_normalised(model, default_config):
+    # a StrategyState holds Python floats whatever sequence it is given, so
+    # initial= states built from numpy arrays, lists or tuples run the same
+    # episode as the default states, byte for byte
+    c = default_config
+    logs = [run_episode(model, c.reference, c.learning, horizon=2.0)]
+    for form in (np.array, list, tuple):
+        default = initial_strategies(model, c.learning)
+        states = {s: StrategyState(form(default[s].theta), form(default[s].pi))
+                  for s in STRATEGIES}
+        logs.append(run_episode(model, c.reference, c.learning, horizon=2.0, initial=states))
+    want = logs[0]
+    assert all(t is not None for t in want.t_converged.values())
+    for log in logs[1:]:
+        assert log._table.shape == want._table.shape
+        assert log._table.tobytes() == want._table.tobytes()
+        for s in STRATEGIES:
+            assert log.theta_final[s].tobytes() == want.theta_final[s].tobytes()
+            assert log.pi_final[s].tobytes() == want.pi_final[s].tobytes()
 
 
 def test_cached_kernel_follows_theta(model, default_config):
@@ -176,17 +197,21 @@ def test_cached_kernel_follows_theta(model, default_config):
         assert np.array_equal(states[s].S, theta_to_S(states[s].theta))
 
 
-def test_states_hold_arrays_after_an_episode(monkeypatch, model, default_config):
+def test_states_hold_floats_after_an_episode(monkeypatch, model, default_config):
     # a learner step computes on lists of Python floats; the initial= states
-    # hold numpy arrays again once run_episode returns, and also when a step
+    # hold theta and pi as such lists and S as the tuple theta_to_S gives,
+    # before an episode, once run_episode returns, and also when a step
     # raises part way through the episode
-    def arrays(st):
-        return [type(a) for a in (st.theta, st.pi, st.S)] == [np.ndarray] * 3
+    def floats(st):
+        return (type(st.theta) is list and type(st.pi) is list
+                and all(type(v) is float for v in st.theta + st.pi)
+                and st.S == theta_to_S(st.theta))
 
     c = default_config
     states = initial_strategies(model, c.learning)
+    assert all(floats(states[s]) for s in STRATEGIES)
     log = run_episode(model, c.reference, c.learning, horizon=1.0, initial=states)
-    assert all(arrays(states[s]) for s in STRATEGIES)
+    assert all(floats(states[s]) for s in STRATEGIES)
     assert all(np.array_equal(states[s].theta, log.theta_final[s]) for s in STRATEGIES)
 
     steps = []
@@ -201,8 +226,7 @@ def test_states_hold_arrays_after_an_episode(monkeypatch, model, default_config)
     monkeypatch.setattr(control_loop, "_learn_step", failing)
     with pytest.raises(RuntimeError, match="step failed"):
         run_episode(model, c.reference, c.learning, horizon=1.0, initial=states)
-    assert all(arrays(states[s]) for s in STRATEGIES)
-    assert all(np.array_equal(states[s].S, theta_to_S(states[s].theta)) for s in STRATEGIES)
+    assert all(floats(states[s]) for s in STRATEGIES)
 
 
 def test_non_scalar_plant_rejected(default_config):

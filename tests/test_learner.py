@@ -189,13 +189,13 @@ def test_pace_boundary_divergence():
 
 def test_theta_round_trip():
     rng = np.random.default_rng(8)
-    assert np.all(theta_to_S(S_to_theta(np.eye(4))) == np.eye(4))
-    assert np.all(theta_to_S(np.zeros(10)) == 0.0)
+    assert np.all(np.reshape(theta_to_S(S_to_theta(np.eye(4))), (4, 4)) == np.eye(4))
+    assert theta_to_S([0.0] * 10) == (0.0,) * 16
     for _ in range(10):
         S = rand_sym(rng, 4)
-        assert np.linalg.norm(theta_to_S(S_to_theta(S)) - S) < 1e-12
+        assert np.linalg.norm(np.reshape(theta_to_S(S_to_theta(S)), (4, 4)) - S) < 1e-12
         th = rng.normal(size=10)
-        assert np.linalg.norm(S_to_theta(theta_to_S(th)) - th) < 1e-12
+        assert np.linalg.norm(S_to_theta(np.reshape(theta_to_S(th), (4, 4))) - th) < 1e-12
 
 
 def test_stacked_rows_match_single_vectors():
@@ -233,7 +233,9 @@ def test_layout_matches_loop_reference():
             S_ref = np.zeros((d, d))
             for k, (i, j) in enumerate(pairs):
                 S_ref[i, j] = S_ref[j, i] = th[k]
-            S = theta_to_S(th)
+            entries = theta_to_S(th.tolist())
+            assert type(entries) is tuple and len(entries) == d * d
+            S = np.reshape(entries, (d, d))
             assert np.array_equal(S, S_ref)
             assert np.array_equal(S, S.T)
             assert np.array_equal(S_to_theta(S), th)
