@@ -375,6 +375,9 @@ def build_summary(config, log):
             for s in STRATEGIES},
         "convergence_time_s": {s: log.t_converged[s] for s in STRATEGIES},
         "diverged_at": log.diverged,
+        # max |eig M| of the frozen tail's map; None when no tail ran
+        "lifted_spectral_radius": (None if log.M is None else
+                                   float(np.abs(np.linalg.eigvals(log.M)).max())),
     }
 
 

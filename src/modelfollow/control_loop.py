@@ -45,11 +45,12 @@ configured window (convergence freeze); from then on the strategy does no
 per-tick learner work.  Once every strategy acts and none adapts, the rest
 of the episode is one fixed affine recurrence s+ = M s + N w on the lifted
 state, started from the loop's, and the input w = [probes, reference]: M
-and N are built once by running the tick on identity columns, each
-remaining tick is one matvec, the divergence box is checked once per
-TAIL_BLOCK ticks, and the logged outputs and actions are derived from the
-state history afterwards by the generated output, action and input pieces
-(_OUTPUTS, _ACTIONS) run on its columns.
+and N are built once by running the tick on identity columns, every
+TAIL_BLOCK remaining ticks are one prefix scan of a few small matrix
+products (_step_rows), the divergence box is checked after each block, and
+the logged outputs and actions are derived from the state history
+afterwards by the generated output, action and input pieces (_OUTPUTS,
+_ACTIONS) run on its columns.
 
 The samples of every tick, frozen or not, are rebuilt after the loop by
 the same function, bellman_sample, run on the log columns (bellman_log);
@@ -80,7 +81,8 @@ STRATEGIES = ("ob", "cl", "mf")
 STACK_DEPTH = 3
 # RK4 substeps per learner tick, folded into the per-tick maps
 SUBSTEPS = 10
-# frozen-tail rows stepped between two checks of the divergence box
+# frozen-tail rows stepped by one prefix scan, between two checks of the
+# divergence box
 TAIL_BLOCK = 64
 # per-tick signals of the episode log, in trajectory.csv column order
 TRAJECTORY = ("t", "x", "xhat", "y", "yhat", "yref", "e_ob", "e_mf",
@@ -138,6 +140,8 @@ class EpisodeLog:
     theta's size columns) and one stage cost per tick on which strategy s
     ran a learner step or would have, had it not frozen; empty until
     run_episode fills it after the loop.
+    M is the lifted-state map of the frozen tail (_frozen_tail), None when
+    no tail ran.
     """
 
     def __init__(self, rows, n, states):
@@ -159,6 +163,7 @@ class EpisodeLog:
         self.pi_final = {}
         self.theta_final = {}
         self.diverged = None
+        self.M = None
 
     def _bind(self):
         """Point every signal and history at its columns of the table."""
@@ -439,14 +444,36 @@ _OUTPUTS = _Kernels(_outputs_source)
 _ACTIONS = _Kernels(_actions_source)
 
 
-def _step_rows(rows, z, M):
+def _step_rows(rows, z, powers):
     """Run the recurrence s+ = M s + N w through rows in place: each row
     holds N w of its tick and becomes the state after it, z is the state
-    before the first row.  Returns the state after the last row."""
-    for row in rows:
-        row += M @ z
-        z = row
-    return z
+    before the first row and powers[j] is (M^(2^j))', for 2^j < len(rows).
+    Returns the state after the last row.
+
+    The rows are a prefix scan (Hillis and Steele's): M z is added to the
+    first row, then for d = 1, 2, 4, ... each row i >= d adds M^d times
+    row i - d as it stood before that pass, so that after the pass for d
+    row i sums M^(i - k) times the N w of row k over the 2d rows k <= i
+    nearest it, and M^(i + 1) z once they reach the first row.  Row i
+    depends on rows <= i only, and every product has at least two rows:
+    BLAS rounds a one-row product (a matrix-vector product) differently
+    from the same row of a larger one, so the leading rows of a shorter
+    run keep their bits.
+
+    A power of M overflows once M's spectral radius per tick exceeds about
+    10^(308 / (TAIL_BLOCK / 2)), 4e9 for TAIL_BLOCK = 64; the rows it
+    multiplies into then turn to inf or nan, which the box check reports
+    as the divergence of the first of them, at most TAIL_BLOCK / 2 rows
+    into the block.  A state of ordinary size growing that fast leaves the
+    box within a tick or two anyway.
+    """
+    rows[0] += z @ powers[0]
+    for j, power in enumerate(powers):
+        m = len(rows) - (1 << j)
+        if m <= 0:
+            break
+        rows[1 << j:] += (rows[:max(m, 2)] @ power)[:m]
+    return rows[-1]
 
 
 def _frozen_tail(log, k0, z, gains, maps, probe):
@@ -454,15 +481,17 @@ def _frozen_tail(log, k0, z, gains, maps, probe):
 
     With the gains fixed a tick is an affine map s+ = M s + N w of the
     lifted state s and the input w = [the probes of STRATEGIES, yref at the
-    end of the tick], built once here by running _TICK on identity columns;
-    N w of every tick is one matmul and each tick one matvec.  z is the
-    lifted state after row k0, gains holds each strategy's gain in
-    STRATEGIES order and row k of probe the probes of tick k.  Rows k0 + 1
-    on are then written from the state history, the logged outputs and
-    actions derived from it with _OUTPUTS and _ACTIONS run on its columns,
-    and the log trimmed at the first row whose plant state leaves the box,
-    as the per-tick loop does; the ticks after the block that holds that row
-    are not run.
+    end of the tick], built once here by running _TICK on identity columns
+    and kept as log.M; N w of every tick is one matmul, and the states are
+    TAIL_BLOCK-row prefix scans (_step_rows) with the transposed powers
+    M^1, M^2, M^4, ... taken once by repeated squaring.  z is the lifted
+    state after row k0, gains holds each strategy's gain in STRATEGIES
+    order and row k of probe the probes of tick k.  Rows k0 + 1 on are then
+    written from the state history, the logged outputs and actions derived
+    from it with _OUTPUTS and _ACTIONS run on its columns, and the log
+    trimmed at the first row whose plant state leaves the box, as the
+    per-tick loop does; the ticks after the block that holds that row are
+    not run.
     """
     n = log.x.shape[1]
     size = len(z)
@@ -470,6 +499,7 @@ def _frozen_tail(log, k0, z, gains, maps, probe):
     unit = list(np.eye(size + len(STRATEGIES) + 1))
     MN = np.vstack(_TICK[n, STRATEGIES](unit[:size], gains, unit[size:-1], unit[-1], maps)[0])
     M, N = MN[:, :size], MN[:, size:]
+    log.M = M
 
     w = np.column_stack([probe[k0:], log.yref[k0 + 1:]])
     # row i starts as N w of tail tick i and becomes the state after it;
@@ -478,9 +508,16 @@ def _frozen_tail(log, k0, z, gains, maps, probe):
     hist = w @ N.T
     z = np.array(z)
     with np.errstate(over="ignore", invalid="ignore"):
+        # the same powers step every block, so a rounding error of theirs
+        # would recur block after block: they are squared in np.longdouble
+        # and rounded once
+        powers = [M.T.astype(np.longdouble)]
+        while 1 << len(powers) < TAIL_BLOCK:
+            powers.append(powers[-1] @ powers[-1])
+        powers = [power.astype(float) for power in powers]
         for i in range(0, len(hist), TAIL_BLOCK):
             block = hist[i:i + TAIL_BLOCK]
-            z = _step_rows(block, z, M)
+            z = _step_rows(block, z, powers)
             # false for nan and inf as well as for a state outside the box
             out = np.flatnonzero(~(np.abs(block[:, :n]).max(axis=1) <= 1e7))
             if out.size:

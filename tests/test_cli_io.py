@@ -4,6 +4,7 @@ import math
 import struct
 import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -448,6 +449,27 @@ def test_summary_learned_gain_stable(tmp_path, default_config, episode):
     re_parts = [ev[0] for ev in summary["closed_loop_eigenvalues"]]
     assert max(re_parts) < 0.0
     assert summary["diverged_at"] is None
+
+
+@pytest.mark.parametrize("name, radius", [
+    ("default", 1.0001276611939107),
+    ("delta_0.02", 1.0002530492918171),
+    ("init_identity", 1.0183862156540262),
+    ("actor_rate_limit_null", 1.0982015386130022),
+    # no frozen tail: the learning never freezes, the horizon ends before
+    # it does, the loop diverges before it does
+    ("tol_conv_0", None),
+    ("horizon_0.02", None),
+    ("pi_cl0_5", None),
+])
+def test_summary_lifted_spectral_radius(tmp_path, name, radius):
+    config = Path(__file__).parent / "corpus" / f"{name}.ini"
+    main(["run", str(config), "--outdir", str(tmp_path)])
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    if radius is None:
+        assert summary["lifted_spectral_radius"] is None
+    else:
+        assert summary["lifted_spectral_radius"] == pytest.approx(radius, rel=1e-6)
 
 
 def test_eig_command(tmp_path, capsys):

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from modelfollow import control_loop
 from modelfollow.cli_io import parse_config
@@ -43,6 +44,7 @@ def tail_episode(monkeypatch, text, learning_enabled):
     ("", True, None),
     ("", False, None),
     ("[learning]\ninit = identity\n", True, 14.02),
+    ("[run]\nhorizon = 200\n", True, None),
 ])
 def test_tail_rows_replay_one_tick(monkeypatch, text, learning_enabled, diverged):
     c, log, k0 = tail_episode(monkeypatch, text, learning_enabled)
@@ -123,3 +125,92 @@ def test_tail_stops_within_one_block_of_its_exit(monkeypatch, text):
     for s in STRATEGIES:
         assert log.theta_hist[s].tobytes() == short.theta_hist[s].tobytes(), s
         assert log.pi_hist[s].tobytes() == short.pi_hist[s].tobytes(), s
+
+
+# the replays below take np.longdouble as the more precise reference, which
+# it is not where it is float64 itself
+EXTENDED = pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                              reason="np.longdouble is no more precise than float64 here")
+
+
+def col_err(got, want):
+    """The largest error of any column, normalised by that column's
+    max-abs reference value."""
+    return float((np.abs(got - want).max(axis=0) / np.abs(want).max(axis=0)).max())
+
+
+def replay(M, z, inputs):
+    """The states after each row of inputs of s+ = M s + input, stepped one
+    row at a time in np.longdouble from the state z."""
+    M, s = M.astype(np.longdouble), z.astype(np.longdouble)
+    states = []
+    for row in inputs.astype(np.longdouble):
+        s = M @ s + row
+        states.append(s)
+    return np.array(states)
+
+
+def lifted_map(rng, radius, windows):
+    """A 14 x 14 map of spectral radius `radius`, shaped like the lifted
+    state's: a dense block, then `windows` error windows of STACK_DEPTH
+    entries that shift by one each row, their newest entry a combination
+    of the dense block."""
+    depth = control_loop.STACK_DEPTH
+    k = 14 - windows * depth
+    M = np.zeros((14, 14))
+    A = rng.standard_normal((k, k))
+    M[:k, :k] = A * (radius / np.abs(np.linalg.eigvals(A)).max())
+    for i in range(k, 14, depth):
+        M[i:i + depth - 1, i + 1:i + depth] = np.eye(depth - 1)
+        M[i + depth - 1, :k] = rng.standard_normal(k)
+    return M
+
+
+@EXTENDED
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.05), st.integers(0, 2),
+       st.integers(1, control_loop.TAIL_BLOCK), st.data())
+def test_step_rows_is_the_recurrence(seed, radius, windows, length, data):
+    # the scan's rows are the states of the one-row-at-a-time recurrence,
+    # and a block cut short gives its leading rows with the same bits
+    rng = np.random.default_rng(seed)
+    M = lifted_map(rng, radius, windows)
+    z, inputs = rng.standard_normal(14), rng.standard_normal((length, 14))
+    powers = [np.linalg.matrix_power(M, 1 << j).T for j in range(length.bit_length())]
+    rows = inputs.copy()
+    last = control_loop._step_rows(rows, z, powers)
+    assert last.tobytes() == rows[-1].tobytes()
+    want = replay(M, z, inputs)
+    err = np.abs(rows - want).max(axis=1) / np.abs(want).max(axis=1)
+    assert err.max() <= RTOL
+    m = data.draw(st.integers(1, length))
+    short = inputs[:m].copy()
+    control_loop._step_rows(short, z, powers)
+    assert short.tobytes() == rows[:m].tobytes()
+
+
+@EXTENDED
+@pytest.mark.parametrize("text", ["", "[run]\nhorizon = 200\n"])
+def test_tail_states_follow_an_extended_precision_replay(monkeypatch, text):
+    # every component of every tail state, the scans of all blocks chained,
+    # is the state that the recurrence with the tail's own M, N and w gives
+    # when stepped one tick at a time in extended precision
+    starts, inputs, states = [], [], []
+
+    def spied(rows, z, powers):
+        starts.append(np.array(z))
+        inputs.append(rows.copy())
+        last = step_rows(rows, z, powers)
+        states.append(rows.copy())
+        return last
+
+    step_rows = control_loop._step_rows
+    monkeypatch.setattr(control_loop, "_step_rows", spied)
+    c = parse_config(text)
+    log = run_episode(c.model, c.reference, c.learning, horizon=c.horizon)
+    assert log.diverged is None
+    # every strategy freezes at 1.5 s, so the tail runs from tick 150 on
+    states = np.vstack(states)
+    assert len(states) == round(c.horizon / c.learning.delta) - 150
+    assert col_err(states, replay(log.M, starts[0], np.vstack(inputs))) <= RTOL
+    n = log.x.shape[1]
+    assert log.x[151:].tobytes() == states[:, :n].tobytes()
