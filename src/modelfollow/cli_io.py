@@ -374,6 +374,9 @@ def build_summary(config, log):
             s: float(np.linalg.norm(theta_to_S(log.theta_final[s])))
             for s in STRATEGIES},
         "convergence_time_s": {s: log.t_converged[s] for s in STRATEGIES},
+        # per strategy: learner steps, actor steps skipped for a singular
+        # kernel and actor residuals clamped at the rate limit
+        "learner_counts": log.learner_counts,
         "diverged_at": log.diverged,
         # max |eig M| of the frozen tail's map; None when no tail ran
         "lifted_spectral_radius": (None if log.M is None else

@@ -5,7 +5,7 @@ and held, both systems advance by their exact per-tick maps of SUBSTEPS
 RK4 substeps (x+ = Phi x + Gamma u, built once per episode), the new
 sample is written to the columnar episode log, and each strategy still
 adapting performs one critic and one actor projection step on its Bellman
-sample (regressor and integral stage cost).  The sample times, the
+sample (regressor and integral stage cost), fused into one learner step.  The sample times, the
 reference and the probes depend on t only and are evaluated once per
 episode, before the loop.
 
@@ -36,10 +36,14 @@ state, each strategy's features and next features are slices of it before
 and after the tick, the priced action is read off the tick's row, and the
 row, with each strategy's theta and pi, is written to the log with one
 assignment; nothing is read back from the log.  Each adapting strategy
-then takes its Bellman sample and its critic and actor steps on its
-StrategyState, which holds theta and pi as lists of Python floats and the
-kernel as the tuple of its entries from construction on; only the log's
-theta_final and pi_final are numpy arrays, built when the episode ends.
+then takes one learner step through a single seam, _learn_step: the
+learner's generated kernel _STEP takes the Bellman sample and the critic
+and actor steps in one straight-line call on the strategy's StrategyState,
+which holds theta and pi as lists of Python floats and the kernel as the
+tuple of its entries from construction on, and the seam counts each
+strategy's steps, actor steps skipped for a singular kernel and clamped
+actor residuals in log.learner_counts.  Only the log's theta_final and
+pi_final are numpy arrays, built when the episode ends.
 Adaptation of a strategy stops once its kernel has remained settled for a
 configured window (convergence freeze); from then on the strategy does no
 per-tick learner work.  Once every strategy acts and none adapts, the rest
@@ -53,10 +57,12 @@ afterwards by the generated output, action and input pieces (_OUTPUTS,
 _ACTIONS) run on its columns.
 
 The samples of every tick, frozen or not, are rebuilt after the loop by
-the same function, bellman_sample, run on the log columns (bellman_log);
-numpy's elementwise operations round as Python's float operations do, so
-each sample a learner step consumed equals its logged row bit for bit
-(test_per_tick_samples_equal_log_rows checks this on every corpus config).
+bellman_sample run on the log columns (bellman_log).  It calls the
+learner's formulas that _STEP is assembled from, and numpy's elementwise
+operations round as Python's float operations do, so each sample a
+learner step consumed equals its logged row bit for bit
+(test_per_tick_samples_equal_log_rows recomputes bellman_sample on the
+inputs of every step of every corpus config).
 TRAJECTORY fixes the order of the logged signals in trajectory.csv; the
 writer derives the CSV header from it and the width of each column.
 """
@@ -69,10 +75,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from modelfollow import oracle
 from modelfollow.dynamics import held_input_maps
 from modelfollow.learner import (
-    SingularKernelError, theta_to_S, S_to_theta,
-    bellman_regressor, policy_from_kernel, critic_update, actor_update,
-    kernel_converged, quadratic_form, utility, dot, components,
-    _Kernels, _index_sum, _products, _unpack,
+    theta_to_S, S_to_theta, bellman_regressor, quadratic_form, utility, dot, components,
+    _STEP, _Kernels, _dot, _index_sum, _kernel_source, _names, _unpack,
 )
 from modelfollow.reference import eval_reference
 
@@ -110,8 +114,8 @@ class StrategyState:
     on.  theta and pi, given as any sequences of numbers, are held as lists
     of Python floats; S is the kernel of theta (theta_to_S, the tuple of its
     entries in row-major order), computed at construction and replaced
-    together with theta, so that a learner step unflattens only the new
-    theta."""
+    together with theta by each learner step, whose convergence test
+    compares the new kernel with it."""
 
     theta: list
     pi: list
@@ -140,6 +144,10 @@ class EpisodeLog:
     theta's size columns) and one stage cost per tick on which strategy s
     ran a learner step or would have, had it not frozen; empty until
     run_episode fills it after the loop.
+    learner_counts[s] counts strategy s's learner steps ("steps"), the
+    steps whose new kernel was singular, so the actor kept its gain
+    ("singular_skips"), and the actor residuals the rate limit clamped
+    ("clamped"); all zero when it did not learn.
     M is the lifted-state map of the frozen tail (_frozen_tail), None when
     no tail ran.
     """
@@ -160,6 +168,8 @@ class EpisodeLog:
         self.regressors = {s: (np.zeros((0, len(states[s].theta))), np.zeros(0))
                            for s in STRATEGIES}
         self.t_converged = dict.fromkeys(STRATEGIES)
+        self.learner_counts = {s: dict.fromkeys(("steps", "singular_skips", "clamped"), 0)
+                               for s in STRATEGIES}
         self.pi_final = {}
         self.theta_final = {}
         self.diverged = None
@@ -287,20 +297,22 @@ def bellman_log(log, cfg, forms):
     return samples
 
 
-def _learn_step(state, z_tilde, phi, F, cfg, t):
-    """One critic + actor projection step for a single strategy."""
-    state.theta = critic_update(state.theta, z_tilde, phi, cfg.sigma_c, cfg.alpha_c)
-    S_prev, state.S = state.S, theta_to_S(state.theta)
-    settled = kernel_converged(S_prev, state.S, cfg.tol_conv)
-
-    try:
-        gain_row = policy_from_kernel(state.S, n_features=len(F), eps_sing=cfg.eps_sing)[0]
-    except SingularKernelError:
-        pass  # keep the previous actor this cycle
-    else:
-        state.pi = actor_update(state.pi, F, dot(gain_row, F), cfg.sigma_a, cfg.alpha_a,
-                                rate_limit=cfg.actor_rate_limit)
-
+def _learn_step(s, state, F, F_next, mu, form, cfg, t, log):
+    """One learner step of strategy s on the tick from t, the seam of every
+    adapting tick: its Bellman sample (F, F_next, the priced action mu and
+    the stage-cost weight form, as bellman_sample takes them) and its
+    critic and actor steps run as the fused kernel _STEP, which leaves the
+    gain when the new kernel is singular.  The state takes the new theta,
+    kernel and gain, and log.learner_counts[s] counts the step, a skip for
+    a singular kernel and a clamped actor residual."""
+    kind = "cl" if s == "cl" else "err"
+    pi = state.pi
+    state.theta, state.S, state.pi, settled, clamped = _STEP[len(F), kind](
+        state.theta, state.S, pi, F, F_next, mu, form, cfg)
+    counts = log.learner_counts[s]
+    counts["steps"] += 1
+    counts["singular_skips"] += state.pi is pi
+    counts["clamped"] += clamped
     if t >= cfg.conv_check_start:
         state.conv_count = state.conv_count + 1 if settled else 0
         if state.conv_count >= cfg.conv_window:
@@ -332,10 +344,6 @@ def _features(n):
     return {"ob": ("w_ob", STACK_DEPTH), "cl": ("xh", n), "mf": ("w_mf", STACK_DEPTH)}
 
 
-def _names(name, n):
-    return [f"{name}{i}" for i in range(n)]
-
-
 def _lifted(n):
     """The components of the lifted state [x, xhat, u_ob, u_mf, e_ob window,
     e_mf window], as the generated kernels name them."""
@@ -360,7 +368,7 @@ def _gain_lines(n):
 def _action_lines(n, acting):
     """The actions mu_s = pi_s . F_s + p_s of the acting strategies, and 0.0,
     no probe, for one whose features do not exist yet (warm-up gating)."""
-    return [f"mu_{s} = {_index_sum(_products(f'pi_{s}', name, size))} + p_{s}"
+    return [f"mu_{s} = {_dot(_names(f'pi_{s}', size), _names(name, size))} + p_{s}"
             if s in acting else f"mu_{s} = 0.0"
             for s, (name, size) in _features(n).items()]
 
@@ -386,18 +394,9 @@ def _step_lines(n):
 def _output_lines(n):
     """y and yhat of the states x and xh and the output errors e_ob = y - yhat
     and e_mf = yref - y."""
-    return [f"y = {_index_sum(_products('C', 'x', n))}",
-            f"yhat = {_index_sum(_products('C', 'xh', n))}",
+    return [f"y = {_dot(_names('C', n), _names('x', n))}",
+            f"yhat = {_dot(_names('C', n), _names('xh', n))}",
             "e_ob = y - yhat", "e_mf = yref - y"]
-
-
-def _kernel_source(signature, lines, result):
-    body = "\n    ".join(lines)
-    return f"""
-def kernel({signature}):
-    {body}
-    return {result}
-"""
 
 
 def _tick_source(key):
@@ -649,16 +648,12 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
 
         record(k + 1, row)
 
-        # a frozen strategy costs nothing per tick; an adapting one
-        # takes its Bellman sample with the formula bellman_log runs on
-        # the log columns
+        # a frozen strategy costs nothing per tick; an adapting one takes
+        # one learner step on its features before and after the tick
         for learner in tuple(adapting):
             s, st, feats, priced, lag_s, form, g = learner
             if k >= lag_s:
-                F = z[feats]
-                z_tilde, phi = bellman_sample(s, F, row[priced], z_next[feats], st.pi,
-                                              cfg, form)
-                _learn_step(st, z_tilde, phi, F, cfg, t)
+                _learn_step(s, st, z[feats], z_next[feats], row[priced], form, cfg, t, log)
                 gains[g] = st.pi
                 if st.frozen:
                     log.t_converged[s] = t + delta

@@ -13,20 +13,25 @@ Every formula is written component by component, and a vector is a
 sequence of its components: Python floats for one vector (a kernel as the
 tuple of its entries in row-major order), one numpy column per component
 for a stack of vectors (components gives them).  dot, quadratic_form,
-bellman_regressor, critic_update, actor_update, kernel_converged and
-policy_from_kernel each have one source generator; for a vector size n it
-writes the formula as straight-line Python, the components unpacked into
-locals and every sum one explicit left-to-right + chain in index order
-that starts at 0.0, as s = 0.0; s = s + a_i * b_i would compute it, never
-sum().  The kernel of a size is compiled on its first call and kept in a
-dict keyed by the size (_Kernels), so importing compiles nothing;
-control_loop writes its tick with the same helpers (_unpack, _index_sum,
-_products) and compiles it the same way.  Nothing calls BLAS: numpy's
-elementwise operations round as Python's float operations do, so a stack
-of ticks run through a kernel gives each row the one-tick value bit for
-bit, whatever the memory layout of the columns.  A numpy vector or stack
-is converted at the boundary (components); only policy_from_kernel takes
-and gives a numpy kernel as well.
+utility, bellman_regressor, critic_update, actor_update, kernel_converged
+and policy_from_kernel each have one source piece, which writes the
+formula on named components as straight-line Python: every sum one
+explicit left-to-right + chain in index order that starts at 0.0, as
+s = 0.0; s = s + a_i * b_i would compute it, never sum().  For a vector
+size n a formula's kernel unpacks its arguments' components into locals
+and runs its piece; it is compiled on its first call and kept in a dict
+keyed by the size (_Kernels), so importing compiles nothing.  _STEP fuses
+the pieces of one learner step (the Bellman sample, the critic step, the
+new kernel, the convergence test, the greedy gain and the actor step)
+into one kernel per feature count and stage-cost kind, which gives the
+bits of the standalone chain; control_loop writes its tick with the same
+helpers (_unpack, _names, _dot, _index_sum) and compiles it the same way.
+Nothing calls BLAS: numpy's elementwise operations round as Python's
+float operations do, so a stack of ticks run through a kernel gives each
+row the one-tick value bit for bit, whatever the memory layout of the
+columns.  A numpy vector or stack is converted at the boundary
+(components); only policy_from_kernel takes and gives a numpy kernel as
+well.
 """
 
 import math
@@ -55,24 +60,30 @@ def components(x):
 
 
 class _Kernels(dict):
-    """The kernels of one formula by vector size: kernels[n] is the function
-    that source(n) defines, compiled on its first lookup."""
+    """The kernels of one formula by key, a vector size or a tuple that
+    holds one: kernels[key] is the function that source(key) defines,
+    compiled on its first lookup."""
 
     def __init__(self, source):
         super().__init__()
         self.source = source
 
-    def __missing__(self, n):
+    def __missing__(self, key):
         namespace = {"sqrt": math.sqrt, "SingularKernelError": SingularKernelError}
-        exec(compile(self.source(n), f"<{self.source.__name__}({n})>", "exec"), namespace)
-        kernel = self[n] = namespace["kernel"]
+        exec(compile(self.source(key), f"<{self.source.__name__}({key})>", "exec"), namespace)
+        kernel = self[key] = namespace["kernel"]
         return kernel
+
+
+def _names(name, n):
+    """The locals name0, name1, ... that n components are bound to."""
+    return [f"{name}{i}" for i in range(n)]
 
 
 def _unpack(name, n):
     """Bind the n components of the sequence `name` to name0, name1, ...;
     a sequence of another length raises ValueError."""
-    return f"[{', '.join(f'{name}{i}' for i in range(n))}] = {name}"
+    return f"[{', '.join(_names(name, n))}] = {name}"
 
 
 def _index_sum(terms):
@@ -82,18 +93,92 @@ def _index_sum(terms):
     return " + ".join(["0.0", *terms])
 
 
-def _products(a, b, n):
-    """The terms a_i * b_i, i = 0 .. n - 1."""
-    return [f"{a}{i} * {b}{i}" for i in range(n)]
+def _kernel_source(signature, lines, result):
+    """A kernel(signature) that runs the body lines and returns result."""
+    body = "\n    ".join(lines)
+    return f"""
+def kernel({signature}):
+    {body}
+    return {result}
+"""
+
+
+# The source pieces of the formulas.  Each writes one formula on the
+# components named in its arguments (lists of locals), as an expression
+# or as body lines that bind the locals named in `out`; the standalone
+# kernels below and the fused learner step (_STEP) are assembled from
+# them, so every formula's text, and every sum's order, has one source.
+
+
+def _dot(a, b):
+    """The expression sum_i a_i b_i."""
+    return _index_sum(f"{x} * {y}" for x, y in zip(a, b))
+
+
+def _quadratic_form(out, x, M):
+    """out = x' M x as sum_i x_i (M_i . x); the rows of M are unpacked into
+    M0_0, M0_1, ..."""
+    entries = [_names(f"{M}{i}_", len(x)) for i in range(len(x))]
+    rows = ", ".join(f"[{', '.join(row)}]" for row in entries)
+    terms = (f"{xi} * ({_dot(row, x)})" for xi, row in zip(x, entries))
+    return [f"[{rows}] = {M}", f"{out} = {_index_sum(terms)}"]
+
+
+def _utility(out, F, mu, Q, R):
+    """out = 1/2 (F' Q F + mu R mu), the scalar action priced as (mu R) mu."""
+    return [*_quadratic_form("qF", F, Q), f"{out} = 0.5 * (qF + ({mu} * {R}) * {mu})"]
+
+
+def _monomials(z):
+    """The quadratic monomials of z in the theta layout (tri_indices): the
+    diagonal slots 1/2 z_i^2 as (0.5 z_i) z_i, the others z_i z_j, so that
+    theta' monomials = 1/2 Z' S Z when theta stores S entrywise."""
+    return [f"0.5 * {z[i]} * {z[i]}" if i == j else f"{z[i]} * {z[j]}"
+            for i, j in tri_indices(len(z))]
+
+
+def _bellman_regressor(out, a, b):
+    """out = the differences of the monomials of a and of b, slot by slot."""
+    return [f"{o} = {m_t} - {m_next}" for o, m_t, m_next in zip(out, _monomials(a), _monomials(b))]
+
+
+def _critic_update(out, t, z):
+    """out = the critic step of t toward t . z = phi (the locals phi,
+    sigma_c and alpha_c)."""
+    return [f"residual = {_dot(t, z)} - phi", f"denom = alpha_c + ({_dot(z, z)})",
+            *(f"{o} = {ti} - sigma_c * {zi} / denom * residual" for o, ti, zi in zip(out, t, z))]
+
+
+def _kernel_converged(out, p, q):
+    """out = whether the distance of the kernels p and q is below tol_conv."""
+    d = _names("d", len(p))
+    return [*(f"{di} = {qi} - {pi}" for di, pi, qi in zip(d, p, q)),
+            f"{out} = sqrt({_dot(d, d)}) < tol_conv"]
+
+
+def _policy_from_kernel(out, S, singular):
+    """out = the greedy gain -(S_muF * (1 / s)) of the kernel entries S,
+    row-major; the statement `singular` runs first when |s| < eps_sing."""
+    d = math.isqrt(len(S))
+    return [f"if abs({S[-1]}) < eps_sing: {singular}", f"inv = 1 / {S[-1]}",
+            *(f"{o} = -({e} * inv)" for o, e in zip(out, S[-d:-1]))]
+
+
+def _actor_update(out, p, F):
+    """out = the actor step of p toward p . F = phi_target (the locals
+    phi_target, sigma_a, alpha_a and rate_limit), and clamped = whether the
+    rate limit moved the residual: |residual| > rate_limit, which a NaN
+    residual is not (min and max leave it NaN)."""
+    return [f"residual = {_dot(p, F)} - phi_target",
+            "clamped = rate_limit is not None and abs(residual) > rate_limit",
+            "if rate_limit is not None: residual = min(max(residual, -rate_limit), rate_limit)",
+            f"denom = alpha_a + ({_dot(F, F)})",
+            *(f"{o} = {pi} - sigma_a * (residual * {fi}) / denom" for o, pi, fi in zip(out, p, F))]
 
 
 def _dot_source(n):
-    return f"""
-def kernel(a, b):
-    {_unpack("a", n)}
-    {_unpack("b", n)}
-    return {_index_sum(_products("a", "b", n))}
-"""
+    return _kernel_source("a, b", [_unpack("a", n), _unpack("b", n)],
+                          _dot(_names("a", n), _names("b", n)))
 
 
 _DOT = _Kernels(_dot_source)
@@ -107,14 +192,8 @@ def dot(a, b):
 
 
 def _quadratic_form_source(n):
-    rows = ", ".join(f"[{', '.join(f'M{i}_{j}' for j in range(n))}]" for i in range(n))
-    terms = [f"x{i} * ({_index_sum(f'M{i}_{j} * x{j}' for j in range(n))})" for i in range(n)]
-    return f"""
-def kernel(x, M):
-    {_unpack("x", n)}
-    [{rows}] = M
-    return {_index_sum(terms)}
-"""
+    return _kernel_source("x, M", [_unpack("x", n), *_quadratic_form("q", _names("x", n), "M")],
+                          "q")
 
 
 _QUADRATIC_FORM = _Kernels(_quadratic_form_source)
@@ -127,13 +206,21 @@ def quadratic_form(x, M):
     return _QUADRATIC_FORM[len(x)](x, M)
 
 
+def _utility_source(n):
+    return _kernel_source("F, mu, Q, R", [_unpack("F", n), *_utility("U", _names("F", n), "mu",
+                                                                       "Q", "R")], "U")
+
+
+_UTILITY = _Kernels(_utility_source)
+
+
 def utility(F, mu, Q, R):
     """Stage utility U = 1/2 (F' Q F + mu R mu) of the components F.
 
     The plant has one input, so R is a scalar and mu holds one action per
     vector of F (a scalar for one vector).
     """
-    return 0.5 * (quadratic_form(F, Q) + (mu * R) * mu)
+    return _UTILITY[len(F)](F, mu, Q, R)
 
 
 def quadratic_value(S, Z):
@@ -143,22 +230,11 @@ def quadratic_value(S, Z):
                                 np.asarray(S, dtype=float).tolist())
 
 
-def _monomials(z, n):
-    """The quadratic monomials of z in the theta layout (tri_indices): the
-    diagonal slots 1/2 z_i^2 as (0.5 z_i) z_i, the others z_i z_j, so that
-    theta' monomials = 1/2 Z' S Z when theta stores S entrywise."""
-    return [f"0.5 * {z}{i} * {z}{i}" if i == j else f"{z}{i} * {z}{j}"
-            for i, j in tri_indices(n)]
-
-
 def _bellman_regressor_source(n):
-    terms = (f"{m_t} - {m_next}" for m_t, m_next in zip(_monomials("a", n), _monomials("b", n)))
-    return f"""
-def kernel(a, b):
-    {_unpack("a", n)}
-    {_unpack("b", n)}
-    return [{", ".join(terms)}]
-"""
+    z = _names("z", n * (n + 1) // 2)
+    lines = [_unpack("a", n), _unpack("b", n),
+             *_bellman_regressor(z, _names("a", n), _names("b", n))]
+    return _kernel_source("a, b", lines, f"[{', '.join(z)}]")
 
 
 _BELLMAN_REGRESSOR = _Kernels(_bellman_regressor_source)
@@ -171,6 +247,12 @@ def bellman_regressor(Z_t, Z_next):
     return _BELLMAN_REGRESSOR[len(Z_t)](Z_t, Z_next)
 
 
+def _entry_slots(d):
+    """The theta slot of each entry of a d x d kernel, in row-major order."""
+    slot = {pair: k for k, pair in enumerate(tri_indices(d))}
+    return [slot[min(i, j), max(i, j)] for i in range(d) for j in range(d)]
+
+
 @lru_cache(maxsize=None)
 def _kernel_entries(size):
     """A getter of the kernel's entries in row-major order (a tuple) from a
@@ -179,8 +261,7 @@ def _kernel_entries(size):
     d = int(round((math.sqrt(8 * size + 1) - 1) / 2))
     if d * (d + 1) // 2 != size:
         raise ValueError(f"theta length {size} is not triangular")
-    slot = {pair: k for k, pair in enumerate(tri_indices(d))}
-    getter = itemgetter(*(slot[min(i, j), max(i, j)] for i in range(d) for j in range(d)))
+    getter = itemgetter(*_entry_slots(d))
     return getter if d > 1 else lambda theta: (getter(theta),)
 
 
@@ -200,18 +281,14 @@ def _policy_from_kernel_source(size):
     d = math.isqrt(size)
     if d * d != size:
         raise ValueError(f"a kernel of {size} entries is not square")
-    s = f"S{size - 1}"
-    gain = ", ".join(f"-(S{i} * inv)" for i in range(size - d, size - 1))
-    return f"""
-def kernel(S, n_features, eps_sing):
-    {_unpack("S", size)}
-    if n_features is not None and n_features != {d - 1}:
-        raise ValueError(f"n_features = {{n_features}} does not leave a 1x1 control block")
-    if abs({s}) < eps_sing:
-        raise SingularKernelError(f"|S_mumu| = {{abs({s}):.3g}} below {{eps_sing:.3g}}")
-    inv = 1 / {s}
-    return [[{gain}]]
-"""
+    S, gain = _names("S", size), _names("g", d - 1)
+    singular = ("raise SingularKernelError("
+                f"f'|S_mumu| = {{abs({S[-1]}):.3g}} below {{eps_sing:.3g}}')")
+    lines = [_unpack("S", size),
+             f"if n_features is not None and n_features != {d - 1}: raise ValueError("
+             "f'n_features = {n_features} does not leave a 1x1 control block')",
+             *_policy_from_kernel(gain, S, singular)]
+    return _kernel_source("S, n_features, eps_sing", lines, f"[[{', '.join(gain)}]]")
 
 
 _POLICY_FROM_KERNEL = _Kernels(_policy_from_kernel_source)
@@ -237,15 +314,10 @@ def policy_from_kernel(S, n_features=None, eps_sing=1e-8):
 
 
 def _critic_update_source(n):
-    steps = ", ".join(f"t{i} - sigma_c * z{i} / denom * residual" for i in range(n))
-    return f"""
-def kernel(t, z, phi, sigma_c, alpha_c):
-    {_unpack("t", n)}
-    {_unpack("z", n)}
-    residual = {_index_sum(_products("t", "z", n))} - phi
-    denom = alpha_c + ({_index_sum(_products("z", "z", n))})
-    return [{steps}]
-"""
+    t = _names("t", n)
+    return _kernel_source("t, z, phi, sigma_c, alpha_c",
+                          [_unpack("t", n), _unpack("z", n), *_critic_update(t, t, _names("z", n))],
+                          f"[{', '.join(t)}]")
 
 
 _CRITIC_UPDATE = _Kernels(_critic_update_source)
@@ -261,17 +333,10 @@ def critic_update(theta, z_tilde, phi, sigma_c, alpha_c):
 
 
 def _actor_update_source(n):
-    steps = ", ".join(f"p{i} - sigma_a * (residual * F{i}) / denom" for i in range(n))
-    return f"""
-def kernel(p, F, phi_target, sigma_a, alpha_a, rate_limit):
-    {_unpack("p", n)}
-    {_unpack("F", n)}
-    residual = {_index_sum(_products("p", "F", n))} - phi_target
-    if rate_limit is not None:
-        residual = min(max(residual, -rate_limit), rate_limit)
-    denom = alpha_a + ({_index_sum(_products("F", "F", n))})
-    return [{steps}]
-"""
+    p = _names("p", n)
+    return _kernel_source("p, F, phi_target, sigma_a, alpha_a, rate_limit",
+                          [_unpack("p", n), _unpack("F", n), *_actor_update(p, p, _names("F", n))],
+                          f"[{', '.join(p)}]")
 
 
 _ACTOR_UPDATE = _Kernels(_actor_update_source)
@@ -292,14 +357,8 @@ def actor_update(pi, F, phi_target, sigma_a, alpha_a, rate_limit=None):
 
 
 def _kernel_converged_source(n):
-    diffs = "\n    ".join(f"d{i} = q{i} - p{i}" for i in range(n))
-    return f"""
-def kernel(p, q, tol_conv):
-    {_unpack("p", n)}
-    {_unpack("q", n)}
-    {diffs}
-    return sqrt({_index_sum(_products("d", "d", n))}) < tol_conv
-"""
+    return _kernel_source("p, q, tol_conv", [_unpack("p", n), _unpack("q", n), *_kernel_converged(
+        "settled", _names("p", n), _names("q", n))], "settled")
 
 
 _KERNEL_CONVERGED = _Kernels(_kernel_converged_source)
@@ -313,6 +372,45 @@ def kernel_converged(S_prev, S_next, tol_conv):
     sum of the squared entry differences, summed in row-major order.
     """
     return _KERNEL_CONVERGED[len(S_prev)](S_prev, S_next, tol_conv)
+
+
+def _step_source(key):
+    n, kind = key
+    d = n + 1
+    t, p, F, G = _names("t", d * (d + 1) // 2), _names("p", n), _names("F", n), _names("G", n)
+    theta, gain, pi = _names("th", len(t)), _names("g", n), _names("pn", n)
+    # the new kernel's entries are the new theta's slots
+    S = [theta[k] for k in _entry_slots(d)]
+    kernel = f"[{', '.join(theta)}], ({', '.join(S)},)"
+    cost = (_quadratic_form("phi", [*F, "mu"], "W") if kind == "cl" else
+            ["delta, R = cfg.delta, cfg.R", *_utility("U", F, "mu", "W", "R"), "phi = delta * U"])
+    lines = [*(f"{name} = cfg.{name}" for name in
+               ("sigma_c", "alpha_c", "tol_conv", "eps_sing", "sigma_a", "alpha_a")),
+             "rate_limit = cfg.actor_rate_limit",
+             _unpack("t", len(t)), _unpack("S", d * d), _unpack("p", n), _unpack("F", n),
+             _unpack("G", n), *cost, f"nu = {_dot(p, G)}",
+             *_bellman_regressor(_names("z", len(t)), [*F, "mu"], [*G, "nu"]),
+             *_critic_update(theta, t, _names("z", len(t))),
+             *_kernel_converged("settled", _names("S", d * d), S),
+             *_policy_from_kernel(gain, S, f"return {kernel}, p, settled, False"),
+             f"phi_target = {_dot(gain, F)}", *_actor_update(pi, p, F)]
+    return _kernel_source("t, S, p, F, G, mu, W, cfg", lines,
+                          f"{kernel}, [{', '.join(pi)}], settled, clamped")
+
+
+# _STEP[n, kind](theta, S, pi, F, F_next, mu, form, cfg): one learner step
+# of a strategy with n features on one tick, fused into one kernel.  The
+# Bellman sample of Z_t = [F; mu] and Z_next = [F_next; pi . F_next], as
+# control_loop.bellman_sample takes it: the stage cost is Z_t' form Z_t for
+# kind "cl" (the tick form on [xhat; v]) and delta * utility(F, mu, form, R)
+# for kind "err"; then the critic step, the kernel of the new theta, the
+# convergence test against the old kernel S, the greedy gain and the actor
+# step, each as its standalone formula computes it.  cfg is the
+# LearningConfig.  Returns the new theta, the new kernel (the tuple
+# theta_to_S gives), the new gain (pi itself when |S_mumu| < eps_sing, a
+# singular kernel), whether the kernel settled, and whether the actor's
+# rate limit clamped the residual.
+_STEP = _Kernels(_step_source)
 
 
 # probe phases of each strategy, one per frequency

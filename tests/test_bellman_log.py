@@ -2,7 +2,8 @@
 strategies is skipped, and the logged regressors and stage costs are
 rebuilt from the log columns after the loop.  The tests rebuild them one
 row at a time, as the per-tick learner computes them, and count the
-per-tick regressor calls."""
+learner steps at their one seam, control_loop._learn_step, against the
+episode's own counters (log.learner_counts)."""
 
 import dataclasses
 from pathlib import Path
@@ -13,8 +14,8 @@ import pytest
 from modelfollow import control_loop
 from modelfollow.cli_io import load_config
 from modelfollow.control_loop import (
-    STACK_DEPTH, STRATEGIES, SUBSTEPS, initial_strategies, run_episode, strategy_views,
-    tick_cost_form,
+    STACK_DEPTH, STRATEGIES, SUBSTEPS, bellman_sample, initial_strategies, run_episode,
+    strategy_views, tick_cost_form,
 )
 from modelfollow.dynamics import held_input_maps
 from modelfollow.learner import bellman_regressor
@@ -61,15 +62,22 @@ def test_rows_match_per_tick_rebuild(model, default_config, episode):
 
 
 def count_regressor_calls(monkeypatch, model, c, learning):
-    """Per-tick (one vector) and stacked calls of bellman_regressor."""
-    calls = {1: 0, 2: 0}
+    """Learner steps (calls of the seam control_loop._learn_step) and
+    per-tick (one vector) and stacked calls of bellman_regressor."""
+    calls = {"steps": 0, 1: 0, 2: 0}
 
     def counted(Z_t, Z_next):
         calls[np.ndim(Z_t)] += 1
         return bellman_regressor(Z_t, Z_next)
 
+    def step(*args):
+        calls["steps"] += 1
+        learn_step(*args)
+
+    learn_step = control_loop._learn_step
     with monkeypatch.context() as mp:
         mp.setattr(control_loop, "bellman_regressor", counted)
+        mp.setattr(control_loop, "_learn_step", step)
         run_episode(model, c.reference, learning, horizon=20.0)
     return calls
 
@@ -77,22 +85,27 @@ def count_regressor_calls(monkeypatch, model, c, learning):
 def test_only_active_strategies_compute_regressors(monkeypatch, model, default_config):
     c = default_config
     # the default episode freezes all three strategies by 1.5 s: 446 learner
-    # steps in all, then one stacked rebuild per strategy
-    assert count_regressor_calls(monkeypatch, model, c, c.learning) == {1: 446, 2: 3}
+    # steps in all, each taking its sample inside the fused step, then one
+    # stacked rebuild per strategy
+    assert count_regressor_calls(monkeypatch, model, c, c.learning) == {
+        "steps": 446, 1: 0, 2: 3}
     # with the freeze disabled all 2000 + 2 * 1998 strategy-ticks learn
     never_frozen = dataclasses.replace(c.learning, tol_conv=0.0)
-    assert count_regressor_calls(monkeypatch, model, c, never_frozen) == {1: 5996, 2: 3}
+    assert count_regressor_calls(monkeypatch, model, c, never_frozen) == {
+        "steps": 5996, 1: 0, 2: 3}
 
 
-# the learner functions run_episode calls through control_loop's own names,
+# the learner functions bellman_log calls through control_loop's own names,
 # the call sites a tracer of the episode wraps
-LEARNER_CALLS = ("bellman_regressor", "utility", "critic_update", "kernel_converged",
-                 "policy_from_kernel", "actor_update")
+REBUILD_CALLS = ("bellman_regressor", "utility")
 
 
 def count_learner_calls(monkeypatch, model, c, learning):
-    """Calls of each LEARNER_CALLS name in control_loop during one episode."""
-    calls = dict.fromkeys(LEARNER_CALLS, 0)
+    """The learner steps of each strategy, counted at the seam
+    control_loop._learn_step, the calls of each REBUILD_CALLS name in
+    control_loop, and the log of one episode."""
+    steps = dict.fromkeys(STRATEGIES, 0)
+    calls = dict.fromkeys(REBUILD_CALLS, 0)
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -100,25 +113,34 @@ def count_learner_calls(monkeypatch, model, c, learning):
             return fn(*args, **kwargs)
         return call
 
+    def step(s, *args):
+        steps[s] += 1
+        learn_step(s, *args)
+
+    learn_step = control_loop._learn_step
     with monkeypatch.context() as mp:
-        for name in LEARNER_CALLS:
+        mp.setattr(control_loop, "_learn_step", step)
+        for name in REBUILD_CALLS:
             mp.setattr(control_loop, name, counted(name, getattr(control_loop, name)))
-        run_episode(model, c.reference, learning, horizon=20.0)
-    return calls
+        log = run_episode(model, c.reference, learning, horizon=20.0)
+    return steps, calls, log
 
 
 def test_learner_calls_stay_at_control_loop_names(monkeypatch, model, default_config):
-    # one call of each per learner step: 446 steps on the default episode
-    # (150 closed-loop, 296 observer and model-following) and 5996 with the
-    # freeze disabled; the stacked rebuild adds one regressor per strategy
-    # and one utility per error-feature strategy.  A learner call fused
-    # into another or skipped changes a count.
+    # one seam call per learner step: 446 steps on the default episode (150
+    # closed-loop, 148 each observer and model-following) and 5996 with the
+    # freeze disabled, each counted by the episode itself; the stacked
+    # rebuild adds one regressor per strategy and one utility per
+    # error-feature strategy.  A step skipped, or taken outside the seam,
+    # changes a count.
     c = default_config
-    assert count_learner_calls(monkeypatch, model, c, c.learning) == {
-        "bellman_regressor": 449, "utility": 298, **dict.fromkeys(LEARNER_CALLS[2:], 446)}
     never_frozen = dataclasses.replace(c.learning, tol_conv=0.0)
-    assert count_learner_calls(monkeypatch, model, c, never_frozen) == {
-        "bellman_regressor": 5999, "utility": 3998, **dict.fromkeys(LEARNER_CALLS[2:], 5996)}
+    for learning, want in ((c.learning, {"ob": 148, "cl": 150, "mf": 148}),
+                           (never_frozen, {"ob": 1998, "cl": 2000, "mf": 1998})):
+        steps, calls, log = count_learner_calls(monkeypatch, model, c, learning)
+        assert steps == want
+        assert {s: log.learner_counts[s]["steps"] for s in STRATEGIES} == want
+        assert calls == {"bellman_regressor": 3, "utility": 2}
 
 
 def test_short_and_stopped_episodes_have_empty_logs(model, default_config):
@@ -142,18 +164,20 @@ def test_short_and_stopped_episodes_have_empty_logs(model, default_config):
 
 @pytest.mark.parametrize("config", sorted(CORPUS.glob("*.ini")), ids=lambda p: p.stem)
 def test_per_tick_samples_equal_log_rows(monkeypatch, config):
-    # the learner builds its Bellman sample one tick at a time and
-    # bellman_log rebuilds every tick's sample stacked after the loop: each
-    # (z_tilde, phi) a learner step consumed must equal its logged row bit
-    # for bit
+    # the learner step takes its Bellman sample one tick at a time and
+    # bellman_log rebuilds every tick's sample stacked after the loop: the
+    # sample of the floats each learner step received, as bellman_sample
+    # computes it, must equal its logged row bit for bit
     c = load_config(config)
     states = initial_strategies(c.model, c.learning)
     consumed = []
 
-    def spied(state, z_tilde, phi, F, cfg, t):
-        s = next(s for s in STRATEGIES if states[s] is state)
-        consumed.append((s, round(t / cfg.delta), z_tilde.copy(), phi))
-        learn_step(state, z_tilde, phi, F, cfg, t)
+    def spied(s, state, F, F_next, mu, form, cfg, t, log):
+        assert states[s] is state
+        assert all(type(v) is float for v in [*F, *F_next, mu, *state.pi])
+        z_tilde, phi = bellman_sample(s, F, mu, F_next, state.pi, cfg, form)
+        consumed.append((s, round(t / cfg.delta), z_tilde, phi))
+        learn_step(s, state, F, F_next, mu, form, cfg, t, log)
 
     learn_step = control_loop._learn_step
     monkeypatch.setattr(control_loop, "_learn_step", spied)

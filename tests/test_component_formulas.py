@@ -16,21 +16,28 @@ into a larger array (neither axis contiguous).  control_loop's generated
 tick kernel is held to the same property, which lets the frozen tail build
 its matrices from identity columns run through the one-tick formula, and
 to the tick spelled out with the same sums (seq_tick).  policy_from_kernel's
-kernel is checked against -(v * (1 / s)) for kernels of 2-7 rows.
+kernel is checked against -(v * (1 / s)) for kernels of 2-7 rows.  The
+fused learner step (_STEP) must give the bits of the chain of standalone
+kernels it replaces, and no generated kernel may call sum().
 """
+
+import ast
+import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from modelfollow import control_loop, learner
 from modelfollow.cli_io import parse_config
 from modelfollow.control_loop import (
     STRATEGIES, SUBSTEPS, TICK_COLUMNS, _TICK, bellman_sample,
 )
 from modelfollow.dynamics import held_input_maps
 from modelfollow.learner import (
-    LearningConfig, SingularKernelError, actor_update, bellman_regressor, critic_update, dot,
-    kernel_converged, policy_from_kernel, quadratic_form, utility,
+    _STEP, LearningConfig, SingularKernelError, actor_update, bellman_regressor, critic_update,
+    dot, kernel_converged, policy_from_kernel, quadratic_form, theta_to_S, utility,
 )
 from sequential import (
     seq_actor_update, seq_critic_update, seq_distance, seq_dot, seq_policy_row,
@@ -328,3 +335,89 @@ def test_tick_on_identity_columns(layout):
     # the frozen tail's stack: the unit ticks, with the default prior gains
     pi = {s: list(getattr(LearningConfig(), f"pi_{s}0")) for s in STRATEGIES}
     check_tick_stack(np.eye(TICK_SIZE).tolist(), layout, pi, DEFAULT_MAPS, set(STRATEGIES))
+
+
+# the inputs of one step are drawn from FLOATS, or all of them of the size
+# of an episode's values, with nine significant digits: those round in
+# every sum (a sum taken in another order would differ), and leave the
+# kernel's control block clear of eps_sing and the actor's residual finite
+# more often
+STEP_VALUES = st.sampled_from([FLOATS, st.integers(-10**9, 10**9).map(lambda i: i / 1e8)])
+
+
+@given(st.data(), st.integers(1, 6), st.sampled_from(["cl", "err"]),
+       st.sampled_from([None, 0.0, 0.002, 1.0]), st.sampled_from([1e-8, 1.0, 1e300]),
+       st.sampled_from([1e-4, 1e300]), PACES, ALPHAS, PACES, ALPHAS)
+def test_fused_learner_step(data, n, kind, limit, eps_sing, tol_conv, sigma_c, alpha_c,
+                            sigma_a, alpha_a):
+    # the fused step of a strategy with n features gives what the chain of
+    # standalone formulas gives, byte for byte: the Bellman sample, the
+    # critic step, the new kernel, the convergence test, the greedy gain
+    # (a singular kernel keeps the gain, which eps_sing = 1e300 makes of
+    # nearly every kernel, and 1.0 of many) and the actor step.  The inputs
+    # are STEP_VALUES, and in a quarter of the examples one of them is NaN
+    cfg = LearningConfig(sigma_c=sigma_c, alpha_c=alpha_c, sigma_a=sigma_a, alpha_a=alpha_a,
+                         eps_sing=eps_sing, tol_conv=tol_conv, actor_rate_limit=limit)
+    d = n + 1
+    m, w = d * (d + 1) // 2, d if kind == "cl" else n
+    size = m + 3 * n + 1 + w * w
+    values = data.draw(st.lists(data.draw(STEP_VALUES), min_size=size, max_size=size))
+    if data.draw(st.integers(0, 3)) == 0:
+        values[data.draw(st.integers(0, size - 1))] = math.nan
+    theta, pi, F, F_next = (values[:m], values[m:m + n], values[m + n:m + 2 * n],
+                            values[m + 2 * n:m + 3 * n])
+    mu, flat = values[m + 3 * n], values[m + 3 * n + 1:]
+    form = [flat[i * w:(i + 1) * w] for i in range(w)]
+    S = theta_to_S(theta)
+    got_theta, got_S, got_pi, settled, clamped = _STEP[n, kind](
+        theta, S, pi, F, F_next, mu, form, cfg)
+
+    z_tilde, phi = bellman_sample("cl" if kind == "cl" else "ob", F, mu, F_next, pi, cfg, form)
+    want_theta = critic_update(theta, z_tilde, phi, sigma_c, alpha_c)
+    want_S = theta_to_S(want_theta)
+    try:
+        gain = policy_from_kernel(want_S, n_features=n, eps_sing=eps_sing)[0]
+    except SingularKernelError:
+        assert got_pi is pi and clamped is False
+    else:
+        target = dot(gain, F)
+        same_bytes(got_pi, actor_update(pi, F, target, sigma_a, alpha_a, rate_limit=limit))
+        # a clamp moves the residual, which a NaN residual is not
+        assert clamped is (limit is not None and abs(dot(pi, F) - target) > limit)
+    same_bytes(got_theta, want_theta)
+    same_bytes(got_S, want_S)
+    assert settled is kernel_converged(S, want_S, tol_conv)
+
+
+def kernel_keys(n):
+    """{(module, name): keys}: the keys of every generated kernel of vector,
+    feature or plant size n (policy_from_kernel's of an n x n kernel)."""
+    acting = [combo for r in range(len(STRATEGIES) + 1)
+              for combo in itertools.combinations(STRATEGIES, r)]
+    keys = {(learner, name): [n] for name in (
+        "_DOT", "_QUADRATIC_FORM", "_UTILITY", "_BELLMAN_REGRESSOR", "_CRITIC_UPDATE",
+        "_ACTOR_UPDATE", "_KERNEL_CONVERGED")}
+    keys[learner, "_POLICY_FROM_KERNEL"] = [n * n]
+    keys[learner, "_STEP"] = [(n, "cl"), (n, "err")]
+    keys[control_loop, "_TICK"] = [(n, combo) for combo in acting]
+    keys[control_loop, "_OUTPUTS"] = keys[control_loop, "_ACTIONS"] = [n]
+    return keys
+
+
+def test_generated_kernels_never_call_sum():
+    # from Python 3.12 on the builtin sum() of floats is compensated, so a
+    # generated formula that called it would round differently there; every
+    # sum is an index-order + chain.  The listed kernels are all that the
+    # two modules define
+    generated = {(module, name) for module in (learner, control_loop)
+                 for name, value in vars(module).items()
+                 if isinstance(value, learner._Kernels)
+                 and value.source.__module__ == module.__name__}
+    for n in range(1, 7):
+        keys = kernel_keys(n)
+        assert set(keys) == generated
+        for (module, name), ks in keys.items():
+            for key in ks:
+                tree = ast.parse(getattr(module, name).source(key))
+                names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                assert "sum" not in names, (name, key)

@@ -216,11 +216,11 @@ def test_states_hold_floats_after_an_episode(monkeypatch, model, default_config)
 
     steps = []
 
-    def failing(state, *args):
+    def failing(s, state, *args):
         steps.append(state)
         if len(steps) == 10:
             raise RuntimeError("step failed")
-        learn_step(state, *args)
+        learn_step(s, state, *args)
 
     learn_step = control_loop._learn_step
     monkeypatch.setattr(control_loop, "_learn_step", failing)
@@ -249,9 +249,9 @@ def _per_tick_history(monkeypatch, model, c, rows_expected=None, **kwargs):
     start = {s: (states[s].theta.copy(), states[s].pi.copy()) for s in STRATEGIES}
     steps = []
 
-    def recorded(state, z_tilde, phi, F, cfg, t):
-        learn_step(state, z_tilde, phi, F, cfg, t)
-        s = next(s for s in STRATEGIES if states[s] is state)
+    def recorded(s, state, F, F_next, mu, form, cfg, t, log):
+        learn_step(s, state, F, F_next, mu, form, cfg, t, log)
+        assert states[s] is state
         steps.append((round(t / cfg.delta), s, state.theta.copy(), state.pi.copy()))
 
     learn_step = control_loop._learn_step

@@ -154,5 +154,23 @@ def test_corpus_config_matches_golden(name):
         assert got["sha256"] == want["sha256"]
 
 
+
+def test_summary_counts_learner_steps():
+    # the default config takes 446 learner steps, 150 closed-loop and 148
+    # each observer and model-following, and none meets a singular kernel.
+    # Whether the rate limit clamps a residual turns on its last bits when
+    # it lies near the limit, so the clamp counts are compared only on the
+    # recorded build, as the AMPLIFYING configs' numbers are
+    with tempfile.TemporaryDirectory() as outdir:
+        assert _cli(["run", str(CORPUS / "default.ini"), "--outdir", outdir])[0] == 0
+        counts = json.loads((Path(outdir) / "summary.json").read_text())["learner_counts"]
+    assert list(counts) == list(STRATEGIES)
+    assert {s: counts[s]["steps"] for s in STRATEGIES} == {"ob": 148, "cl": 150, "mf": 148}
+    assert all(counts[s]["singular_skips"] == 0 for s in STRATEGIES)
+    assert all(0 < counts[s]["clamped"] <= counts[s]["steps"] for s in STRATEGIES)
+    if build() == GOLDEN_DATA["build"]:
+        assert {s: counts[s]["clamped"] for s in STRATEGIES} == {"ob": 145, "cl": 149, "mf": 148}
+
+
 if __name__ == "__main__":
     sys.exit(record())
