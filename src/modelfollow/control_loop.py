@@ -4,10 +4,10 @@ One learner tick covers an interval of length delta: controls are composed
 and held, both systems advance by their exact per-tick maps of SUBSTEPS
 RK4 substeps (x+ = Phi x + Gamma u, built once per episode), the new
 sample is written to the columnar episode log, and each strategy still
-adapting performs one critic and one actor projection step on its Bellman
-sample (regressor and integral stage cost), fused into one learner step.  The sample times, the
-reference and the probes depend on t only and are evaluated once per
-episode, before the loop.
+adapting performs one learner step on its Bellman sample (regressor and
+integral stage cost): a critic and an actor projection step.  The sample
+times, the reference and the probes depend on t only and are evaluated
+once per episode, before the loop.
 
 strategy_views describes, once for all three strategies, which log rows a
 strategy sees as features and which action it prices: the observer and
@@ -23,51 +23,53 @@ piece per formula (the actions mu = pi . F + probe, zero and unprobed for
 a strategy whose features do not exist yet; the ob/mf increments; the held
 inputs u_total and v; the step of both systems; the outputs and output
 errors), written with the learner's helpers as straight-line Python with
-every sum in index order from 0.0 and no BLAS call.  _TICK compiles the
-tick of a plant size and a set of acting strategies on first use; it takes
-the lifted state s = [x, xhat, u_ob, u_mf, e_ob window, e_mf window] by its
-components and returns the lifted state after the tick and the row it
-logs.  Like the learner's kernels it runs on Python floats for one tick
-and on numpy columns for a stack of ticks, with the same bits in each
-column.
+every sum in index order from 0.0 and no BLAS call.
 
-A tick that adapts runs on Python floats: the loop carries the lifted
-state, each strategy's features and next features are slices of it before
-and after the tick, the priced action is read off the tick's row, and the
-row, with each strategy's theta and pi, is written to the log with one
-assignment; nothing is read back from the log.  Each adapting strategy
-then takes one learner step through a single seam, _learn_step: the
-learner's generated kernel _STEP takes the Bellman sample and the critic
-and actor steps in one straight-line call on the strategy's StrategyState,
-which holds theta and pi as lists of Python floats and the kernel as the
-tuple of its entries from construction on, and the seam counts each
-strategy's steps, actor steps skipped for a singular kernel and clamped
-actor residuals in log.learner_counts.  Only the log's theta_final and
-pi_final are numpy arrays, built when the episode ends.
+The ticks that adapt run as one generated loop per plant size, _ADAPT[n],
+from tick 0 on.  It holds the lifted state s = [x, xhat, u_ob, u_mf, e_ob
+window, e_mf window], each strategy's theta and pi and its counters in
+locals, and binds the maps, the LearningConfig scalars and the stage-cost
+weights once.  A tick runs the tick pieces inline, with warm-up as a
+run-time branch; packs its row (the TICK_COLUMNS, then each strategy's
+theta and pi) straight into the log's table; and then each adapting
+strategy runs the learner's step piece (learner._learner_step) inline on
+its features before and after the tick: the Bellman sample, the critic
+step, the convergence test, and the greedy gain and clamped actor step,
+or a skip for a singular kernel.  Whether a strategy adapts is a run-time
+flag too, so an episode compiles one loop whatever adapts.  The loop
+counts each strategy's steps, singular skips and clamped actor residuals
+(log.learner_counts).  The StrategyState objects, which hold theta and pi
+as lists of Python floats, take its results when it returns; only the
+log's theta_final and pi_final are numpy arrays.
 Adaptation of a strategy stops once its kernel has remained settled for a
 configured window (convergence freeze); from then on the strategy does no
-per-tick learner work.  Once every strategy acts and none adapts, the rest
-of the episode is one fixed affine recurrence s+ = M s + N w on the lifted
-state, started from the loop's, and the input w = [probes, reference]: M
-and N are built once by running the tick on identity columns, every
-TAIL_BLOCK remaining ticks are one prefix scan of a few small matrix
-products (_step_rows), the divergence box is checked after each block, and
-the logged outputs and actions are derived from the state history
-afterwards by the generated output, action and input pieces (_OUTPUTS,
-_ACTIONS) run on its columns.
+per-tick learner work.  The loop stops at the horizon, at the first tick
+whose plant state leaves the divergence box, or at the first tick on which
+every strategy acts and none adapts.  From there the rest of the episode
+is one fixed affine recurrence s+ = M s + N w on the lifted state, started
+from the loop's, and the input w = [probes, reference]: M and N are built
+once by running the tick kernel _TICK on identity columns (like the
+learner's kernels it runs on Python floats for one tick and on numpy
+columns for a stack, with the same bits in each column), every TAIL_BLOCK
+remaining ticks are one prefix scan of a few small matrix products
+(_step_rows), the divergence box is checked after each block, and the
+logged outputs and actions are derived from the state history afterwards
+by the generated output, action and input pieces (_OUTPUTS, _ACTIONS) run
+on its columns.
 
 The samples of every tick, frozen or not, are rebuilt after the loop by
 bellman_sample run on the log columns (bellman_log).  It calls the
-learner's formulas that _STEP is assembled from, and numpy's elementwise
+learner's formulas whose pieces the loop inlines, and numpy's elementwise
 operations round as Python's float operations do, so each sample a
 learner step consumed equals its logged row bit for bit
-(test_per_tick_samples_equal_log_rows recomputes bellman_sample on the
-inputs of every step of every corpus config).
+(test_per_tick_samples_equal_log_rows replays every step of every corpus
+config from its log rows).
 TRAJECTORY fixes the order of the logged signals in trajectory.csv; the
 writer derives the CSV header from it and the width of each column.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from struct import Struct
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -75,8 +77,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from modelfollow import oracle
 from modelfollow.dynamics import held_input_maps
 from modelfollow.learner import (
-    theta_to_S, S_to_theta, bellman_regressor, quadratic_form, utility, dot, components,
-    _STEP, _Kernels, _dot, _index_sum, _kernel_source, _names, _unpack,
+    S_to_theta, bellman_regressor, quadratic_form, utility, dot, components,
+    _CONFIG_LINES, _Kernels, _dot, _indent, _index_sum, _kernel_source, _learner_step, _names,
+    _unpack, _unpack_rows,
 )
 from modelfollow.reference import eval_reference
 
@@ -106,26 +109,25 @@ COLUMNS = EXOGENOUS + TICK_COLUMNS
 # features exist; and the action it prices, a TICK_COLUMNS name
 LAGS = {"ob": STACK_DEPTH - 1, "cl": 0, "mf": STACK_DEPTH - 1}
 PRICED = {"ob": "mu_ob", "cl": "v", "mf": "mu_mf"}
+# the per-strategy counters of log.learner_counts
+LEARNER_COUNTS = ("steps", "singular_skips", "clamped")
 
 
 @dataclass
 class StrategyState:
-    """Learner state of one strategy, in the form its learner steps compute
-    on.  theta and pi, given as any sequences of numbers, are held as lists
-    of Python floats; S is the kernel of theta (theta_to_S, the tuple of its
-    entries in row-major order), computed at construction and replaced
-    together with theta by each learner step, whose convergence test
-    compares the new kernel with it."""
+    """Learner state of one strategy: theta and pi, given as any sequences
+    of numbers, held as lists of Python floats, whether it has frozen and
+    its count of consecutive settled steps.  run_episode reads it before
+    the adapting loop and writes the loop's results back once the loop
+    returns; the loop holds theta and pi in locals."""
 
     theta: list
     pi: list
     frozen: bool = False
     conv_count: int = 0
-    S: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.theta, self.pi = [float(v) for v in self.theta], [float(v) for v in self.pi]
-        self.S = theta_to_S(self.theta)
 
 
 class EpisodeLog:
@@ -135,8 +137,9 @@ class EpisodeLog:
     xhat have n columns); theta_hist and pi_hist hold one (rows, size) array
     per strategy.  All of them are views of one table allocated once for
     the whole horizon, whose row k holds the EXOGENOUS columns, then the
-    TICK_COLUMNS and then each strategy's theta and pi, so that a tick
-    writes its row with one assignment (write_row).
+    TICK_COLUMNS and then each strategy's theta and pi, so that the
+    adapting loop (_ADAPT) packs each row after EXOGENOUS straight into the
+    table's buffer with one struct call.
     Row k of theta_hist[s] and pi_hist[s] is the theta and pi that strategy
     s held when row k was written; a strategy that does not adapt holds
     its final values.
@@ -168,8 +171,7 @@ class EpisodeLog:
         self.regressors = {s: (np.zeros((0, len(states[s].theta))), np.zeros(0))
                            for s in STRATEGIES}
         self.t_converged = dict.fromkeys(STRATEGIES)
-        self.learner_counts = {s: dict.fromkeys(("steps", "singular_skips", "clamped"), 0)
-                               for s in STRATEGIES}
+        self.learner_counts = {s: dict.fromkeys(LEARNER_COUNTS, 0) for s in STRATEGIES}
         self.pi_final = {}
         self.theta_final = {}
         self.diverged = None
@@ -181,11 +183,6 @@ class EpisodeLog:
             setattr(self, name, self._table[:, self._fields[name]])
         self.theta_hist = {s: self._table[:, self._fields["theta", s]] for s in STRATEGIES}
         self.pi_hist = {s: self._table[:, self._fields["pi", s]] for s in STRATEGIES}
-
-    def write_row(self, k, values):
-        """Write row k from values: the TICK_COLUMNS, then the theta and pi
-        of each strategy."""
-        self._table[k, len(EXOGENOUS):] = values
 
     def trim(self, rows):
         """Keep only the first `rows` rows of every per-tick column."""
@@ -297,28 +294,6 @@ def bellman_log(log, cfg, forms):
     return samples
 
 
-def _learn_step(s, state, F, F_next, mu, form, cfg, t, log):
-    """One learner step of strategy s on the tick from t, the seam of every
-    adapting tick: its Bellman sample (F, F_next, the priced action mu and
-    the stage-cost weight form, as bellman_sample takes them) and its
-    critic and actor steps run as the fused kernel _STEP, which leaves the
-    gain when the new kernel is singular.  The state takes the new theta,
-    kernel and gain, and log.learner_counts[s] counts the step, a skip for
-    a singular kernel and a clamped actor residual."""
-    kind = "cl" if s == "cl" else "err"
-    pi = state.pi
-    state.theta, state.S, state.pi, settled, clamped = _STEP[len(F), kind](
-        state.theta, state.S, pi, F, F_next, mu, form, cfg)
-    counts = log.learner_counts[s]
-    counts["steps"] += 1
-    counts["singular_skips"] += state.pi is pi
-    counts["clamped"] += clamped
-    if t >= cfg.conv_check_start:
-        state.conv_count = state.conv_count + 1 if settled else 0
-        if state.conv_count >= cfg.conv_window:
-            state.frozen = True
-
-
 def tick_cost_form(L, Q, R, h):
     """Quadratic form W of the trapezoid-integrated stage utility over one tick.
 
@@ -357,12 +332,28 @@ def _row(n):
     return [*_names("x", n), *_names("xh", n), *TICK_COLUMNS[2:]]
 
 
+def _strategy_lines(name, sizes):
+    """Unpack the sequence `name` into one sequence name_s per strategy, in
+    STRATEGIES order, and each name_s into its sizes[s] components."""
+    return [f"[{', '.join(f'{name}_{s}' for s in STRATEGIES)}] = {name}",
+            *(_unpack(f"{name}_{s}", sizes[s]) for s in STRATEGIES)]
+
+
 def _gain_lines(n):
-    """Unpack each strategy's gain pi_s and probe p_s from the sequences pi
-    and probe, in STRATEGIES order."""
-    lines = [f"[{', '.join(f'pi_{s}' for s in STRATEGIES)}] = pi",
-             f"[{', '.join(f'p_{s}' for s in STRATEGIES)}] = probe"]
-    return lines + [_unpack(f"pi_{s}", size) for s, (_, size) in _features(n).items()]
+    """Unpack each strategy's gain pi_s from the sequence pi."""
+    return _strategy_lines("pi", {s: size for s, (_, size) in _features(n).items()})
+
+
+# each strategy's probe p_s, from the sequence probe in STRATEGIES order
+_PROBE_LINE = f"[{', '.join(f'p_{s}' for s in STRATEGIES)}] = probe"
+
+
+def _map_lines(n):
+    """Unpack the per-tick maps Phi, Gam, Phih, Gamh and C from the sequence
+    maps into their components."""
+    return ["[Phi, Gam, Phih, Gamh, C] = maps",
+            *(_unpack(name, size) for name, size in
+              (("Phi", n * n), ("Gam", n), ("Phih", n * n), ("Gamh", n), ("C", n)))]
 
 
 def _action_lines(n, acting):
@@ -399,17 +390,20 @@ def _output_lines(n):
             "e_ob = y - yhat", "e_mf = yref - y"]
 
 
+def _advance_lines(n):
+    """The rest of a tick once its actions are taken: the ob/mf increments,
+    the held inputs, the step of both systems, the outputs and errors."""
+    return ["u_ob = u_ob + mu_ob", "u_mf = u_mf + mu_mf", *_INPUT_LINES, *_step_lines(n),
+            *_output_lines(n)]
+
+
 def _tick_source(key):
     n, acting = key
     w_ob, w_mf = _names("w_ob", STACK_DEPTH), _names("w_mf", STACK_DEPTH)
     state = [*_names("x", n), *_names("xh", n), "u_ob", "u_mf",
              *w_ob[1:], "e_ob", *w_mf[1:], "e_mf"]
-    lines = [f"[{', '.join(_lifted(n))}] = z", *_gain_lines(n),
-             "[Phi, Gam, Phih, Gamh, C] = maps",
-             *(_unpack(name, size) for name, size in
-               (("Phi", n * n), ("Gam", n), ("Phih", n * n), ("Gamh", n), ("C", n))),
-             *_action_lines(n, acting), "u_ob = u_ob + mu_ob", "u_mf = u_mf + mu_mf",
-             *_INPUT_LINES, *_step_lines(n), *_output_lines(n)]
+    lines = [f"[{', '.join(_lifted(n))}] = z", *_gain_lines(n), _PROBE_LINE, *_map_lines(n),
+             *_action_lines(n, acting), *_advance_lines(n)]
     return _kernel_source("z, pi, probe, yref, maps", lines,
                           f"[{', '.join(state)}], [{', '.join(_row(n))}]")
 
@@ -421,10 +415,80 @@ def _outputs_source(n):
 
 def _actions_source(n):
     features = _features(n).values()
-    lines = [*(_unpack(name, size) for name, size in features), *_gain_lines(n),
+    lines = [*(_unpack(name, size) for name, size in features), *_gain_lines(n), _PROBE_LINE,
              *_action_lines(n, STRATEGIES), *_INPUT_LINES]
     return _kernel_source(f"{', '.join(name for name, _ in features)}, pi, probe, u_ob, u_mf",
                           lines, "mu_ob, mu_cl, mu_mf, u_total, v")
+
+
+def _adapt_source(n):
+    features = _features(n)
+    size = {s: f for s, (_, f) in features.items()}
+    theta = {s: _names(f"theta_{s}", (f + 1) * (f + 2) // 2) for s, f in size.items()}
+    pi = {s: _names(f"pi_{s}", f) for s, f in size.items()}
+    # a logged row: the TICK_COLUMNS, then each strategy's theta and pi
+    row = [*_row(n), *(v for s in STRATEGIES for v in (*theta[s], *pi[s]))]
+    write = f"pack(table, off, {', '.join(row)})"
+    # each strategy's features before the tick (F) and after it (G): the
+    # observed state saved before the tick, and the error windows before
+    # their shift by the tick's errors
+    F, G = {}, {}
+    for s, (name, f) in features.items():
+        now = _names(name, f)
+        F[s], G[s] = (_names("xp", n), now) if s == "cl" else (now, [*now[1:], f"e_{s}"])
+    windows = {s: F[s] for s in STRATEGIES if s != "cl"}
+    lag = max(LAGS.values())
+
+    learn = []
+    for s in STRATEGIES:
+        th = _names("th", len(theta[s]))
+        kind = "cl" if s == "cl" else "err"
+        step = [*_learner_step(kind, theta[s], pi[s], F[s], G[s], PRICED[s], f"W_{s}",
+                               [f"skips_{s} += 1"], [f"clamps_{s} += clamped"]),
+                f"[{', '.join(theta[s])}] = [{', '.join(th)}]", f"steps_{s} += 1",
+                "if t >= conv_check_start:",
+                *_indent([f"conv_{s} = conv_{s} + 1 if settled else 0",
+                          f"if conv_{s} >= conv_window:",
+                          *_indent([f"adapt_{s} = False", f"t_conv_{s} = t + delta"])])]
+        learn += [f"if adapt_{s} and k >= {LAGS[s]}:" if LAGS[s] else f"if adapt_{s}:",
+                  *_indent(step)]
+
+    tick = [f"if k >= {lag} and not ({' or '.join(f'adapt_{s}' for s in STRATEGIES)}):",
+            "    break",
+            "t = k * delta", _PROBE_LINE, "yref = ref[k + 1]",
+            f"[{', '.join(F['cl'])}] = [{', '.join(G['cl'])}]",
+            f"if k >= {lag}:", *_indent(_action_lines(n, STRATEGIES)),
+            "else:", *_indent(_action_lines(n, [s for s in STRATEGIES if not LAGS[s]])),
+            *_advance_lines(n),
+            # false for nan and inf as well as for a state outside the box
+            f"if not ({' and '.join(f'abs({x}) <= 1e7' for x in _names('x', n))}):",
+            *_indent(["diverged = t + delta", "break"]),
+            "off = off + stride", write, *learn,
+            *(f"[{', '.join(w)}] = [{', '.join([*w[1:], f'e_{s}'])}]" for s, w in windows.items())]
+
+    lines = [_unpack("x", n), _unpack("xh", n),
+             *_strategy_lines("theta", {s: len(theta[s]) for s in STRATEGIES}), *_gain_lines(n),
+             f"[{', '.join(f'adapt_{s}' for s in STRATEGIES)}] = adapt",
+             f"[{', '.join(f'conv_{s}' for s in STRATEGIES)}] = conv",
+             *_map_lines(n), f"[{', '.join(f'W_{s}' for s in STRATEGIES)}] = W",
+             *(_unpack_rows(f"W_{s}", f + 1 if s == "cl" else f) for s, f in size.items()),
+             *_CONFIG_LINES,
+             "conv_check_start, conv_window = cfg.conv_check_start, cfg.conv_window",
+             " = ".join([*(f"{c}_{s}" for s in STRATEGIES for c in ("steps", "skips", "clamps")),
+                         "0"]),
+             " = ".join([*(f"t_conv_{s}" for s in STRATEGIES), "diverged", "None"]),
+             # row 0: the first sample, before any action
+             "u_ob = u_mf = mu_ob = mu_cl = mu_mf = u_total = v = 0.0",
+             "yref = ref[0]", *_output_lines(n),
+             *(f"[{', '.join(w)}] = [{', '.join([*['0.0'] * (len(w) - 1), f'e_{s}'])}]"
+               for s, w in windows.items()),
+             f"stride, off = table.strides[0], {len(EXOGENOUS)} * table.itemsize", write,
+             "for k, probe in enumerate(probes):", *_indent(tick),
+             "else:", "    k = len(probes)"]
+    learned = ", ".join(f"([{', '.join(theta[s])}], [{', '.join(pi[s])}], conv_{s}, t_conv_{s}, "
+                        f"steps_{s}, skips_{s}, clamps_{s})" for s in STRATEGIES)
+    return _kernel_source("x, xh, theta, pi, adapt, conv, ref, probes, maps, W, cfg, table, pack",
+                          lines, f"k, diverged, [{', '.join(_lifted(n))}], [{learned}]")
 
 
 # _TICK[n, acting](z, pi, probe, yref, maps): one tick of the control law and
@@ -441,6 +505,22 @@ _OUTPUTS = _Kernels(_outputs_source)
 # features of every strategy and the held inputs they give with the ob/mf
 # signals after their increments: mu_ob, mu_cl, mu_mf, u_total and v
 _ACTIONS = _Kernels(_actions_source)
+# _ADAPT[n](x, xh, theta, pi, adapt, conv, ref, probes, maps, W, cfg, table,
+# pack): the ticks of an episode of a plant of n states from tick 0 on, each
+# adapting strategy taking its learner step (learner._learner_step) inline.
+# x and xh are the initial states; theta, pi, adapt (whether the strategy
+# adapts), conv (its settled-step count) and W (its stage-cost weight as a
+# list of rows) hold one entry per strategy in STRATEGIES order; ref is
+# the reference at every sample time, probes the probes of every tick;
+# maps as for _TICK; cfg the LearningConfig.  Row k of the table is packed
+# by pack (a struct's pack_into over the columns after EXOGENOUS) as tick
+# k - 1 ends.  The loop stops at the horizon, at the first tick whose
+# plant state leaves the box, or at the first tick on which every strategy
+# acts and none adapts.  Returns the tick k it stopped at (len(probes) at
+# the horizon), the divergence time or None, the lifted state before tick
+# k, and per strategy its theta, pi, settled-step count, freeze time or
+# None and its step, singular-skip and clamp counts.
+_ADAPT = _Kernels(_adapt_source)
 
 
 def _step_rows(rows, z, powers):
@@ -553,7 +633,8 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
             the initial gains act as fixed controllers and log.regressors
             stays empty.
         initial: optional dict of StrategyState overriding the defaults;
-            the states are updated in place.
+            once the adapting loop returns, each state takes its final
+            theta, pi, settled-step count and freeze.
 
     From the first tick on which every strategy acts and none adapts (the
     learning has frozen, is off, or every initial state is frozen), the
@@ -591,74 +672,34 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
     t_start = np.arange(n_ticks) * delta
     log.t[1:] = t_start + delta
     log.yref[:] = eval_reference(ref_spec, log.t)
-    yref = log.yref.tolist()
     # row k: the probes of tick k, one column per strategy in STRATEGIES order
     probe = np.column_stack([cfg.probe(t_start, s) for s in STRATEGIES])
-    probes = probe.tolist()
-    # before tick STACK_DEPTH - 1 only the closed-loop strategy acts
-    lag = STACK_DEPTH - 1
-    warm_up, full = _TICK[n, ("cl",)], _TICK[n, STRATEGIES]
-    # per adapting strategy: its state, its features (a slice of the lifted
-    # state), the index of the action it prices in a tick's row, its lag,
-    # its stage-cost weight and the index of its gain
-    adapting = []
-    for g, s in enumerate(STRATEGIES):
-        if learning_enabled and not states[s].frozen:
-            name, size = _features(n)[s]
-            start = _lifted(n).index(f"{name}0")
-            adapting.append((s, states[s], slice(start, start + size),
-                             _row(n).index(PRICED[s]), LAGS[s], forms[s], g))
+
+    ordered = [states[s] for s in STRATEGIES]
+    pack = Struct(f"={log._table.shape[1] - len(EXOGENOUS)}d").pack_into
+    k, diverged, z, learned = _ADAPT[n](
+        x, xh, [st.theta for st in ordered], [st.pi for st in ordered],
+        [learning_enabled and not st.frozen for st in ordered], [st.conv_count for st in ordered],
+        log.yref.tolist(), probe.tolist(), maps, [forms[s] for s in STRATEGIES], cfg,
+        log._table, pack)
+    for s, st, (theta, pi, conv, t_conv, *counts) in zip(STRATEGIES, ordered, learned):
+        st.theta, st.pi, st.conv_count = theta, pi, conv
+        if t_conv is not None:
+            st.frozen = True
+            log.t_converged[s] = t_conv
+        log.learner_counts[s].update(zip(LEARNER_COUNTS, counts))
 
     # rows from tail_start on are written by the frozen tail, which leaves
     # theta and pi to be filled after the loop
     tail_start = n_ticks + 1
-    ordered = [states[s] for s in STRATEGIES]
-    # the gain each strategy holds, replaced by its learner steps
-    gains = [st.pi for st in ordered]
-
-    def record(k, row):
-        # row k: the TICK_COLUMNS of a tick, then each strategy's theta and pi
-        for st in ordered:
-            row += st.theta
-            row += st.pi
-        log.write_row(k, row)
-
-    y, yhat, e_ob, e_mf = _OUTPUTS[n](x, xh, yref[0], maps[-1])
-    record(0, [*x, *xh, 0.0, 0.0, y, yhat, e_ob, e_mf, 0.0, 0.0, 0.0, 0.0, 0.0])
-    # the lifted state: the error windows hold the logged errors, oldest
-    # first, and zeros before the first row
-    z = [*x, *xh, 0.0, 0.0, *[0.0] * lag, e_ob, *[0.0] * lag, e_mf]
-
-    for k in range(n_ticks):
-        if k >= lag and not adapting:
-            # every strategy acts and none adapts: the rest of the
-            # episode is one fixed affine recurrence
-            _frozen_tail(log, k, z, gains, maps, probe)
-            tail_start = k + 1
-            break
-        t = k * delta
-        z_next, row = (full if k >= lag else warm_up)(z, gains, probes[k], yref[k + 1], maps)
-
-        # false for nan and inf as well as for a state outside the box;
-        # max() would pass a nan that is not its first argument
-        if not all(abs(c) <= 1e7 for c in z_next[:n]):
-            log.diverged = t + delta
-            log.trim(k + 1)
-            break
-
-        record(k + 1, row)
-
-        # a frozen strategy costs nothing per tick; an adapting one takes
-        # one learner step on its features before and after the tick
-        for learner in tuple(adapting):
-            s, st, feats, priced, lag_s, form, g = learner
-            if k >= lag_s:
-                _learn_step(s, st, z[feats], z_next[feats], row[priced], form, cfg, t, log)
-                gains[g] = st.pi
-                if st.frozen:
-                    log.t_converged[s] = t + delta
-                    adapting.remove(learner)
-        z = z_next
+    if diverged is not None:
+        log.diverged = diverged
+        log.trim(k + 1)
+    elif k < n_ticks:
+        # every strategy acts and none adapts: the rest of the episode is
+        # one fixed affine recurrence
+        _frozen_tail(log, k, z, [st.pi for st in ordered], maps, probe)
+        tail_start = k + 1
 
     for s in STRATEGIES:
         log.theta_hist[s][tail_start:] = states[s].theta

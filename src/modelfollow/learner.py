@@ -20,12 +20,16 @@ explicit left-to-right + chain in index order that starts at 0.0, as
 s = 0.0; s = s + a_i * b_i would compute it, never sum().  For a vector
 size n a formula's kernel unpacks its arguments' components into locals
 and runs its piece; it is compiled on its first call and kept in a dict
-keyed by the size (_Kernels), so importing compiles nothing.  _STEP fuses
-the pieces of one learner step (the Bellman sample, the critic step, the
-new kernel, the convergence test, the greedy gain and the actor step)
-into one kernel per feature count and stage-cost kind, which gives the
-bits of the standalone chain; control_loop writes its tick with the same
-helpers (_unpack, _names, _dot, _index_sum) and compiles it the same way.
+keyed by the size (_Kernels), so importing compiles nothing.
+_learner_step assembles the pieces of one learner step (the Bellman
+sample, the critic step, the convergence test of the new kernel against
+the old, both read through the theta layout, the greedy gain and the
+actor step, or a skip for a singular kernel) on named locals:
+control_loop's adapting loop inlines it for each strategy, and _STEP
+compiles it on its own per feature count and stage-cost kind, which gives
+the bits of the standalone chain.  control_loop writes its tick and its
+loop with the same helpers (_unpack, _names, _dot, _index_sum) and
+compiles them the same way.
 Nothing calls BLAS: numpy's elementwise operations round as Python's
 float operations do, so a stack of ticks run through a kernel gives each
 row the one-tick value bit for bit, whatever the memory layout of the
@@ -106,7 +110,7 @@ def kernel({signature}):
 # The source pieces of the formulas.  Each writes one formula on the
 # components named in its arguments (lists of locals), as an expression
 # or as body lines that bind the locals named in `out`; the standalone
-# kernels below and the fused learner step (_STEP) are assembled from
+# kernels below and the learner step (_learner_step) are assembled from
 # them, so every formula's text, and every sum's order, has one source.
 
 
@@ -115,13 +119,22 @@ def _dot(a, b):
     return _index_sum(f"{x} * {y}" for x, y in zip(a, b))
 
 
+def _entries(M, d):
+    """The locals M0_0, M0_1, ... that the rows of a d x d matrix M are
+    unpacked into, one list per row."""
+    return [_names(f"{M}{i}_", d) for i in range(d)]
+
+
+def _unpack_rows(M, d):
+    """Bind the entries of the d rows of the sequence `M` to _entries(M, d)."""
+    rows = ", ".join(f"[{', '.join(row)}]" for row in _entries(M, d))
+    return f"[{rows}] = {M}"
+
+
 def _quadratic_form(out, x, M):
-    """out = x' M x as sum_i x_i (M_i . x); the rows of M are unpacked into
-    M0_0, M0_1, ..."""
-    entries = [_names(f"{M}{i}_", len(x)) for i in range(len(x))]
-    rows = ", ".join(f"[{', '.join(row)}]" for row in entries)
-    terms = (f"{xi} * ({_dot(row, x)})" for xi, row in zip(x, entries))
-    return [f"[{rows}] = {M}", f"{out} = {_index_sum(terms)}"]
+    """out = x' M x as sum_i x_i (M_i . x), M's rows unpacked by _unpack_rows."""
+    terms = (f"{xi} * ({_dot(row, x)})" for xi, row in zip(x, _entries(M, len(x))))
+    return [f"{out} = {_index_sum(terms)}"]
 
 
 def _utility(out, F, mu, Q, R):
@@ -149,19 +162,30 @@ def _critic_update(out, t, z):
             *(f"{o} = {ti} - sigma_c * {zi} / denom * residual" for o, ti, zi in zip(out, t, z))]
 
 
-def _kernel_converged(out, p, q):
-    """out = whether the distance of the kernels p and q is below tol_conv."""
+def _kernel_converged(out, p, q, order):
+    """out = whether the distance of the kernels p and q is below tol_conv:
+    the square root of the squared differences q_i - p_i, each taken once,
+    summed in the order of the indices `order` (range(len(p)) for kernels
+    given entrywise, _entry_slots for kernels given by their theta slots)."""
     d = _names("d", len(p))
+    terms = [d[i] for i in order]
     return [*(f"{di} = {qi} - {pi}" for di, pi, qi in zip(d, p, q)),
-            f"{out} = sqrt({_dot(d, d)}) < tol_conv"]
+            f"{out} = sqrt({_dot(terms, terms)}) < tol_conv"]
 
 
-def _policy_from_kernel(out, S, singular):
-    """out = the greedy gain -(S_muF * (1 / s)) of the kernel entries S,
-    row-major; the statement `singular` runs first when |s| < eps_sing."""
+def _indent(lines):
+    """The lines as the body of a block."""
+    return [f"    {line}" for line in lines]
+
+
+def _policy_from_kernel(out, S, singular, greedy):
+    """The statements `singular` when |s| < eps_sing for the last of the
+    kernel entries S (row-major); else out = the greedy gain
+    -(S_muF * (1 / s)) and then the statements `greedy`."""
     d = math.isqrt(len(S))
-    return [f"if abs({S[-1]}) < eps_sing: {singular}", f"inv = 1 / {S[-1]}",
-            *(f"{o} = -({e} * inv)" for o, e in zip(out, S[-d:-1]))]
+    gain = [f"inv = 1 / {S[-1]}", *(f"{o} = -({e} * inv)" for o, e in zip(out, S[-d:-1]))]
+    return [f"if abs({S[-1]}) < eps_sing:", *_indent(singular),
+            "else:", *_indent([*gain, *greedy])]
 
 
 def _actor_update(out, p, F):
@@ -192,8 +216,8 @@ def dot(a, b):
 
 
 def _quadratic_form_source(n):
-    return _kernel_source("x, M", [_unpack("x", n), *_quadratic_form("q", _names("x", n), "M")],
-                          "q")
+    lines = [_unpack("x", n), _unpack_rows("M", n), *_quadratic_form("q", _names("x", n), "M")]
+    return _kernel_source("x, M", lines, "q")
 
 
 _QUADRATIC_FORM = _Kernels(_quadratic_form_source)
@@ -207,8 +231,8 @@ def quadratic_form(x, M):
 
 
 def _utility_source(n):
-    return _kernel_source("F, mu, Q, R", [_unpack("F", n), *_utility("U", _names("F", n), "mu",
-                                                                       "Q", "R")], "U")
+    lines = [_unpack("F", n), _unpack_rows("Q", n), *_utility("U", _names("F", n), "mu", "Q", "R")]
+    return _kernel_source("F, mu, Q, R", lines, "U")
 
 
 _UTILITY = _Kernels(_utility_source)
@@ -287,7 +311,7 @@ def _policy_from_kernel_source(size):
     lines = [_unpack("S", size),
              f"if n_features is not None and n_features != {d - 1}: raise ValueError("
              "f'n_features = {n_features} does not leave a 1x1 control block')",
-             *_policy_from_kernel(gain, S, singular)]
+             *_policy_from_kernel(gain, S, [singular], [])]
     return _kernel_source("S, n_features, eps_sing", lines, f"[[{', '.join(gain)}]]")
 
 
@@ -358,7 +382,7 @@ def actor_update(pi, F, phi_target, sigma_a, alpha_a, rate_limit=None):
 
 def _kernel_converged_source(n):
     return _kernel_source("p, q, tol_conv", [_unpack("p", n), _unpack("q", n), *_kernel_converged(
-        "settled", _names("p", n), _names("q", n))], "settled")
+        "settled", _names("p", n), _names("q", n), range(n))], "settled")
 
 
 _KERNEL_CONVERGED = _Kernels(_kernel_converged_source)
@@ -374,42 +398,63 @@ def kernel_converged(S_prev, S_next, tol_conv):
     return _KERNEL_CONVERGED[len(S_prev)](S_prev, S_next, tol_conv)
 
 
+# the LearningConfig scalars a learner step reads, bound to locals of their
+# names once per kernel call
+_CONFIG_LINES = [*(f"{name} = cfg.{name}" for name in (
+    "sigma_c", "alpha_c", "tol_conv", "eps_sing", "sigma_a", "alpha_a", "delta", "R")),
+    "rate_limit = cfg.actor_rate_limit"]
+
+
+def _learner_step(kind, t, p, F, G, mu, W, singular, greedy):
+    """The body lines of one learner step of a strategy, on the locals of
+    its theta t, its gain p, its features F before and G after the tick,
+    the action mu it priced and the rows of its stage-cost weight W
+    (unpacked by _unpack_rows), with the _CONFIG_LINES locals bound.
+
+    The Bellman sample of Z_t = [F; mu] and Z_next = [G; p . G], as
+    control_loop.bellman_sample takes it: the stage cost is Z_t' W Z_t for
+    kind "cl" (the tick form on [xhat; v]) and delta * utility(F, mu, W, R)
+    for kind "err".  Then the critic step of t into th0, th1, ...; settled,
+    the convergence test of the new kernel against the kernel of t, both
+    read through the theta layout (_entry_slots); and the statements
+    `singular` when the new kernel is singular, else the greedy gain, the
+    actor step of p in place, clamped (whether the rate limit moved the
+    residual) and the statements `greedy`.  Each formula is its standalone
+    kernel's piece, so the step gives the bits of the standalone chain.
+    """
+    d = len(F) + 1
+    th, z, gain = _names("th", len(t)), _names("z", len(t)), _names("g", len(F))
+    slots = _entry_slots(d)
+    cost = (_quadratic_form("phi", [*F, mu], W) if kind == "cl" else
+            [*_utility("U", F, mu, W, "R"), "phi = delta * U"])
+    return [*cost, f"nu = {_dot(p, G)}",
+            *_bellman_regressor(z, [*F, mu], [*G, "nu"]),
+            *_critic_update(th, t, z),
+            *_kernel_converged("settled", t, th, slots),
+            *_policy_from_kernel(gain, [th[k] for k in slots], singular,
+                                 [f"phi_target = {_dot(gain, F)}", *_actor_update(p, p, F),
+                                  *greedy])]
+
+
 def _step_source(key):
     n, kind = key
-    d = n + 1
-    t, p, F, G = _names("t", d * (d + 1) // 2), _names("p", n), _names("F", n), _names("G", n)
-    theta, gain, pi = _names("th", len(t)), _names("g", n), _names("pn", n)
-    # the new kernel's entries are the new theta's slots
-    S = [theta[k] for k in _entry_slots(d)]
-    kernel = f"[{', '.join(theta)}], ({', '.join(S)},)"
-    cost = (_quadratic_form("phi", [*F, "mu"], "W") if kind == "cl" else
-            ["delta, R = cfg.delta, cfg.R", *_utility("U", F, "mu", "W", "R"), "phi = delta * U"])
-    lines = [*(f"{name} = cfg.{name}" for name in
-               ("sigma_c", "alpha_c", "tol_conv", "eps_sing", "sigma_a", "alpha_a")),
-             "rate_limit = cfg.actor_rate_limit",
-             _unpack("t", len(t)), _unpack("S", d * d), _unpack("p", n), _unpack("F", n),
-             _unpack("G", n), *cost, f"nu = {_dot(p, G)}",
-             *_bellman_regressor(_names("z", len(t)), [*F, "mu"], [*G, "nu"]),
-             *_critic_update(theta, t, _names("z", len(t))),
-             *_kernel_converged("settled", _names("S", d * d), S),
-             *_policy_from_kernel(gain, S, f"return {kernel}, p, settled, False"),
-             f"phi_target = {_dot(gain, F)}", *_actor_update(pi, p, F)]
-    return _kernel_source("t, S, p, F, G, mu, W, cfg", lines,
-                          f"{kernel}, [{', '.join(pi)}], settled, clamped")
+    m, w = (n + 1) * (n + 2) // 2, n + 1 if kind == "cl" else n
+    t, p, th = _names("t", m), _names("p", n), _names("th", m)
+    lines = [*_CONFIG_LINES, _unpack("t", m), _unpack("p", n), _unpack("F", n), _unpack("G", n),
+             _unpack_rows("W", w),
+             *_learner_step(kind, t, p, _names("F", n), _names("G", n), "mu", "W",
+                            [f"return [{', '.join(th)}], p, settled, False"], [])]
+    return _kernel_source("t, p, F, G, mu, W, cfg", lines,
+                          f"[{', '.join(th)}], [{', '.join(p)}], settled, clamped")
 
 
-# _STEP[n, kind](theta, S, pi, F, F_next, mu, form, cfg): one learner step
-# of a strategy with n features on one tick, fused into one kernel.  The
-# Bellman sample of Z_t = [F; mu] and Z_next = [F_next; pi . F_next], as
-# control_loop.bellman_sample takes it: the stage cost is Z_t' form Z_t for
-# kind "cl" (the tick form on [xhat; v]) and delta * utility(F, mu, form, R)
-# for kind "err"; then the critic step, the kernel of the new theta, the
-# convergence test against the old kernel S, the greedy gain and the actor
-# step, each as its standalone formula computes it.  cfg is the
-# LearningConfig.  Returns the new theta, the new kernel (the tuple
-# theta_to_S gives), the new gain (pi itself when |S_mumu| < eps_sing, a
-# singular kernel), whether the kernel settled, and whether the actor's
-# rate limit clamped the residual.
+# _STEP[n, kind](theta, pi, F, F_next, mu, form, cfg): one learner step of a
+# strategy with n features on one tick, the piece control_loop's adapting
+# loop inlines (_learner_step) compiled on its own.  form is the stage-cost
+# weight as a list of rows and cfg the LearningConfig.  Returns the new
+# theta, the new gain (pi itself when |S_mumu| < eps_sing, a singular
+# kernel), whether the kernel settled, and whether the actor's rate limit
+# clamped the residual.
 _STEP = _Kernels(_step_source)
 
 

@@ -1,9 +1,12 @@
 """End-to-end acceptance checks, one test per criterion."""
 
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from modelfollow import oracle
-from modelfollow.cli_io import main
+from modelfollow.cli_io import load_config, main
 from modelfollow.control_loop import run_episode
 from modelfollow.dynamics import eigenvalues, expm_ss, rk4_step
 from modelfollow.learner import (
@@ -70,6 +73,22 @@ def test_criterion_5_tracking(episode):
     e_ob = np.abs(np.asarray(episode.e_ob)[w])
     assert e_mf.max() < 0.05
     assert e_ob.max() < 0.02
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the loop the learner hands over drifts (lifted spectral radius 1.000128): over the "
+    "last 2 s of the 200 s episode max |e_mf| is 0.1183 against the 0.05 bound (first "
+    "exceeded at t = 132.5 s); max |e_ob| is 0.0059 and passes"))
+def test_criterion_5_tracking_200s():
+    # criterion 5's bounds over the last 2 s of the paper episode run ten
+    # times as long
+    c = load_config(Path(__file__).parent / "corpus" / "horizon_200.ini")
+    log = run_episode(c.model, c.reference, c.learning, horizon=c.horizon)
+    assert log.diverged is None
+    w = (log.t >= c.horizon - 2.0) & (log.t <= c.horizon)
+    assert w.sum() > 0
+    assert np.abs(log.e_ob[w]).max() < 0.02
+    assert np.abs(log.e_mf[w]).max() < 0.05
 
 
 def test_criterion_6_contraction_suite():

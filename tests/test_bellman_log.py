@@ -1,9 +1,11 @@
 """Bellman data of an episode: the per-tick learner work of frozen
 strategies is skipped, and the logged regressors and stage costs are
 rebuilt from the log columns after the loop.  The tests rebuild them one
-row at a time, as the per-tick learner computes them, and count the
-learner steps at their one seam, control_loop._learn_step, against the
-episode's own counters (log.learner_counts)."""
+row at a time, as the per-tick learner computes them, and replay every
+learner step of the adapting loop from the log rows with the standalone
+formulas (replay.py): each step's result must be the next logged theta
+and gain, and the replay's step counts and freeze times the episode's own
+(log.learner_counts, log.t_converged), bit for bit."""
 
 import dataclasses
 from pathlib import Path
@@ -14,19 +16,13 @@ import pytest
 from modelfollow import control_loop
 from modelfollow.cli_io import load_config
 from modelfollow.control_loop import (
-    STACK_DEPTH, STRATEGIES, SUBSTEPS, bellman_sample, initial_strategies, run_episode,
-    strategy_views, tick_cost_form,
+    STACK_DEPTH, STRATEGIES, initial_strategies, run_episode, strategy_views,
 )
-from modelfollow.dynamics import held_input_maps
 from modelfollow.learner import bellman_regressor
+from replay import replay, stage_cost_forms
 from sequential import seq_dot, seq_quadratic_form
 
 CORPUS = Path(__file__).parent / "corpus"
-
-
-def closed_loop_form(model, cfg):
-    L_hat = held_input_maps(model.A_hat, model.B_hat, cfg.delta / SUBSTEPS, SUBSTEPS)
-    return tick_cost_form(L_hat, cfg.Q, cfg.R, cfg.delta / SUBSTEPS)
 
 
 def test_rows_match_per_tick_rebuild(model, default_config, episode):
@@ -35,7 +31,7 @@ def test_rows_match_per_tick_rebuild(model, default_config, episode):
     cfg, log = default_config.learning, episode
     assert all(t is not None and t < 2.0 for t in log.t_converged.values())
     n_ticks = len(log.t) - 1
-    W_cl = closed_loop_form(model, cfg)
+    W_cl = stage_cost_forms(model, cfg)["cl"]
 
     Z, phi = log.regressors["cl"]
     assert Z.shape == (n_ticks, 10) and phi.shape == (n_ticks,)
@@ -62,31 +58,29 @@ def test_rows_match_per_tick_rebuild(model, default_config, episode):
 
 
 def count_regressor_calls(monkeypatch, model, c, learning):
-    """Learner steps (calls of the seam control_loop._learn_step) and
-    per-tick (one vector) and stacked calls of bellman_regressor."""
-    calls = {"steps": 0, 1: 0, 2: 0}
+    """Learner steps (replayed from the log, and as the episode counted
+    them) and per-tick (one vector) and stacked calls of bellman_regressor
+    through control_loop's name."""
+    calls = {1: 0, 2: 0}
 
     def counted(Z_t, Z_next):
         calls[np.ndim(Z_t)] += 1
         return bellman_regressor(Z_t, Z_next)
 
-    def step(*args):
-        calls["steps"] += 1
-        learn_step(*args)
-
-    learn_step = control_loop._learn_step
     with monkeypatch.context() as mp:
         mp.setattr(control_loop, "bellman_regressor", counted)
-        mp.setattr(control_loop, "_learn_step", step)
-        run_episode(model, c.reference, learning, horizon=20.0)
-    return calls
+        log = run_episode(model, c.reference, learning, horizon=20.0)
+    replayed = replay(log, model, learning, initial_strategies(model, learning))
+    steps = sum(r.counts["steps"] for r in replayed.values())
+    assert steps == sum(log.learner_counts[s]["steps"] for s in STRATEGIES)
+    return {"steps": steps, **calls}
 
 
 def test_only_active_strategies_compute_regressors(monkeypatch, model, default_config):
     c = default_config
     # the default episode freezes all three strategies by 1.5 s: 446 learner
-    # steps in all, each taking its sample inside the fused step, then one
-    # stacked rebuild per strategy
+    # steps in all, each taking its sample inside the adapting loop, then
+    # one stacked rebuild per strategy
     assert count_regressor_calls(monkeypatch, model, c, c.learning) == {
         "steps": 446, 1: 0, 2: 3}
     # with the freeze disabled all 2000 + 2 * 1998 strategy-ticks learn
@@ -101,10 +95,9 @@ REBUILD_CALLS = ("bellman_regressor", "utility")
 
 
 def count_learner_calls(monkeypatch, model, c, learning):
-    """The learner steps of each strategy, counted at the seam
-    control_loop._learn_step, the calls of each REBUILD_CALLS name in
-    control_loop, and the log of one episode."""
-    steps = dict.fromkeys(STRATEGIES, 0)
+    """The learner steps of each strategy, replayed from the log, the calls
+    of each REBUILD_CALLS name in control_loop, and the log of one
+    episode."""
     calls = dict.fromkeys(REBUILD_CALLS, 0)
 
     def counted(name, fn):
@@ -113,26 +106,21 @@ def count_learner_calls(monkeypatch, model, c, learning):
             return fn(*args, **kwargs)
         return call
 
-    def step(s, *args):
-        steps[s] += 1
-        learn_step(s, *args)
-
-    learn_step = control_loop._learn_step
     with monkeypatch.context() as mp:
-        mp.setattr(control_loop, "_learn_step", step)
         for name in REBUILD_CALLS:
             mp.setattr(control_loop, name, counted(name, getattr(control_loop, name)))
         log = run_episode(model, c.reference, learning, horizon=20.0)
-    return steps, calls, log
+    replayed = replay(log, model, learning, initial_strategies(model, learning))
+    return {s: replayed[s].counts["steps"] for s in STRATEGIES}, calls, log
 
 
 def test_learner_calls_stay_at_control_loop_names(monkeypatch, model, default_config):
-    # one seam call per learner step: 446 steps on the default episode (150
-    # closed-loop, 148 each observer and model-following) and 5996 with the
-    # freeze disabled, each counted by the episode itself; the stacked
-    # rebuild adds one regressor per strategy and one utility per
-    # error-feature strategy.  A step skipped, or taken outside the seam,
-    # changes a count.
+    # one learner step per adapting strategy-tick: 446 steps on the default
+    # episode (150 closed-loop, 148 each observer and model-following) and
+    # 5996 with the freeze disabled, as the replay from the log finds them
+    # and as the episode counts them itself; the stacked rebuild adds one
+    # regressor per strategy and one utility per error-feature strategy.  A
+    # step skipped, or taken twice, changes a count
     c = default_config
     never_frozen = dataclasses.replace(c.learning, tol_conv=0.0)
     for learning, want in ((c.learning, {"ob": 148, "cl": 150, "mf": 148}),
@@ -162,30 +150,59 @@ def test_short_and_stopped_episodes_have_empty_logs(model, default_config):
     assert shapes(log) == {"ob": empty, "cl": empty, "mf": empty}
 
 
-@pytest.mark.parametrize("config", sorted(CORPUS.glob("*.ini")), ids=lambda p: p.stem)
-def test_per_tick_samples_equal_log_rows(monkeypatch, config):
-    # the learner step takes its Bellman sample one tick at a time and
-    # bellman_log rebuilds every tick's sample stacked after the loop: the
-    # sample of the floats each learner step received, as bellman_sample
-    # computes it, must equal its logged row bit for bit
+CONFIGS = sorted(CORPUS.glob("*.ini"))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_per_tick_samples_equal_log_rows(config):
+    # each learner step takes its Bellman sample one tick at a time inside
+    # the adapting loop, and bellman_log rebuilds every tick's sample
+    # stacked after the loop: bellman_sample on one step's Python floats,
+    # read from the log rows, must equal its logged row bit for bit (the
+    # replay test finds that the loop stepped on exactly these samples)
     c = load_config(config)
-    states = initial_strategies(c.model, c.learning)
-    consumed = []
-
-    def spied(s, state, F, F_next, mu, form, cfg, t, log):
-        assert states[s] is state
-        assert all(type(v) is float for v in [*F, *F_next, mu, *state.pi])
-        z_tilde, phi = bellman_sample(s, F, mu, F_next, state.pi, cfg, form)
-        consumed.append((s, round(t / cfg.delta), z_tilde, phi))
-        learn_step(s, state, F, F_next, mu, form, cfg, t, log)
-
-    learn_step = control_loop._learn_step
-    monkeypatch.setattr(control_loop, "_learn_step", spied)
-    log = run_episode(c.model, c.reference, c.learning, horizon=c.horizon, initial=states)
-    assert consumed
+    log = run_episode(c.model, c.reference, c.learning, horizon=c.horizon)
+    replayed = replay(log, c.model, c.learning, initial_strategies(c.model, c.learning))
+    assert any(r.steps for r in replayed.values())
     views = strategy_views(log)
-    for s, k, z_tilde, phi in consumed:
+    for s, r in replayed.items():
         Z, costs = log.regressors[s]
-        row = k - views[s][1]
-        assert np.array(z_tilde).tobytes() == Z[row].tobytes(), (s, k)
-        assert np.float64(phi).tobytes() == costs[row].tobytes(), (s, k)
+        for step in r.steps:
+            assert all(type(v) is float for v in [*step.F, *step.F_next, step.mu, *step.pi])
+            row = step.k - views[s][1]
+            assert np.array(step.z_tilde).tobytes() == Z[row].tobytes(), (s, step.k)
+            assert np.float64(step.phi).tobytes() == costs[row].tobytes(), (s, step.k)
+
+
+# learning overrides of the replay: no freeze, identity initial kernels, no
+# actor rate limit, and a singularity floor that skips every actor step
+OVERRIDES = {"as_configured": {}, "tol_conv_0": {"tol_conv": 0.0},
+             "init_identity": {"init": "identity"}, "rate_limit_null": {"actor_rate_limit": None},
+             "eps_sing_1e300": {"eps_sing": 1e300}}
+
+
+@pytest.mark.parametrize("override", OVERRIDES)
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
+def test_learner_steps_replay_from_log(config, override):
+    # every learner step the adapting loop took, replayed on its own from
+    # the log rows by the standalone chain, leaves the theta and gain of the
+    # next row (theta_final and pi_final after the last one) bit for bit;
+    # and the replay's step, singular-skip and clamp counts and freeze
+    # times are the episode's own
+    c = load_config(config)
+    learning = dataclasses.replace(c.learning, **OVERRIDES[override])
+    log = run_episode(c.model, c.reference, learning, horizon=c.horizon)
+    replayed = replay(log, c.model, learning, initial_strategies(c.model, learning))
+    rows = len(log.t)
+    for s, r in replayed.items():
+        for step in r.steps:
+            k = step.k + 2
+            theta = log.theta_hist[s][k] if k < rows else log.theta_final[s]
+            pi = log.pi_hist[s][k] if k < rows else log.pi_final[s]
+            assert np.array(step.theta).tobytes() == theta.tobytes(), (s, step.k)
+            assert np.array(step.new_pi).tobytes() == pi.tobytes(), (s, step.k)
+        assert r.counts == log.learner_counts[s], s
+        assert r.t_converged == log.t_converged[s], s
+    if override == "eps_sing_1e300":
+        assert all(r.counts["singular_skips"] == r.counts["steps"] for r in replayed.values())
+        assert replayed["cl"].counts["steps"] > 0

@@ -17,8 +17,9 @@ tick kernel is held to the same property, which lets the frozen tail build
 its matrices from identity columns run through the one-tick formula, and
 to the tick spelled out with the same sums (seq_tick).  policy_from_kernel's
 kernel is checked against -(v * (1 / s)) for kernels of 2-7 rows.  The
-fused learner step (_STEP) must give the bits of the chain of standalone
-kernels it replaces, and no generated kernel may call sum().
+learner step piece that the adapting loop inlines, compiled on its own as
+_STEP, must give the bits of the chain of standalone kernels, and no
+generated kernel, the adapting loop included, may call sum().
 """
 
 import ast
@@ -347,17 +348,22 @@ STEP_VALUES = st.sampled_from([FLOATS, st.integers(-10**9, 10**9).map(lambda i: 
 
 @given(st.data(), st.integers(1, 6), st.sampled_from(["cl", "err"]),
        st.sampled_from([None, 0.0, 0.002, 1.0]), st.sampled_from([1e-8, 1.0, 1e300]),
-       st.sampled_from([1e-4, 1e300]), PACES, ALPHAS, PACES, ALPHAS)
+       st.sampled_from([1e-4, 1e300, None]), PACES, ALPHAS, PACES, ALPHAS)
 def test_fused_learner_step(data, n, kind, limit, eps_sing, tol_conv, sigma_c, alpha_c,
                             sigma_a, alpha_a):
-    # the fused step of a strategy with n features gives what the chain of
-    # standalone formulas gives, byte for byte: the Bellman sample, the
-    # critic step, the new kernel, the convergence test, the greedy gain
-    # (a singular kernel keeps the gain, which eps_sing = 1e300 makes of
-    # nearly every kernel, and 1.0 of many) and the actor step.  The inputs
-    # are STEP_VALUES, and in a quarter of the examples one of them is NaN
+    # the learner step of a strategy with n features, the piece the
+    # adapting loop inlines, gives what the chain of standalone formulas
+    # gives, byte for byte: the Bellman sample, the critic step, the
+    # convergence test of the new kernel against the kernel of theta (read
+    # through the theta layout), the greedy gain (a singular kernel keeps
+    # the gain, which eps_sing = 1e300 makes of nearly every kernel, and 1.0
+    # of many) and the actor step.  The inputs are STEP_VALUES, and in a
+    # quarter of the examples one of them is NaN.  tol_conv = None stands
+    # for the chain's own kernel distance, where a step that summed the
+    # squared differences in another order, or each symmetric one once,
+    # would settle
     cfg = LearningConfig(sigma_c=sigma_c, alpha_c=alpha_c, sigma_a=sigma_a, alpha_a=alpha_a,
-                         eps_sing=eps_sing, tol_conv=tol_conv, actor_rate_limit=limit)
+                         eps_sing=eps_sing, tol_conv=1e-4, actor_rate_limit=limit)
     d = n + 1
     m, w = d * (d + 1) // 2, d if kind == "cl" else n
     size = m + 3 * n + 1 + w * w
@@ -368,13 +374,14 @@ def test_fused_learner_step(data, n, kind, limit, eps_sing, tol_conv, sigma_c, a
                             values[m + 2 * n:m + 3 * n])
     mu, flat = values[m + 3 * n], values[m + 3 * n + 1:]
     form = [flat[i * w:(i + 1) * w] for i in range(w)]
-    S = theta_to_S(theta)
-    got_theta, got_S, got_pi, settled, clamped = _STEP[n, kind](
-        theta, S, pi, F, F_next, mu, form, cfg)
-
     z_tilde, phi = bellman_sample("cl" if kind == "cl" else "ob", F, mu, F_next, pi, cfg, form)
     want_theta = critic_update(theta, z_tilde, phi, sigma_c, alpha_c)
     want_S = theta_to_S(want_theta)
+    if tol_conv is None:
+        distance = seq_distance(theta_to_S(theta), want_S)
+        tol_conv = distance if math.isfinite(distance) else 1e-4
+    cfg.tol_conv = tol_conv
+    got_theta, got_pi, settled, clamped = _STEP[n, kind](theta, pi, F, F_next, mu, form, cfg)
     try:
         gain = policy_from_kernel(want_S, n_features=n, eps_sing=eps_sing)[0]
     except SingularKernelError:
@@ -385,8 +392,7 @@ def test_fused_learner_step(data, n, kind, limit, eps_sing, tol_conv, sigma_c, a
         # a clamp moves the residual, which a NaN residual is not
         assert clamped is (limit is not None and abs(dot(pi, F) - target) > limit)
     same_bytes(got_theta, want_theta)
-    same_bytes(got_S, want_S)
-    assert settled is kernel_converged(S, want_S, tol_conv)
+    assert settled is kernel_converged(theta_to_S(theta), want_S, tol_conv)
 
 
 def kernel_keys(n):
@@ -400,7 +406,8 @@ def kernel_keys(n):
     keys[learner, "_POLICY_FROM_KERNEL"] = [n * n]
     keys[learner, "_STEP"] = [(n, "cl"), (n, "err")]
     keys[control_loop, "_TICK"] = [(n, combo) for combo in acting]
-    keys[control_loop, "_OUTPUTS"] = keys[control_loop, "_ACTIONS"] = [n]
+    for name in ("_OUTPUTS", "_ACTIONS", "_ADAPT"):
+        keys[control_loop, name] = [n]
     return keys
 
 

@@ -1,14 +1,23 @@
+import copy
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from modelfollow import control_loop
-from modelfollow.cli_io import parse_config
+from modelfollow.cli_io import load_config, parse_config
 from modelfollow.control_loop import (
     StrategyState, run_episode,
     initial_strategies, embedded_gain_kernel, STRATEGIES,
 )
-from modelfollow.learner import LearningConfig, S_to_theta, policy_from_kernel, theta_to_S
+from modelfollow.learner import (
+    LearningConfig, S_to_theta, _Kernels, policy_from_kernel, theta_to_S,
+)
 from modelfollow.reference import ReferenceSpec
+from replay import replay
+
+CORPUS = Path(__file__).parent / "corpus"
 
 
 def quiet_config(**kwargs):
@@ -181,31 +190,14 @@ def test_state_construction_is_normalised(model, default_config):
             assert log.pi_final[s].tobytes() == want.pi_final[s].tobytes()
 
 
-def test_cached_kernel_follows_theta(model, default_config):
-    # each strategy keeps the kernel of its current theta; a learner step
-    # replaces both, so after an episode in which every strategy adapts on
-    # every tick the cache must still be the unflattened theta, bit for bit
-    cfg = parse_config("[learning]\ntol_conv = 0\n").learning
-    states = initial_strategies(model, cfg)
-    initial = {s: states[s].S for s in STRATEGIES}
-    for s in STRATEGIES:
-        assert np.array_equal(states[s].S, theta_to_S(states[s].theta))
-    log = run_episode(model, default_config.reference, cfg, horizon=20.0, initial=states)
-    assert log.diverged is None
-    for s in STRATEGIES:
-        assert not np.array_equal(states[s].S, initial[s])
-        assert np.array_equal(states[s].S, theta_to_S(states[s].theta))
-
-
 def test_states_hold_floats_after_an_episode(monkeypatch, model, default_config):
-    # a learner step computes on lists of Python floats; the initial= states
-    # hold theta and pi as such lists and S as the tuple theta_to_S gives,
-    # before an episode, once run_episode returns, and also when a step
-    # raises part way through the episode
+    # the initial= states hold theta and pi as lists of Python floats before
+    # an episode and once run_episode returns; the adapting loop holds them
+    # in locals and the states take its results when it returns, so a step
+    # that raises part way through the episode leaves them as they were
     def floats(st):
         return (type(st.theta) is list and type(st.pi) is list
-                and all(type(v) is float for v in st.theta + st.pi)
-                and st.S == theta_to_S(st.theta))
+                and all(type(v) is float for v in st.theta + st.pi))
 
     c = default_config
     states = initial_strategies(model, c.learning)
@@ -214,19 +206,46 @@ def test_states_hold_floats_after_an_episode(monkeypatch, model, default_config)
     assert all(floats(states[s]) for s in STRATEGIES)
     assert all(np.array_equal(states[s].theta, log.theta_final[s]) for s in STRATEGIES)
 
+    # every learner step takes one square root, its convergence test's: the
+    # tenth raises
+    before = copy.deepcopy(states)
+    loop = control_loop._ADAPT[model.n]
     steps = []
 
-    def failing(s, state, *args):
-        steps.append(state)
+    def failing(v):
+        steps.append(v)
         if len(steps) == 10:
             raise RuntimeError("step failed")
-        learn_step(s, state, *args)
+        return sqrt(v)
 
-    learn_step = control_loop._learn_step
-    monkeypatch.setattr(control_loop, "_learn_step", failing)
+    sqrt = loop.__globals__["sqrt"]
+    monkeypatch.setitem(loop.__globals__, "sqrt", failing)
     with pytest.raises(RuntimeError, match="step failed"):
         run_episode(model, c.reference, c.learning, horizon=1.0, initial=states)
+    assert len(steps) == 10
     assert all(floats(states[s]) for s in STRATEGIES)
+    assert states == before
+
+
+def test_one_adapting_loop_per_plant_size(monkeypatch, model, default_config):
+    # warm-up and each strategy's adapting flag are run-time branches of
+    # one loop: whichever strategies adapt, a process compiles one loop per
+    # plant size, and the tick kernel only for the frozen tail, on which
+    # every strategy acts
+    loops, ticks = _Kernels(control_loop._adapt_source), _Kernels(control_loop._tick_source)
+    monkeypatch.setattr(control_loop, "_ADAPT", loops)
+    monkeypatch.setattr(control_loop, "_TICK", ticks)
+    c = default_config
+    staggered = load_config(CORPUS / "staggered_freeze.ini")
+    ob_frozen = initial_strategies(model, c.learning)
+    ob_frozen["ob"].frozen = True
+    identity = dataclasses.replace(c.learning, init="identity")
+    for learning, kwargs in ((c.learning, {}), (staggered.learning, {}),
+                             (c.learning, {"learning_enabled": False}), (identity, {}),
+                             (c.learning, {"initial": ob_frozen})):
+        run_episode(model, c.reference, learning, horizon=20.0, **kwargs)
+    assert list(loops) == [3]
+    assert list(ticks) == [(3, STRATEGIES)]
 
 
 def test_non_scalar_plant_rejected(default_config):
@@ -237,8 +256,9 @@ def test_non_scalar_plant_rejected(default_config):
         run_episode(m, default_config.reference, default_config.learning, horizon=0.1)
 
 
-def _per_tick_history(monkeypatch, model, c, rows_expected=None, **kwargs):
-    """Run an episode and rebuild theta_hist/pi_hist from the learner steps.
+def _per_tick_history(model, c, **kwargs):
+    """Run an episode and rebuild theta_hist/pi_hist from its learner steps,
+    replayed in a chain from the initial states.
 
     Row k of a history is the theta/pi a strategy held when row k was
     written; row k + 1 is written before the step of tick k, so that step's
@@ -246,30 +266,31 @@ def _per_tick_history(monkeypatch, model, c, rows_expected=None, **kwargs):
     """
     learning = kwargs.pop("learning", c.learning)
     states = kwargs.pop("initial", None) or initial_strategies(model, learning)
-    start = {s: (states[s].theta.copy(), states[s].pi.copy()) for s in STRATEGIES}
-    steps = []
-
-    def recorded(s, state, F, F_next, mu, form, cfg, t, log):
-        learn_step(s, state, F, F_next, mu, form, cfg, t, log)
-        assert states[s] is state
-        steps.append((round(t / cfg.delta), s, state.theta.copy(), state.pi.copy()))
-
-    learn_step = control_loop._learn_step
-    monkeypatch.setattr(control_loop, "_learn_step", recorded)
+    start = copy.deepcopy(states)
     log = run_episode(model, c.reference, learning, horizon=20.0, initial=states, **kwargs)
+    replayed = replay(log, model, learning, start,
+                      learning=kwargs.get("learning_enabled", True), chained=True)
     rows = len(log.t)
-    theta = {s: np.tile(start[s][0], (rows, 1)) for s in STRATEGIES}
-    pi = {s: np.tile(start[s][1], (rows, 1)) for s in STRATEGIES}
-    for k, s, th, p in steps:
-        theta[s][k + 2:] = th
-        pi[s][k + 2:] = p
+    theta = {s: np.tile(start[s].theta, (rows, 1)) for s in STRATEGIES}
+    pi = {s: np.tile(start[s].pi, (rows, 1)) for s in STRATEGIES}
+    steps = []
+    for s, r in replayed.items():
+        assert r.counts == log.learner_counts[s] and r.t_converged == log.t_converged[s], s
+        for step in r.steps:
+            theta[s][step.k + 2:] = step.theta
+            pi[s][step.k + 2:] = step.new_pi
+            steps.append((step.k, s))
+        if r.steps:
+            assert np.array(r.steps[-1].theta).tobytes() == log.theta_final[s].tobytes(), s
+            assert np.array(r.steps[-1].new_pi).tobytes() == log.pi_final[s].tobytes(), s
     return log, theta, pi, steps
 
 
 @pytest.mark.parametrize("case", ["default", "learning_off", "diverging", "ob_frozen"])
-def test_history_equals_per_tick_record(monkeypatch, model, default_config, case):
+def test_history_equals_per_tick_record(model, default_config, case):
     # the log writes a strategy's theta/pi only while it adapts and fills
-    # the rest after the loop; the result must equal a per-tick record
+    # the rest after the loop; the result must equal a per-tick record,
+    # here the learner steps replayed from the initial states
     c = default_config
     kwargs = {}
     if case == "learning_off":
@@ -280,11 +301,11 @@ def test_history_equals_per_tick_record(monkeypatch, model, default_config, case
         states = initial_strategies(model, c.learning)
         states["ob"].frozen = True
         kwargs["initial"] = states
-    log, theta, pi, steps = _per_tick_history(monkeypatch, model, c, **kwargs)
+    log, theta, pi, steps = _per_tick_history(model, c, **kwargs)
     for s in STRATEGIES:
         assert log.theta_hist[s].tobytes() == theta[s].tobytes(), s
         assert log.pi_hist[s].tobytes() == pi[s].tobytes(), s
-    stepped = {s for _, s, _, _ in steps}
+    stepped = {s for _, s in steps}
     if case == "learning_off":
         assert not steps
     elif case == "diverging":
