@@ -48,14 +48,16 @@ whose plant state leaves the divergence box, or at the first tick on which
 every strategy acts and none adapts.  From there the rest of the episode
 is one fixed affine recurrence s+ = M s + N w on the lifted state, started
 from the loop's, and the input w = [probes, reference]: M and N are built
-once by running the tick kernel _TICK on identity columns (like the
-learner's kernels it runs on Python floats for one tick and on numpy
-columns for a stack, with the same bits in each column), every TAIL_BLOCK
-remaining ticks are one prefix scan of a few small matrix products
-(_step_rows), the divergence box is checked after each block, and the
-logged outputs and actions are derived from the state history afterwards
-by the generated output, action and input pieces (_OUTPUTS, _ACTIONS) run
-on its columns.
+once by running the tick kernel _TICK[n], on which every strategy acts,
+on identity columns (like the learner's kernels it runs on Python floats
+for one tick and on numpy columns for a stack, with the same bits in each
+column), every TAIL_BLOCK remaining ticks are one prefix scan of a few
+small matrix products (_step_rows), the divergence box is checked after
+each block, and the logged outputs and actions are derived from the state
+history afterwards by the tick's formulas run on the log's columns: the
+learner's dot for y, yhat and each mu = pi . F + probe, with F read
+through strategy_views, and elementwise differences and sums for the
+output errors and the held inputs, each the bits of the tick's own sum.
 
 The samples of every tick, frozen or not, are rebuilt after the loop by
 bellman_sample run on the log columns (bellman_log).  It calls the
@@ -364,13 +366,6 @@ def _action_lines(n, acting):
             for s, (name, size) in _features(n).items()]
 
 
-# the inputs held over a tick, from its actions and the ob/mf signals after
-# their increments: the plant's u_total and the desired model's v = u_ob +
-# u_total, the full input the closed-loop learner prices, which keeps its
-# logged data Bellman-consistent
-_INPUT_LINES = ["u_total = mu_cl + u_mf", "v = u_ob + u_total"]
-
-
 def _step_lines(n):
     """Both systems advance by their per-tick maps, x+ = Phi x + Gam u_total
     and xhat+ = Phih xhat + Gamh v, each row an index-order sum."""
@@ -391,34 +386,23 @@ def _output_lines(n):
 
 
 def _advance_lines(n):
-    """The rest of a tick once its actions are taken: the ob/mf increments,
-    the held inputs, the step of both systems, the outputs and errors."""
-    return ["u_ob = u_ob + mu_ob", "u_mf = u_mf + mu_mf", *_INPUT_LINES, *_step_lines(n),
-            *_output_lines(n)]
+    """The rest of a tick once its actions are taken: the ob/mf increments;
+    the inputs held over the tick, the plant's u_total and the desired
+    model's v = u_ob + u_total, the full input the closed-loop learner
+    prices, which keeps its logged data Bellman-consistent; the step of both
+    systems; the outputs and errors."""
+    return ["u_ob = u_ob + mu_ob", "u_mf = u_mf + mu_mf", "u_total = mu_cl + u_mf",
+            "v = u_ob + u_total", *_step_lines(n), *_output_lines(n)]
 
 
-def _tick_source(key):
-    n, acting = key
+def _tick_source(n):
     w_ob, w_mf = _names("w_ob", STACK_DEPTH), _names("w_mf", STACK_DEPTH)
     state = [*_names("x", n), *_names("xh", n), "u_ob", "u_mf",
              *w_ob[1:], "e_ob", *w_mf[1:], "e_mf"]
     lines = [f"[{', '.join(_lifted(n))}] = z", *_gain_lines(n), _PROBE_LINE, *_map_lines(n),
-             *_action_lines(n, acting), *_advance_lines(n)]
+             *_action_lines(n, STRATEGIES), *_advance_lines(n)]
     return _kernel_source("z, pi, probe, yref, maps", lines,
                           f"[{', '.join(state)}], [{', '.join(_row(n))}]")
-
-
-def _outputs_source(n):
-    lines = [_unpack("x", n), _unpack("xh", n), _unpack("C", n), *_output_lines(n)]
-    return _kernel_source("x, xh, yref, C", lines, "y, yhat, e_ob, e_mf")
-
-
-def _actions_source(n):
-    features = _features(n).values()
-    lines = [*(_unpack(name, size) for name, size in features), *_gain_lines(n), _PROBE_LINE,
-             *_action_lines(n, STRATEGIES), *_INPUT_LINES]
-    return _kernel_source(f"{', '.join(name for name, _ in features)}, pi, probe, u_ob, u_mf",
-                          lines, "mu_ob, mu_cl, mu_mf, u_total, v")
 
 
 def _adapt_source(n):
@@ -491,20 +475,15 @@ def _adapt_source(n):
                           lines, f"k, diverged, [{', '.join(_lifted(n))}], [{learned}]")
 
 
-# _TICK[n, acting](z, pi, probe, yref, maps): one tick of the control law and
-# both systems, of a plant of n states, on which the strategies in acting
-# have their features.  z is the lifted state before the tick, pi the gains
-# and probe the probes in STRATEGIES order, yref the reference at the end of
-# the tick and maps (Phi, Gamma, Phi_hat, Gamma_hat, the output row), Phi and
-# Phi_hat flattened row-major.  Returns the lifted state after the tick and
-# the row of TICK_COLUMNS values it logs, x and xhat by their components.
+# _TICK[n](z, pi, probe, yref, maps): one tick of the control law and both
+# systems, of a plant of n states, on which every strategy acts, as it does
+# on every tick of the frozen tail.  z is the lifted state before the tick,
+# pi the gains and probe the probes in STRATEGIES order, yref the reference
+# at the end of the tick and maps (Phi, Gamma, Phi_hat, Gamma_hat, the
+# output row), Phi and Phi_hat flattened row-major.  Returns the lifted
+# state after the tick and the row of TICK_COLUMNS values it logs, x and
+# xhat by their components.
 _TICK = _Kernels(_tick_source)
-# _OUTPUTS[n](x, xh, yref, C): y, yhat, e_ob and e_mf of the states x, xh
-_OUTPUTS = _Kernels(_outputs_source)
-# _ACTIONS[n](w_ob, xh, w_mf, pi, probe, u_ob, u_mf): the actions of the
-# features of every strategy and the held inputs they give with the ob/mf
-# signals after their increments: mu_ob, mu_cl, mu_mf, u_total and v
-_ACTIONS = _Kernels(_actions_source)
 # _ADAPT[n](x, xh, theta, pi, adapt, conv, ref, probes, maps, W, cfg, table,
 # pack): the ticks of an episode of a plant of n states from tick 0 on, each
 # adapting strategy taking its learner step (learner._learner_step) inline.
@@ -566,17 +545,20 @@ def _frozen_tail(log, k0, z, gains, maps, probe):
     M^1, M^2, M^4, ... taken once by repeated squaring.  z is the lifted
     state after row k0, gains holds each strategy's gain in STRATEGIES
     order and row k of probe the probes of tick k.  Rows k0 + 1 on are then
-    written from the state history, the logged outputs and actions derived
-    from it with _OUTPUTS and _ACTIONS run on its columns, and the log
-    trimmed at the first row whose plant state leaves the box, as the
-    per-tick loop does; the ticks after the block that holds that row are
-    not run.
+    written from the state history and the log trimmed at the first row
+    whose plant state leaves the box, as the per-tick loop does; the ticks
+    after the block that holds that row are not run.  The logged outputs
+    and actions follow from the state history by the tick's formulas run
+    on the log's columns: y = C . x and yhat = C . xhat with the learner's
+    dot, e_ob = y - yhat, e_mf = yref - y, each mu_s = pi_s . F_s + p_s on
+    the features of strategy_views, u_total = mu_cl + u_mf and v = u_ob +
+    u_total, each column the bits the tick gives its row.
     """
     n = log.x.shape[1]
     size = len(z)
     # one identity column per component of s and of w
     unit = list(np.eye(size + len(STRATEGIES) + 1))
-    MN = np.vstack(_TICK[n, STRATEGIES](unit[:size], gains, unit[size:-1], unit[-1], maps)[0])
+    MN = np.vstack(_TICK[n](unit[:size], gains, unit[size:-1], unit[-1], maps)[0])
     M, N = MN[:, :size], MN[:, size:]
     log.M = M
 
@@ -611,13 +593,17 @@ def _frozen_tail(log, k0, z, gains, maps, probe):
     log.xhat[rows] = hist[:, n:2 * n]
     log.u_ob[rows] = hist[:, 2 * n]
     log.u_mf[rows] = hist[:, 2 * n + 1]
-    log.y[rows], log.yhat[rows], log.e_ob[rows], log.e_mf[rows] = _OUTPUTS[n](
-        components(log.x[rows]), components(log.xhat[rows]), log.yref[rows], maps[-1])
-    F = [components(feats[k0 - lag:k0 - lag + len(hist)])
-         for feats, lag, _ in strategy_views(log).values()]
-    (log.mu_ob[rows], log.mu_cl[rows], log.mu_mf[rows], log.u_total[rows],
-     log.v[rows]) = _ACTIONS[n](*F, gains, probe[k0:k0 + len(hist)].T,
-                                log.u_ob[rows], log.u_mf[rows])
+    log.y[rows] = y = dot(maps[-1], components(log.x[rows]))
+    log.yhat[rows] = yhat = dot(maps[-1], components(log.xhat[rows]))
+    log.e_ob[rows] = y - yhat
+    log.e_mf[rows] = log.yref[rows] - y
+    # the error windows are views of e_ob and e_mf, written just above
+    for (feats, lag, _), s, gain, p in zip(strategy_views(log).values(), STRATEGIES, gains,
+                                           probe[k0:k0 + len(hist)].T):
+        F = components(feats[k0 - lag:k0 - lag + len(hist)])
+        getattr(log, f"mu_{s}")[rows] = dot(gain, F) + p
+    log.u_total[rows] = u_total = log.mu_cl[rows] + log.u_mf[rows]
+    log.v[rows] = log.u_ob[rows] + u_total
 
 
 def run_episode(model, ref_spec, cfg, horizon=20.0,

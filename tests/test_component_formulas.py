@@ -13,9 +13,12 @@ ticks must give each row its one-tick value byte for byte, whatever the
 memory layout the columns come from: a C-ordered stack (its columns are
 strided), a Fortran-ordered one (contiguous columns) or a strided view
 into a larger array (neither axis contiguous).  control_loop's generated
-tick kernel is held to the same property, which lets the frozen tail build
-its matrices from identity columns run through the one-tick formula, and
-to the tick spelled out with the same sums (seq_tick).  policy_from_kernel's
+tick kernel, one per plant size with every strategy acting as on a
+frozen-tail tick, is held to the same property, which lets the frozen tail
+build its matrices from identity columns run through the one-tick formula,
+and to the tick spelled out with the same sums (seq_tick); the tail then
+derives its outputs and actions with dot on the log's columns, whose rows
+test_frozen_tail pins to the same sums.  policy_from_kernel's
 kernel is checked against -(v * (1 / s)) for kernels of 2-7 rows.  The
 learner step piece that the adapting loop inlines, compiled on its own as
 _STEP, must give the bits of the chain of standalone kernels, and no
@@ -23,7 +26,6 @@ generated kernel, the adapting loop included, may call sum().
 """
 
 import ast
-import itertools
 import math
 
 import numpy as np
@@ -271,71 +273,68 @@ RANDOM_MAPS = st.tuples(stacks(3, 3), vectors(3), stacks(3, 3), vectors(3), vect
 TICK_SIZE = 3 + 3 + 1 + 1 + 2 * 3 + 3 + 1
 
 
-def tick_inputs(values, acting):
-    """The features of each acting strategy and the z, probe and yref
-    arguments of the tick kernel, taken in the order above from one tick's
-    floats or from one column per component."""
+def tick_inputs(values):
+    """The features of each strategy and the z, probe and yref arguments of
+    the tick kernel, taken in the order above from one tick's floats or
+    from one column per component."""
     values = list(values)
     z, probe, (yref,) = values[:14], values[14:17], values[17:]
-    F = {"ob": z[8:11], "cl": z[3:6], "mf": z[11:14]}
-    return {s: F[s] for s in acting}, z, probe, yref
+    return {"ob": z[8:11], "cl": z[3:6], "mf": z[11:14]}, z, probe, yref
 
 
-def tick(values, pi, maps, acting):
-    """The tick kernel of the acting strategies on one tick or a stack: the
-    features of each acting strategy, the probes and the TICK_COLUMNS
-    values, x and xhat as lists of components.  The lifted state it returns
-    must hold the state after the tick and the error windows shifted by
-    its errors."""
-    F, z, probe, yref = tick_inputs(values, acting)
+def tick(values, pi, maps):
+    """The tick kernel on one tick or a stack: the features of each
+    strategy, the probes and the TICK_COLUMNS values, x and xhat as lists
+    of components.  The lifted state it returns must hold the state after
+    the tick and the error windows shifted by its errors."""
+    F, z, probe, yref = tick_inputs(values)
     Phi, Gam, Phi_hat, Gam_hat, C = maps
     flat = ([v for r in Phi for v in r], Gam, [v for r in Phi_hat for v in r], Gam_hat, C)
-    kernel = _TICK[3, tuple(s for s in STRATEGIES if s in acting)]
-    z_next, row = kernel(z, [pi[s] for s in STRATEGIES], probe, yref, flat)
+    z_next, row = _TICK[3](z, [pi[s] for s in STRATEGIES], probe, yref, flat)
     out = (row[:3], row[3:6], *row[6:])
     e_ob, e_mf = out[TICK_COLUMNS.index("e_ob")], out[TICK_COLUMNS.index("e_mf")]
     same_bytes(z_next, [*row[:8], *z[9:11], e_ob, *z[12:14], e_mf])
     return F, probe, out
 
 
-def check_tick_stack(ticks, layout, pi, maps, acting):
+def check_tick_stack(ticks, layout, pi, maps):
     """The tick kernel on each tick's floats, and on the ticks stacked in
     layout as columns, which must give every row its one-tick value byte
     for byte."""
     per_tick = []
     for values in ticks:
-        F, probe, out = tick(values, pi, maps, acting)
+        F, probe, out = tick(values, pi, maps)
         assert len(out) == len(TICK_COLUMNS)
         assert all(type(v) is float for v in [*out[0], *out[1], *out[2:]])
-        # the actions are pi . F + probe, and 0.0 for a strategy not acting
+        # the actions are pi . F + probe
         row = dict(zip(TICK_COLUMNS, out))
-        mu = [seq_dot(pi[s], F[s]) + p if s in acting else 0.0 for s, p in zip(STRATEGIES, probe)]
+        mu = [seq_dot(pi[s], F[s]) + p for s, p in zip(STRATEGIES, probe)]
         same_bytes([row["mu_" + s] for s in STRATEGIES], mu)
         # and the rest of the tick follows from them by the index-order sums
         want = seq_tick(values[:3], values[3:6], values[6], values[7], mu, values[-1], maps)
         same_bytes([*out[0], *out[1], *out[2:]], [*want[0], *want[1], *want[2:]])
         per_tick.append(out)
-    _, _, stacked = tick(columns(layout(ticks)), pi, maps, acting)
+    _, _, stacked = tick(columns(layout(ticks)), pi, maps)
     assert len(stacked) == len(TICK_COLUMNS)
     for j, value in enumerate(stacked):
         value = value if isinstance(value, list) else np.broadcast_to(value, (len(ticks),))
         same_rows(value, [out[j] for out in per_tick])
 
 
-@given(st.data(), N_ROWS, LAYOUTS, st.one_of(st.just(DEFAULT_MAPS), RANDOM_MAPS),
-       st.sets(st.sampled_from(STRATEGIES)))
-def test_tick(data, n, layout, maps, acting):
-    # every strategy acts on a frozen-tail tick; a subset covers the
-    # warm-up ticks, on which the others have no features yet
+@given(st.data(), N_ROWS, LAYOUTS, st.one_of(st.just(DEFAULT_MAPS), RANDOM_MAPS))
+def test_tick(data, n, layout, maps):
+    # every strategy acts on a frozen-tail tick, the only one the tick
+    # kernel runs; the warm-up ticks run in the adapting loop
+    # (test_warmup_gating)
     pi = {s: data.draw(vectors(3)) for s in STRATEGIES}
-    check_tick_stack(data.draw(stacks(TICK_SIZE, n)), layout, pi, maps, acting)
+    check_tick_stack(data.draw(stacks(TICK_SIZE, n)), layout, pi, maps)
 
 
 @pytest.mark.parametrize("layout", [c_order, f_order, strided])
 def test_tick_on_identity_columns(layout):
     # the frozen tail's stack: the unit ticks, with the default prior gains
     pi = {s: list(getattr(LearningConfig(), f"pi_{s}0")) for s in STRATEGIES}
-    check_tick_stack(np.eye(TICK_SIZE).tolist(), layout, pi, DEFAULT_MAPS, set(STRATEGIES))
+    check_tick_stack(np.eye(TICK_SIZE).tolist(), layout, pi, DEFAULT_MAPS)
 
 
 # the inputs of one step are drawn from FLOATS, or all of them of the size
@@ -398,15 +397,12 @@ def test_fused_learner_step(data, n, kind, limit, eps_sing, tol_conv, sigma_c, a
 def kernel_keys(n):
     """{(module, name): keys}: the keys of every generated kernel of vector,
     feature or plant size n (policy_from_kernel's of an n x n kernel)."""
-    acting = [combo for r in range(len(STRATEGIES) + 1)
-              for combo in itertools.combinations(STRATEGIES, r)]
     keys = {(learner, name): [n] for name in (
         "_DOT", "_QUADRATIC_FORM", "_UTILITY", "_BELLMAN_REGRESSOR", "_CRITIC_UPDATE",
         "_ACTOR_UPDATE", "_KERNEL_CONVERGED")}
     keys[learner, "_POLICY_FROM_KERNEL"] = [n * n]
     keys[learner, "_STEP"] = [(n, "cl"), (n, "err")]
-    keys[control_loop, "_TICK"] = [(n, combo) for combo in acting]
-    for name in ("_OUTPUTS", "_ACTIONS", "_ADAPT"):
+    for name in ("_TICK", "_ADAPT"):
         keys[control_loop, name] = [n]
     return keys
 

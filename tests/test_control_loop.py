@@ -16,6 +16,7 @@ from modelfollow.learner import (
 )
 from modelfollow.reference import ReferenceSpec
 from replay import replay
+from sequential import seq_dot
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -79,13 +80,22 @@ def test_warmup_gating(model, default_config):
     assert log.u_ob[0] == 0.0 and log.u_mf[0] == 0.0
     assert log.u_ob[1] == 0.0 and log.u_mf[1] == 0.0
     assert log.u_ob[2] == 0.0 and log.u_mf[2] == 0.0
+    # on the warm-up ticks k < STACK_DEPTH - 1 the observer and
+    # model-following strategies have no features: their actions are 0.0,
+    # unprobed, while the closed-loop one acts on the observed state with
+    # the gain and probe of the tick (logged on row k + 1), bit for bit
+    probe_cl = cfg.probe(np.arange(len(log.t) - 1) * cfg.delta, "cl")
+    for k in range(control_loop.STACK_DEPTH - 1):
+        assert log.mu_ob[k + 1] == 0.0 and log.mu_mf[k + 1] == 0.0, k
+        want = seq_dot(log.pi_hist["cl"][k + 1], log.xhat[k]) + probe_cl[k]
+        assert log.mu_cl[k + 1] == want, k
+        assert probe_cl[k] != 0.0, k
 
 
 def test_composition_identity(episode):
-    u = np.array(episode.u_total)
-    mu = np.array(episode.mu_cl)
-    umf = np.array(episode.u_mf)
-    assert np.max(np.abs(u - mu - umf)) < 1e-12
+    # the plant's input is the closed-loop action plus the model-following
+    # signal, as the tick sums them
+    assert np.array_equal(episode.u_total, episode.mu_cl + episode.u_mf)
 
 
 def test_row_count_and_sampling(episode, default_config):
@@ -230,8 +240,8 @@ def test_states_hold_floats_after_an_episode(monkeypatch, model, default_config)
 def test_one_adapting_loop_per_plant_size(monkeypatch, model, default_config):
     # warm-up and each strategy's adapting flag are run-time branches of
     # one loop: whichever strategies adapt, a process compiles one loop per
-    # plant size, and the tick kernel only for the frozen tail, on which
-    # every strategy acts
+    # plant size, and one tick kernel per plant size, for the frozen tail,
+    # on which every strategy acts
     loops, ticks = _Kernels(control_loop._adapt_source), _Kernels(control_loop._tick_source)
     monkeypatch.setattr(control_loop, "_ADAPT", loops)
     monkeypatch.setattr(control_loop, "_TICK", ticks)
@@ -245,7 +255,7 @@ def test_one_adapting_loop_per_plant_size(monkeypatch, model, default_config):
                              (c.learning, {"initial": ob_frozen})):
         run_episode(model, c.reference, learning, horizon=20.0, **kwargs)
     assert list(loops) == [3]
-    assert list(ticks) == [(3, STRATEGIES)]
+    assert list(ticks) == [3]
 
 
 def test_non_scalar_plant_rejected(default_config):

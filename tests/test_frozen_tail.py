@@ -14,6 +14,7 @@ from modelfollow import control_loop
 from modelfollow.cli_io import parse_config
 from modelfollow.control_loop import STRATEGIES, SUBSTEPS, run_episode, strategy_views
 from modelfollow.dynamics import held_input_maps
+from sequential import seq_dot
 
 RTOL = 1e-12
 
@@ -77,6 +78,24 @@ def test_tail_rows_replay_one_tick(monkeypatch, text, learning_enabled, diverged
     for s in ("ob", "mf"):
         u = getattr(log, "u_" + s)
         assert rel_err(u[next_], u[prev] + mu[s][next_]) <= RTOL, s
+
+    # every row's outputs, output errors and held inputs are the tick's
+    # index-order sums and differences of the logged states and actions,
+    # exactly, on any build: the loop's rows and the tail's
+    C = model.C[0]
+    assert np.array_equal(log.y, seq_dot(C, list(log.x.T)))
+    assert np.array_equal(log.yhat, seq_dot(C, list(log.xhat.T)))
+    assert np.array_equal(log.e_ob, log.y - log.yhat)
+    assert np.array_equal(log.e_mf, log.yref - log.y)
+    assert np.array_equal(log.u_total, log.mu_cl + log.u_mf)
+    assert np.array_equal(log.v, log.u_ob + log.u_total)
+    # and each tail action is its strategy's index-order pi . F plus the
+    # probe of the tick, as run_episode samples it
+    t_start = np.arange(int(round(c.horizon / cfg.delta))) * cfg.delta
+    for s in STRATEGIES:
+        feats, lag, _ = views[s]
+        want = seq_dot(log.pi_final[s], list(feats[prev - lag].T)) + cfg.probe(t_start, s)[ticks]
+        assert np.array_equal(mu[s][next_], want), s
 
 
 def test_tail_overflow_is_silent():
