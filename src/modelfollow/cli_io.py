@@ -18,10 +18,12 @@ Omitted keys take the defaults of the dataclasses they configure
 (ProcessModel's are the DEFAULT_* matrices below).  All numbers are
 serialized with 17 significant digits so re-runs are byte-identical.  A CSV
 cell holds exactly what '%.17g' writes: numpy formats the cells with
-1e-6 < |x| < 1e17 and the signed zeros a block of rows at a time, and every
-other cell (smaller or larger, inf, nan) goes through '%.17g' itself.  A
-column group whose float64 bits in a row equal those of the row before
-reuses that row's text, so a frozen strategy's weights are formatted once.
+1e-6 < |x| < 1e17 and the signed zeros in chunks of rows that hold about
+_CELLS cells to format, and every other cell (smaller or larger, inf, nan)
+goes through '%.17g' itself.  A column group whose float64 bits in a row
+equal those of the row before reuses that row's text, so a frozen
+strategy's weights are formatted once per chunk; a chunk with no such row
+goes to the file as the formatter's text, with no split into lines.
 """
 
 import argparse
@@ -35,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from modelfollow.control_loop import STACK_DEPTH, STRATEGIES, TRAJECTORY, run_episode
+from modelfollow.control_loop import STACK_DEPTH, STRATEGIES, TRAJECTORY, _timed, run_episode
 from modelfollow.dynamics import ProcessModel, eigenvalues
 from modelfollow.learner import (
     LearningConfig, _require_numbers, theta_to_S, policy_from_kernel,
@@ -167,7 +169,9 @@ def _eig_pairs(M):
 # itself: that double lies below 10^-6 ('%.17g' writes 9.9999999999999995e-07).
 _SLOT = 25    # a cell's bytes: its text, NUL-padded to the longest '%.17g'
               # text (-1.2345678901234567e-308), then its separator
-_BLOCK = 256  # rows formatted and written at a time
+_CELLS = 4096  # cells formatted per _format_cells call, about: its cost per
+               # cell falls as the call grows to this size
+_JOIN = 64     # rows joined and written at a time where a row reuses text
 # the rows of a block's source array, one column per cell: the '0' of the
 # zero-padded first digit group, the 17 significant digits, the digits again
 # with the number's trailing zeros NUL, the sign ('-' or NUL), the point ('.',
@@ -284,9 +288,9 @@ def _format_cells(x):
     return cells
 
 
-def _csv_lines(blocks):
-    """The CSV line, without its newline, of each row of each 2-D float64
-    array of blocks: a list of lines per block, from one _format_cells call."""
+def _csv_text(blocks):
+    """The CSV text of the rows of each 2-D float64 array of blocks, in
+    turn, each row ending in a newline, from one _format_cells call."""
     cells = _format_cells(np.concatenate([block.ravel() for block in blocks]))
     end = 0
     for block in blocks:
@@ -294,46 +298,71 @@ def _csv_lines(blocks):
         rows[:, :, -1] = ord(",")
         rows[:, -1, -1] = ord("\n")
         end += block.size
-    lines = cells.tobytes().translate(None, b"\0").split(b"\n")
-    ends = np.cumsum([0] + [len(block) for block in blocks]).tolist()
-    return [lines[a:b] for a, b in zip(ends, ends[1:])]
+    return cells.tobytes().translate(None, b"\0")
 
 
 def _write_table(path, header, groups):
     """Write per-tick columns as CSV rows of '%.17g' numbers.
 
-    groups is a list of column groups, each a list of per-tick arrays.
-    Rows are stacked, formatted and written _BLOCK at a time, so the table
-    never exists in memory as a whole.  _format_cells writes the cells with
-    1e-6 < |x| < 1e17 and the signed zeros in numpy and every other cell
-    through '%.17g' itself; each cell is byte for byte what '%.17g' writes.
-    A group whose values in a row have the same float64 bit patterns as in
+    groups is a list of column groups, each a list of per-tick arrays.  A
+    group whose values in a row have the same float64 bit patterns as in
     the row before reuses that row's text; bits, not ==, because
-    -0.0 == 0.0 prints differently and NaN never equals itself.  The
-    previous row is carried across blocks.
+    -0.0 == 0.0 prints differently and NaN never equals itself.  Each
+    group's mask of fresh (not repeated) rows is taken over the whole table
+    at once.  The rows are then cut into chunks of about _CELLS fresh cells
+    (a row counts at least one, so a chunk holds at most _CELLS rows); the
+    first row of a chunk is fresh in every group, so no text is carried
+    from one chunk to the next.  A chunk's fresh cells are formatted by one
+    _format_cells call: numpy writes the cells with 1e-6 < |x| < 1e17 and
+    the signed zeros and '%.17g' itself every other cell, so each cell is
+    byte for byte what '%.17g' writes.  A chunk whose every row is fresh
+    in every group goes to the file as the formatter's text.  In any other,
+    each row takes each group's text from its last fresh row, and the rows
+    are joined and written _JOIN at a time.  Neither the table nor its
+    text is ever held whole.
     """
-    prev = [None] * len(groups)  # (bits, text) of each group's last row
+    columns = [[c[:, None] if c.ndim == 1 else c for c in group] for group in groups]
+    rows = len(groups[0][0])
+    fresh = []
+    for group in columns:
+        f = np.zeros(rows, dtype=bool)
+        f[:1] = True
+        for c in group:
+            bits = c.view(np.uint64)
+            f[1:] |= (bits[1:] != bits[:-1]).any(axis=1)
+        fresh.append(f)
+    counted = np.cumsum(np.maximum(
+        sum(sum(c.shape[1] for c in group) * f for group, f in zip(columns, fresh)), 1))
+    # each row's chunk: the multiple of _CELLS that the cells up to it reach
+    chunk_of = (counted - 1) // _CELLS
+    bounds = [*np.flatnonzero(np.diff(chunk_of, prepend=-1)).tolist(), rows]
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
-        for start in range(0, len(groups[0][0]), _BLOCK):
-            blocks, repeats = [], []
-            for columns, last in zip(groups, prev):
-                block = np.column_stack([c[start:start + _BLOCK] for c in columns])
-                bits = block.view(np.uint64)
-                repeat = np.empty(len(block), dtype=bool)
-                repeat[1:] = (bits[1:] == bits[:-1]).all(axis=1)
-                repeat[0] = last is not None and (bits[0] == last[0]).all()
-                blocks.append(block)
-                repeats.append(repeat)
-            fresh = _csv_lines([block[~repeat] for block, repeat in zip(blocks, repeats)])
-            texts = []
-            for g, (block, repeat) in enumerate(zip(blocks, repeats)):
-                # pool: the carried row's text, then one per row that does not
-                # repeat; each row takes the last text at or before it
-                pool = [prev[g] and prev[g][1]] + fresh[g]
-                texts.append([pool[i] for i in np.cumsum(~repeat).tolist()])
-                prev[g] = block[-1].view(np.uint64), texts[-1][-1]
-            fh.write(b"\n".join(map(b",".join, zip(*texts))) + b"\n")
+        for a, b in zip(bounds, bounds[1:]):
+            chunk = [f[a:b].copy() for f in fresh]
+            for f in chunk:
+                f[0] = True
+            if all(f.all() for f in chunk):
+                fh.write(_csv_text([np.hstack([c[a:b] for group in columns for c in group])]))
+                continue
+            blocks = [np.hstack([c[a + np.flatnonzero(f)] for c in group])
+                      for group, f in zip(columns, chunk)]
+            lines = _csv_text(blocks).split(b"\n")
+            # each row as the text of every group, each followed by its
+            # separator
+            table = np.empty((b - a, 2 * len(groups)), dtype=object)
+            table[:, 1::2] = b","
+            table[:, -1] = b"\n"
+            start = 0
+            for g, (block, f) in enumerate(zip(blocks, chunk)):
+                texts = np.empty(len(block), dtype=object)
+                texts[:] = lines[start:start + len(block)]
+                start += len(block)
+                table[:, 2 * g] = texts[np.cumsum(f) - 1]
+            pieces = table.ravel().tolist()
+            step = _JOIN * table.shape[1]
+            for i in range(0, len(pieces), step):
+                fh.write(b"".join(pieces[i:i + step]))
 
 
 def write_trajectory_csv(log, path):
@@ -384,6 +413,14 @@ def build_summary(config, log):
     }
 
 
+def _write_json(obj, path):
+    """Write obj to path as indented JSON and a newline; return obj."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+    return obj
+
+
 def cmd_run(args, config):
     outdir = args.outdir
     # the output directory and each artifact's own directory under it; an
@@ -399,12 +436,17 @@ def cmd_run(args, config):
         return 1
     log = run_episode(config.model, config.reference, config.learning,
                       horizon=config.horizon)
-    write_trajectory_csv(log, os.path.join(outdir, config.trajectory_csv))
-    write_weights_csv(log, os.path.join(outdir, config.weights_csv))
-    summary = build_summary(config, log)
-    with open(os.path.join(outdir, config.summary_json), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    timed = functools.partial(_timed, log.timings)
+    timed("trajectory_csv_ms",
+          lambda: write_trajectory_csv(log, os.path.join(outdir, config.trajectory_csv)))
+    timed("weights_csv_ms", lambda: write_weights_csv(log, os.path.join(outdir, config.weights_csv)))
+    summary_path = os.path.join(outdir, config.summary_json)
+    summary = timed("summary_json_ms",
+                    lambda: _write_json(build_summary(config, log), summary_path))
+    if args.timings:
+        # the layer times of this run, summary.json's own among them: the
+        # file is written again with them
+        _write_json(dict(summary, timings=log.timings), summary_path)
     if log.diverged is not None:
         print(f"episode diverged at t = {log.diverged:.4g} s", file=sys.stderr)
         return 2
@@ -500,6 +542,8 @@ def main(argv=None):
     p_run = sub.add_parser("run", help="simulate an episode and write artifacts")
     p_run.add_argument("config")
     p_run.add_argument("--outdir", default=".")
+    p_run.add_argument("--timings", action="store_true",
+                       help="add the wall milliseconds of each layer to summary.json")
     p_run.set_defaults(func=cmd_run)
 
     p_oc = sub.add_parser("oracle-check",

@@ -59,19 +59,22 @@ learner's dot for y, yhat and each mu = pi . F + probe, with F read
 through strategy_views, and elementwise differences and sums for the
 output errors and the held inputs, each the bits of the tick's own sum.
 
-The samples of every tick, frozen or not, are rebuilt after the loop by
-bellman_sample run on the log columns (bellman_log).  It calls the
-learner's formulas whose pieces the loop inlines, and numpy's elementwise
-operations round as Python's float operations do, so each sample a
-learner step consumed equals its logged row bit for bit
+The samples of every tick, frozen or not, are rebuilt from the log
+columns by bellman_sample, a strategy's on the first read of its
+log.regressors entry (BellmanLog), and not at all when no caller reads
+them.  It calls the learner's formulas whose pieces the loop inlines, and
+numpy's elementwise operations round as Python's float operations do, so
+each sample a learner step consumed equals its logged row bit for bit
 (test_per_tick_samples_equal_log_rows replays every step of every corpus
 config from its log rows).
 TRAJECTORY fixes the order of the logged signals in trajectory.csv; the
 writer derives the CSV header from it and the width of each column.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from struct import Struct
+from time import perf_counter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -147,14 +150,19 @@ class EpisodeLog:
     its final values.
     regressors[s] is a pair (Z, phi): one Bellman regressor row (Z has
     theta's size columns) and one stage cost per tick on which strategy s
-    ran a learner step or would have, had it not frozen; empty until
-    run_episode fills it after the loop.
+    ran a learner step or would have, had it not frozen; empty when no
+    learning ran, else a BellmanLog, which builds each strategy's pair
+    from the log on the first read of its key.
     learner_counts[s] counts strategy s's learner steps ("steps"), the
     steps whose new kernel was singular, so the actor kept its gain
     ("singular_skips"), and the actor residuals the rate limit clamped
     ("clamped"); all zero when it did not learn.
     M is the lifted-state map of the frozen tail (_frozen_tail), None when
     no tail ran.
+    timings holds the wall milliseconds of each layer of the episode
+    (_timed): compiling kernels, the adapting loop, the frozen tail (0.0
+    when none ran) and the Bellman rebuild (None until a read of
+    regressors builds a strategy's samples).
     """
 
     def __init__(self, rows, n, states):
@@ -178,6 +186,7 @@ class EpisodeLog:
         self.theta_final = {}
         self.diverged = None
         self.M = None
+        self.timings = {"compile_ms": 0.0, "adapt_ms": 0.0, "tail_ms": 0.0, "bellman_ms": None}
 
     def _bind(self):
         """Point every signal and history at its columns of the table."""
@@ -278,22 +287,55 @@ def bellman_sample(s, F, mu, F_next, pi, cfg, form):
     return z_tilde, cfg.delta * utility(F, mu, form, cfg.R)
 
 
-def bellman_log(log, cfg, forms):
-    """Bellman samples of every tick of a learning episode, from the log.
+def _timed(timings, layer, run):
+    """run(), its wall milliseconds added to timings[layer] (a missing or
+    None entry counts as 0.0), less the time it spent compiling kernels
+    (lookups of a learner._Kernels), which is added to
+    timings["compile_ms"]."""
+    compiled, start = _Kernels.compile_s, perf_counter()
+    result = run()
+    compile_ms = 1e3 * (_Kernels.compile_s - compiled)
+    timings[layer] = (timings.get(layer) or 0.0) + 1e3 * (perf_counter() - start) - compile_ms
+    timings["compile_ms"] += compile_ms
+    return result
+
+
+class BellmanLog(Mapping):
+    """Bellman samples of every tick of a learning episode, from the log:
+    {s: (Z, phi)}, each strategy's pair built on the first read of its key.
 
     Row k + 1 of the log holds the gains and actions of tick k, so tick
     k >= lag of a strategy pairs its feature rows k - lag and k - lag + 1
     with the action and gain of log row k + 1; each enters bellman_sample
-    as its columns.  forms[s] is the stage-cost weight of strategy s.
-    Returns {s: (Z, phi)}, Z stacked once from the regressor's columns
-    into one C-ordered row per tick.
+    as its columns.  forms[s] is the stage-cost weight of strategy s.  Z
+    is stacked once from the regressor's columns into one C-ordered row
+    per tick.  The mapping keeps the log's views (strategy_views) and
+    gain history, not the log, and adds the time of each build to
+    log.timings["bellman_ms"].
     """
-    samples = {}
-    for s, (rows, lag, action) in strategy_views(log).items():
-        F, F_next, pi = (components(a) for a in (rows[:-1], rows[1:], log.pi_hist[s][lag + 1:]))
-        z_tilde, phi = bellman_sample(s, F, action[lag + 1:], F_next, pi, cfg, forms[s])
-        samples[s] = np.stack(z_tilde, axis=1), phi
-    return samples
+
+    def __init__(self, log, cfg, forms):
+        self._views, self._pi, self._timings = strategy_views(log), log.pi_hist, log.timings
+        self._cfg, self._forms = cfg, forms
+        self._built = {}
+
+    def _build(self, s):
+        rows, lag, action = self._views[s]
+        F, F_next, pi = (components(a) for a in (rows[:-1], rows[1:], self._pi[s][lag + 1:]))
+        z_tilde, phi = bellman_sample(s, F, action[lag + 1:], F_next, pi, self._cfg,
+                                      self._forms[s])
+        return np.stack(z_tilde, axis=1), phi
+
+    def __getitem__(self, s):
+        if s not in self._built:
+            self._built[s] = _timed(self._timings, "bellman_ms", lambda: self._build(s))
+        return self._built[s]
+
+    def __iter__(self):
+        return iter(STRATEGIES)
+
+    def __len__(self):
+        return len(STRATEGIES)
 
 
 def tick_cost_form(L, Q, R, h):
@@ -663,11 +705,11 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
 
     ordered = [states[s] for s in STRATEGIES]
     pack = Struct(f"={log._table.shape[1] - len(EXOGENOUS)}d").pack_into
-    k, diverged, z, learned = _ADAPT[n](
+    k, diverged, z, learned = _timed(log.timings, "adapt_ms", lambda: _ADAPT[n](
         x, xh, [st.theta for st in ordered], [st.pi for st in ordered],
         [learning_enabled and not st.frozen for st in ordered], [st.conv_count for st in ordered],
         log.yref.tolist(), probe.tolist(), maps, [forms[s] for s in STRATEGIES], cfg,
-        log._table, pack)
+        log._table, pack))
     for s, st, (theta, pi, conv, t_conv, *counts) in zip(STRATEGIES, ordered, learned):
         st.theta, st.pi, st.conv_count = theta, pi, conv
         if t_conv is not None:
@@ -684,14 +726,15 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
     elif k < n_ticks:
         # every strategy acts and none adapts: the rest of the episode is
         # one fixed affine recurrence
-        _frozen_tail(log, k, z, [st.pi for st in ordered], maps, probe)
+        _timed(log.timings, "tail_ms",
+               lambda: _frozen_tail(log, k, z, [st.pi for st in ordered], maps, probe))
         tail_start = k + 1
 
     for s in STRATEGIES:
         log.theta_hist[s][tail_start:] = states[s].theta
         log.pi_hist[s][tail_start:] = states[s].pi
     if learning_enabled:
-        log.regressors = bellman_log(log, cfg, forms)
+        log.regressors = BellmanLog(log, cfg, forms)
     for s in STRATEGIES:
         log.pi_final[s] = np.array(states[s].pi)
         log.theta_final[s] = np.array(states[s].theta)

@@ -43,6 +43,7 @@ import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import itemgetter
+from time import perf_counter
 
 import numpy as np
 
@@ -66,16 +67,21 @@ def components(x):
 class _Kernels(dict):
     """The kernels of one formula by key, a vector size or a tuple that
     holds one: kernels[key] is the function that source(key) defines,
-    compiled on its first lookup."""
+    compiled on its first lookup.  compile_s is the wall time, in seconds,
+    that the lookups of every formula have spent compiling."""
+
+    compile_s = 0.0
 
     def __init__(self, source):
         super().__init__()
         self.source = source
 
     def __missing__(self, key):
+        start = perf_counter()
         namespace = {"sqrt": math.sqrt, "SingularKernelError": SingularKernelError}
         exec(compile(self.source(key), f"<{self.source.__name__}({key})>", "exec"), namespace)
         kernel = self[key] = namespace["kernel"]
+        _Kernels.compile_s += perf_counter() - start
         return kernel
 
 

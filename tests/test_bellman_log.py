@@ -1,11 +1,11 @@
 """Bellman data of an episode: the per-tick learner work of frozen
 strategies is skipped, and the logged regressors and stage costs are
-rebuilt from the log columns after the loop.  The tests rebuild them one
-row at a time, as the per-tick learner computes them, and replay every
-learner step of the adapting loop from the log rows with the standalone
-formulas (replay.py): each step's result must be the next logged theta
-and gain, and the replay's step counts and freeze times the episode's own
-(log.learner_counts, log.t_converged), bit for bit."""
+rebuilt from the log columns, each strategy's when it is first read.  The
+tests rebuild them one row at a time, as the per-tick learner computes
+them, and replay every learner step of the adapting loop from the log rows
+with the standalone formulas (replay.py): each step's result must be the
+next logged theta and gain, and the replay's step counts and freeze times
+the episode's own (log.learner_counts, log.t_converged), bit for bit."""
 
 import dataclasses
 from pathlib import Path
@@ -60,7 +60,9 @@ def test_rows_match_per_tick_rebuild(model, default_config, episode):
 def count_regressor_calls(monkeypatch, model, c, learning):
     """Learner steps (replayed from the log, and as the episode counted
     them) and per-tick (one vector) and stacked calls of bellman_regressor
-    through control_loop's name."""
+    through control_loop's name, taken once every strategy's regressors
+    have been read, twice; the episode itself makes none of those calls,
+    and a second read rebuilds nothing."""
     calls = {1: 0, 2: 0}
 
     def counted(Z_t, Z_next):
@@ -70,6 +72,9 @@ def count_regressor_calls(monkeypatch, model, c, learning):
     with monkeypatch.context() as mp:
         mp.setattr(control_loop, "bellman_regressor", counted)
         log = run_episode(model, c.reference, learning, horizon=20.0)
+        assert calls == {1: 0, 2: 0}
+        first = [log.regressors[s] for s in STRATEGIES]
+        assert all(log.regressors[s] is pair for s, pair in zip(STRATEGIES, first))
     replayed = replay(log, model, learning, initial_strategies(model, learning))
     steps = sum(r.counts["steps"] for r in replayed.values())
     assert steps == sum(log.learner_counts[s]["steps"] for s in STRATEGIES)
@@ -80,7 +85,7 @@ def test_only_active_strategies_compute_regressors(monkeypatch, model, default_c
     c = default_config
     # the default episode freezes all three strategies by 1.5 s: 446 learner
     # steps in all, each taking its sample inside the adapting loop, then
-    # one stacked rebuild per strategy
+    # one stacked rebuild per strategy once its regressors are read
     assert count_regressor_calls(monkeypatch, model, c, c.learning) == {
         "steps": 446, 1: 0, 2: 3}
     # with the freeze disabled all 2000 + 2 * 1998 strategy-ticks learn
@@ -89,7 +94,7 @@ def test_only_active_strategies_compute_regressors(monkeypatch, model, default_c
         "steps": 5996, 1: 0, 2: 3}
 
 
-# the learner functions bellman_log calls through control_loop's own names,
+# the learner functions BellmanLog calls through control_loop's own names,
 # the call sites a tracer of the episode wraps
 REBUILD_CALLS = ("bellman_regressor", "utility")
 
@@ -110,6 +115,8 @@ def count_learner_calls(monkeypatch, model, c, learning):
         for name in REBUILD_CALLS:
             mp.setattr(control_loop, name, counted(name, getattr(control_loop, name)))
         log = run_episode(model, c.reference, learning, horizon=20.0)
+        for s in STRATEGIES:
+            log.regressors[s]
     replayed = replay(log, model, learning, initial_strategies(model, learning))
     return {s: replayed[s].counts["steps"] for s in STRATEGIES}, calls, log
 
@@ -118,8 +125,9 @@ def test_learner_calls_stay_at_control_loop_names(monkeypatch, model, default_co
     # one learner step per adapting strategy-tick: 446 steps on the default
     # episode (150 closed-loop, 148 each observer and model-following) and
     # 5996 with the freeze disabled, as the replay from the log finds them
-    # and as the episode counts them itself; the stacked rebuild adds one
-    # regressor per strategy and one utility per error-feature strategy.  A
+    # and as the episode counts them itself; the stacked rebuild, once the
+    # regressors are read, adds one regressor per strategy and one utility
+    # per error-feature strategy.  A
     # step skipped, or taken twice, changes a count
     c = default_config
     never_frozen = dataclasses.replace(c.learning, tol_conv=0.0)

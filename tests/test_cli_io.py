@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from modelfollow import cli_io
 from modelfollow.cli_io import (
@@ -334,6 +334,46 @@ def test_run_command_artifacts(tmp_path):
         assert key in summary
     ol = sorted(ev[0] for ev in summary["open_loop_eigenvalues"])
     assert abs(ol[0] + 5.0) < 1e-3 and abs(ol[-1]) < 1e-9
+
+
+TIMING_KEYS = ["compile_ms", "adapt_ms", "tail_ms", "bellman_ms",
+               "trajectory_csv_ms", "weights_csv_ms", "summary_json_ms"]
+
+
+@pytest.mark.parametrize("text, tail", [("", True), ("[learning]\ntol_conv = 0\n", False)])
+def test_run_timings(tmp_path, text, tail):
+    # --timings adds the wall milliseconds of each layer to summary.json and
+    # changes no other byte; run never reads the regressors, so the Bellman
+    # rebuild is null, and with the freeze off no tail runs
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\nhorizon = 2.0\n" + text)
+    assert main(["run", str(config), "--outdir", str(tmp_path / "plain")]) == 0
+    assert main(["run", str(config), "--outdir", str(tmp_path / "timed"), "--timings"]) == 0
+    for name in ("trajectory.csv", "weights.csv"):
+        assert (tmp_path / "timed" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    summary = json.loads((tmp_path / "timed" / "summary.json").read_text())
+    timings = summary.pop("timings")
+    assert summary == json.loads((tmp_path / "plain" / "summary.json").read_text())
+    assert list(timings) == TIMING_KEYS
+    assert timings["bellman_ms"] is None
+    assert all(type(v) is float and math.isfinite(v) and v >= 0
+               for k, v in timings.items() if k != "bellman_ms")
+    assert (timings["tail_ms"] > 0) == tail
+
+
+def test_bellman_rebuild_is_timed_on_first_read(default_config):
+    c = default_config
+    log = run_episode(c.model, c.reference, c.learning, horizon=2.0)
+    assert list(log.timings) == TIMING_KEYS[:4] and log.timings["bellman_ms"] is None
+    log.regressors["cl"]
+    first = log.timings["bellman_ms"]
+    assert type(first) is float and first >= 0
+    log.regressors["cl"]
+    assert log.timings["bellman_ms"] == first
+    log.regressors["ob"]
+    assert log.timings["bellman_ms"] >= first
+    off = run_episode(c.model, c.reference, c.learning, horizon=2.0, learning_enabled=False)
+    assert off.regressors["cl"][0].shape == (0, 10) and off.timings["bellman_ms"] is None
 
 
 def test_trajectory_header_follows_state_width(tmp_path):
@@ -704,11 +744,11 @@ def _assert_same_text(written, expected):
 
 
 def _repeating_groups(rows):
-    """The first `rows` of 600 rows: t, a (600, 3) group with a 2-column partner and a second group, full
-    of repeated rows: runs across the row 255/256 block boundary, -0.0 right
-    after 0.0, NaN and infinite cells, and cells of the formatter's
-    scientific notation and of its '%.17g' path, in runs over the boundary
-    and on fresh rows next to it."""
+    """The first `rows` of 600 rows: t, a (600, 3) group with a 2-column
+    partner and a second group, full of repeated rows: runs across rows
+    255/256, -0.0 right after 0.0, NaN and infinite cells, and cells of the
+    formatter's scientific notation and of its '%.17g' path, in runs over
+    those rows and on fresh rows next to them."""
     rng = np.random.default_rng(7)
     t = np.arange(600) * 0.01
     a = rng.standard_normal((600, 3))
@@ -725,7 +765,7 @@ def _repeating_groups(rows):
     c = np.zeros(600)
     c[::7] = -0.0
     c[253:255] = [3e-5, 5e-324]
-    c[255] = c[256] = 1.5             # a two-row run split by the boundary
+    c[255] = c[256] = 1.5             # a two-row run over rows 255/256
     c[257:259] = [-7e-6, 1e20]
     return [[column[:rows] for column in group] for group in ([t], [a, b], [c])]
 
@@ -750,3 +790,133 @@ def test_csv_files_equal_per_row_writer(tmp_path, episode):
     text = (tmp_path / "t.csv").read_text()
     columns = [getattr(episode, name) for name in TRAJECTORY]
     _assert_same_text(text, _per_row_table(text.split("\n", 1)[0], [columns]))
+
+
+def _formatted_calls(monkeypatch):
+    """The values of each _format_cells call, recorded as _write_table
+    makes them."""
+    calls = []
+
+    def spied(x):
+        calls.append(x.copy())
+        return format_cells(x)
+
+    format_cells = cli_io._format_cells
+    monkeypatch.setattr(cli_io, "_format_cells", spied)
+    return calls
+
+
+def test_table_writer_runs_across_chunk_cuts(tmp_path, monkeypatch):
+    # t (row k holds k + 0.25, fresh on every row and in no other column),
+    # a 3-column group with a 2-column partner and a 1-column group: 7
+    # cells a row, so a chunk of rows that are all fresh holds
+    # _CELLS // 7 of them.  The runs below cross the first two cuts: the
+    # first, 20 rows of the 5-cell group from 2 rows before the cut that
+    # all-fresh rows would place, moves that cut 3 rows on, into itself,
+    # and the next cut by its 19 * 5 unformatted cells; the second, 40 rows
+    # of the 1-cell group around that next cut, moves it about 3 rows more.
+    # The rows of each chunk are the t values of its formatter call
+    width = 7
+    per_chunk = cli_io._CELLS // width
+    rows = 3 * per_chunk
+    rng = np.random.default_rng(11)
+    t = np.arange(rows) + 0.25
+    a, b, c = (rng.standard_normal((rows, k)) for k in (3, 2, 1))
+    moved = 19 * 5 // width
+    runs = [(per_chunk - 2, per_chunk + 18),
+            (2 * per_chunk + moved - 20, 2 * per_chunk + moved + 20)]
+    (a0, a1), (c0, c1) = runs
+    a[a0:a1], b[a0:a1] = a[a0], b[a0]
+    a[a0] = [np.nan, -0.0, 5e-324]
+    a[a0 + 1:a1] = a[a0]
+    c[c0:c1] = -0.0
+    c[c0 - 1] = 0.0                   # equal to the run's rows by ==
+    groups = [[t], [a, b], [c[:, 0]]]
+    calls = _formatted_calls(monkeypatch)
+    path = tmp_path / "table.csv"
+    header = ",".join(f"c{j}" for j in range(width))
+    cli_io._write_table(path, header, groups)
+    _assert_same_text(path.read_text(), _per_row_table(header, groups))
+    tset = set(t.tolist())
+    starts = [min(v for v in call.tolist() if v in tset) - 0.25 for call in calls]
+    assert len(calls) >= 3
+    assert all(len(call) <= cli_io._CELLS + width for call in calls)
+    for start, end in runs:
+        assert any(start < cut < end for cut in starts), (start, end, starts)
+
+
+def test_single_group_repeat_falls_back_from_direct_write(tmp_path, monkeypatch):
+    # a one-group table, as trajectory.csv is, whose one repeated row lies
+    # inside a chunk of fresh rows: that chunk cannot go to the file as the
+    # formatter's text, and its repeated row is not formatted again
+    rng = np.random.default_rng(5)
+    width = 4
+    rows = 2 * (cli_io._CELLS // width)
+    t = np.arange(rows) * 0.01
+    a = rng.standard_normal((rows, width - 1))
+    k = cli_io._CELLS // width // 2
+    t[k], a[k] = t[k - 1], a[k - 1]
+    groups = [[t, a]]
+    calls = _formatted_calls(monkeypatch)
+    path = tmp_path / "table.csv"
+    header = ",".join(f"c{j}" for j in range(width))
+    cli_io._write_table(path, header, groups)
+    _assert_same_text(path.read_text(), _per_row_table(header, groups))
+    assert sum(len(call) for call in calls) == (rows - 1) * width
+
+
+# special cells of the random tables below: signed zeros, NaN, infinities,
+# subnormals, the ends of the formatter's numpy path and cells of '%.17g'
+SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072009e-308,
+                     1e-6, 1e17, -1e300, 3e-5])
+
+
+def _random_table(rows, widths, seed, toggle, special):
+    """Groups of columns of the given widths (one list of widths per
+    group) whose rows repeat the row before in runs that start and stop
+    with probability `toggle` a row; a fresh row holds normal draws, each
+    cell a SPECIALS value with probability `special`, or, one row in
+    eight, the row before with one cell negated (a zero or a NaN keeps ==
+    or its text, not its bits).  A column of width 1 is 1-D."""
+    rng = np.random.default_rng(seed)
+    groups = []
+    for group in widths:
+        width = sum(group)
+        values = rng.standard_normal((rows, width))
+        specials = rng.random((rows, width)) < special
+        values[specials] = rng.choice(SPECIALS, specials.sum())
+        for k in np.flatnonzero(rng.random(rows) < 1 / 8):
+            if k:
+                j = rng.integers(width)
+                values[k] = values[k - 1]
+                values[k, j] = -values[k, j]
+        repeat = np.cumsum(rng.random(rows) < toggle) % 2 == 1
+        repeat[:1] = False
+        source = np.maximum.accumulate(np.where(repeat, 0, np.arange(rows)))
+        values = values[source]
+        columns = np.split(values, np.cumsum(group)[:-1], axis=1)
+        groups.append([c[:, 0] if c.shape[1] == 1 else c for c in columns])
+    return groups
+
+
+@pytest.mark.parametrize("rows, widths", [
+    (0, [[1], [3, 2], [1]]),
+    (1, [[1]]),
+    (cli_io._CELLS - 1, [[1]]),
+    (cli_io._CELLS + 1, [[1]]),
+    ((cli_io._CELLS - 1) // 7, [[1], [3, 2], [1]]),
+    ((cli_io._CELLS + 1) // 17, [[1], [3, 2], [11]]),
+], ids=["0_cells", "1_cell", "cells_minus_1_one_group", "cells_plus_1_one_group",
+        "cells_minus_1", "cells_plus_1"])
+@settings(max_examples=25)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_table_writer_on_random_repeats(tmp_path_factory, rows, widths, seed, toggle, special):
+    # tables of 0, 1 and _CELLS - 1 or + 1 cells, with one group (written
+    # straight from the formatter where no row repeats) or several, and
+    # runs of repeated rows that cross the chunk cuts at random
+    assert rows * sum(map(sum, widths)) in (0, 1, cli_io._CELLS - 1, cli_io._CELLS + 1)
+    groups = _random_table(rows, widths, seed, toggle, special)
+    header = ",".join(f"c{j}" for j in range(sum(map(sum, widths))))
+    path = tmp_path_factory.mktemp("table") / "table.csv"
+    cli_io._write_table(path, header, groups)
+    _assert_same_text(path.read_text(), _per_row_table(header, groups))

@@ -5,6 +5,7 @@ row before it by the per-tick formulas, and a tail that overflows must end
 the episode as the per-tick loop did, without a floating-point warning."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -146,10 +147,9 @@ def test_tail_stops_within_one_block_of_its_exit(monkeypatch, text):
         assert log.pi_hist[s].tobytes() == short.pi_hist[s].tobytes(), s
 
 
-# the replays below take np.longdouble as the more precise reference, which
-# it is not where it is float64 itself
-EXTENDED = pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
-                              reason="np.longdouble is no more precise than float64 here")
+# whether np.longdouble is more precise than float64, as it is not where it
+# is float64 itself
+EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
 
 
 def col_err(got, want):
@@ -158,7 +158,7 @@ def col_err(got, want):
     return float((np.abs(got - want).max(axis=0) / np.abs(want).max(axis=0)).max())
 
 
-def replay(M, z, inputs):
+def longdouble_replay(M, z, inputs):
     """The states after each row of inputs of s+ = M s + input, stepped one
     row at a time in np.longdouble from the state z."""
     M, s = M.astype(np.longdouble), z.astype(np.longdouble)
@@ -166,6 +166,51 @@ def replay(M, z, inputs):
     for row in inputs.astype(np.longdouble):
         s = M @ s + row
         states.append(s)
+    return np.array(states)
+
+
+def two_sum(a, b):
+    """s + e = a + b exactly, s = fl(a + b) (Knuth's TwoSum)."""
+    s = a + b
+    b_virtual = s - a
+    return s, (a - (s - b_virtual)) + (b - b_virtual)
+
+
+def veltkamp(a):
+    """a = high + low exactly, each half of at most 26 significant bits."""
+    c = a * 134217729.0  # 2^27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def compensated_replay(M, z, inputs):
+    """The states after each row of inputs of s+ = M s + input, stepped one
+    row at a time in float64 arithmetic alone: the state is carried as an
+    unevaluated sum hi + lo, each product M_ij hi_j is split exactly into
+    p + e (Dekker's TwoProduct on Veltkamp halves), the products and the
+    input of each component are added pairwise with TwoSum, and the
+    rounding errors, the e and M lo are summed apart and added once.  Each
+    step is then as accurate as in twice the working precision (Ogita, Rump
+    and Oishi's Dot2), and the states are hi, each rounded once."""
+    n = len(z)
+    M_high, M_low = veltkamp(M)
+    hi, lo = z.astype(float), np.zeros(n)
+    # the terms of each component, padded with zeros to a power of two
+    terms = np.zeros((n, 1 << n.bit_length()))
+    states = []
+    for row in inputs:
+        h_high, h_low = veltkamp(hi)
+        p = terms[:, :n]
+        np.multiply(M, hi, out=p)
+        err = ((((M_high * h_high - p) + M_high * h_low) + M_low * h_high)
+               + M_low * h_low).sum(axis=1) + M @ lo
+        terms[:, n] = row
+        level = terms
+        while level.shape[1] > 1:
+            level, e = two_sum(level[:, 0::2], level[:, 1::2])
+            err += e.sum(axis=1)
+        hi, lo = two_sum(level[:, 0], err)
+        states.append(hi)
     return np.array(states)
 
 
@@ -185,7 +230,24 @@ def lifted_map(rng, radius, windows):
     return M
 
 
-@EXTENDED
+@pytest.mark.parametrize("seed", range(3))
+def test_compensated_replay_is_the_exact_recurrence(seed):
+    # the float64 reference of the tests below, against the recurrence in
+    # exact rational arithmetic rounded once: within one ulp per component
+    rng = np.random.default_rng(seed)
+    M = lifted_map(rng, 1.02, 2)
+    z, inputs = rng.standard_normal(14), rng.standard_normal((40, 14))
+    got = compensated_replay(M, z, inputs)
+    rows = [[Fraction(v) for v in row] for row in M.tolist()]
+    s = [Fraction(v) for v in z.tolist()]
+    want = []
+    for row in inputs.tolist():
+        s = [sum((a * b for a, b in zip(M_i, s)), Fraction(r)) for M_i, r in zip(rows, row)]
+        want.append([float(v) for v in s])
+    want = np.array(want)
+    assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.05), st.integers(0, 2),
        st.integers(1, control_loop.TAIL_BLOCK), st.data())
 def test_step_rows_is_the_recurrence(seed, radius, windows, length, data):
@@ -198,7 +260,7 @@ def test_step_rows_is_the_recurrence(seed, radius, windows, length, data):
     rows = inputs.copy()
     last = control_loop._step_rows(rows, z, powers)
     assert last.tobytes() == rows[-1].tobytes()
-    want = replay(M, z, inputs)
+    want = compensated_replay(M, z, inputs)
     err = np.abs(rows - want).max(axis=1) / np.abs(want).max(axis=1)
     assert err.max() <= RTOL
     m = data.draw(st.integers(1, length))
@@ -207,12 +269,13 @@ def test_step_rows_is_the_recurrence(seed, radius, windows, length, data):
     assert short.tobytes() == rows[:m].tobytes()
 
 
-@EXTENDED
 @pytest.mark.parametrize("text", ["", "[run]\nhorizon = 200\n"])
 def test_tail_states_follow_an_extended_precision_replay(monkeypatch, text):
     # every component of every tail state, the scans of all blocks chained,
     # is the state that the recurrence with the tail's own M, N and w gives
-    # when stepped one tick at a time in extended precision
+    # when stepped one tick at a time in twice float64's precision (the
+    # compensated replay, on every platform); where np.longdouble is more
+    # precise than float64, its replay agrees with that one
     starts, inputs, states = [], [], []
 
     def spied(rows, z, powers):
@@ -230,6 +293,10 @@ def test_tail_states_follow_an_extended_precision_replay(monkeypatch, text):
     # every strategy freezes at 1.5 s, so the tail runs from tick 150 on
     states = np.vstack(states)
     assert len(states) == round(c.horizon / c.learning.delta) - 150
-    assert col_err(states, replay(log.M, starts[0], np.vstack(inputs))) <= RTOL
+    want = compensated_replay(log.M, starts[0], np.vstack(inputs))
+    assert col_err(states, want) <= RTOL
+    if EXTENDED:
+        assert col_err(longdouble_replay(log.M, starts[0], np.vstack(inputs)).astype(float),
+                       want) <= 1e-15
     n = log.x.shape[1]
     assert log.x[151:].tobytes() == states[:, :n].tobytes()
