@@ -12,24 +12,23 @@ contract for pace 0 < sigma < 2.
 Every formula is written component by component, and a vector is a
 sequence of its components: Python floats for one vector (a kernel as the
 tuple of its entries in row-major order), one numpy column per component
-for a stack of vectors (components gives them).  dot, quadratic_form,
-utility, bellman_regressor, critic_update, actor_update, kernel_converged
-and policy_from_kernel each have one source piece, which writes the
-formula on named components as straight-line Python: every sum one
-explicit left-to-right + chain in index order that starts at 0.0, as
-s = 0.0; s = s + a_i * b_i would compute it, never sum().  For a vector
-size n a formula's kernel unpacks its arguments' components into locals
-and runs its piece; it is compiled on its first call and kept in a dict
-keyed by the size (_Kernels), so importing compiles nothing.
-_learner_step assembles the pieces of one learner step (the Bellman
-sample, the critic step, the convergence test of the new kernel against
-the old, both read through the theta layout, the greedy gain and the
-actor step, or a skip for a singular kernel) on named locals:
-control_loop's adapting loop inlines it for each strategy, and _STEP
-compiles it on its own per feature count and stage-cost kind, which gives
-the bits of the standalone chain.  control_loop writes its tick and its
-loop with the same helpers (_unpack, _names, _dot, _index_sum) and
-compiles them the same way.
+for a stack of vectors (components gives them).  Each formula has one
+source piece, which writes it on named components as straight-line
+Python: every sum one explicit left-to-right + chain in index order that
+starts at 0.0, as s = 0.0; s = s + a_i * b_i would compute it, never
+sum().  dot, quadratic_form, utility, bellman_regressor and
+policy_from_kernel are kernels: for a vector size n a formula's kernel
+unpacks its arguments' components into locals and runs its piece; it is
+compiled on its first call and kept in a dict keyed by the size
+(_Kernels), so importing compiles nothing.  The critic step, the
+convergence test and the actor step are pieces only: _learner_step
+assembles the pieces of one learner step (the Bellman sample, the critic
+step, the convergence test of the new kernel against the old, both read
+through the theta layout, the greedy gain and the actor step, or a skip
+for a singular kernel) on named locals, and control_loop's adapting loop
+inlines it for each strategy.  control_loop writes its tick and its loop
+with the same helpers (_unpack, _names, _dot, _index_sum) and compiles
+them the same way.
 Nothing calls BLAS: numpy's elementwise operations round as Python's
 float operations do, so a stack of ticks run through a kernel gives each
 row the one-tick value bit for bit, whatever the memory layout of the
@@ -115,9 +114,9 @@ def kernel({signature}):
 
 # The source pieces of the formulas.  Each writes one formula on the
 # components named in its arguments (lists of locals), as an expression
-# or as body lines that bind the locals named in `out`; the standalone
-# kernels below and the learner step (_learner_step) are assembled from
-# them, so every formula's text, and every sum's order, has one source.
+# or as body lines that bind the locals named in `out`; the kernels below
+# and the learner step (_learner_step) are assembled from them, so every
+# formula's text, and every sum's order, has one source.
 
 
 def _dot(a, b):
@@ -171,8 +170,9 @@ def _critic_update(out, t, z):
 def _kernel_converged(out, p, q, order):
     """out = whether the distance of the kernels p and q is below tol_conv:
     the square root of the squared differences q_i - p_i, each taken once,
-    summed in the order of the indices `order` (range(len(p)) for kernels
-    given entrywise, _entry_slots for kernels given by their theta slots)."""
+    summed over the kernel's entries in row-major order, `order` giving
+    each entry's index in p and q (_entry_slots for kernels given by their
+    theta slots)."""
     d = _names("d", len(p))
     terms = [d[i] for i in order]
     return [*(f"{di} = {qi} - {pi}" for di, pi, qi in zip(d, p, q)),
@@ -198,7 +198,9 @@ def _actor_update(out, p, F):
     """out = the actor step of p toward p . F = phi_target (the locals
     phi_target, sigma_a, alpha_a and rate_limit), and clamped = whether the
     rate limit moved the residual: |residual| > rate_limit, which a NaN
-    residual is not (min and max leave it NaN)."""
+    residual is not (min and max leave it NaN, as np.clip does).  Near a
+    singular kernel the greedy target is hypersensitive to critic noise,
+    and an unclamped step can destabilize the loop."""
     return [f"residual = {_dot(p, F)} - phi_target",
             "clamped = rate_limit is not None and abs(residual) > rate_limit",
             "if rate_limit is not None: residual = min(max(residual, -rate_limit), rate_limit)",
@@ -251,13 +253,6 @@ def utility(F, mu, Q, R):
     vector of F (a scalar for one vector).
     """
     return _UTILITY[len(F)](F, mu, Q, R)
-
-
-def quadratic_value(S, Z):
-    """V = 1/2 Z' S Z of a numpy kernel and vector, or one value per row of
-    a stack of vectors."""
-    return 0.5 * quadratic_form(components(np.asarray(Z, dtype=float)),
-                                np.asarray(S, dtype=float).tolist())
 
 
 def _bellman_regressor_source(n):
@@ -343,67 +338,6 @@ def policy_from_kernel(S, n_features=None, eps_sing=1e-8):
     return np.array(_POLICY_FROM_KERNEL[len(entries)](entries, n_features, eps_sing))
 
 
-def _critic_update_source(n):
-    t = _names("t", n)
-    return _kernel_source("t, z, phi, sigma_c, alpha_c",
-                          [_unpack("t", n), _unpack("z", n), *_critic_update(t, t, _names("z", n))],
-                          f"[{', '.join(t)}]")
-
-
-_CRITIC_UPDATE = _Kernels(_critic_update_source)
-
-
-def critic_update(theta, z_tilde, phi, sigma_c, alpha_c):
-    """Normalized-projection critic step toward theta' z_tilde = phi.
-
-    theta and z_tilde are sequences of the same length; the result is a
-    list.  theta . z_tilde and z_tilde . z_tilde are summed in index order.
-    """
-    return _CRITIC_UPDATE[len(theta)](theta, z_tilde, phi, sigma_c, alpha_c)
-
-
-def _actor_update_source(n):
-    p = _names("p", n)
-    return _kernel_source("p, F, phi_target, sigma_a, alpha_a, rate_limit",
-                          [_unpack("p", n), _unpack("F", n), *_actor_update(p, p, _names("F", n))],
-                          f"[{', '.join(p)}]")
-
-
-_ACTOR_UPDATE = _Kernels(_actor_update_source)
-
-
-def actor_update(pi, F, phi_target, sigma_a, alpha_a, rate_limit=None):
-    """Normalized-projection actor step toward pi F = phi_target.
-
-    pi is a gain row and F a feature vector of the same length, phi_target
-    a scalar; the result is a list.  pi . F and F . F are summed in index
-    order.  rate_limit, when set, clamps the residual to [-rate_limit,
-    rate_limit] before the step; near-singular kernels make the greedy
-    target hypersensitive to critic noise and an unclamped step can
-    destabilize the loop.  The clamp is Python's min and max, which give
-    what np.clip gives (a NaN residual stays NaN).
-    """
-    return _ACTOR_UPDATE[len(pi)](pi, F, phi_target, sigma_a, alpha_a, rate_limit)
-
-
-def _kernel_converged_source(n):
-    return _kernel_source("p, q, tol_conv", [_unpack("p", n), _unpack("q", n), *_kernel_converged(
-        "settled", _names("p", n), _names("q", n), range(n))], "settled")
-
-
-_KERNEL_CONVERGED = _Kernels(_kernel_converged_source)
-
-
-def kernel_converged(S_prev, S_next, tol_conv):
-    """True when the Frobenius distance between kernels is below tol_conv.
-
-    A kernel is the sequence of its entries in row-major order (the tuple
-    theta_to_S gives).  The distance is the square root of the
-    sum of the squared entry differences, summed in row-major order.
-    """
-    return _KERNEL_CONVERGED[len(S_prev)](S_prev, S_next, tol_conv)
-
-
 # the LearningConfig scalars a learner step reads, bound to locals of their
 # names once per kernel call
 _CONFIG_LINES = [*(f"{name} = cfg.{name}" for name in (
@@ -425,8 +359,7 @@ def _learner_step(kind, t, p, F, G, mu, W, singular, greedy):
     read through the theta layout (_entry_slots); and the statements
     `singular` when the new kernel is singular, else the greedy gain, the
     actor step of p in place, clamped (whether the rate limit moved the
-    residual) and the statements `greedy`.  Each formula is its standalone
-    kernel's piece, so the step gives the bits of the standalone chain.
+    residual) and the statements `greedy`.
     """
     d = len(F) + 1
     th, z, gain = _names("th", len(t)), _names("z", len(t)), _names("g", len(F))
@@ -440,28 +373,6 @@ def _learner_step(kind, t, p, F, G, mu, W, singular, greedy):
             *_policy_from_kernel(gain, [th[k] for k in slots], singular,
                                  [f"phi_target = {_dot(gain, F)}", *_actor_update(p, p, F),
                                   *greedy])]
-
-
-def _step_source(key):
-    n, kind = key
-    m, w = (n + 1) * (n + 2) // 2, n + 1 if kind == "cl" else n
-    t, p, th = _names("t", m), _names("p", n), _names("th", m)
-    lines = [*_CONFIG_LINES, _unpack("t", m), _unpack("p", n), _unpack("F", n), _unpack("G", n),
-             _unpack_rows("W", w),
-             *_learner_step(kind, t, p, _names("F", n), _names("G", n), "mu", "W",
-                            [f"return [{', '.join(th)}], p, settled, False"], [])]
-    return _kernel_source("t, p, F, G, mu, W, cfg", lines,
-                          f"[{', '.join(th)}], [{', '.join(p)}], settled, clamped")
-
-
-# _STEP[n, kind](theta, pi, F, F_next, mu, form, cfg): one learner step of a
-# strategy with n features on one tick, the piece control_loop's adapting
-# loop inlines (_learner_step) compiled on its own.  form is the stage-cost
-# weight as a list of rows and cfg the LearningConfig.  Returns the new
-# theta, the new gain (pi itself when |S_mumu| < eps_sing, a singular
-# kernel), whether the kernel settled, and whether the actor's rate limit
-# clamped the residual.
-_STEP = _Kernels(_step_source)
 
 
 # probe phases of each strategy, one per frequency

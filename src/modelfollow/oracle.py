@@ -75,19 +75,6 @@ def stage_cost(Q, R, delta):
     return 0.5 * Q * delta, 0.5 * R * delta
 
 
-def integrated_stage_cost(A, B, Q, R, delta):
-    """Exact integral of the running cost over one held-input interval.
-
-    Returns the symmetric matrix G with
-
-        integral_0^delta 1/2 (x(tau)' Q x(tau) + u' R u) dtau = z' G z,
-
-    z = [x; u], computed with the block-exponential quadrature of
-    _cost_exponential.
-    """
-    return _cost_exponential(A, B, Q, R, delta)[0]
-
-
 def _cost_exponential(A, B, Q, R, delta):
     """The integrated stage cost G and the augmented exponential, from one
     block exponential (Van Loan 1978).

@@ -1,5 +1,5 @@
-"""Replay of an episode's learner steps from its log, by the standalone
-learner formulas.
+"""Replay of an episode's learner steps from its log, by the independent
+sequential references.
 
 The adapting loop runs every learner step inline, in generated code with
 no call a test could intercept.  Everything a step reads is logged,
@@ -7,10 +7,13 @@ though: row k + 1 holds the theta and gain a strategy held during tick k,
 its features before and after the tick (the lifted state is logged
 component by component) and the action it priced, and row k + 2 the theta
 and gain that tick's step left (theta_final and pi_final after the last
-row).  replay runs the standalone chain bellman_sample -> critic_update ->
-theta_to_S -> kernel_converged -> policy_from_kernel -> actor_update on one
-tick's Python floats at a time, with the freeze rule, so that a test can
-hold every step, the counters and the freeze times to it bit for bit.
+row).  replay runs bellman_sample and then the index-order loops of
+sequential.py, which share no code with the pieces the loop inlines:
+seq_critic_update, seq_distance of the old and new kernels' entries
+against tol_conv, the eps_sing test of the control block and
+seq_policy_row, and seq_dot and seq_actor_update, on one tick's Python
+floats at a time, with the freeze rule, so that a test can hold every
+step, the counters and the freeze times to it bit for bit.
 """
 
 from dataclasses import dataclass
@@ -19,10 +22,8 @@ from modelfollow.control_loop import (
     LEARNER_COUNTS, SUBSTEPS, bellman_sample, strategy_views, tick_cost_form,
 )
 from modelfollow.dynamics import held_input_maps
-from modelfollow.learner import (
-    SingularKernelError, actor_update, critic_update, dot, kernel_converged, policy_from_kernel,
-    theta_to_S,
-)
+from modelfollow.learner import theta_to_S
+from sequential import seq_actor_update, seq_critic_update, seq_distance, seq_dot, seq_policy_row
 
 
 def stage_cost_forms(model, cfg):
@@ -87,18 +88,16 @@ def replay(log, model, cfg, start, learning=True, chained=False):
                 theta, pi = log.theta_hist[s][k + 1].tolist(), log.pi_hist[s][k + 1].tolist()
             F, F_next, mu = rows[k - lag].tolist(), rows[k - lag + 1].tolist(), float(action[k + 1])
             z_tilde, phi = bellman_sample(s, F, mu, F_next, pi, cfg, forms[s])
-            new_theta = critic_update(theta, z_tilde, phi, cfg.sigma_c, cfg.alpha_c)
+            new_theta = seq_critic_update(theta, z_tilde, phi, cfg.sigma_c, cfg.alpha_c)
             S = theta_to_S(new_theta)
-            settled = kernel_converged(theta_to_S(theta), S, cfg.tol_conv)
-            try:
-                gain = policy_from_kernel(S, n_features=len(F), eps_sing=cfg.eps_sing)[0]
-            except SingularKernelError:
+            settled = seq_distance(theta_to_S(theta), S) < cfg.tol_conv
+            if abs(S[-1]) < cfg.eps_sing:
                 counts["singular_skips"] += 1
                 new_pi = pi
             else:
-                target = dot(gain, F)
-                counts["clamped"] += limit is not None and abs(dot(pi, F) - target) > limit
-                new_pi = actor_update(pi, F, target, cfg.sigma_a, cfg.alpha_a, limit)
+                target = seq_dot(seq_policy_row(S, len(F) + 1), F)
+                counts["clamped"] += limit is not None and abs(seq_dot(pi, F) - target) > limit
+                new_pi = seq_actor_update(pi, F, target, cfg.sigma_a, cfg.alpha_a, limit)
             counts["steps"] += 1
             steps.append(Step(k, F, F_next, mu, pi, z_tilde, phi, new_theta, new_pi))
             theta, pi = new_theta, new_pi

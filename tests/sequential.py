@@ -5,8 +5,11 @@ Each sum runs in index order from 0.0, s = s + a_i * b_i, as the learner's
 component formulas are specified to; the references are written out here
 as the index-order loops the learner's generated kernels replace,
 independently of modelfollow, so that an exact test compares against a
-sum it spells out rather than against the code under test.  Like the
-kernels, they take sequences of components: floats, or numpy columns.
+sum it spells out rather than against the code under test.  The critic
+step, the kernel distance, the greedy gain and the actor step exist here
+only: the adapting loop inlines their pieces, and the replay (replay.py)
+holds each of its learner steps to these.  Like the kernels, they take
+sequences of components: floats, or numpy columns.
 """
 
 import math

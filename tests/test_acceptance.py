@@ -9,10 +9,8 @@ from modelfollow import oracle
 from modelfollow.cli_io import load_config, main
 from modelfollow.control_loop import run_episode
 from modelfollow.dynamics import eigenvalues, expm_ss, rk4_step
-from modelfollow.learner import (
-    S_to_theta, actor_update, bellman_regressor, critic_update,
-    policy_from_kernel, quadratic_value, theta_to_S,
-)
+from modelfollow.learner import S_to_theta, bellman_regressor, policy_from_kernel, theta_to_S
+from sequential import seq_actor_update, seq_critic_update, seq_quadratic_form
 
 
 def sorted_eigs(M):
@@ -100,7 +98,7 @@ def test_criterion_6_contraction_suite():
             theta_star = rng.normal(size=10)
             theta = rng.normal(size=10)
             phi = float(theta_star @ z)
-            theta_next = critic_update(theta, z, phi, sigma, alpha)
+            theta_next = seq_critic_update(theta, z, phi, sigma, alpha)
             assert np.linalg.norm(theta_next - theta_star) <= \
                 np.linalg.norm(theta - theta_star) + 1e-12
 
@@ -108,7 +106,7 @@ def test_criterion_6_contraction_suite():
             pi_star = rng.normal(size=3)
             pi = rng.normal(size=3)
             target = pi_star @ F
-            pi_next = actor_update(pi, F, target, sigma, alpha)
+            pi_next = seq_actor_update(pi, F, target, sigma, alpha)
             assert np.linalg.norm(pi_next - pi_star) <= \
                 np.linalg.norm(pi - pi_star) + 1e-12
 
@@ -118,7 +116,7 @@ def test_criterion_6_contraction_suite():
     theta = np.ones(10)
     r0 = np.linalg.norm(theta)
     for _ in range(5):
-        theta = critic_update(theta, z, 0.0, 2.5, alpha)
+        theta = seq_critic_update(theta, z, 0.0, 2.5, alpha)
     assert np.linalg.norm(theta) > r0
 
 
@@ -131,7 +129,7 @@ def test_criterion_7_exactness_micro_suite(model):
         S = 0.5 * (M + M.T)
         Zt, Zn = rng.normal(size=4), rng.normal(size=4)
         lhs = S_to_theta(S) @ bellman_regressor(Zt, Zn)
-        rhs = quadratic_value(S, Zt) - quadratic_value(S, Zn)
+        rhs = 0.5 * seq_quadratic_form(Zt, S) - 0.5 * seq_quadratic_form(Zn, S)
         assert abs(lhs - rhs) < 1e-12
 
     # theta/S round trip

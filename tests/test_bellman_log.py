@@ -3,9 +3,11 @@ strategies is skipped, and the logged regressors and stage costs are
 rebuilt from the log columns, each strategy's when it is first read.  The
 tests rebuild them one row at a time, as the per-tick learner computes
 them, and replay every learner step of the adapting loop from the log rows
-with the standalone formulas (replay.py): each step's result must be the
-next logged theta and gain, and the replay's step counts and freeze times
-the episode's own (log.learner_counts, log.t_converged), bit for bit."""
+with the independent sequential references (replay.py): each step's result
+must be the next logged theta and gain, and the replay's step counts and
+freeze times the episode's own (log.learner_counts, log.t_converged), bit
+for bit.  The replay shares no code with the step pieces the loop inlines,
+so a wrong piece fails it."""
 
 import dataclasses
 from pathlib import Path
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modelfollow import control_loop
+from modelfollow import control_loop, learner
 from modelfollow.cli_io import load_config
 from modelfollow.control_loop import (
     STACK_DEPTH, STRATEGIES, initial_strategies, run_episode, strategy_views,
@@ -164,7 +166,7 @@ CONFIGS = sorted(CORPUS.glob("*.ini"))
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
 def test_per_tick_samples_equal_log_rows(config):
     # each learner step takes its Bellman sample one tick at a time inside
-    # the adapting loop, and bellman_log rebuilds every tick's sample
+    # the adapting loop, and BellmanLog rebuilds every tick's sample
     # stacked after the loop: bellman_sample on one step's Python floats,
     # read from the log rows, must equal its logged row bit for bit (the
     # replay test finds that the loop stepped on exactly these samples)
@@ -193,9 +195,9 @@ OVERRIDES = {"as_configured": {}, "tol_conv_0": {"tol_conv": 0.0},
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
 def test_learner_steps_replay_from_log(config, override):
     # every learner step the adapting loop took, replayed on its own from
-    # the log rows by the standalone chain, leaves the theta and gain of the
-    # next row (theta_final and pi_final after the last one) bit for bit;
-    # and the replay's step, singular-skip and clamp counts and freeze
+    # the log rows by the sequential references, leaves the theta and gain
+    # of the next row (theta_final and pi_final after the last one) bit for
+    # bit; and the replay's step, singular-skip and clamp counts and freeze
     # times are the episode's own
     c = load_config(config)
     learning = dataclasses.replace(c.learning, **OVERRIDES[override])
@@ -214,3 +216,22 @@ def test_learner_steps_replay_from_log(config, override):
     if override == "eps_sing_1e300":
         assert all(r.counts["singular_skips"] == r.counts["steps"] for r in replayed.values())
         assert replayed["cl"].counts["steps"] > 0
+
+
+def test_replay_catches_a_wrong_critic_piece(monkeypatch, default_config):
+    # a critic piece whose normalizer adds 1.0, compiled into a fresh
+    # adapting loop: the replay, which computes the critic step on its own,
+    # must disagree with the first closed-loop step the loop logs
+    critic = learner._critic_update
+
+    def wrong(out, t, z):
+        lines = critic(out, t, z)
+        assert lines[1].startswith("denom = ")
+        return [lines[0], lines[1] + " + 1.0", *lines[2:]]
+
+    c = default_config
+    monkeypatch.setattr(learner, "_critic_update", wrong)
+    monkeypatch.setattr(control_loop, "_ADAPT", learner._Kernels(control_loop._adapt_source))
+    log = run_episode(c.model, c.reference, c.learning, horizon=c.horizon)
+    first = replay(log, c.model, c.learning, initial_strategies(c.model, c.learning))["cl"].steps[0]
+    assert np.array(first.theta).tobytes() != log.theta_hist["cl"][first.k + 2].tobytes()

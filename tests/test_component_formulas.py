@@ -20,9 +20,11 @@ and to the tick spelled out with the same sums (seq_tick); the tail then
 derives its outputs and actions with dot on the log's columns, whose rows
 test_frozen_tail pins to the same sums.  policy_from_kernel's
 kernel is checked against -(v * (1 / s)) for kernels of 2-7 rows.  The
-learner step piece that the adapting loop inlines, compiled on its own as
-_STEP, must give the bits of the chain of standalone kernels, and no
-generated kernel, the adapting loop included, may call sum().
+learner step piece that the adapting loop inlines (learner._learner_step)
+and its critic, actor and convergence pieces, each compiled here on its
+own since the package compiles them only into the loop, must give the bits
+of the sequential references on one tick (the step runs on no stack), and
+no generated kernel, the adapting loop included, may call sum().
 """
 
 import ast
@@ -39,8 +41,9 @@ from modelfollow.control_loop import (
 )
 from modelfollow.dynamics import held_input_maps
 from modelfollow.learner import (
-    _STEP, LearningConfig, SingularKernelError, actor_update, bellman_regressor, critic_update,
-    dot, kernel_converged, policy_from_kernel, quadratic_form, theta_to_S, utility,
+    _CONFIG_LINES, LearningConfig, SingularKernelError, _kernel_source, _learner_step, _names,
+    _unpack, _unpack_rows, bellman_regressor, dot, policy_from_kernel, quadratic_form, theta_to_S,
+    utility,
 )
 from sequential import (
     seq_actor_update, seq_critic_update, seq_distance, seq_dot, seq_policy_row,
@@ -106,6 +109,35 @@ def same_rows(stacked, per_tick):
         assert stacked[i].tobytes() == np.asarray(value, dtype=float).tobytes(), i
 
 
+# The critic step, the actor step and the convergence test are pieces of
+# the learner step (learner._learner_step) only, which the adapting loop
+# inlines; each is compiled here on its own for n components of t and z,
+# the step's names, with the step's scalars as arguments.  The critic and
+# the actor update t in place, as the step does, and return it.
+def _piece_source(n, scalars, lines, result):
+    return _kernel_source(f"t, z, {scalars}", [_unpack("t", n), _unpack("z", n), *lines], result)
+
+
+def critic_source(n):
+    t, z = _names("t", n), _names("z", n)
+    return _piece_source(n, "phi, sigma_c, alpha_c", learner._critic_update(t, t, z),
+                         f"[{', '.join(t)}]")
+
+
+def actor_source(n):
+    t, z = _names("t", n), _names("z", n)
+    return _piece_source(n, "phi_target, sigma_a, alpha_a, rate_limit",
+                         learner._actor_update(t, t, z), f"[{', '.join(t)}]")
+
+
+def converged_source(n):
+    lines = learner._kernel_converged("settled", _names("t", n), _names("z", n), range(n))
+    return _piece_source(n, "tol_conv", lines, "settled")
+
+
+CRITIC, ACTOR, CONVERGED = map(learner._Kernels, (critic_source, actor_source, converged_source))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 10, 16])
 def test_sums_of_signed_zeros_are_positive(n):
     # every product -0.0: the loop's s = 0.0 start makes the sum +0.0, and
@@ -115,8 +147,8 @@ def test_sums_of_signed_zeros_are_positive(n):
     same_bytes(quadratic_form(one, [neg] * n), 0.0)
     assert seq_dot(neg, one) == 0.0 and np.signbit(-0.0)
     # theta . z = +0.0, so the critic's residual is 0.0 - phi
-    same_bytes(critic_update(neg, one, -0.0, 0.5, 1.8), seq_critic_update(neg, one, -0.0, 0.5, 1.8))
-    same_bytes(actor_update(neg, one, -0.0, 0.5, 1.8), seq_actor_update(neg, one, -0.0, 0.5, 1.8))
+    same_bytes(CRITIC[n](neg, one, -0.0, 0.5, 1.8), seq_critic_update(neg, one, -0.0, 0.5, 1.8))
+    same_bytes(ACTOR[n](neg, one, -0.0, 0.5, 1.8, None), seq_actor_update(neg, one, -0.0, 0.5, 1.8))
 
 
 @given(st.data(), N_ROWS, SIZES, SEQUENCES, LAYOUTS, LAYOUTS)
@@ -163,44 +195,36 @@ def test_monomials_and_regressor(data, n, d, seq, layout_t, layout_next):
     same_rows(bellman_regressor(A, B), per_tick)
 
 
-@given(st.data(), N_ROWS, SIZES, SEQUENCES, LAYOUTS, PACES, ALPHAS)
-def test_critic_update(data, n, d, seq, layout, sigma, alpha):
+@given(st.data(), N_ROWS, SIZES, SEQUENCES, PACES, ALPHAS)
+def test_critic_update(data, n, d, seq, sigma, alpha):
+    # the learner step's critic piece, on one tick at a time: the step
+    # runs on one tick's floats only, so no stack
     theta, z = data.draw(stacks(d, n)), data.draw(stacks(d, n))
     phi = data.draw(stacks(1, n))
-    per_tick = [critic_update(seq(t), seq(zi), p[0], sigma, alpha)
-                for t, zi, p in zip(theta, z, phi)]
-    for value, t, zi, p in zip(per_tick, theta, z, phi):
-        same_bytes(value, seq_critic_update(t, zi, p[0], sigma, alpha))
-    stacked = columns(layout(np.hstack([theta, z, phi])))
-    T, Z, P = stacked[:d], stacked[d:2 * d], stacked[2 * d]
-    same_bytes(critic_update(T, Z, P, sigma, alpha), seq_critic_update(T, Z, P, sigma, alpha))
-    same_rows(critic_update(T, Z, P, sigma, alpha), per_tick)
+    for t, zi, p in zip(theta, z, phi):
+        same_bytes(CRITIC[d](seq(t), seq(zi), p[0], sigma, alpha),
+                   seq_critic_update(t, zi, p[0], sigma, alpha))
 
 
-@given(st.data(), N_ROWS, SIZES, SEQUENCES, LAYOUTS, PACES, ALPHAS,
+@given(st.data(), N_ROWS, SIZES, SEQUENCES, PACES, ALPHAS,
        st.sampled_from([None, 0.0, 0.002, 1.0]))
-def test_actor_update(data, n, d, seq, layout, sigma, alpha, limit):
+def test_actor_update(data, n, d, seq, sigma, alpha, limit):
     pi, F = data.draw(stacks(d, n)), data.draw(stacks(d, n))
     target = data.draw(stacks(1, n))
     for p, f, t in zip(pi, F, target):
-        same_bytes(actor_update(seq(p), seq(f), t[0], sigma, alpha, rate_limit=limit),
+        same_bytes(ACTOR[d](seq(p), seq(f), t[0], sigma, alpha, limit),
                    seq_actor_update(p, f, t[0], sigma, alpha, rate_limit=limit))
-    # the clamp compares one residual, so a stack runs unclamped
-    per_tick = [actor_update(seq(p), seq(f), t[0], sigma, alpha) for p, f, t in zip(pi, F, target)]
-    stacked = columns(layout(np.hstack([pi, F, target])))
-    P, G, T = stacked[:d], stacked[d:2 * d], stacked[2 * d]
-    same_bytes(actor_update(P, G, T, sigma, alpha), seq_actor_update(P, G, T, sigma, alpha))
-    same_rows(actor_update(P, G, T, sigma, alpha), per_tick)
 
 
 @given(st.data(), SIZES, SEQUENCES)
 def test_kernel_converged(data, d, seq):
     # at tol = the distance the test is false and one ulp above it true, so
-    # a distance one ulp off the loop's fails on one side
+    # a distance one ulp off the loop's fails on one side; the kernels are
+    # given entrywise, each entry its own index
     S_prev, S_next = data.draw(vectors(d)), data.draw(vectors(d))
     distance = seq_distance(S_prev, S_next)
     for tol in (distance, np.nextafter(distance, np.inf)):
-        assert kernel_converged(seq(S_prev), seq(S_next), tol) is (distance < tol)
+        assert CONVERGED[d](seq(S_prev), seq(S_next), tol) is (distance < tol)
 
 
 def check_policy(S, d, n_features=None, eps_sing=1e-8):
@@ -345,13 +369,34 @@ def test_tick_on_identity_columns(layout):
 STEP_VALUES = st.sampled_from([FLOATS, st.integers(-10**9, 10**9).map(lambda i: i / 1e8)])
 
 
+def step_source(key):
+    """The learner step the adapting loop inlines (learner._learner_step),
+    compiled on its own for n features and the stage-cost kind ("cl" or
+    "err") of key = (n, kind): kernel(theta, pi, F, F_next, mu, form, cfg)
+    returns the new theta, the new gain (pi itself for a singular kernel),
+    whether the kernel settled and whether the rate limit clamped the actor
+    residual."""
+    n, kind = key
+    m, w = (n + 1) * (n + 2) // 2, n + 1 if kind == "cl" else n
+    t, p, th = _names("t", m), _names("p", n), _names("th", m)
+    lines = [*_CONFIG_LINES, _unpack("t", m), _unpack("p", n), _unpack("F", n), _unpack("G", n),
+             _unpack_rows("W", w),
+             *_learner_step(kind, t, p, _names("F", n), _names("G", n), "mu", "W",
+                            [f"return [{', '.join(th)}], p, settled, False"], [])]
+    return _kernel_source("t, p, F, G, mu, W, cfg", lines,
+                          f"[{', '.join(th)}], [{', '.join(p)}], settled, clamped")
+
+
+STEP = learner._Kernels(step_source)
+
+
 @given(st.data(), st.integers(1, 6), st.sampled_from(["cl", "err"]),
        st.sampled_from([None, 0.0, 0.002, 1.0]), st.sampled_from([1e-8, 1.0, 1e300]),
        st.sampled_from([1e-4, 1e300, None]), PACES, ALPHAS, PACES, ALPHAS)
 def test_fused_learner_step(data, n, kind, limit, eps_sing, tol_conv, sigma_c, alpha_c,
                             sigma_a, alpha_a):
     # the learner step of a strategy with n features, the piece the
-    # adapting loop inlines, gives what the chain of standalone formulas
+    # adapting loop inlines, gives what the chain of sequential references
     # gives, byte for byte: the Bellman sample, the critic step, the
     # convergence test of the new kernel against the kernel of theta (read
     # through the theta layout), the greedy gain (a singular kernel keeps
@@ -373,35 +418,34 @@ def test_fused_learner_step(data, n, kind, limit, eps_sing, tol_conv, sigma_c, a
                             values[m + 2 * n:m + 3 * n])
     mu, flat = values[m + 3 * n], values[m + 3 * n + 1:]
     form = [flat[i * w:(i + 1) * w] for i in range(w)]
-    z_tilde, phi = bellman_sample("cl" if kind == "cl" else "ob", F, mu, F_next, pi, cfg, form)
-    want_theta = critic_update(theta, z_tilde, phi, sigma_c, alpha_c)
+    Z_t = [*F, mu]
+    z_tilde = seq_regressor(Z_t, [*F_next, seq_dot(pi, F_next)])
+    phi = (seq_quadratic_form(Z_t, form) if kind == "cl" else
+           cfg.delta * (0.5 * (seq_quadratic_form(F, form) + (mu * cfg.R) * mu)))
+    want_theta = seq_critic_update(theta, z_tilde, phi, sigma_c, alpha_c)
     want_S = theta_to_S(want_theta)
+    distance = seq_distance(theta_to_S(theta), want_S)
     if tol_conv is None:
-        distance = seq_distance(theta_to_S(theta), want_S)
         tol_conv = distance if math.isfinite(distance) else 1e-4
     cfg.tol_conv = tol_conv
-    got_theta, got_pi, settled, clamped = _STEP[n, kind](theta, pi, F, F_next, mu, form, cfg)
-    try:
-        gain = policy_from_kernel(want_S, n_features=n, eps_sing=eps_sing)[0]
-    except SingularKernelError:
+    got_theta, got_pi, settled, clamped = STEP[n, kind](theta, pi, F, F_next, mu, form, cfg)
+    if abs(want_S[-1]) < eps_sing:
         assert got_pi is pi and clamped is False
     else:
-        target = dot(gain, F)
-        same_bytes(got_pi, actor_update(pi, F, target, sigma_a, alpha_a, rate_limit=limit))
+        target = seq_dot(seq_policy_row(want_S, n + 1), F)
+        same_bytes(got_pi, seq_actor_update(pi, F, target, sigma_a, alpha_a, rate_limit=limit))
         # a clamp moves the residual, which a NaN residual is not
-        assert clamped is (limit is not None and abs(dot(pi, F) - target) > limit)
+        assert clamped is (limit is not None and abs(seq_dot(pi, F) - target) > limit)
     same_bytes(got_theta, want_theta)
-    assert settled is kernel_converged(theta_to_S(theta), want_S, tol_conv)
+    assert settled is (distance < tol_conv)
 
 
 def kernel_keys(n):
     """{(module, name): keys}: the keys of every generated kernel of vector,
     feature or plant size n (policy_from_kernel's of an n x n kernel)."""
     keys = {(learner, name): [n] for name in (
-        "_DOT", "_QUADRATIC_FORM", "_UTILITY", "_BELLMAN_REGRESSOR", "_CRITIC_UPDATE",
-        "_ACTOR_UPDATE", "_KERNEL_CONVERGED")}
+        "_DOT", "_QUADRATIC_FORM", "_UTILITY", "_BELLMAN_REGRESSOR")}
     keys[learner, "_POLICY_FROM_KERNEL"] = [n * n]
-    keys[learner, "_STEP"] = [(n, "cl"), (n, "err")]
     for name in ("_TICK", "_ADAPT"):
         keys[control_loop, name] = [n]
     return keys

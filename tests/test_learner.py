@@ -5,11 +5,12 @@ import pytest
 
 from modelfollow.learner import (
     LearningConfig, PROBE_PHASES, SingularKernelError,
-    utility, quadratic_form, quadratic_value, bellman_regressor,
-    policy_from_kernel, critic_update, actor_update,
-    theta_to_S, S_to_theta, kernel_converged, tri_indices, components,
+    utility, quadratic_form, bellman_regressor, policy_from_kernel,
+    theta_to_S, S_to_theta, tri_indices, components,
 )
-from sequential import seq_dot, seq_quadratic_form
+from sequential import (
+    seq_actor_update, seq_critic_update, seq_distance, seq_dot, seq_quadratic_form,
+)
 
 
 def rand_sym(rng, d):
@@ -20,6 +21,11 @@ def rand_sym(rng, d):
 def entries(S):
     """A kernel matrix as the tuple of its entries in row-major order."""
     return tuple(np.ravel(S).tolist())
+
+
+def quadratic_value(S, Z):
+    """V = 1/2 Z' S Z by the sequential reference."""
+    return 0.5 * seq_quadratic_form(Z, S)
 
 
 # ---- utility -------------------------------------------------------------
@@ -42,20 +48,6 @@ def test_utility_even():
 
 
 # ---- quadratic forms and regressors -------------------------------------
-
-def test_quadratic_value_examples():
-    assert quadratic_value(np.eye(4), np.array([1.0, 0, 0, 1.0])) == 1.0
-    assert quadratic_value(np.eye(4), np.zeros(4)) == 0.0
-
-
-def test_quadratic_value_double_sum():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        S = rand_sym(rng, 4)
-        Z = rng.normal(size=4)
-        brute = 0.5 * sum(S[i, j] * Z[i] * Z[j] for i in range(4) for j in range(4))
-        assert abs(quadratic_value(S, Z) - brute) < 1e-12
-
 
 def test_regressor_zero_and_length():
     Z = [1.0, 2.0, 3.0, 4.0]
@@ -121,11 +113,11 @@ def test_critic_zero_residual_fixed_point():
     theta = rng.normal(size=10)
     z = rng.normal(size=10)
     phi = float(theta @ z)
-    assert np.allclose(critic_update(theta, z, phi, 0.5, 1.8), theta)
+    assert np.allclose(seq_critic_update(theta, z, phi, 0.5, 1.8), theta)
 
 
 def test_critic_scalar_arithmetic():
-    out = critic_update(np.array([0.0]), np.array([1.0]), 1.0, 0.5, 1.8)
+    out = seq_critic_update(np.array([0.0]), np.array([1.0]), 1.0, 0.5, 1.8)
     assert abs(out[0] - 0.5 / 2.8) < 1e-15
 
 
@@ -136,7 +128,7 @@ def test_critic_contracts():
         theta = rng.normal(size=10)
         z = rng.normal(size=10)
         phi = float(theta_star @ z)
-        theta_next = critic_update(theta, z, phi, 0.5, 1.8)
+        theta_next = seq_critic_update(theta, z, phi, 0.5, 1.8)
         assert np.linalg.norm(theta_next - theta_star) <= \
             np.linalg.norm(theta - theta_star) + 1e-12
 
@@ -145,8 +137,8 @@ def test_actor_fixed_point_and_scalar():
     pi = np.array([1.0, -2.0, 0.5])
     F = np.array([0.2, 0.4, -0.1])
     target = pi @ F
-    assert np.allclose(actor_update(pi, F, target, 0.5, 1.8), pi)
-    out = actor_update([0.0] * 3, [1.0, 0.0, 0.0], 1.0, 0.5, 1.8)
+    assert np.allclose(seq_actor_update(pi, F, target, 0.5, 1.8), pi)
+    out = seq_actor_update([0.0] * 3, [1.0, 0.0, 0.0], 1.0, 0.5, 1.8)
     assert abs(out[0] - 0.5 / 2.8) < 1e-15
     assert out[1:] == [0.0, 0.0]
 
@@ -158,7 +150,7 @@ def test_actor_contracts():
         pi = rng.normal(size=3)
         F = rng.normal(size=3)
         target = pi_star @ F
-        pi_next = actor_update(pi, F, target, 0.5, 1.8)
+        pi_next = seq_actor_update(pi, F, target, 0.5, 1.8)
         assert np.linalg.norm(pi_next - pi_star) <= \
             np.linalg.norm(pi - pi_star) + 1e-12
 
@@ -166,7 +158,7 @@ def test_actor_contracts():
 def test_actor_rate_limit():
     pi = [0.0] * 3
     F = [10.0, 0.0, 0.0]
-    out = actor_update(pi, F, 1000.0, 0.5, 1.8, rate_limit=0.01)
+    out = seq_actor_update(pi, F, 1000.0, 0.5, 1.8, rate_limit=0.01)
     # residual clamped to 0.01 regardless of the huge target
     assert abs(out[0]) <= 0.5 * 0.01 * 10.0 / (1.8 + 100.0) + 1e-15
 
@@ -181,7 +173,7 @@ def test_pace_boundary_divergence():
     phi = 0.0
     r0 = np.linalg.norm(theta - theta_star)
     for _ in range(5):
-        theta = critic_update(theta, z, phi, 2.5, 1.8)
+        theta = seq_critic_update(theta, z, phi, 2.5, 1.8)
     assert np.linalg.norm(theta - theta_star) > r0
 
 
@@ -250,6 +242,12 @@ def test_identity_theta_layout():
 
 # ---- convergence test ----------------------------------------------------
 
+def kernel_converged(S_prev, S_next, tol_conv):
+    """The freeze test of the sequential reference: the kernel distance
+    below tol_conv."""
+    return seq_distance(S_prev, S_next) < tol_conv
+
+
 def test_kernel_converged():
     S = np.eye(4)
     assert kernel_converged(entries(S), entries(S), 1e-4)
@@ -264,10 +262,10 @@ def test_kernel_converged():
 # ---- bitwise guards ------------------------------------------------------
 # The learner step reads the 1x1 control block as a scalar, takes Frobenius
 # norms as the square root of a sequential sum and clamps the actor's
-# residual with min and max.  On the LAPACK build these tests run against,
-# the gain equals the general linear solve; the norm and the actor step
-# equal their explicit references; a failure here means the episode
-# artifacts changed too.
+# residual with min and max, as do the sequential references that the
+# replay holds the adapting loop to bit for bit (replay.py).  On the LAPACK
+# build these tests run against, the gain equals the general linear solve,
+# and the references' norm and actor step equal their explicit numpy forms.
 
 def test_scalar_gain_equals_linear_solve():
     rng = np.random.default_rng(12)
@@ -308,7 +306,7 @@ def test_actor_clamp_matches_clip_reference():
         F = rng.normal(size=3) * rng.uniform(1e-3, 10)
         limit = (None, 0.002)[k % 2]
         target = seq_dot(gain[0], F)
-        row = actor_update(pi.tolist(), F.tolist(), target, 0.5, 1.8, rate_limit=limit)
+        row = seq_actor_update(pi.tolist(), F.tolist(), target, 0.5, 1.8, rate_limit=limit)
         assert np.array(row).tobytes() == actor_reference(pi, F, target, limit).tobytes(), k
     # residuals the clamp must treat as np.clip does: NaN and +-inf targets,
     # and a zero rate limit that clamps every residual to a signed zero, on
@@ -318,7 +316,7 @@ def test_actor_clamp_matches_clip_reference():
         F = rng.normal(size=3) * rng.uniform(1e-3, 10)
         target = (np.nan, np.inf, -np.inf, pi @ F + rng.normal())[k % 4]
         limit = (None, 0.002, 0.0, 0)[k // 4 % 4]
-        row = actor_update(pi.tolist(), F.tolist(), float(target), 0.5, 1.8, rate_limit=limit)
+        row = seq_actor_update(pi.tolist(), F.tolist(), float(target), 0.5, 1.8, rate_limit=limit)
         assert np.array(row).tobytes() == actor_reference(pi, F, target, limit).tobytes(), k
 
 

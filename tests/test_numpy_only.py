@@ -61,3 +61,22 @@ print(json.dumps({{"blocked": blocked, "run": run, "oracle_check": check}}))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"blocked": True, "run": 0, "oracle_check": 0}
     assert (outdir / "trajectory.csv").exists()
+
+
+def test_import_and_parse_compile_nothing(tmp_path):
+    # the generated kernels compile on their first call: importing the CLI
+    # and parsing a config, the start-up path of every command, compile none
+    code = f"""
+import json
+from modelfollow.cli_io import parse_config
+from modelfollow import control_loop, learner
+parse_config(open({str(DEFAULT_CONFIG)!r}, encoding="utf-8").read())
+tables = {{f"{{module.__name__}}.{{name}}": len(value) for module in (learner, control_loop)
+          for name, value in vars(module).items() if isinstance(value, learner._Kernels)}}
+print(json.dumps({{"compile_s": learner._Kernels.compile_s, "tables": tables}}))
+"""
+    proc = _python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["compile_s"] == 0.0
+    assert out["tables"] and all(size == 0 for size in out["tables"].values()), out["tables"]

@@ -9,10 +9,8 @@ from scipy.linalg import expm, solve_discrete_are, solve_discrete_lyapunov
 from modelfollow import oracle
 from modelfollow.cli_io import load_config
 from modelfollow.dynamics import rk4_step
-from modelfollow.learner import (
-    bellman_regressor, critic_update, quadratic_value, policy_from_kernel,
-    S_to_theta,
-)
+from modelfollow.learner import bellman_regressor, policy_from_kernel
+from sequential import seq_critic_update, seq_quadratic_form
 
 
 def test_zoh_zero_drift():
@@ -169,7 +167,7 @@ def test_zoh_vs_rk4(model):
 def test_integrated_stage_cost_matches_first_order(model):
     delta = 0.01
     Q = 0.05 * np.eye(3)
-    G = oracle.integrated_stage_cost(model.A_hat, model.B_hat, Q, 0.01, delta)
+    G = oracle._cost_exponential(model.A_hat, model.B_hat, Q, 0.01, delta)[0]
     Q_bar, R_bar = oracle.stage_cost(Q, 0.01, delta)
     first = np.zeros((4, 4))
     first[:3, :3] = Q_bar
@@ -185,7 +183,7 @@ def test_policy_value_kernel_bellman_identity(model):
     gain = np.array([-3.5711, -0.2329, 0.2986])
     S = oracle.policy_value_kernel(model.A_hat, model.B_hat, gain, Q, 0.01, delta)
     A_d, B_d = oracle.zoh_discretize(model.A_hat, model.B_hat, delta)
-    G = oracle.integrated_stage_cost(model.A_hat, model.B_hat, Q, 0.01, delta)
+    G = oracle._cost_exponential(model.A_hat, model.B_hat, Q, 0.01, delta)[0]
     rng = np.random.default_rng(11)
     for _ in range(20):
         x = rng.normal(size=3)
@@ -193,7 +191,7 @@ def test_policy_value_kernel_bellman_identity(model):
         Z = np.concatenate([x, [v]])
         xn = A_d @ x + B_d[:, 0] * v
         Zn = np.concatenate([xn, [float(gain @ xn)]])
-        lhs = quadratic_value(S, Z) - quadratic_value(S, Zn)
+        lhs = 0.5 * seq_quadratic_form(Z, S) - 0.5 * seq_quadratic_form(Zn, S)
         rhs = float(Z @ G @ Z)
         assert abs(lhs - rhs) < 1e-12
 
@@ -243,7 +241,7 @@ def test_projection_cycles_reach_batch_solution():
     theta = np.zeros(10)
     for _ in range(400):
         for z, phi in data:
-            theta = critic_update(theta, z, phi, 0.5, 1.8)
+            theta = seq_critic_update(theta, z, phi, 0.5, 1.8)
     assert np.linalg.norm(theta - batch) < 1e-4
 
 
@@ -303,7 +301,7 @@ def test_numpy_oracle_matches_scipy_reference(delta):
         A_d, B_d, G, S = _scipy_reference(A, B, gain, Q, R, delta)
         got_A, got_B = oracle.zoh_discretize(A, B, delta)
         assert _rel(got_A, A_d) <= 1e-13 and _rel(got_B, B_d) <= 1e-13
-        assert _rel(oracle.integrated_stage_cost(A, B, Q, R, delta), G) <= 1e-13
+        assert _rel(oracle._cost_exponential(A, B, Q, R, delta)[0], G) <= 1e-13
         assert _rel(oracle.policy_value_kernel(A, B, gain, Q, R, delta), S) <= 2e-13
 
 

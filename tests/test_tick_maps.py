@@ -129,5 +129,5 @@ def test_maps_against_exponential_oracle(model, default_config):
         assert rel_err(L[-1, :, :3], A_d) <= 1e-9
         assert rel_err(L[-1, :, 3:], B_d) <= 1e-9
         # the trapezoid on the substep grid is the only approximation left
-        G = oracle.integrated_stage_cost(A, B, Q, R, DELTA)
+        G = oracle._cost_exponential(A, B, Q, R, DELTA)[0]
         assert rel_err(tick_cost_form(L, Q, R, h), G) <= 1e-4
