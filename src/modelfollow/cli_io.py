@@ -462,10 +462,16 @@ def cmd_oracle_check(args, config):
     model, cfg = config.model, config.learning
     A_d, B_d = oracle.zoh_discretize(model.A_hat, model.B_hat, cfg.delta)
     Q_bar, R_bar = oracle.stage_cost(cfg.Q, cfg.R, cfg.delta)
-    P = oracle.solve_dare(A_d, B_d, Q_bar, R_bar)
+    try:
+        P = oracle.solve_dare(A_d, B_d, Q_bar, R_bar)
+    except oracle.NoConvergenceError as exc:
+        print(f"oracle error: {exc}", file=sys.stderr)
+        return 1
     dmodel = oracle.DiscreteModel(A_d, B_d, Q_bar, R_bar, cfg.delta)
     S_star = oracle.qfun_kernel(P, dmodel)
-    oracle_gain = policy_from_kernel(S_star, n_features=model.n).reshape(-1)
+    # the control block R_bar + B_d' P B_d is positive whenever R_bar is, at
+    # any cost scale, so no singularity floor applies
+    oracle_gain = policy_from_kernel(S_star, n_features=model.n, eps_sing=0.0).reshape(-1)
     # textbook discrete LQR gain -K for comparison, and the DARE residual
     K = np.linalg.solve(R_bar + B_d.T @ P @ B_d, B_d.T @ P @ A_d)
     lqr_gain = -K.reshape(-1)
@@ -564,7 +570,12 @@ def main(argv=None):
     except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    return args.func(args, config)
+    # an episode too long to allocate
+    try:
+        return args.func(args, config)
+    except MemoryError as exc:
+        print(f"run error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -150,13 +150,13 @@ class EpisodeLog:
     its final values.
     regressors[s] is a pair (Z, phi): one Bellman regressor row (Z has
     theta's size columns) and one stage cost per tick on which strategy s
-    ran a learner step or would have, had it not frozen; empty when no
-    learning ran, else a BellmanLog, which builds each strategy's pair
-    from the log on the first read of its key.
+    ran a learner step or would have, had it not frozen; a BellmanLog,
+    which builds each strategy's pair from the log on the first read of
+    its key.
     learner_counts[s] counts strategy s's learner steps ("steps"), the
     steps whose new kernel was singular, so the actor kept its gain
     ("singular_skips"), and the actor residuals the rate limit clamped
-    ("clamped"); all zero when it did not learn.
+    ("clamped"); all zero when it was frozen from the start.
     M is the lifted-state map of the frozen tail (_frozen_tail), None when
     no tail ran.
     timings holds the wall milliseconds of each layer of the episode
@@ -176,10 +176,12 @@ class EpisodeLog:
         for name, size in sizes:
             self._fields[name] = col if size is None else slice(col, col + size)
             col += 1 if size is None else size
-        self._table = np.zeros((rows, col))
+        try:
+            self._table = np.zeros((rows, col))
+        except ValueError as exc:  # numpy's "array is too big"
+            raise MemoryError(f"an episode log of {rows} rows x {col} columns "
+                              f"({rows * col * 8 / 2**30:.3g} GiB) is too big") from exc
         self._bind()
-        self.regressors = {s: (np.zeros((0, len(states[s].theta))), np.zeros(0))
-                           for s in STRATEGIES}
         self.t_converged = dict.fromkeys(STRATEGIES)
         self.learner_counts = {s: dict.fromkeys(LEARNER_COUNTS, 0) for s in STRATEGIES}
         self.pi_final = {}
@@ -648,26 +650,23 @@ def _frozen_tail(log, k0, z, gains, maps, probe):
     log.v[rows] = log.u_ob[rows] + u_total
 
 
-def run_episode(model, ref_spec, cfg, horizon=20.0,
-                learning_enabled=True, initial=None, x0=None, xhat0=None):
-    """Simulate one episode and return its log.
+def run_episode(model, ref_spec, cfg, horizon=20.0, initial=None):
+    """Simulate one episode from rest and return its log.
 
     Args:
         model: ProcessModel with the exact and desired systems.
         ref_spec: ReferenceSpec for the command generator.
         cfg: LearningConfig.
         horizon: episode length in seconds.
-        learning_enabled: when False the critic/actor updates are skipped,
-            the initial gains act as fixed controllers and log.regressors
-            stays empty.
         initial: optional dict of StrategyState overriding the defaults;
-            once the adapting loop returns, each state takes its final
-            theta, pi, settled-step count and freeze.
+            a frozen state does not adapt, so its gain acts as a fixed
+            controller.  Once the adapting loop returns, each state takes
+            its final theta, pi, settled-step count and freeze.
 
-    From the first tick on which every strategy acts and none adapts (the
-    learning has frozen, is off, or every initial state is frozen), the
-    rest of the episode runs as the fixed affine recurrence of _frozen_tail
-    instead of tick by tick.
+    From the first tick on which every strategy acts and none adapts (each
+    has converged or was frozen from the start), the rest of the episode
+    runs as the fixed affine recurrence of _frozen_tail instead of tick by
+    tick.
 
     Returns:
         EpisodeLog.  Divergence stops the episode early and is recorded in
@@ -690,9 +689,6 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
     Q = cfg.Q.tolist()
     forms = {"ob": Q, "cl": tick_cost_form(L_hat, cfg.Q, cfg.R, h).tolist(), "mf": Q}
 
-    x = [0.0] * n if x0 is None else np.asarray(x0, dtype=float).tolist()
-    xh = [0.0] * n if xhat0 is None else np.asarray(xhat0, dtype=float).tolist()
-
     log = EpisodeLog(n_ticks + 1, n, states)
     # the exogenous signals depend on t only: the sample times accumulate
     # t + delta as the tick clock does, the reference is taken at them and
@@ -706,8 +702,8 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
     ordered = [states[s] for s in STRATEGIES]
     pack = Struct(f"={log._table.shape[1] - len(EXOGENOUS)}d").pack_into
     k, diverged, z, learned = _timed(log.timings, "adapt_ms", lambda: _ADAPT[n](
-        x, xh, [st.theta for st in ordered], [st.pi for st in ordered],
-        [learning_enabled and not st.frozen for st in ordered], [st.conv_count for st in ordered],
+        [0.0] * n, [0.0] * n, [st.theta for st in ordered], [st.pi for st in ordered],
+        [not st.frozen for st in ordered], [st.conv_count for st in ordered],
         log.yref.tolist(), probe.tolist(), maps, [forms[s] for s in STRATEGIES], cfg,
         log._table, pack))
     for s, st, (theta, pi, conv, t_conv, *counts) in zip(STRATEGIES, ordered, learned):
@@ -733,8 +729,7 @@ def run_episode(model, ref_spec, cfg, horizon=20.0,
     for s in STRATEGIES:
         log.theta_hist[s][tail_start:] = states[s].theta
         log.pi_hist[s][tail_start:] = states[s].pi
-    if learning_enabled:
-        log.regressors = BellmanLog(log, cfg, forms)
+    log.regressors = BellmanLog(log, cfg, forms)
     for s in STRATEGIES:
         log.pi_final[s] = np.array(states[s].pi)
         log.theta_final[s] = np.array(states[s].theta)

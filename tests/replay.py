@@ -61,14 +61,14 @@ class Replay:
     t_converged: float | None
 
 
-def replay(log, model, cfg, start, learning=True, chained=False):
+def replay(log, model, cfg, start, chained=False):
     """{s: Replay} of every strategy of an episode run with cfg on model.
 
     start holds each strategy's StrategyState as the episode began (its
     theta, gain, frozen flag and settled-step count).  A strategy adapts
-    from its warm-up lag on while learning is on and it has not frozen,
-    through the last tick the per-tick loop ran (a frozen tail starts only
-    once every strategy has frozen, and a diverging tick logs no row).
+    from its warm-up lag on while it has not frozen, through the last tick
+    the per-tick loop ran (a frozen tail starts only once every strategy
+    has frozen, and a diverging tick logs no row).
     Each step reads its theta and gain from the log row of its tick, or,
     when chained, takes those the replay's own previous step left, starting
     from start; the first form replays each step on its own, the second
@@ -79,7 +79,7 @@ def replay(log, model, cfg, start, learning=True, chained=False):
     out = {}
     for s, (rows, lag, action) in strategy_views(log).items():
         theta, pi, conv = start[s].theta, start[s].pi, start[s].conv_count
-        adapting = learning and not start[s].frozen
+        adapting = not start[s].frozen
         counts = dict.fromkeys(LEARNER_COUNTS, 0)
         steps, t_converged = [], None
         k = lag

@@ -21,6 +21,7 @@ from modelfollow.control_loop import (
     STACK_DEPTH, STRATEGIES, initial_strategies, run_episode, strategy_views,
 )
 from modelfollow.learner import bellman_regressor
+from conftest import frozen_initial
 from replay import replay, stage_cost_forms
 from sequential import seq_dot, seq_quadratic_form
 
@@ -155,9 +156,12 @@ def test_short_and_stopped_episodes_have_empty_logs(model, default_config):
     # need a third sample before their first tick
     log = run_episode(model, c.reference, c.learning, horizon=0.02)
     assert shapes(log) == {"ob": empty, "cl": ((2, 10), (2,)), "mf": empty}
+    # a frozen start takes no learner step, but its log still holds the
+    # sample of every tick, built when read: 100 ticks, 98 with stacks
     log = run_episode(model, c.reference, c.learning, horizon=1.0,
-                      learning_enabled=False)
-    assert shapes(log) == {"ob": empty, "cl": empty, "mf": empty}
+                      initial=frozen_initial(model, c.learning))
+    assert shapes(log) == {"ob": ((98, 10), (98,)), "cl": ((100, 10), (100,)),
+                           "mf": ((98, 10), (98,))}
 
 
 CONFIGS = sorted(CORPUS.glob("*.ini"))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from modelfollow import cli_io
+from modelfollow import cli_io, oracle
 from modelfollow.cli_io import (
     ConfigError, KEYS, RunConfig, parse_config, main,
     write_trajectory_csv, build_summary,
@@ -20,6 +20,7 @@ from modelfollow.control_loop import STRATEGIES, TRAJECTORY, run_episode
 from modelfollow.dynamics import ProcessModel
 from modelfollow.learner import LearningConfig
 from modelfollow.reference import ReferenceSpec
+from conftest import frozen_initial
 
 
 def test_defaults_from_empty_config():
@@ -372,8 +373,12 @@ def test_bellman_rebuild_is_timed_on_first_read(default_config):
     assert log.timings["bellman_ms"] == first
     log.regressors["ob"]
     assert log.timings["bellman_ms"] >= first
-    off = run_episode(c.model, c.reference, c.learning, horizon=2.0, learning_enabled=False)
-    assert off.regressors["cl"][0].shape == (0, 10) and off.timings["bellman_ms"] is None
+    # a frozen start builds its samples on the first read as well
+    frozen = run_episode(c.model, c.reference, c.learning, horizon=2.0,
+                         initial=frozen_initial(c.model, c.learning))
+    assert frozen.timings["bellman_ms"] is None
+    assert frozen.regressors["cl"][0].shape == (200, 10)
+    assert type(frozen.timings["bellman_ms"]) is float
 
 
 def test_trajectory_header_follows_state_width(tmp_path):
@@ -533,6 +538,50 @@ def test_oracle_check_command(tmp_path, capsys):
     assert out["oracle_vs_lqr_formula_delta"] < 1e-10
     assert out["within_tolerance"]
     assert out["regressor_rank"] == 10
+
+
+@pytest.mark.parametrize("k", [-30, -16, 0, 4])
+def test_oracle_gain_is_cost_scale_free(tmp_path, capsys, k):
+    # scaling q and r by 2^k scales the Riccati kernel by 2^k and leaves
+    # its gain unchanged, bit for bit; its control block is never held to
+    # the learner's eps_sing floor, which it falls below from k = -16 on
+    gains = []
+    for scale in (1.0, 2.0 ** k):
+        config = tmp_path / "scaled.ini"
+        config.write_text(f"[learning]\nq = {0.05 * scale!r}\nr = {0.01 * scale!r}\n"
+                          "[run]\nhorizon = 0.1\n")
+        assert main(["oracle-check", str(config)]) in (0, 2)
+        gains.append(np.array(json.loads(capsys.readouterr().out)["oracle_gain"]))
+    assert gains[1].tobytes() == gains[0].tobytes()
+
+
+def test_oracle_error_exit(tmp_path, capsys, monkeypatch):
+    # a Riccati solve that does not converge is one line, before the episode
+    def no_convergence(*args):
+        raise oracle.NoConvergenceError("Riccati doubling did not converge in 60 steps")
+
+    monkeypatch.setattr(oracle, "solve_dare", no_convergence)
+    monkeypatch.setattr(cli_io, "run_episode", None)
+    config = tmp_path / "default.ini"
+    config.write_text("")
+    assert main(["oracle-check", str(config)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "oracle error: Riccati doubling did not converge in 60 steps\n"
+
+
+@pytest.mark.parametrize("command", ["run", "oracle-check"])
+def test_episode_too_long_to_allocate_exit(tmp_path, capsys, command):
+    # a horizon of 1e17 ticks passes the config checks; its log's size is
+    # reported in one line, before anything is allocated
+    config = tmp_path / "long.ini"
+    config.write_text("[run]\nhorizon = 1e15\n")
+    args = [command, str(config)] + (["--outdir", str(tmp_path)] if command == "run" else [])
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("run error: an episode log of 100000000000000001 rows x ")
+    assert "GiB" in err and len(err.splitlines()) == 1
 
 
 def test_config_error_exit(tmp_path, capsys):

@@ -15,6 +15,7 @@ from modelfollow.learner import (
     LearningConfig, S_to_theta, _Kernels, policy_from_kernel, theta_to_S,
 )
 from modelfollow.reference import ReferenceSpec
+from conftest import frozen_initial
 from replay import replay
 from sequential import seq_dot
 
@@ -26,11 +27,12 @@ def quiet_config(**kwargs):
 
 
 def fixed_gain_states(pi_cl, pi_ob=None, pi_mf=None):
+    """Frozen states with the given gains: fixed controllers, no learning."""
     states = {}
     gains = {"cl": pi_cl, "ob": pi_ob, "mf": pi_mf}
     for s in STRATEGIES:
         g = np.zeros(3) if gains[s] is None else np.asarray(gains[s], dtype=float)
-        states[s] = StrategyState(S_to_theta(np.eye(4)), g)
+        states[s] = StrategyState(S_to_theta(np.eye(4)), g, frozen=True)
     return states
 
 
@@ -38,8 +40,7 @@ def test_zero_equilibrium(model):
     # zero gains, zero probe, zero reference: everything stays at rest
     cfg = quiet_config()
     ref = ReferenceSpec("constant", {"value": 0.0})
-    log = run_episode(model, ref, cfg, horizon=1.0,
-                      learning_enabled=False, initial=fixed_gain_states(np.zeros(3)))
+    log = run_episode(model, ref, cfg, horizon=1.0, initial=fixed_gain_states(np.zeros(3)))
     assert log.diverged is None
     assert np.all(np.abs(np.array(log.x)) == 0.0)
     assert np.all(np.array(log.u_total) == 0.0)
@@ -47,28 +48,35 @@ def test_zero_equilibrium(model):
 
 def test_converged_gain_decays(model):
     # fixed closed-loop gain with known spectral abscissa ~ -2.2: the
-    # observed state collapses from a nonzero start with no learning
-    cfg = quiet_config()
+    # observed state collapses with no learning once the probe burst that
+    # moves it off zero ends.  The burst covers the two warm-up ticks, on
+    # which only the closed-loop strategy acts, so the ob/mf signals stay 0
+    burst = 2
+    cfg = LearningConfig(t_probe=burst * 0.01)
     ref = ReferenceSpec("constant", {"value": 0.0})
     gain = np.array([-15.9517, -4.0410, -4.9822])
-    x0 = np.array([1.0, 1.0, 1.0])
-    log = run_episode(model, ref, cfg, horizon=5.0, learning_enabled=False,
-                      initial=fixed_gain_states(gain), x0=x0, xhat0=x0)
+    log = run_episode(model, ref, cfg, horizon=5.0, initial=fixed_gain_states(gain))
     assert log.diverged is None
-    assert np.linalg.norm(log.xhat[-1]) < 1e-2 * np.linalg.norm(x0)
+    assert not log.u_ob.any() and not log.u_mf.any()
+    start = np.linalg.norm(log.xhat[burst])
+    assert start > 0.0
+    assert np.linalg.norm(log.xhat[-1]) < 1e-2 * start
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_nonfinite_state_diverges_on_first_tick(model, default_config, bad):
+def test_nonfinite_state_diverges_on_first_tick(monkeypatch, model, default_config, bad):
     # a nan or inf plant state fails the divergence test like a state
     # outside the 1e7 box, in whichever component it is: the first tick
-    # ends the episode
+    # ends the episode.  Episodes start from rest, so the adapting loop
+    # _ADAPT[3] is handed the nonfinite start in place of run_episode's
     c = default_config
+    loop = control_loop._ADAPT[3]
     for position in range(3):
         x0 = [0.0, 0.0, 0.0]
         x0[position] = bad
+        monkeypatch.setattr(control_loop, "_ADAPT", {3: lambda _, *rest: loop(x0, *rest)})
         with np.errstate(invalid="ignore"):  # inf * 0 in the output and state maps
-            log = run_episode(model, c.reference, c.learning, horizon=1.0, x0=x0)
+            log = run_episode(model, c.reference, c.learning, horizon=1.0)
         assert log.diverged == 0.01, position
         assert len(log.t) == 1 and log.x.shape == (1, 3), position
 
@@ -110,7 +118,7 @@ def test_sample_times_match_tick_clock(model, delta):
     # row k >= 1 holds the end time of tick k - 1, accumulated as t + delta
     # from the tick start t = (k - 1) * delta, bit for bit
     log = run_episode(model, ReferenceSpec(), quiet_config(delta=delta), horizon=20.0,
-                      learning_enabled=False, initial=fixed_gain_states(np.zeros(3)))
+                      initial=fixed_gain_states(np.zeros(3)))
     n = int(round(20.0 / delta))
     assert log.diverged is None and len(log.t) == n + 1
     clock = [0.0] + [(k - 1) * delta + delta for k in range(1, n + 1)]
@@ -251,7 +259,8 @@ def test_one_adapting_loop_per_plant_size(monkeypatch, model, default_config):
     ob_frozen["ob"].frozen = True
     identity = dataclasses.replace(c.learning, init="identity")
     for learning, kwargs in ((c.learning, {}), (staggered.learning, {}),
-                             (c.learning, {"learning_enabled": False}), (identity, {}),
+                             (c.learning, {"initial": frozen_initial(model, c.learning)}),
+                             (identity, {}),
                              (c.learning, {"initial": ob_frozen})):
         run_episode(model, c.reference, learning, horizon=20.0, **kwargs)
     assert list(loops) == [3]
@@ -278,8 +287,7 @@ def _per_tick_history(model, c, **kwargs):
     states = kwargs.pop("initial", None) or initial_strategies(model, learning)
     start = copy.deepcopy(states)
     log = run_episode(model, c.reference, learning, horizon=20.0, initial=states, **kwargs)
-    replayed = replay(log, model, learning, start,
-                      learning=kwargs.get("learning_enabled", True), chained=True)
+    replayed = replay(log, model, learning, start, chained=True)
     rows = len(log.t)
     theta = {s: np.tile(start[s].theta, (rows, 1)) for s in STRATEGIES}
     pi = {s: np.tile(start[s].pi, (rows, 1)) for s in STRATEGIES}
@@ -296,6 +304,29 @@ def _per_tick_history(model, c, **kwargs):
     return log, theta, pi, steps
 
 
+@pytest.mark.parametrize("name", ["default.ini", "pi_cl0_5.ini"])
+def test_frozen_start_is_learning_off(name):
+    # an episode whose every initial state is frozen takes no learner step:
+    # its priors act as fixed controllers throughout, the rest of the
+    # episode after warm-up is the frozen tail, and its Bellman samples
+    # are still built from the log, on the first read
+    c = load_config(CORPUS / name)
+    prior = initial_strategies(c.model, c.learning)
+    log = run_episode(c.model, c.reference, c.learning, horizon=c.horizon,
+                      initial=frozen_initial(c.model, c.learning))
+    assert log.learner_counts == {s: dict.fromkeys(control_loop.LEARNER_COUNTS, 0)
+                                  for s in STRATEGIES}
+    assert log.t_converged == dict.fromkeys(STRATEGIES)
+    for s in STRATEGIES:
+        assert (log.theta_hist[s] == prior[s].theta).all(), s
+        assert (log.pi_hist[s] == prior[s].pi).all(), s
+    assert log.M is not None
+    assert log.timings["bellman_ms"] is None
+    Z, phi = log.regressors["cl"]
+    assert type(log.timings["bellman_ms"]) is float
+    assert len(Z) == len(phi) == len(log.t) - 1
+
+
 @pytest.mark.parametrize("case", ["default", "learning_off", "diverging", "ob_frozen"])
 def test_history_equals_per_tick_record(model, default_config, case):
     # the log writes a strategy's theta/pi only while it adapts and fills
@@ -304,7 +335,7 @@ def test_history_equals_per_tick_record(model, default_config, case):
     c = default_config
     kwargs = {}
     if case == "learning_off":
-        kwargs["learning_enabled"] = False
+        kwargs["initial"] = frozen_initial(model, c.learning)
     elif case == "diverging":
         kwargs["learning"] = parse_config("[learning]\npi_cl0 = [5.0, 5.0, 5.0]\n").learning
     elif case == "ob_frozen":

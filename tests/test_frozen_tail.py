@@ -15,6 +15,7 @@ from modelfollow import control_loop
 from modelfollow.cli_io import parse_config
 from modelfollow.control_loop import STRATEGIES, SUBSTEPS, run_episode, strategy_views
 from modelfollow.dynamics import held_input_maps
+from conftest import frozen_initial
 from sequential import seq_dot
 
 RTOL = 1e-12
@@ -25,8 +26,9 @@ def rel_err(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
-def tail_episode(monkeypatch, text, learning_enabled):
-    """An episode and the first tick of its frozen tail."""
+def tail_episode(monkeypatch, text, learning):
+    """An episode, from frozen initial states unless learning, and the
+    first tick of its frozen tail."""
     starts = []
 
     def spied(log, k0, *args):
@@ -37,22 +39,22 @@ def tail_episode(monkeypatch, text, learning_enabled):
     monkeypatch.setattr(control_loop, "_frozen_tail", spied)
     c = parse_config(text)
     log = run_episode(c.model, c.reference, c.learning, horizon=c.horizon,
-                      learning_enabled=learning_enabled)
+                      initial=None if learning else frozen_initial(c.model, c.learning))
     assert len(starts) == 1
     return c, log, starts[0]
 
 
-@pytest.mark.parametrize("text, learning_enabled, diverged", [
+@pytest.mark.parametrize("text, learning, diverged", [
     ("", True, None),
     ("", False, None),
     ("[learning]\ninit = identity\n", True, 14.02),
     ("[run]\nhorizon = 200\n", True, None),
 ])
-def test_tail_rows_replay_one_tick(monkeypatch, text, learning_enabled, diverged):
-    c, log, k0 = tail_episode(monkeypatch, text, learning_enabled)
+def test_tail_rows_replay_one_tick(monkeypatch, text, learning, diverged):
+    c, log, k0 = tail_episode(monkeypatch, text, learning)
     assert log.diverged == diverged
     cfg, model = c.learning, c.model
-    if learning_enabled:
+    if learning:
         # the tail starts on the tick after the last strategy froze
         assert k0 == round(max(log.t_converged.values()) / cfg.delta)
     else:
@@ -100,14 +102,15 @@ def test_tail_rows_replay_one_tick(monkeypatch, text, learning_enabled, diverged
 
 
 def test_tail_overflow_is_silent():
-    # with learning off the tail starts at the third tick; this prior makes
-    # the plant state leave the 1e7 box on tick 28 and overflow to inf and
-    # nan later in the recurrence, which the log must not show or warn about
+    # from frozen initial states the tail starts at the third tick; this
+    # prior makes the plant state leave the 1e7 box on tick 28 and overflow
+    # to inf and nan later in the recurrence, which the log must not show
+    # or warn about
     c = parse_config("[learning]\npi_cl0 = [100, 100, 100]\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         log = run_episode(c.model, c.reference, c.learning, horizon=20.0,
-                          learning_enabled=False)
+                          initial=frozen_initial(c.model, c.learning))
     # the divergence time of the per-tick loop
     assert log.diverged == 0.29000000000000004
     assert len(log.t) == 29 and np.isfinite(log.x).all()
@@ -115,8 +118,8 @@ def test_tail_overflow_is_silent():
 
 @pytest.mark.parametrize("text", ["", "[learning]\npi_cl0 = [100, 100, 100]\n"])
 def test_tail_stops_within_one_block_of_its_exit(monkeypatch, text):
-    # with learning off the tail starts at the third tick; the default
-    # episode steps every tail row once, and the pi_cl0 = 100 one leaves
+    # from frozen initial states the tail starts at the third tick; the
+    # default episode steps every tail row once, and the pi_cl0 = 100 one leaves
     # the 1e7 box on row 29 (t = 0.29 s), after which the tail steps at most
     # one block of rows more.  The rows up to the exit are those of an
     # episode that ends just before it.
@@ -129,7 +132,8 @@ def test_tail_stops_within_one_block_of_its_exit(monkeypatch, text):
     step_rows = control_loop._step_rows
     monkeypatch.setattr(control_loop, "_step_rows", spied)
     c = parse_config(text)
-    log = run_episode(c.model, c.reference, c.learning, horizon=20.0, learning_enabled=False)
+    log = run_episode(c.model, c.reference, c.learning, horizon=20.0,
+                      initial=frozen_initial(c.model, c.learning))
     k0 = control_loop.STACK_DEPTH - 1
     if not text:
         assert log.diverged is None and sum(stepped) == 2000 - k0
@@ -138,7 +142,8 @@ def test_tail_stops_within_one_block_of_its_exit(monkeypatch, text):
     exit_row = len(log.t) - (k0 + 1)
     assert exit_row < sum(stepped) <= exit_row + control_loop.TAIL_BLOCK
     monkeypatch.undo()
-    short = run_episode(c.model, c.reference, c.learning, horizon=0.28, learning_enabled=False)
+    short = run_episode(c.model, c.reference, c.learning, horizon=0.28,
+                        initial=frozen_initial(c.model, c.learning))
     assert short.diverged is None
     for name in control_loop.COLUMNS:
         assert getattr(log, name).tobytes() == getattr(short, name).tobytes(), name

@@ -7,8 +7,8 @@ bit and need no tolerance:
 - cost scaling: scaling Q, R, kernel_beta, kernel_smax and tol_conv by c
   leaves the trajectory, the gains and the freeze times unchanged and
   scales every kernel by c;
-- linearity with learning off: doubling the reference and the probe
-  doubles every signal.
+- linearity with learning off (every strategy frozen from the start):
+  doubling the reference and the probe doubles every signal.
 """
 
 import dataclasses
@@ -20,6 +20,7 @@ import pytest
 
 from modelfollow.cli_io import load_config
 from modelfollow.control_loop import STRATEGIES, run_episode
+from conftest import frozen_initial
 
 CORPUS = Path(__file__).parent / "corpus"
 # init = identity starts every kernel at S = I, which does not scale with c
@@ -64,9 +65,9 @@ def test_linearity_with_learning_off(name):
     config = load_config(CORPUS / name)
     lc = config.learning
     log = run_episode(config.model, config.reference, lc, horizon=config.horizon,
-                      learning_enabled=False)
+                      initial=frozen_initial(config.model, lc))
     got = run_episode(config.model, _doubled(config.reference),
                       dataclasses.replace(lc, probe_amplitude=2 * lc.probe_amplitude),
-                      horizon=config.horizon, learning_enabled=False)
+                      horizon=config.horizon, initial=frozen_initial(config.model, lc))
     for signal in ("yref", "x", "xhat", "u_total", "e_ob", "e_mf", "u_ob", "u_mf"):
         assert np.array_equal(getattr(got, signal), 2 * getattr(log, signal)), signal
