@@ -496,8 +496,10 @@ def cmd_oracle_check(args, config):
     if len(Z):
         report["regressor_rank"] = int(np.linalg.matrix_rank(Z))
         report["regressor_count"] = int(Z.shape[0])
+        # a relative residual against zero stage costs has no value: null,
+        # since JSON has no NaN
         report["learned_theta_bellman_residual"] = oracle.bellman_residual(
-            log.theta_final["cl"], Z, phi)
+            log.theta_final["cl"], Z, phi) if np.linalg.norm(phi) else None
     json.dump(report, sys.stdout, indent=2)
     print()
     return 0 if report.get("within_tolerance", True) else 2

@@ -15,8 +15,8 @@ model-following strategies see the last STACK_DEPTH rows of the logged
 tracking-error columns and their signals are incremental (u <- u + mu);
 the closed-loop term is direct feedback on the observed state, its stage
 cost read off a fixed quadratic form.  The frozen tail and the Bellman
-pass read the log through that description (LAGS and PRICED give each
-strategy's warm-up lag and priced action).
+pass read the log through that description (LAGS, PRICED and KINDS give
+each strategy's warm-up lag, priced action and kind of stage cost).
 
 The tick is generated code, as the learner's formulas are: one source
 piece per formula (the actions mu = pi . F + probe, zero and unprobed for
@@ -60,13 +60,14 @@ through strategy_views, and elementwise differences and sums for the
 output errors and the held inputs, each the bits of the tick's own sum.
 
 The samples of every tick, frozen or not, are rebuilt from the log
-columns by bellman_sample, a strategy's on the first read of its
-log.regressors entry (BellmanLog), and not at all when no caller reads
-them.  It calls the learner's formulas whose pieces the loop inlines, and
-numpy's elementwise operations round as Python's float operations do, so
-each sample a learner step consumed equals its logged row bit for bit
+columns by the learner's _SAMPLE kernel, a strategy's on the first read
+of its log.regressors entry (BellmanLog), and not at all when no caller
+reads them.  _SAMPLE runs the sample piece (learner._sample) that opens
+the learner step the loop inlines, and numpy's elementwise operations
+round as Python's float operations do, so each sample a learner step
+consumed equals its logged row bit for bit
 (test_per_tick_samples_equal_log_rows replays every step of every corpus
-config from its log rows).
+config from its log rows with the sequential references).
 TRAJECTORY fixes the order of the logged signals in trajectory.csv; the
 writer derives the CSV header from it and the width of each column.
 """
@@ -82,9 +83,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from modelfollow import oracle
 from modelfollow.dynamics import held_input_maps
 from modelfollow.learner import (
-    S_to_theta, bellman_regressor, quadratic_form, utility, dot, components,
-    _CONFIG_LINES, _Kernels, _dot, _indent, _index_sum, _kernel_source, _learner_step, _names,
-    _unpack, _unpack_rows,
+    S_to_theta, dot, components, _CONFIG_LINES, _SAMPLE, _Kernels, _dot, _indent, _index_sum,
+    _kernel_source, _learner_step, _names, _unpack, _unpack_rows,
 )
 from modelfollow.reference import eval_reference
 
@@ -114,6 +114,9 @@ COLUMNS = EXOGENOUS + TICK_COLUMNS
 # features exist; and the action it prices, a TICK_COLUMNS name
 LAGS = {"ob": STACK_DEPTH - 1, "cl": 0, "mf": STACK_DEPTH - 1}
 PRICED = {"ob": "mu_ob", "cl": "v", "mf": "mu_mf"}
+# the kind of each strategy's stage cost (learner._sample): the tick form
+# for the closed-loop strategy, delta * U for the error-feature ones
+KINDS = {"ob": "err", "cl": "cl", "mf": "err"}
 # the per-strategy counters of log.learner_counts
 LEARNER_COUNTS = ("steps", "singular_skips", "clamped")
 
@@ -269,26 +272,6 @@ def initial_strategies(model, cfg):
     return states
 
 
-def bellman_sample(s, F, mu, F_next, pi, cfg, form):
-    """Bellman regressor and integral stage cost of strategy s on one tick,
-    or one of each per tick of a stack.
-
-    F and F_next are the features at t and t + delta, mu the action taken
-    and pi the gain that prices the next action.  The vectors are given by
-    their components: Python floats for one tick, numpy columns for a
-    stack, on which the learner's component-wise formulas give each row
-    the one-tick value bit for bit.  form is the weight of the stage cost
-    as a list of rows: the tick form W_cl on [xhat; v] for the closed-loop
-    strategy, Q for the error-feature strategies, which cost delta * U(F, mu).
-    The regressor is returned as the list of its components.
-    """
-    Z_t = [*F, mu]
-    z_tilde = bellman_regressor(Z_t, [*F_next, dot(pi, F_next)])
-    if s == "cl":
-        return z_tilde, quadratic_form(Z_t, form)
-    return z_tilde, cfg.delta * utility(F, mu, form, cfg.R)
-
-
 def _timed(timings, layer, run):
     """run(), its wall milliseconds added to timings[layer] (a missing or
     None entry counts as 0.0), less the time it spent compiling kernels
@@ -308,12 +291,12 @@ class BellmanLog(Mapping):
 
     Row k + 1 of the log holds the gains and actions of tick k, so tick
     k >= lag of a strategy pairs its feature rows k - lag and k - lag + 1
-    with the action and gain of log row k + 1; each enters bellman_sample
-    as its columns.  forms[s] is the stage-cost weight of strategy s.  Z
-    is stacked once from the regressor's columns into one C-ordered row
-    per tick.  The mapping keeps the log's views (strategy_views) and
-    gain history, not the log, and adds the time of each build to
-    log.timings["bellman_ms"].
+    with the action and gain of log row k + 1; each enters the learner's
+    _SAMPLE kernel of the strategy's KINDS entry as its columns.  forms[s]
+    is the stage-cost weight of strategy s.  Z is stacked once from the
+    regressor's columns into one C-ordered row per tick.  The mapping
+    keeps the log's views (strategy_views) and gain history, not the log,
+    and adds the time of each build to log.timings["bellman_ms"].
     """
 
     def __init__(self, log, cfg, forms):
@@ -324,8 +307,8 @@ class BellmanLog(Mapping):
     def _build(self, s):
         rows, lag, action = self._views[s]
         F, F_next, pi = (components(a) for a in (rows[:-1], rows[1:], self._pi[s][lag + 1:]))
-        z_tilde, phi = bellman_sample(s, F, action[lag + 1:], F_next, pi, self._cfg,
-                                      self._forms[s])
+        z_tilde, phi = _SAMPLE[KINDS[s], len(F)](F, action[lag + 1:], F_next, pi, self._forms[s],
+                                                 self._cfg.delta, self._cfg.R)
         return np.stack(z_tilde, axis=1), phi
 
     def __getitem__(self, s):
@@ -344,8 +327,9 @@ def tick_cost_form(L, Q, R, h):
     """Quadratic form W of the trapezoid-integrated stage utility over one tick.
 
     With L the substep maps of held_input_maps (x_j = L[j] z, z = [x_0; u]),
-    the composite trapezoid over the substep grid of utility(x_j, u, Q, R)
-    equals z' W z, with weights h/2 at the two ends and h inside.
+    the composite trapezoid over the substep grid of the stage utility
+    1/2 (x_j' Q x_j + u R u) equals z' W z, with weights h/2 at the two
+    ends and h inside.
     """
     w = np.full(L.shape[0], h)
     w[0] = w[-1] = 0.5 * h
@@ -470,8 +454,7 @@ def _adapt_source(n):
     learn = []
     for s in STRATEGIES:
         th = _names("th", len(theta[s]))
-        kind = "cl" if s == "cl" else "err"
-        step = [*_learner_step(kind, theta[s], pi[s], F[s], G[s], PRICED[s], f"W_{s}",
+        step = [*_learner_step(KINDS[s], theta[s], pi[s], F[s], G[s], PRICED[s], f"W_{s}",
                                [f"skips_{s} += 1"], [f"clamps_{s} += clamped"]),
                 f"[{', '.join(theta[s])}] = [{', '.join(th)}]", f"steps_{s} += 1",
                 "if t >= conv_check_start:",

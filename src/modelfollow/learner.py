@@ -16,12 +16,12 @@ for a stack of vectors (components gives them).  Each formula has one
 source piece, which writes it on named components as straight-line
 Python: every sum one explicit left-to-right + chain in index order that
 starts at 0.0, as s = 0.0; s = s + a_i * b_i would compute it, never
-sum().  dot, quadratic_form, utility, bellman_regressor and
-policy_from_kernel are kernels: for a vector size n a formula's kernel
-unpacks its arguments' components into locals and runs its piece; it is
-compiled on its first call and kept in a dict keyed by the size
-(_Kernels), so importing compiles nothing.  The critic step, the
-convergence test and the actor step are pieces only: _learner_step
+sum().  dot, policy_from_kernel and the Bellman sample (_SAMPLE: the
+stage cost and the regressor of one tick) are kernels: for a vector size
+n a formula's kernel unpacks its arguments' components into locals and
+runs its piece; it is compiled on its first call and kept in a dict keyed
+by the size (_Kernels), so importing compiles nothing.  The critic step,
+the convergence test and the actor step are pieces only: _learner_step
 assembles the pieces of one learner step (the Bellman sample, the critic
 step, the convergence test of the new kernel against the old, both read
 through the theta layout, the greedy gain and the actor step, or a skip
@@ -32,9 +32,8 @@ them the same way.
 Nothing calls BLAS: numpy's elementwise operations round as Python's
 float operations do, so a stack of ticks run through a kernel gives each
 row the one-tick value bit for bit, whatever the memory layout of the
-columns.  A numpy vector or stack is converted at the boundary
-(components); only policy_from_kernel takes and gives a numpy kernel as
-well.
+columns.  A numpy stack is converted at the boundary (components);
+policy_from_kernel takes and gives a numpy kernel.
 """
 
 import math
@@ -57,17 +56,18 @@ def tri_indices(d):
 
 
 def components(x):
-    """The components of a numpy vector, the form the formulas below compute
-    on: its floats, or for a stack of vectors (the last axis indexing the
-    components) one column per component, as views."""
-    return x.tolist() if x.ndim == 1 else list(x.T)
+    """The components of a numpy stack of vectors (the last axis indexing
+    the components), the form the formulas below compute on: one column per
+    component, as views."""
+    return list(x.T)
 
 
 class _Kernels(dict):
     """The kernels of one formula by key, a vector size or a tuple that
-    holds one: kernels[key] is the function that source(key) defines,
-    compiled on its first lookup.  compile_s is the wall time, in seconds,
-    that the lookups of every formula have spent compiling."""
+    holds one (_SAMPLE's (kind, n)): kernels[key] is the function that
+    source(key) defines, compiled on its first lookup.  compile_s is the
+    wall time, in seconds, that the lookups of every formula have spent
+    compiling."""
 
     compile_s = 0.0
 
@@ -160,6 +160,18 @@ def _bellman_regressor(out, a, b):
     return [f"{o} = {m_t} - {m_next}" for o, m_t, m_next in zip(out, _monomials(a), _monomials(b))]
 
 
+def _sample(kind, out, F, mu, G, p, W):
+    """The Bellman sample of Z_t = [F; mu] and Z_next = [G; nu], nu = p . G:
+    phi = the stage cost, Z_t' W Z_t for kind "cl" (the tick form on
+    [xhat; v]) and delta * U, U = 1/2 (F' W F + mu R mu), for kind "err"
+    (the locals delta and R); and out = the regressor of Z_t against
+    Z_next.  W names the rows unpacked by _unpack_rows.  The learner step
+    (_learner_step) opens with it, and _SAMPLE runs it on its own."""
+    cost = (_quadratic_form("phi", [*F, mu], W) if kind == "cl" else
+            [*_utility("U", F, mu, W, "R"), "phi = delta * U"])
+    return [*cost, f"nu = {_dot(p, G)}", *_bellman_regressor(out, [*F, mu], [*G, "nu"])]
+
+
 def _critic_update(out, t, z):
     """out = the critic step of t toward t . z = phi (the locals phi,
     sigma_c and alpha_c)."""
@@ -223,53 +235,21 @@ def dot(a, b):
     return _DOT[len(a)](a, b)
 
 
-def _quadratic_form_source(n):
-    lines = [_unpack("x", n), _unpack_rows("M", n), *_quadratic_form("q", _names("x", n), "M")]
-    return _kernel_source("x, M", lines, "q")
+def _sample_source(key):
+    kind, n = key
+    z = _names("z", (n + 1) * (n + 2) // 2)
+    lines = [_unpack("F", n), _unpack("G", n), _unpack("p", n),
+             _unpack_rows("W", n + 1 if kind == "cl" else n),
+             *_sample(kind, z, _names("F", n), "mu", _names("G", n), _names("p", n), "W")]
+    return _kernel_source("F, mu, G, p, W, delta, R", lines, f"[{', '.join(z)}], phi")
 
 
-_QUADRATIC_FORM = _Kernels(_quadratic_form_source)
-
-
-def quadratic_form(x, M):
-    """x' M x as sum_i x_i (M_i . x), every sum in index order from 0.0: a
-    float for a vector of floats, one value per row for a stack given as
-    columns.  M is a sequence of the n rows of its n entries."""
-    return _QUADRATIC_FORM[len(x)](x, M)
-
-
-def _utility_source(n):
-    lines = [_unpack("F", n), _unpack_rows("Q", n), *_utility("U", _names("F", n), "mu", "Q", "R")]
-    return _kernel_source("F, mu, Q, R", lines, "U")
-
-
-_UTILITY = _Kernels(_utility_source)
-
-
-def utility(F, mu, Q, R):
-    """Stage utility U = 1/2 (F' Q F + mu R mu) of the components F.
-
-    The plant has one input, so R is a scalar and mu holds one action per
-    vector of F (a scalar for one vector).
-    """
-    return _UTILITY[len(F)](F, mu, Q, R)
-
-
-def _bellman_regressor_source(n):
-    z = _names("z", n * (n + 1) // 2)
-    lines = [_unpack("a", n), _unpack("b", n),
-             *_bellman_regressor(z, _names("a", n), _names("b", n))]
-    return _kernel_source("a, b", lines, f"[{', '.join(z)}]")
-
-
-_BELLMAN_REGRESSOR = _Kernels(_bellman_regressor_source)
-
-
-def bellman_regressor(Z_t, Z_next):
-    """Regressor z_tilde with theta' z_tilde = V(Z_t) - V(Z_next): the list
-    of the differences of the quadratic monomials of the two vectors, one
-    per theta slot (one column per slot for two stacks given as columns)."""
-    return _BELLMAN_REGRESSOR[len(Z_t)](Z_t, Z_next)
+# _SAMPLE[kind, n](F, mu, G, p, W, delta, R): the Bellman sample (_sample)
+# of n features F before and G after a tick, the action mu and the gain p
+# that prices the next one, as (the list of the regressor's components,
+# the stage cost); W is the stage-cost weight as a list of rows.  On a
+# stack given as columns it gives each row its one-tick sample bit for bit.
+_SAMPLE = _Kernels(_sample_source)
 
 
 def _entry_slots(d):
@@ -326,14 +306,10 @@ def policy_from_kernel(S, n_features=None, eps_sing=1e-8):
     so the gain is -(S_muF * (1 / s)), which rounds as a LAPACK solve of the
     1x1 system does (S_muF / s does not); |s| < eps_sing raises
     SingularKernelError.  n_features gives the size of the F partition and
-    must leave that 1x1 block; ValueError otherwise.  A kernel given as the
-    tuple of its entries in row-major order (as theta_to_S gives it) gives
-    the gain as a list holding one row, from the straight-line kernel of its
-    size; any other is read as a numpy array, and its gain, from the same
-    kernel, returned as one.
+    must leave that 1x1 block; ValueError otherwise.  S is read as a numpy
+    array, and its gain, from the straight-line kernel of its size, returned
+    as one.
     """
-    if isinstance(S, tuple):
-        return _POLICY_FROM_KERNEL[len(S)](S, n_features, eps_sing)
     entries = np.asarray(S, dtype=float).ravel().tolist()
     return np.array(_POLICY_FROM_KERNEL[len(entries)](entries, n_features, eps_sing))
 
@@ -351,23 +327,19 @@ def _learner_step(kind, t, p, F, G, mu, W, singular, greedy):
     the action mu it priced and the rows of its stage-cost weight W
     (unpacked by _unpack_rows), with the _CONFIG_LINES locals bound.
 
-    The Bellman sample of Z_t = [F; mu] and Z_next = [G; p . G], as
-    control_loop.bellman_sample takes it: the stage cost is Z_t' W Z_t for
-    kind "cl" (the tick form on [xhat; v]) and delta * utility(F, mu, W, R)
-    for kind "err".  Then the critic step of t into th0, th1, ...; settled,
-    the convergence test of the new kernel against the kernel of t, both
-    read through the theta layout (_entry_slots); and the statements
-    `singular` when the new kernel is singular, else the greedy gain, the
-    actor step of p in place, clamped (whether the rate limit moved the
-    residual) and the statements `greedy`.
+    The Bellman sample of kind "cl" or "err" (_sample, the piece that
+    _SAMPLE runs on the log's columns) into phi and z0, z1, ...; then the
+    critic step of t into th0, th1, ...; settled, the convergence test of
+    the new kernel against the kernel of t, both read through the theta
+    layout (_entry_slots); and the statements `singular` when the new
+    kernel is singular, else the greedy gain, the actor step of p in place,
+    clamped (whether the rate limit moved the residual) and the statements
+    `greedy`.
     """
     d = len(F) + 1
     th, z, gain = _names("th", len(t)), _names("z", len(t)), _names("g", len(F))
     slots = _entry_slots(d)
-    cost = (_quadratic_form("phi", [*F, mu], W) if kind == "cl" else
-            [*_utility("U", F, mu, W, "R"), "phi = delta * U"])
-    return [*cost, f"nu = {_dot(p, G)}",
-            *_bellman_regressor(z, [*F, mu], [*G, "nu"]),
+    return [*_sample(kind, z, F, mu, G, p, W),
             *_critic_update(th, t, z),
             *_kernel_converged("settled", t, th, slots),
             *_policy_from_kernel(gain, [th[k] for k in slots], singular,

@@ -7,11 +7,11 @@ though: row k + 1 holds the theta and gain a strategy held during tick k,
 its features before and after the tick (the lifted state is logged
 component by component) and the action it priced, and row k + 2 the theta
 and gain that tick's step left (theta_final and pi_final after the last
-row).  replay runs bellman_sample and then the index-order loops of
-sequential.py, which share no code with the pieces the loop inlines:
-seq_critic_update, seq_distance of the old and new kernels' entries
-against tol_conv, the eps_sing test of the control block and
-seq_policy_row, and seq_dot and seq_actor_update, on one tick's Python
+row).  replay runs the index-order loops of sequential.py, which share
+no code with the pieces the loop inlines: seq_sample, seq_critic_update,
+seq_distance of the old and new kernels' entries against tol_conv, the
+eps_sing test of the control block and seq_policy_row, and seq_dot and
+seq_actor_update, on one tick's Python
 floats at a time, with the freeze rule, so that a test can hold every
 step, the counters and the freeze times to it bit for bit.
 """
@@ -19,11 +19,13 @@ step, the counters and the freeze times to it bit for bit.
 from dataclasses import dataclass
 
 from modelfollow.control_loop import (
-    LEARNER_COUNTS, SUBSTEPS, bellman_sample, strategy_views, tick_cost_form,
+    KINDS, LEARNER_COUNTS, SUBSTEPS, strategy_views, tick_cost_form,
 )
 from modelfollow.dynamics import held_input_maps
 from modelfollow.learner import theta_to_S
-from sequential import seq_actor_update, seq_critic_update, seq_distance, seq_dot, seq_policy_row
+from sequential import (
+    seq_actor_update, seq_critic_update, seq_distance, seq_dot, seq_policy_row, seq_sample,
+)
 
 
 def stage_cost_forms(model, cfg):
@@ -87,7 +89,7 @@ def replay(log, model, cfg, start, chained=False):
             if not chained:
                 theta, pi = log.theta_hist[s][k + 1].tolist(), log.pi_hist[s][k + 1].tolist()
             F, F_next, mu = rows[k - lag].tolist(), rows[k - lag + 1].tolist(), float(action[k + 1])
-            z_tilde, phi = bellman_sample(s, F, mu, F_next, pi, cfg, forms[s])
+            z_tilde, phi = seq_sample(KINDS[s], F, mu, F_next, pi, forms[s], cfg.delta, cfg.R)
             new_theta = seq_critic_update(theta, z_tilde, phi, cfg.sigma_c, cfg.alpha_c)
             S = theta_to_S(new_theta)
             settled = seq_distance(theta_to_S(theta), S) < cfg.tol_conv

@@ -5,11 +5,12 @@ Each sum runs in index order from 0.0, s = s + a_i * b_i, as the learner's
 component formulas are specified to; the references are written out here
 as the index-order loops the learner's generated kernels replace,
 independently of modelfollow, so that an exact test compares against a
-sum it spells out rather than against the code under test.  The critic
-step, the kernel distance, the greedy gain and the actor step exist here
-only: the adapting loop inlines their pieces, and the replay (replay.py)
-holds each of its learner steps to these.  Like the kernels, they take
-sequences of components: floats, or numpy columns.
+sum it spells out rather than against the code under test.  The Bellman
+sample, the critic step, the kernel distance, the greedy gain and the
+actor step are spelled out here too: the adapting loop inlines their
+pieces, and the replay (replay.py) holds each of its learner steps to
+these.  Like the kernels, they take sequences of components: floats, or
+numpy columns.
 """
 
 import math
@@ -40,6 +41,20 @@ def seq_regressor(a, b):
     d = len(a)
     return [w * a[i] * a[j] - w * b[i] * b[j]
             for i in range(d) for j in range(i, d) for w in [0.5 if i == j else 1.0]]
+
+
+def seq_utility(F, mu, Q, R):
+    """The stage utility 1/2 (F' Q F + (mu R) mu)."""
+    return 0.5 * (seq_quadratic_form(F, Q) + (mu * R) * mu)
+
+
+def seq_sample(kind, F, mu, G, pi, W, delta, R):
+    """The Bellman sample of Z_t = [F; mu] against Z_next = [G; pi . G]: the
+    regressor and the stage cost, Z_t' W Z_t for kind "cl" and
+    delta * seq_utility(F, mu, W, R) for kind "err"."""
+    Z_t = [*F, mu]
+    z = seq_regressor(Z_t, [*G, seq_dot(pi, G)])
+    return z, seq_quadratic_form(Z_t, W) if kind == "cl" else delta * seq_utility(F, mu, W, R)
 
 
 def seq_critic_update(theta, z, phi, sigma, alpha):

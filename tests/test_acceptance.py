@@ -9,8 +9,8 @@ from modelfollow import oracle
 from modelfollow.cli_io import load_config, main
 from modelfollow.control_loop import run_episode
 from modelfollow.dynamics import eigenvalues, expm_ss, rk4_step
-from modelfollow.learner import S_to_theta, bellman_regressor, policy_from_kernel, theta_to_S
-from sequential import seq_actor_update, seq_critic_update, seq_quadratic_form
+from modelfollow.learner import S_to_theta, policy_from_kernel, theta_to_S
+from sequential import seq_actor_update, seq_critic_update, seq_quadratic_form, seq_regressor
 
 
 def sorted_eigs(M):
@@ -128,7 +128,7 @@ def test_criterion_7_exactness_micro_suite(model):
         M = rng.normal(size=(4, 4))
         S = 0.5 * (M + M.T)
         Zt, Zn = rng.normal(size=4), rng.normal(size=4)
-        lhs = S_to_theta(S) @ bellman_regressor(Zt, Zn)
+        lhs = S_to_theta(S) @ seq_regressor(Zt, Zn)
         rhs = 0.5 * seq_quadratic_form(Zt, S) - 0.5 * seq_quadratic_form(Zn, S)
         assert abs(lhs - rhs) < 1e-12
 

@@ -10,20 +10,20 @@ for bit.  The replay shares no code with the step pieces the loop inlines,
 so a wrong piece fails it."""
 
 import dataclasses
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from modelfollow import control_loop, learner
-from modelfollow.cli_io import load_config
+from modelfollow.cli_io import load_config, main
 from modelfollow.control_loop import (
     STACK_DEPTH, STRATEGIES, initial_strategies, run_episode, strategy_views,
 )
-from modelfollow.learner import bellman_regressor
 from conftest import frozen_initial
 from replay import replay, stage_cost_forms
-from sequential import seq_dot, seq_quadratic_form
+from sequential import seq_dot, seq_quadratic_form, seq_regressor
 
 CORPUS = Path(__file__).parent / "corpus"
 
@@ -42,7 +42,7 @@ def test_rows_match_per_tick_rebuild(model, default_config, episode):
     for k in range(n_ticks):
         z = np.append(log.xhat[k], log.u_ob[k + 1] + log.u_total[k + 1])
         z_next = np.append(log.xhat[k + 1], seq_dot(pi[k + 1], log.xhat[k + 1]))
-        assert np.array_equal(Z[k], bellman_regressor(z, z_next)), ("cl", k)
+        assert np.array_equal(Z[k], seq_regressor(z, z_next)), ("cl", k)
         assert phi[k] == seq_quadratic_form(z, W_cl), ("cl", k)
 
     for s in ("ob", "mf"):
@@ -53,35 +53,52 @@ def test_rows_match_per_tick_rebuild(model, default_config, episode):
             F, F_next = e[k - 2:k + 1], e[k - 1:k + 2]
             m = mu[k + 1]
             assert m == seq_dot(pi[k + 1], F) + cfg.probe(k * cfg.delta, s)
-            z = bellman_regressor(np.append(F, m), np.append(F_next, seq_dot(pi[k + 1], F_next)))
+            z = seq_regressor(np.append(F, m), np.append(F_next, seq_dot(pi[k + 1], F_next)))
             cost = cfg.delta * (0.5 * (seq_quadratic_form(F, cfg.Q) + (m * cfg.R) * m))
             row = k - (STACK_DEPTH - 1)
             assert np.array_equal(Z[row], z), (s, k)
             assert phi[row] == cost, (s, k)
 
 
-def count_regressor_calls(monkeypatch, model, c, learning):
+class CountedSamples(dict):
+    """A stand-in for control_loop._SAMPLE, the Bellman-sample kernels
+    BellmanLog calls through control_loop's own name: each kernel of the
+    learner's _SAMPLE, its calls counted in calls[key(kind, F)] for a
+    kernel of kind `kind` called on the features F."""
+
+    def __init__(self, key):
+        super().__init__()
+        self.calls, self._key = Counter(), key
+
+    def __missing__(self, table_key):
+        kernel = learner._SAMPLE[table_key]
+
+        def call(F, *args):
+            self.calls[self._key(table_key[0], F)] += 1
+            return kernel(F, *args)
+
+        self[table_key] = call
+        return call
+
+
+def count_sample_calls(monkeypatch, model, c, learning):
     """Learner steps (replayed from the log, and as the episode counted
-    them) and per-tick (one vector) and stacked calls of bellman_regressor
-    through control_loop's name, taken once every strategy's regressors
-    have been read, twice; the episode itself makes none of those calls,
-    and a second read rebuilds nothing."""
-    calls = {1: 0, 2: 0}
-
-    def counted(Z_t, Z_next):
-        calls[np.ndim(Z_t)] += 1
-        return bellman_regressor(Z_t, Z_next)
-
+    them) and per-tick (one vector of floats) and stacked (numpy columns)
+    calls of the Bellman-sample kernels through control_loop's name, taken
+    once every strategy's regressors have been read, twice; the episode
+    itself makes none of those calls, and a second read rebuilds nothing."""
+    samples = CountedSamples(lambda kind, F: np.ndim(F))
     with monkeypatch.context() as mp:
-        mp.setattr(control_loop, "bellman_regressor", counted)
+        mp.setattr(control_loop, "_SAMPLE", samples)
         log = run_episode(model, c.reference, learning, horizon=20.0)
-        assert calls == {1: 0, 2: 0}
+        assert samples.calls == {}
         first = [log.regressors[s] for s in STRATEGIES]
         assert all(log.regressors[s] is pair for s, pair in zip(STRATEGIES, first))
+    assert set(samples.calls) <= {1, 2}
     replayed = replay(log, model, learning, initial_strategies(model, learning))
     steps = sum(r.counts["steps"] for r in replayed.values())
     assert steps == sum(log.learner_counts[s]["steps"] for s in STRATEGIES)
-    return {"steps": steps, **calls}
+    return {"steps": steps, 1: samples.calls[1], 2: samples.calls[2]}
 
 
 def test_only_active_strategies_compute_regressors(monkeypatch, model, default_config):
@@ -89,49 +106,37 @@ def test_only_active_strategies_compute_regressors(monkeypatch, model, default_c
     # the default episode freezes all three strategies by 1.5 s: 446 learner
     # steps in all, each taking its sample inside the adapting loop, then
     # one stacked rebuild per strategy once its regressors are read
-    assert count_regressor_calls(monkeypatch, model, c, c.learning) == {
+    assert count_sample_calls(monkeypatch, model, c, c.learning) == {
         "steps": 446, 1: 0, 2: 3}
     # with the freeze disabled all 2000 + 2 * 1998 strategy-ticks learn
     never_frozen = dataclasses.replace(c.learning, tol_conv=0.0)
-    assert count_regressor_calls(monkeypatch, model, c, never_frozen) == {
+    assert count_sample_calls(monkeypatch, model, c, never_frozen) == {
         "steps": 5996, 1: 0, 2: 3}
-
-
-# the learner functions BellmanLog calls through control_loop's own names,
-# the call sites a tracer of the episode wraps
-REBUILD_CALLS = ("bellman_regressor", "utility")
 
 
 def count_learner_calls(monkeypatch, model, c, learning):
     """The learner steps of each strategy, replayed from the log, the calls
-    of each REBUILD_CALLS name in control_loop, and the log of one
-    episode."""
-    calls = dict.fromkeys(REBUILD_CALLS, 0)
-
-    def counted(name, fn):
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return call
-
+    of the Bellman-sample kernels through control_loop's _SAMPLE by kind,
+    and the log of one episode whose regressors have all been read."""
+    samples = CountedSamples(lambda kind, F: kind)
     with monkeypatch.context() as mp:
-        for name in REBUILD_CALLS:
-            mp.setattr(control_loop, name, counted(name, getattr(control_loop, name)))
+        mp.setattr(control_loop, "_SAMPLE", samples)
         log = run_episode(model, c.reference, learning, horizon=20.0)
         for s in STRATEGIES:
             log.regressors[s]
     replayed = replay(log, model, learning, initial_strategies(model, learning))
-    return {s: replayed[s].counts["steps"] for s in STRATEGIES}, calls, log
+    return {s: replayed[s].counts["steps"] for s in STRATEGIES}, samples.calls, log
 
 
-def test_learner_calls_stay_at_control_loop_names(monkeypatch, model, default_config):
+def test_learner_calls_stay_at_control_loop_names(monkeypatch, tmp_path, capsys, model,
+                                                  default_config):
     # one learner step per adapting strategy-tick: 446 steps on the default
     # episode (150 closed-loop, 148 each observer and model-following) and
     # 5996 with the freeze disabled, as the replay from the log finds them
     # and as the episode counts them itself; the stacked rebuild, once the
-    # regressors are read, adds one regressor per strategy and one utility
-    # per error-feature strategy.  A
-    # step skipped, or taken twice, changes a count
+    # regressors are read, adds one closed-loop sample and one error-feature
+    # sample per error-feature strategy.  A step skipped, or taken twice,
+    # changes a count
     c = default_config
     never_frozen = dataclasses.replace(c.learning, tol_conv=0.0)
     for learning, want in ((c.learning, {"ob": 148, "cl": 150, "mf": 148}),
@@ -139,7 +144,19 @@ def test_learner_calls_stay_at_control_loop_names(monkeypatch, model, default_co
         steps, calls, log = count_learner_calls(monkeypatch, model, c, learning)
         assert steps == want
         assert {s: log.learner_counts[s]["steps"] for s in STRATEGIES} == want
-        assert calls == {"bellman_regressor": 3, "utility": 2}
+        assert calls == {"cl": 1, "err": 2}
+    # run never reads the regressors, so it builds no sample; oracle-check
+    # reads only the closed-loop strategy's
+    config = tmp_path / "default.ini"
+    config.write_text("")
+    for args, want in ((["run", str(config), "--outdir", str(tmp_path)], {}),
+                       (["oracle-check", str(config)], {"cl": 1})):
+        samples = CountedSamples(lambda kind, F: kind)
+        with monkeypatch.context() as mp:
+            mp.setattr(control_loop, "_SAMPLE", samples)
+            assert main(args) == 0
+        capsys.readouterr()
+        assert samples.calls == want, args[0]
 
 
 def test_short_and_stopped_episodes_have_empty_logs(model, default_config):
@@ -167,25 +184,37 @@ def test_short_and_stopped_episodes_have_empty_logs(model, default_config):
 CONFIGS = sorted(CORPUS.glob("*.ini"))
 
 
+def sample_mismatches(log, replayed):
+    """The (strategy, tick) of every replayed learner step whose Bellman
+    sample, taken by seq_sample on the step's Python floats, differs from
+    its logged row in a byte."""
+    views = strategy_views(log)
+    out = []
+    for s, r in replayed.items():
+        Z, costs = log.regressors[s]
+        for step in r.steps:
+            row = step.k - views[s][1]
+            if (np.array(step.z_tilde).tobytes() != Z[row].tobytes()
+                    or np.float64(step.phi).tobytes() != costs[row].tobytes()):
+                out.append((s, step.k))
+    return out
+
+
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
 def test_per_tick_samples_equal_log_rows(config):
     # each learner step takes its Bellman sample one tick at a time inside
     # the adapting loop, and BellmanLog rebuilds every tick's sample
-    # stacked after the loop: bellman_sample on one step's Python floats,
-    # read from the log rows, must equal its logged row bit for bit (the
-    # replay test finds that the loop stepped on exactly these samples)
+    # stacked after the loop: seq_sample on one step's Python floats, read
+    # from the log rows, must equal its logged row bit for bit (the replay
+    # test finds that the loop stepped on exactly these samples)
     c = load_config(config)
     log = run_episode(c.model, c.reference, c.learning, horizon=c.horizon)
     replayed = replay(log, c.model, c.learning, initial_strategies(c.model, c.learning))
     assert any(r.steps for r in replayed.values())
-    views = strategy_views(log)
-    for s, r in replayed.items():
-        Z, costs = log.regressors[s]
+    for r in replayed.values():
         for step in r.steps:
             assert all(type(v) is float for v in [*step.F, *step.F_next, step.mu, *step.pi])
-            row = step.k - views[s][1]
-            assert np.array(step.z_tilde).tobytes() == Z[row].tobytes(), (s, step.k)
-            assert np.float64(step.phi).tobytes() == costs[row].tobytes(), (s, step.k)
+    assert sample_mismatches(log, replayed) == []
 
 
 # learning overrides of the replay: no freeze, identity initial kernels, no
@@ -239,3 +268,33 @@ def test_replay_catches_a_wrong_critic_piece(monkeypatch, default_config):
     log = run_episode(c.model, c.reference, c.learning, horizon=c.horizon)
     first = replay(log, c.model, c.learning, initial_strategies(c.model, c.learning))["cl"].steps[0]
     assert np.array(first.theta).tobytes() != log.theta_hist["cl"][first.k + 2].tobytes()
+
+
+# each sample piece and the strategies whose sample runs it: the
+# error-feature stage cost runs _utility, every regressor _bellman_regressor
+SAMPLE_PIECES = {"_utility": {"ob", "mf"}, "_bellman_regressor": set(STRATEGIES)}
+
+
+@pytest.mark.parametrize("piece", SAMPLE_PIECES)
+def test_replay_catches_a_wrong_sample_piece(monkeypatch, default_config, piece):
+    # a sample piece whose first output is off by 1.0, compiled into a fresh
+    # adapting loop and a fresh _SAMPLE: the loop steps on the wrong samples
+    # and BellmanLog logs the same ones, but the replay, which takes every
+    # sample with seq_sample, must disagree with the logged row of every
+    # step of each strategy whose sample runs the piece and agree with
+    # every other
+    right, affected = getattr(learner, piece), SAMPLE_PIECES[piece]
+
+    def wrong(out, *args):
+        first = out if isinstance(out, str) else out[0]
+        return [*right(out, *args), f"{first} = {first} + 1.0"]
+
+    c = default_config
+    monkeypatch.setattr(learner, piece, wrong)
+    monkeypatch.setattr(control_loop, "_ADAPT", learner._Kernels(control_loop._adapt_source))
+    monkeypatch.setattr(control_loop, "_SAMPLE", learner._Kernels(learner._sample_source))
+    log = run_episode(c.model, c.reference, c.learning, horizon=c.horizon)
+    replayed = replay(log, c.model, c.learning, initial_strategies(c.model, c.learning))
+    assert all(replayed[s].steps for s in affected)
+    assert sample_mismatches(log, replayed) == [
+        (s, step.k) for s, r in replayed.items() if s in affected for step in r.steps]

@@ -570,6 +570,27 @@ def test_oracle_error_exit(tmp_path, capsys, monkeypatch):
     assert err == "oracle error: Riccati doubling did not converge in 60 steps\n"
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_oracle_check_zero_costs_print_strict_json(tmp_path, capsys):
+    # a zero reference and no probe leave the closed loop at rest: every cl
+    # stage cost is 0, so the relative Bellman residual has no value and is
+    # printed as null, with no warning, not as NaN
+    config = tmp_path / "rest.ini"
+    config.write_text('[reference]\nkind = constant\nparams = {"value": 0}\n'
+                      "[learning]\nprobe_amplitude = 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["oracle-check", str(config)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    report = json.loads(out, parse_constant=reject_constant)
+    assert report["regressor_count"] == 2000
+    assert report["learned_theta_bellman_residual"] is None
+
+
 @pytest.mark.parametrize("command", ["run", "oracle-check"])
 def test_episode_too_long_to_allocate_exit(tmp_path, capsys, command):
     # a horizon of 1e17 ticks passes the config checks; its log's size is

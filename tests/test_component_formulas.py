@@ -12,12 +12,15 @@ signed zeros among them (the leading 0.0 + turns a sum of -0.0 terms into
 ticks must give each row its one-tick value byte for byte, whatever the
 memory layout the columns come from: a C-ordered stack (its columns are
 strided), a Fortran-ordered one (contiguous columns) or a strided view
-into a larger array (neither axis contiguous).  control_loop's generated
-tick kernel, one per plant size with every strategy acting as on a
-frozen-tail tick, is held to the same property, which lets the frozen tail
-build its matrices from identity columns run through the one-tick formula,
-and to the tick spelled out with the same sums (seq_tick); the tail then
-derives its outputs and actions with dot on the log's columns, whose rows
+into a larger array (neither axis contiguous).  The Bellman-sample kernel
+(_SAMPLE), which the log rebuild runs on stacks, is held to seq_sample
+and its parts: the stage costs to seq_quadratic_form and seq_utility, the
+regressor to seq_regressor.  control_loop's generated tick kernel, one
+per plant size with every strategy acting as on a frozen-tail tick, is
+held to the same property, which lets the frozen tail build its matrices
+from identity columns run through the one-tick formula, and to the tick
+spelled out with the same sums (seq_tick); the tail then derives its
+outputs and actions with dot on the log's columns, whose rows
 test_frozen_tail pins to the same sums.  policy_from_kernel's
 kernel is checked against -(v * (1 / s)) for kernels of 2-7 rows.  The
 learner step piece that the adapting loop inlines (learner._learner_step)
@@ -36,18 +39,15 @@ from hypothesis import given, strategies as st
 
 from modelfollow import control_loop, learner
 from modelfollow.cli_io import parse_config
-from modelfollow.control_loop import (
-    STRATEGIES, SUBSTEPS, TICK_COLUMNS, _TICK, bellman_sample,
-)
+from modelfollow.control_loop import KINDS, STRATEGIES, SUBSTEPS, TICK_COLUMNS, _TICK
 from modelfollow.dynamics import held_input_maps
 from modelfollow.learner import (
-    _CONFIG_LINES, LearningConfig, SingularKernelError, _kernel_source, _learner_step, _names,
-    _unpack, _unpack_rows, bellman_regressor, dot, policy_from_kernel, quadratic_form, theta_to_S,
-    utility,
+    _CONFIG_LINES, _SAMPLE, LearningConfig, SingularKernelError, _kernel_source, _learner_step,
+    _names, _unpack, _unpack_rows, dot, policy_from_kernel, theta_to_S,
 )
 from sequential import (
     seq_actor_update, seq_critic_update, seq_distance, seq_dot, seq_policy_row,
-    seq_quadratic_form, seq_regressor, seq_tick,
+    seq_quadratic_form, seq_regressor, seq_sample, seq_tick, seq_utility,
 )
 
 # finite values, signed zeros drawn often and subnormals included, small
@@ -138,13 +138,21 @@ def converged_source(n):
 CRITIC, ACTOR, CONVERGED = map(learner._Kernels, (critic_source, actor_source, converged_source))
 
 
+def cl_cost(Z, M):
+    """The stage cost Z' M Z of the closed-loop Bellman sample (_SAMPLE) of
+    Z = [F; mu], one tick's floats or one column per component; the
+    features after the tick and the gain, which it does not read, are 0."""
+    zero = [0.0] * (len(Z) - 1)
+    return _SAMPLE["cl", len(zero)](Z[:-1], Z[-1], zero, zero, M, 1.0, 1.0)[1]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 10, 16])
 def test_sums_of_signed_zeros_are_positive(n):
     # every product -0.0: the loop's s = 0.0 start makes the sum +0.0, and
     # so must the kernel's leading 0.0 +
     neg, one = [-0.0] * n, [1.0] * n
     same_bytes(dot(neg, one), 0.0)
-    same_bytes(quadratic_form(one, [neg] * n), 0.0)
+    same_bytes(cl_cost(one, [neg] * n), 0.0)
     assert seq_dot(neg, one) == 0.0 and np.signbit(-0.0)
     # theta . z = +0.0, so the critic's residual is 0.0 - phi
     same_bytes(CRITIC[n](neg, one, -0.0, 0.5, 1.8), seq_critic_update(neg, one, -0.0, 0.5, 1.8))
@@ -164,35 +172,50 @@ def test_dot(data, n, d, seq, layout_a, layout_b):
 
 @given(st.data(), N_ROWS, st.integers(1, 6), SEQUENCES, LAYOUTS)
 def test_quadratic_form(data, n, d, seq, layout):
+    # the closed-loop stage cost of the Bellman sample
     x, M = data.draw(stacks(d, n)), data.draw(stacks(d, d))
     M = seq(seq(row) for row in M)
-    per_tick = [quadratic_form(seq(xi), M) for xi in x]
+    per_tick = [cl_cost(seq(xi), M) for xi in x]
     for value, xi in zip(per_tick, x):
         same_bytes(value, seq_quadratic_form(xi, M))
     X = columns(layout(x))
-    same_bytes(quadratic_form(X, M), seq_quadratic_form(X, M))
-    same_rows(quadratic_form(X, M), per_tick)
+    same_bytes(cl_cost(X, M), seq_quadratic_form(X, M))
+    same_rows(cl_cost(X, M), per_tick)
 
 
 @given(st.data(), N_ROWS, LAYOUTS, LAYOUTS, FLOATS.filter(lambda r: r > 0))
 def test_utility(data, n, layout_F, layout_mu, R):
+    # the error-feature stage cost of the Bellman sample, delta * U, taken
+    # at delta = 1.0: U itself
     F, Q = data.draw(stacks(3, n)), data.draw(stacks(3, 3))
     mu = data.draw(stacks(1, n))
-    same_rows(utility(columns(layout_F(F)), layout_mu(mu)[:, 0], Q, R),
-              [utility(Fi, mi[0], Q, R) for Fi, mi in zip(F, mu)])
+    zero = [0.0] * 3
+    per_tick = [_SAMPLE["err", 3](Fi, mi[0], zero, zero, Q, 1.0, R)[1] for Fi, mi in zip(F, mu)]
+    for value, Fi, mi in zip(per_tick, F, mu):
+        same_bytes(value, seq_utility(Fi, mi[0], Q, R))
+    stacked = _SAMPLE["err", 3](columns(layout_F(F)), layout_mu(mu)[:, 0], zero, zero, Q, 1.0, R)
+    same_rows(stacked[1], per_tick)
 
 
-@given(st.data(), N_ROWS, SIZES, SEQUENCES, LAYOUTS, LAYOUTS)
-def test_monomials_and_regressor(data, n, d, seq, layout_t, layout_next):
-    Z_t, Z_next = data.draw(stacks(d, n)), data.draw(stacks(d, n))
-    per_tick = [bellman_regressor(seq(a), seq(b)) for a, b in zip(Z_t, Z_next)]
-    for value, a, b in zip(per_tick, Z_t, Z_next):
-        same_bytes(value, seq_regressor(a, b))
-    # against a zero vector the regressor is the monomials themselves
-    same_bytes(bellman_regressor(seq(Z_t[0]), [0.0] * d), seq_regressor(Z_t[0], [0.0] * d))
-    A, B = columns(layout_t(Z_t)), columns(layout_next(Z_next))
-    same_bytes(bellman_regressor(A, B), seq_regressor(A, B))
-    same_rows(bellman_regressor(A, B), per_tick)
+@given(st.data(), N_ROWS, SIZES, SEQUENCES, LAYOUTS, LAYOUTS, st.sampled_from(["cl", "err"]))
+def test_monomials_and_regressor(data, n, d, seq, layout_t, layout_next, kind):
+    # the regressor of the Bellman sample of d - 1 features, Z_t = [F; mu]
+    # against Z_next = [G; p . G], whatever the kind of its stage cost
+    f = d - 1
+    Z_t, G, p = data.draw(stacks(d, n)), data.draw(stacks(f, n)), data.draw(stacks(f, n))
+    W = [[1.0] * (d if kind == "cl" else f)] * (d if kind == "cl" else f)
+
+    def regressor(Z, G, p):
+        return _SAMPLE[kind, f](Z[:-1], Z[-1], G, p, W, 0.01, 0.01)[0]
+
+    per_tick = [regressor(seq(a), seq(g), seq(pi)) for a, g, pi in zip(Z_t, G, p)]
+    for value, a, g, pi in zip(per_tick, Z_t, G, p):
+        same_bytes(value, seq_regressor(a, [*g, seq_dot(pi, g)]))
+    # against zero features the regressor is the monomials themselves
+    same_bytes(regressor(seq(Z_t[0]), [0.0] * f, seq(p[0])), seq_regressor(Z_t[0], [0.0] * d))
+    A, B, P = columns(layout_t(Z_t)), columns(layout_next(G)), columns(layout_next(p))
+    same_bytes(regressor(A, B, P), seq_regressor(A, [*B, seq_dot(P, B)]))
+    same_rows(regressor(A, B, P), per_tick)
 
 
 @given(st.data(), N_ROWS, SIZES, SEQUENCES, PACES, ALPHAS)
@@ -228,10 +251,9 @@ def test_kernel_converged(data, d, seq):
 
 
 def check_policy(S, d, n_features=None, eps_sing=1e-8):
-    """policy_from_kernel of the d * d entries S, as a tuple and as a numpy
-    kernel, against the reference row, byte for byte."""
+    """policy_from_kernel of the d * d entries S, as a numpy kernel, against
+    the reference row, byte for byte."""
     want = seq_policy_row(S, d)
-    same_bytes(policy_from_kernel(tuple(S), n_features, eps_sing), [want])
     same_bytes(policy_from_kernel(np.reshape(S, (d, d)), n_features, eps_sing), np.array([want]))
 
 
@@ -270,10 +292,15 @@ def test_bellman_sample(data, n, s, layout_F, layout_pi):
     form = data.draw(stacks(4, 4) if s == "cl" else stacks(3, 3))
     F, F_next, pi = data.draw(stacks(3, n)), data.draw(stacks(3, n)), data.draw(stacks(3, n))
     mu = data.draw(stacks(1, n))
+    kernel = _SAMPLE[KINDS[s], 3]
     stacked = layout_F(np.hstack([F, F_next, mu]))
-    z, phi = bellman_sample(s, columns(stacked[:, :3]), stacked[:, 6], columns(stacked[:, 3:6]),
-                            columns(layout_pi(pi)), cfg, form)
-    per_tick = [bellman_sample(s, F[i], mu[i][0], F_next[i], pi[i], cfg, form) for i in range(n)]
+    z, phi = kernel(columns(stacked[:, :3]), stacked[:, 6], columns(stacked[:, 3:6]),
+                    columns(layout_pi(pi)), form, cfg.delta, cfg.R)
+    per_tick = [kernel(F[i], mu[i][0], F_next[i], pi[i], form, cfg.delta, cfg.R) for i in range(n)]
+    for i, (zi, p) in enumerate(per_tick):
+        want = seq_sample(KINDS[s], F[i], mu[i][0], F_next[i], pi[i], form, cfg.delta, cfg.R)
+        same_bytes(zi, want[0])
+        same_bytes(p, want[1])
     same_rows(z, [zi for zi, _ in per_tick])
     same_rows(phi, [p for _, p in per_tick])
 
@@ -418,10 +445,7 @@ def test_fused_learner_step(data, n, kind, limit, eps_sing, tol_conv, sigma_c, a
                             values[m + 2 * n:m + 3 * n])
     mu, flat = values[m + 3 * n], values[m + 3 * n + 1:]
     form = [flat[i * w:(i + 1) * w] for i in range(w)]
-    Z_t = [*F, mu]
-    z_tilde = seq_regressor(Z_t, [*F_next, seq_dot(pi, F_next)])
-    phi = (seq_quadratic_form(Z_t, form) if kind == "cl" else
-           cfg.delta * (0.5 * (seq_quadratic_form(F, form) + (mu * cfg.R) * mu)))
+    z_tilde, phi = seq_sample(kind, F, mu, F_next, pi, form, cfg.delta, cfg.R)
     want_theta = seq_critic_update(theta, z_tilde, phi, sigma_c, alpha_c)
     want_S = theta_to_S(want_theta)
     distance = seq_distance(theta_to_S(theta), want_S)
@@ -443,9 +467,8 @@ def test_fused_learner_step(data, n, kind, limit, eps_sing, tol_conv, sigma_c, a
 def kernel_keys(n):
     """{(module, name): keys}: the keys of every generated kernel of vector,
     feature or plant size n (policy_from_kernel's of an n x n kernel)."""
-    keys = {(learner, name): [n] for name in (
-        "_DOT", "_QUADRATIC_FORM", "_UTILITY", "_BELLMAN_REGRESSOR")}
-    keys[learner, "_POLICY_FROM_KERNEL"] = [n * n]
+    keys = {(learner, "_DOT"): [n], (learner, "_SAMPLE"): [("cl", n), ("err", n)],
+            (learner, "_POLICY_FROM_KERNEL"): [n * n]}
     for name in ("_TICK", "_ADAPT"):
         keys[control_loop, name] = [n]
     return keys

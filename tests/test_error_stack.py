@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from modelfollow.control_loop import STACK_DEPTH, StrategyState, run_episode
-from modelfollow.learner import LearningConfig, S_to_theta, bellman_regressor
+from modelfollow.learner import LearningConfig, S_to_theta
 from modelfollow.reference import ReferenceSpec
-from sequential import seq_dot
+from sequential import seq_dot, seq_regressor
 
 ERROR = {"ob": "e_ob", "mf": "e_mf"}
 
@@ -28,7 +28,7 @@ def expected_regressor(log, cfg, s, k):
     F, F_next = e[k - STACK_DEPTH + 1:k + 1], e[k - STACK_DEPTH + 2:k + 2]
     pi = log.pi_hist[s][k + 1]  # row k+1 holds the gains acting during tick k
     mu = seq_dot(pi, F) + cfg.probe(k * cfg.delta, s)
-    return bellman_regressor(np.append(F, mu), np.append(F_next, seq_dot(pi, F_next)))
+    return seq_regressor(np.append(F, mu), np.append(F_next, seq_dot(pi, F_next)))
 
 
 def regressor_at(log, s, k):

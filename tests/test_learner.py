@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from modelfollow.learner import (
-    LearningConfig, PROBE_PHASES, SingularKernelError,
-    utility, quadratic_form, bellman_regressor, policy_from_kernel,
-    theta_to_S, S_to_theta, tri_indices, components,
+    LearningConfig, PROBE_PHASES, SingularKernelError, _SAMPLE,
+    policy_from_kernel, theta_to_S, S_to_theta, tri_indices, components,
 )
 from sequential import (
     seq_actor_update, seq_critic_update, seq_distance, seq_dot, seq_quadratic_form,
@@ -26,6 +25,20 @@ def entries(S):
 def quadratic_value(S, Z):
     """V = 1/2 Z' S Z by the sequential reference."""
     return 0.5 * seq_quadratic_form(Z, S)
+
+
+def utility(F, mu, Q, R):
+    """The stage utility U = 1/2 (F' Q F + mu R mu): the stage cost
+    delta * U of the error-feature Bellman sample (_SAMPLE) at delta = 1.0,
+    on one vector or on a stack given as columns."""
+    zero = [0.0] * len(F)
+    return _SAMPLE["err", len(F)](F, mu, zero, zero, Q, 1.0, R)[1]
+
+
+def regressor(Z_t, G, p):
+    """The regressor of the Bellman sample (_SAMPLE) of Z_t = [F; mu]
+    against Z_next = [G; p . G], on one vector or a stack given as columns."""
+    return _SAMPLE["err", len(G)](Z_t[:-1], Z_t[-1], G, p, [[0.0] * len(G)] * len(G), 1.0, 1.0)[0]
 
 
 # ---- utility -------------------------------------------------------------
@@ -50,9 +63,10 @@ def test_utility_even():
 # ---- quadratic forms and regressors -------------------------------------
 
 def test_regressor_zero_and_length():
+    # the gain prices the next action at p . F = 4.0, so Z_next = Z
     Z = [1.0, 2.0, 3.0, 4.0]
-    assert bellman_regressor(Z, Z) == [0.0] * 10
-    assert len(bellman_regressor(Z, [0.0] * 4)) == 10
+    assert regressor(Z, Z[:3], [0.0, 2.0, 0.0]) == [0.0] * 10
+    assert len(regressor(Z, [0.0] * 3, [0.0] * 3)) == 10
     assert len(tri_indices(4)) == 10
 
 
@@ -60,8 +74,9 @@ def test_regressor_identity():
     rng = np.random.default_rng(3)
     for _ in range(20):
         S = rand_sym(rng, 4)
-        Zt, Zn = rng.normal(size=4), rng.normal(size=4)
-        lhs = S_to_theta(S) @ bellman_regressor(Zt, Zn)
+        Zt, G, p = rng.normal(size=4), rng.normal(size=3), rng.normal(size=3)
+        Zn = np.append(G, seq_dot(p, G))
+        lhs = S_to_theta(S) @ regressor(Zt, G, p)
         rhs = quadratic_value(S, Zt) - quadratic_value(S, Zn)
         assert abs(lhs - rhs) < 1e-12
 
@@ -191,22 +206,24 @@ def test_theta_round_trip():
 
 
 def test_stacked_rows_match_single_vectors():
-    # bellman_regressor, quadratic_form and utility run on a stack given as
-    # its columns; each row of a stacked call must equal the one-vector call
+    # the Bellman sample (_SAMPLE: the regressor, the closed-loop quadratic
+    # form and the error-feature utility) runs on a stack given as its
+    # columns; each row of a stacked call must equal the one-vector call
     # bit for bit, since the episode's logged Bellman data are built stacked
     rng = np.random.default_rng(11)
     n = 2000
     F = rng.normal(size=(n, 3)) * rng.uniform(1e-3, 1e3, size=(n, 1))
     mu = rng.normal(size=n)
-    Zt, Zn = rng.normal(size=(n, 4)), rng.normal(size=(n, 4))
+    Zt, G, p = rng.normal(size=(n, 4)), rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
     Q, W = (0.05 * np.eye(3) + 0.01).tolist(), rand_sym(rng, 4).tolist()
     U = utility(components(F), mu, Q, 0.01)
-    z = np.stack(bellman_regressor(components(Zt), components(Zn)), axis=1)
-    q = quadratic_form(components(Zt), W)
+    z = np.stack(regressor(components(Zt), components(G), components(p)), axis=1)
+    zero = [0.0] * 3
+    q = _SAMPLE["cl", 3](components(Zt[:, :3]), Zt[:, 3], zero, zero, W, 1.0, 1.0)[1]
     assert U.shape == q.shape == (n,) and z.shape == (n, 10)
     for i in range(n):
         assert U[i] == utility(F[i].tolist(), mu[i], Q, 0.01), i
-        assert z[i].tolist() == bellman_regressor(Zt[i].tolist(), Zn[i].tolist()), i
+        assert z[i].tolist() == regressor(Zt[i].tolist(), G[i].tolist(), p[i].tolist()), i
         assert q[i] == seq_quadratic_form(Zt[i], W), i
 
 
@@ -217,10 +234,11 @@ def test_layout_matches_loop_reference():
     for d in range(1, 7):
         pairs = tri_indices(d)
         for _ in range(5):
-            Z, Zn = rng.normal(size=d).tolist(), rng.normal(size=d).tolist()
+            Z, G, p = (rng.normal(size=k).tolist() for k in (d, d - 1, d - 1))
+            Zn = [*G, seq_dot(p, G)]
             ref = [0.5 * Z[i] * Z[i] - 0.5 * Zn[i] * Zn[i] if i == j else Z[i] * Z[j] - Zn[i] * Zn[j]
                    for (i, j) in pairs]
-            assert bellman_regressor(Z, Zn) == ref
+            assert regressor(Z, G, p) == ref
             th = rng.normal(size=len(pairs))
             S_ref = np.zeros((d, d))
             for k, (i, j) in enumerate(pairs):

@@ -9,8 +9,8 @@ from scipy.linalg import expm, solve_discrete_are, solve_discrete_lyapunov
 from modelfollow import oracle
 from modelfollow.cli_io import load_config
 from modelfollow.dynamics import rk4_step
-from modelfollow.learner import bellman_regressor, policy_from_kernel
-from sequential import seq_critic_update, seq_quadratic_form
+from modelfollow.learner import policy_from_kernel
+from sequential import seq_critic_update, seq_quadratic_form, seq_regressor
 
 
 def test_zoh_zero_drift():
@@ -202,7 +202,7 @@ def test_batch_solve_recovers_truth():
     data = []
     for _ in range(30):
         Zt, Zn = rng.normal(size=4), rng.normal(size=4)
-        z = bellman_regressor(Zt, Zn)
+        z = seq_regressor(Zt, Zn)
         data.append((z, float(theta_star @ z)))
     theta = oracle.batch_bellman_solve(data)
     assert np.linalg.norm(theta - theta_star) < 1e-8
@@ -224,7 +224,7 @@ def test_regressor_log_arrays_equal_pairs():
 
 def test_batch_solve_under_excitation():
     rng = np.random.default_rng(13)
-    z = bellman_regressor(rng.normal(size=4), rng.normal(size=4))
+    z = seq_regressor(rng.normal(size=4), rng.normal(size=4))
     with pytest.raises(oracle.UnderExcitationError):
         oracle.batch_bellman_solve([(z, 0.0)])
 
@@ -235,7 +235,7 @@ def test_projection_cycles_reach_batch_solution():
     data = []
     for _ in range(40):
         Zt, Zn = rng.normal(size=4), rng.normal(size=4)
-        z = bellman_regressor(Zt, Zn)
+        z = seq_regressor(Zt, Zn)
         data.append((z, float(theta_star @ z)))
     batch = oracle.batch_bellman_solve(data)
     theta = np.zeros(10)

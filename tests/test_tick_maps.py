@@ -8,7 +8,7 @@ from modelfollow import oracle
 from modelfollow.cli_io import parse_config
 from modelfollow.control_loop import SUBSTEPS, run_episode, tick_cost_form
 from modelfollow.dynamics import held_input_maps, rk4_step
-from modelfollow.learner import utility
+from sequential import seq_utility
 
 DELTA = 0.01
 
@@ -36,11 +36,11 @@ def test_maps_match_explicit_substeps(model, default_config):
             z = np.append(x0, u)
             # the substep loop the maps replace
             x, phi = x0, 0.0
-            u_prev = utility(x, u, Q, R)
+            u_prev = seq_utility(x, u, Q, R)
             for j in range(SUBSTEPS):
                 x = rk4_step(A, B, x, np.array([u]), h)
                 assert rel_err(L[j + 1] @ z, x) <= 1e-12
-                u_new = utility(x, u, Q, R)
+                u_new = seq_utility(x, u, Q, R)
                 phi += 0.5 * h * (u_prev + u_new)
                 u_prev = u_new
             Phi, Gam = L[-1, :, :3], L[-1, :, 3]
