@@ -28,16 +28,21 @@ every sum in index order from 0.0 and no BLAS call.
 The ticks that adapt run as one generated loop per plant size, _ADAPT[n],
 from tick 0 on.  It holds the lifted state s = [x, xhat, u_ob, u_mf, e_ob
 window, e_mf window], each strategy's theta and pi and its counters in
-locals, and binds the maps, the LearningConfig scalars and the stage-cost
-weights once.  A tick runs the tick pieces inline, with warm-up as a
-run-time branch; packs its row (the TICK_COLUMNS, then each strategy's
-theta and pi) straight into the log's table; and then each adapting
-strategy runs the learner's step piece (learner._learner_step) inline on
-its features before and after the tick: the Bellman sample, the critic
-step, the convergence test, and the greedy gain and clamped actor step,
-or a skip for a singular kernel.  Whether a strategy adapts is a run-time
-flag too, so an episode compiles one loop whatever adapts.  The loop
-counts each strategy's steps, singular skips and clamped actor residuals
+locals, and binds the maps, the LearningConfig scalars (a null rate limit
+as inf, and the time the convergence test starts from: conv_check_start,
+or inf when tol_conv <= 0, which disables the freeze) and the stage-cost
+weights once; it reads the probes as one list per strategy, so that a
+tick builds no list.  A tick
+runs the tick pieces inline, with warm-up as a run-time branch; packs its
+row (the TICK_COLUMNS, then each strategy's theta and pi) straight into
+the log's table; and then each adapting strategy runs the learner's step
+piece (learner._learner_step) inline on its features before and after
+the tick: the Bellman sample, the critic step, the convergence test (on
+the steps from conv_check_start on only, the only ones the freeze
+counts), and the greedy gain and clamped actor step, or a skip for a
+singular kernel.  Whether a strategy adapts is a run-time flag too, so an
+episode compiles one loop whatever adapts.  The loop counts each
+strategy's steps, singular skips and clamped actor residuals
 (log.learner_counts).  The StrategyState objects, which hold theta and pi
 as lists of Python floats, take its results when it returns; only the
 log's theta_final and pi_final are numpy arrays.
@@ -401,7 +406,7 @@ def _step_lines(n):
     for x, Phi, Gam, u in (("x", "Phi", "Gam", "u_total"), ("xh", "Phih", "Gamh", "v")):
         rows = (f"{_index_sum(f'{Phi}{i * n + j} * {x}{j}' for j in range(n))} + {Gam}{i} * {u}"
                 for i in range(n))
-        lines.append(f"[{', '.join(_names(x, n))}] = [{', '.join(rows)}]")
+        lines.append(f"{', '.join(_names(x, n))} = {', '.join(rows)}")
     return lines
 
 
@@ -450,13 +455,15 @@ def _adapt_source(n):
         F[s], G[s] = (_names("xp", n), now) if s == "cl" else (now, [*now[1:], f"e_{s}"])
     windows = {s: F[s] for s in STRATEGIES if s != "cl"}
     lag = max(LAGS.values())
+    # each strategy's probes, one list of every tick's
+    probes = [f"probes_{s}" for s in STRATEGIES]
 
     learn = []
     for s in STRATEGIES:
         th = _names("th", len(theta[s]))
         step = [*_learner_step(KINDS[s], theta[s], pi[s], F[s], G[s], PRICED[s], f"W_{s}",
                                [f"skips_{s} += 1"], [f"clamps_{s} += clamped"]),
-                f"[{', '.join(theta[s])}] = [{', '.join(th)}]", f"steps_{s} += 1",
+                f"{', '.join(theta[s])} = {', '.join(th)}", f"steps_{s} += 1",
                 "if t >= conv_check_start:",
                 *_indent([f"conv_{s} = conv_{s} + 1 if settled else 0",
                           f"if conv_{s} >= conv_window:",
@@ -466,8 +473,8 @@ def _adapt_source(n):
 
     tick = [f"if k >= {lag} and not ({' or '.join(f'adapt_{s}' for s in STRATEGIES)}):",
             "    break",
-            "t = k * delta", _PROBE_LINE, "yref = ref[k + 1]",
-            f"[{', '.join(F['cl'])}] = [{', '.join(G['cl'])}]",
+            "t = k * delta", "yref = ref[k + 1]",
+            f"{', '.join(F['cl'])} = {', '.join(G['cl'])}",
             f"if k >= {lag}:", *_indent(_action_lines(n, STRATEGIES)),
             "else:", *_indent(_action_lines(n, [s for s in STRATEGIES if not LAGS[s]])),
             *_advance_lines(n),
@@ -475,7 +482,7 @@ def _adapt_source(n):
             f"if not ({' and '.join(f'abs({x}) <= 1e7' for x in _names('x', n))}):",
             *_indent(["diverged = t + delta", "break"]),
             "off = off + stride", write, *learn,
-            *(f"[{', '.join(w)}] = [{', '.join([*w[1:], f'e_{s}'])}]" for s, w in windows.items())]
+            *(f"{', '.join(w)} = {', '.join([*w[1:], f'e_{s}'])}" for s, w in windows.items())]
 
     lines = [_unpack("x", n), _unpack("xh", n),
              *_strategy_lines("theta", {s: len(theta[s]) for s in STRATEGIES}), *_gain_lines(n),
@@ -484,18 +491,20 @@ def _adapt_source(n):
              *_map_lines(n), f"[{', '.join(f'W_{s}' for s in STRATEGIES)}] = W",
              *(_unpack_rows(f"W_{s}", f + 1 if s == "cl" else f) for s, f in size.items()),
              *_CONFIG_LINES,
-             "conv_check_start, conv_window = cfg.conv_check_start, cfg.conv_window",
+             "conv_window = cfg.conv_window",
              " = ".join([*(f"{c}_{s}" for s in STRATEGIES for c in ("steps", "skips", "clamps")),
                          "0"]),
              " = ".join([*(f"t_conv_{s}" for s in STRATEGIES), "diverged", "None"]),
              # row 0: the first sample, before any action
              "u_ob = u_mf = mu_ob = mu_cl = mu_mf = u_total = v = 0.0",
              "yref = ref[0]", *_output_lines(n),
-             *(f"[{', '.join(w)}] = [{', '.join([*['0.0'] * (len(w) - 1), f'e_{s}'])}]"
+             *(f"{', '.join(w)} = {', '.join([*['0.0'] * (len(w) - 1), f'e_{s}'])}"
                for s, w in windows.items()),
              f"stride, off = table.strides[0], {len(EXOGENOUS)} * table.itemsize", write,
-             "for k, probe in enumerate(probes):", *_indent(tick),
-             "else:", "    k = len(probes)"]
+             f"{', '.join(probes)} = probes",
+             f"for k, {', '.join(f'p_{s}' for s in STRATEGIES)} in zip(range(len({probes[0]})), "
+             f"{', '.join(probes)}):", *_indent(tick),
+             "else:", f"    k = len({probes[0]})"]
     learned = ", ".join(f"([{', '.join(theta[s])}], [{', '.join(pi[s])}], conv_{s}, t_conv_{s}, "
                         f"steps_{s}, skips_{s}, clamps_{s})" for s in STRATEGIES)
     return _kernel_source("x, xh, theta, pi, adapt, conv, ref, probes, maps, W, cfg, table, pack",
@@ -517,15 +526,16 @@ _TICK = _Kernels(_tick_source)
 # x and xh are the initial states; theta, pi, adapt (whether the strategy
 # adapts), conv (its settled-step count) and W (its stage-cost weight as a
 # list of rows) hold one entry per strategy in STRATEGIES order; ref is
-# the reference at every sample time, probes the probes of every tick;
+# the reference at every sample time, probes one list per strategy, in
+# STRATEGIES order, of its probe on every tick;
 # maps as for _TICK; cfg the LearningConfig.  Row k of the table is packed
 # by pack (a struct's pack_into over the columns after EXOGENOUS) as tick
 # k - 1 ends.  The loop stops at the horizon, at the first tick whose
 # plant state leaves the box, or at the first tick on which every strategy
-# acts and none adapts.  Returns the tick k it stopped at (len(probes) at
-# the horizon), the divergence time or None, the lifted state before tick
-# k, and per strategy its theta, pi, settled-step count, freeze time or
-# None and its step, singular-skip and clamp counts.
+# acts and none adapts.  Returns the tick k it stopped at (the number of
+# ticks at the horizon), the divergence time or None, the lifted state
+# before tick k, and per strategy its theta, pi, settled-step count, freeze
+# time or None and its step, singular-skip and clamp counts.
 _ADAPT = _Kernels(_adapt_source)
 
 
@@ -687,7 +697,7 @@ def run_episode(model, ref_spec, cfg, horizon=20.0, initial=None):
     k, diverged, z, learned = _timed(log.timings, "adapt_ms", lambda: _ADAPT[n](
         [0.0] * n, [0.0] * n, [st.theta for st in ordered], [st.pi for st in ordered],
         [not st.frozen for st in ordered], [st.conv_count for st in ordered],
-        log.yref.tolist(), probe.tolist(), maps, [forms[s] for s in STRATEGIES], cfg,
+        log.yref.tolist(), probe.T.tolist(), maps, [forms[s] for s in STRATEGIES], cfg,
         log._table, pack))
     for s, st, (theta, pi, conv, t_conv, *counts) in zip(STRATEGIES, ordered, learned):
         st.theta, st.pi, st.conv_count = theta, pi, conv

@@ -26,9 +26,14 @@ assembles the pieces of one learner step (the Bellman sample, the critic
 step, the convergence test of the new kernel against the old, both read
 through the theta layout, the greedy gain and the actor step, or a skip
 for a singular kernel) on named locals, and control_loop's adapting loop
-inlines it for each strategy.  control_loop writes its tick and its loop
-with the same helpers (_unpack, _names, _dot, _index_sum) and compiles
-them the same way.
+inlines it for each strategy.  Each step computes only what is read: the
+convergence test runs only on the steps from conv_check_start on, the
+only ones whose result the freeze counts, and on none when tol_conv <= 0,
+which disables the freeze; and a null actor_rate_limit is the limit inf,
+bound once per loop call with the other LearningConfig scalars
+(_CONFIG_LINES), so the actor clamps by comparisons alone.  control_loop
+writes its tick and its loop with the same helpers (_unpack, _names, _dot,
+_index_sum) and compiles them the same way.
 Nothing calls BLAS: numpy's elementwise operations round as Python's
 float operations do, so a stack of ticks run through a kernel gives each
 row the one-tick value bit for bit, whatever the memory layout of the
@@ -77,7 +82,8 @@ class _Kernels(dict):
 
     def __missing__(self, key):
         start = perf_counter()
-        namespace = {"sqrt": math.sqrt, "SingularKernelError": SingularKernelError}
+        namespace = {"sqrt": math.sqrt, "inf": math.inf,
+                     "SingularKernelError": SingularKernelError}
         exec(compile(self.source(key), f"<{self.source.__name__}({key})>", "exec"), namespace)
         kernel = self[key] = namespace["kernel"]
         _Kernels.compile_s += perf_counter() - start
@@ -208,14 +214,19 @@ def _policy_from_kernel(out, S, singular, greedy):
 
 def _actor_update(out, p, F):
     """out = the actor step of p toward p . F = phi_target (the locals
-    phi_target, sigma_a, alpha_a and rate_limit), and clamped = whether the
-    rate limit moved the residual: |residual| > rate_limit, which a NaN
-    residual is not (min and max leave it NaN, as np.clip does).  Near a
-    singular kernel the greedy target is hypersensitive to critic noise,
-    and an unclamped step can destabilize the loop."""
+    phi_target, sigma_a, alpha_a and rate_limit, a number, inf for no
+    limit), and clamped = whether the rate limit moved the residual:
+    |residual| > rate_limit, which a NaN residual is not.  The residual is
+    clamped to +-rate_limit by comparisons, which give what
+    min(max(residual, -rate_limit), rate_limit) gives: a NaN residual stays
+    NaN (as np.clip leaves it), a signed zero keeps its sign and a clamped
+    residual is the limit itself, an int limit included.  Near a singular
+    kernel the greedy target is hypersensitive to critic noise, and an
+    unclamped step can destabilize the loop."""
     return [f"residual = {_dot(p, F)} - phi_target",
-            "clamped = rate_limit is not None and abs(residual) > rate_limit",
-            "if rate_limit is not None: residual = min(max(residual, -rate_limit), rate_limit)",
+            "clamped = abs(residual) > rate_limit",
+            "residual = rate_limit if residual > rate_limit else "
+            "(-rate_limit if residual < -rate_limit else residual)",
             f"denom = alpha_a + ({_dot(F, F)})",
             *(f"{o} = {pi} - sigma_a * (residual * {fi}) / denom" for o, pi, fi in zip(out, p, F))]
 
@@ -315,33 +326,42 @@ def policy_from_kernel(S, n_features=None, eps_sing=1e-8):
 
 
 # the LearningConfig scalars a learner step reads, bound to locals of their
-# names once per kernel call
+# names once per kernel call; a null actor_rate_limit as the limit inf, and
+# test_from, the time from which the convergence test runs: conv_check_start,
+# or inf when tol_conv <= 0, under which no kernel distance (a square root,
+# so nonnegative or NaN) is below tol_conv
 _CONFIG_LINES = [*(f"{name} = cfg.{name}" for name in (
-    "sigma_c", "alpha_c", "tol_conv", "eps_sing", "sigma_a", "alpha_a", "delta", "R")),
-    "rate_limit = cfg.actor_rate_limit"]
+    "sigma_c", "alpha_c", "tol_conv", "eps_sing", "sigma_a", "alpha_a", "delta", "R",
+    "conv_check_start")),
+    "rate_limit = inf if cfg.actor_rate_limit is None else cfg.actor_rate_limit",
+    "test_from = conv_check_start if tol_conv > 0 else inf"]
 
 
-def _learner_step(kind, t, p, F, G, mu, W, singular, greedy):
+def _learner_step(kind, theta, p, F, G, mu, W, singular, greedy):
     """The body lines of one learner step of a strategy, on the locals of
-    its theta t, its gain p, its features F before and G after the tick,
+    its theta, its gain p, its features F before and G after the tick,
     the action mu it priced and the rows of its stage-cost weight W
-    (unpacked by _unpack_rows), with the _CONFIG_LINES locals bound.
+    (unpacked by _unpack_rows), with the _CONFIG_LINES locals and `t`, the
+    time at the start of the tick, bound.
 
     The Bellman sample of kind "cl" or "err" (_sample, the piece that
     _SAMPLE runs on the log's columns) into phi and z0, z1, ...; then the
-    critic step of t into th0, th1, ...; settled, the convergence test of
-    the new kernel against the kernel of t, both read through the theta
-    layout (_entry_slots); and the statements `singular` when the new
-    kernel is singular, else the greedy gain, the actor step of p in place,
-    clamped (whether the rate limit moved the residual) and the statements
+    critic step of theta into th0, th1, ...; settled, the convergence test
+    of the new kernel against the kernel of theta, both read through the
+    theta layout (_entry_slots), which runs only from test_from on (from
+    conv_check_start on, and never for tol_conv <= 0) and is False
+    otherwise; and the statements `singular` when the new kernel is
+    singular, else the greedy gain, the actor step of p in place, clamped
+    (whether the rate limit moved the residual) and the statements
     `greedy`.
     """
     d = len(F) + 1
-    th, z, gain = _names("th", len(t)), _names("z", len(t)), _names("g", len(F))
+    th, z, gain = _names("th", len(theta)), _names("z", len(theta)), _names("g", len(F))
     slots = _entry_slots(d)
     return [*_sample(kind, z, F, mu, G, p, W),
-            *_critic_update(th, t, z),
-            *_kernel_converged("settled", t, th, slots),
+            *_critic_update(th, theta, z),
+            "if t >= test_from:", *_indent(_kernel_converged("settled", theta, th, slots)),
+            "else:", "    settled = False",
             *_policy_from_kernel(gain, [th[k] for k in slots], singular,
                                  [f"phi_target = {_dot(gain, F)}", *_actor_update(p, p, F),
                                   *greedy])]

@@ -114,12 +114,12 @@ def solve_dare(A_d, B_d, Q_bar, R_bar, tol=1e-13, max_iter=64):
     the max-abs norm does not overflow where a Frobenius norm of finite
     entries would.
 
-    Raises NoConvergenceError after max_iter doubling steps, or when an
-    iterate is not finite.  The max|H_{k+1}| of the stopping test is the
-    finiteness check: a NaN or inf in H_{k+1} fails it on the step that
-    makes it.  One in A_k or G_k (A_0 and G_0 come from the inputs)
-    reaches H_{k+1} through W^-1 [A_k, G_k], so it fails the check one
-    step after it appears; only when H_{k+1} passes the stopping test are
+    Raises NoConvergenceError after max_iter doubling steps, when a step's
+    W is singular, or when an iterate is not finite.  The max|H_{k+1}| of
+    the stopping test is the finiteness check: a NaN or inf in H_{k+1}
+    fails it on the step that makes it.  One in A_k or G_k (A_0 and G_0
+    come from the inputs) reaches H_{k+1} through W^-1 [A_k, G_k], so it
+    fails the check one step after it appears; only when H_{k+1} passes the stopping test are
     A_{k+1} and G_{k+1} checked themselves, before H_{k+1} is returned.
     """
     A = np.atleast_2d(np.asarray(A_d, dtype=float))
@@ -139,7 +139,10 @@ def solve_dare(A_d, B_d, Q_bar, R_bar, tol=1e-13, max_iter=64):
         for _ in range(max_iter):
             AG[:, :n] = A
             AG[:, n:] = G
-            WinvAG = np.linalg.solve(eye + G @ H, AG)
+            try:
+                WinvAG = np.linalg.solve(eye + G @ H, AG)
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergenceError("Riccati doubling step is singular") from exc
             WinvA, WinvG = WinvAG[:, :n], WinvAG[:, n:]
             Hn = H + A.T @ H @ WinvA
             Hn = 0.5 * (Hn + Hn.T)

@@ -570,6 +570,18 @@ def test_oracle_error_exit(tmp_path, capsys, monkeypatch):
     assert err == "oracle error: Riccati doubling did not converge in 60 steps\n"
 
 
+def test_oracle_error_on_singular_doubling_step(tmp_path, capsys):
+    # r = 1e300 makes G = B R^-1 B' of order 1e-302, and H grows to 1e271
+    # before the 30th doubling step's I + G H is singular in floating
+    # point: one line and exit 1, not a LinAlgError traceback
+    config = tmp_path / "huge_r.ini"
+    config.write_text("[learning]\nr = 1e300\n")
+    assert main(["oracle-check", str(config)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "oracle error: Riccati doubling step is singular\n"
+
+
 def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 

@@ -113,7 +113,8 @@ def same_rows(stacked, per_tick):
 # the learner step (learner._learner_step) only, which the adapting loop
 # inlines; each is compiled here on its own for n components of t and z,
 # the step's names, with the step's scalars as arguments.  The critic and
-# the actor update t in place, as the step does, and return it.
+# the actor update t in place, as the step does, and return it.  The actor
+# takes its rate limit as the loop binds it, a null limit as math.inf.
 def _piece_source(n, scalars, lines, result):
     return _kernel_source(f"t, z, {scalars}", [_unpack("t", n), _unpack("z", n), *lines], result)
 
@@ -156,7 +157,8 @@ def test_sums_of_signed_zeros_are_positive(n):
     assert seq_dot(neg, one) == 0.0 and np.signbit(-0.0)
     # theta . z = +0.0, so the critic's residual is 0.0 - phi
     same_bytes(CRITIC[n](neg, one, -0.0, 0.5, 1.8), seq_critic_update(neg, one, -0.0, 0.5, 1.8))
-    same_bytes(ACTOR[n](neg, one, -0.0, 0.5, 1.8, None), seq_actor_update(neg, one, -0.0, 0.5, 1.8))
+    same_bytes(ACTOR[n](neg, one, -0.0, 0.5, 1.8, math.inf),
+               seq_actor_update(neg, one, -0.0, 0.5, 1.8))
 
 
 @given(st.data(), N_ROWS, SIZES, SEQUENCES, LAYOUTS, LAYOUTS)
@@ -229,14 +231,35 @@ def test_critic_update(data, n, d, seq, sigma, alpha):
                    seq_critic_update(t, zi, p[0], sigma, alpha))
 
 
-@given(st.data(), N_ROWS, SIZES, SEQUENCES, PACES, ALPHAS,
-       st.sampled_from([None, 0.0, 0.002, 1.0]))
-def test_actor_update(data, n, d, seq, sigma, alpha, limit):
+# the actor's rate limits, every one run on each example (a hypothesis
+# draw of one missed some): none, the int 0 that actor_rate_limit = 0
+# parses to, a float 0.0, finite ones and inf
+LIMITS = [None, 0, 0.0, 0.002, 1.0, math.inf]
+
+
+def bound_limit(limit):
+    """The rate limit as the adapting loop binds it: inf for none."""
+    return math.inf if limit is None else limit
+
+
+@given(st.data(), N_ROWS, SIZES, SEQUENCES, PACES, ALPHAS)
+def test_actor_update(data, n, d, seq, sigma, alpha):
     pi, F = data.draw(stacks(d, n)), data.draw(stacks(d, n))
     target = data.draw(stacks(1, n))
     for p, f, t in zip(pi, F, target):
-        same_bytes(ACTOR[d](seq(p), seq(f), t[0], sigma, alpha, limit),
-                   seq_actor_update(p, f, t[0], sigma, alpha, rate_limit=limit))
+        for limit in LIMITS:
+            same_bytes(ACTOR[d](seq(p), seq(f), t[0], sigma, alpha, bound_limit(limit)),
+                       seq_actor_update(p, f, t[0], sigma, alpha, rate_limit=limit))
+
+
+@pytest.mark.parametrize("limit", LIMITS)
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-3, -1e-3, 5.0])
+@pytest.mark.parametrize("f", [1.0, -0.0])
+def test_actor_clamp_edges(limit, target, f):
+    # the clamp by comparisons gives what min(max(...)) gives on a NaN or
+    # infinite residual, a zero one and one on either side of the limit
+    same_bytes(ACTOR[1]([0.5], [f], target, 0.5, 1.8, bound_limit(limit)),
+               seq_actor_update([0.5], [f], target, 0.5, 1.8, rate_limit=limit))
 
 
 @given(st.data(), SIZES, SEQUENCES)
@@ -399,18 +422,18 @@ STEP_VALUES = st.sampled_from([FLOATS, st.integers(-10**9, 10**9).map(lambda i: 
 def step_source(key):
     """The learner step the adapting loop inlines (learner._learner_step),
     compiled on its own for n features and the stage-cost kind ("cl" or
-    "err") of key = (n, kind): kernel(theta, pi, F, F_next, mu, form, cfg)
-    returns the new theta, the new gain (pi itself for a singular kernel),
-    whether the kernel settled and whether the rate limit clamped the actor
-    residual."""
+    "err") of key = (n, kind): kernel(theta, p, F, G, mu, W, cfg, t), t the
+    time at the start of the tick, returns the new theta, the new gain (pi
+    itself for a singular kernel), whether the kernel settled and whether
+    the rate limit clamped the actor residual."""
     n, kind = key
     m, w = (n + 1) * (n + 2) // 2, n + 1 if kind == "cl" else n
-    t, p, th = _names("t", m), _names("p", n), _names("th", m)
-    lines = [*_CONFIG_LINES, _unpack("t", m), _unpack("p", n), _unpack("F", n), _unpack("G", n),
-             _unpack_rows("W", w),
-             *_learner_step(kind, t, p, _names("F", n), _names("G", n), "mu", "W",
+    theta, p, th = _names("theta", m), _names("p", n), _names("th", m)
+    lines = [*_CONFIG_LINES, _unpack("theta", m), _unpack("p", n), _unpack("F", n),
+             _unpack("G", n), _unpack_rows("W", w),
+             *_learner_step(kind, theta, p, _names("F", n), _names("G", n), "mu", "W",
                             [f"return [{', '.join(th)}], p, settled, False"], [])]
-    return _kernel_source("t, p, F, G, mu, W, cfg", lines,
+    return _kernel_source("theta, p, F, G, mu, W, cfg, t", lines,
                           f"[{', '.join(th)}], [{', '.join(p)}], settled, clamped")
 
 
@@ -418,9 +441,9 @@ STEP = learner._Kernels(step_source)
 
 
 @given(st.data(), st.integers(1, 6), st.sampled_from(["cl", "err"]),
-       st.sampled_from([None, 0.0, 0.002, 1.0]), st.sampled_from([1e-8, 1.0, 1e300]),
-       st.sampled_from([1e-4, 1e300, None]), PACES, ALPHAS, PACES, ALPHAS)
-def test_fused_learner_step(data, n, kind, limit, eps_sing, tol_conv, sigma_c, alpha_c,
+       st.sampled_from([1e-8, 1.0, 1e300]), st.sampled_from([1e-4, 1e300, 0.0, -1.0, None]),
+       st.sampled_from([0.0, 0.99, 1.0, 7.5]), PACES, ALPHAS, PACES, ALPHAS)
+def test_fused_learner_step(data, n, kind, eps_sing, tol_conv, t, sigma_c, alpha_c,
                             sigma_a, alpha_a):
     # the learner step of a strategy with n features, the piece the
     # adapting loop inlines, gives what the chain of sequential references
@@ -428,13 +451,16 @@ def test_fused_learner_step(data, n, kind, limit, eps_sing, tol_conv, sigma_c, a
     # convergence test of the new kernel against the kernel of theta (read
     # through the theta layout), the greedy gain (a singular kernel keeps
     # the gain, which eps_sing = 1e300 makes of nearly every kernel, and 1.0
-    # of many) and the actor step.  The inputs are STEP_VALUES, and in a
-    # quarter of the examples one of them is NaN.  tol_conv = None stands
-    # for the chain's own kernel distance, where a step that summed the
-    # squared differences in another order, or each symmetric one once,
-    # would settle
+    # of many) and the actor step, under each of the LIMITS.  The inputs
+    # are STEP_VALUES, and in a quarter of the examples one of them is NaN.
+    # tol_conv = None stands for the chain's own kernel distance, where a
+    # step that summed the squared differences in another order, or each
+    # symmetric one once, would settle.  The test runs only from
+    # conv_check_start (1.0) on, and settles nothing before it or under
+    # tol_conv <= 0.  Each limit is set after validation, which rejects
+    # inf, the limit the loop binds for a null one
     cfg = LearningConfig(sigma_c=sigma_c, alpha_c=alpha_c, sigma_a=sigma_a, alpha_a=alpha_a,
-                         eps_sing=eps_sing, tol_conv=1e-4, actor_rate_limit=limit)
+                         eps_sing=eps_sing, tol_conv=1e-4)
     d = n + 1
     m, w = d * (d + 1) // 2, d if kind == "cl" else n
     size = m + 3 * n + 1 + w * w
@@ -452,16 +478,18 @@ def test_fused_learner_step(data, n, kind, limit, eps_sing, tol_conv, sigma_c, a
     if tol_conv is None:
         tol_conv = distance if math.isfinite(distance) else 1e-4
     cfg.tol_conv = tol_conv
-    got_theta, got_pi, settled, clamped = STEP[n, kind](theta, pi, F, F_next, mu, form, cfg)
-    if abs(want_S[-1]) < eps_sing:
-        assert got_pi is pi and clamped is False
-    else:
-        target = seq_dot(seq_policy_row(want_S, n + 1), F)
-        same_bytes(got_pi, seq_actor_update(pi, F, target, sigma_a, alpha_a, rate_limit=limit))
-        # a clamp moves the residual, which a NaN residual is not
-        assert clamped is (limit is not None and abs(seq_dot(pi, F) - target) > limit)
-    same_bytes(got_theta, want_theta)
-    assert settled is (distance < tol_conv)
+    for limit in LIMITS:
+        cfg.actor_rate_limit = limit
+        got_theta, got_pi, settled, clamped = STEP[n, kind](theta, pi, F, F_next, mu, form, cfg, t)
+        if abs(want_S[-1]) < eps_sing:
+            assert got_pi is pi and clamped is False
+        else:
+            target = seq_dot(seq_policy_row(want_S, n + 1), F)
+            same_bytes(got_pi, seq_actor_update(pi, F, target, sigma_a, alpha_a, rate_limit=limit))
+            # a clamp moves the residual, which a NaN residual is not
+            assert clamped is (limit is not None and abs(seq_dot(pi, F) - target) > limit)
+        same_bytes(got_theta, want_theta)
+        assert settled is (t >= cfg.conv_check_start and distance < tol_conv)
 
 
 def kernel_keys(n):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -224,25 +225,77 @@ def test_states_hold_floats_after_an_episode(monkeypatch, model, default_config)
     assert all(floats(states[s]) for s in STRATEGIES)
     assert all(np.array_equal(states[s].theta, log.theta_final[s]) for s in STRATEGIES)
 
-    # every learner step takes one square root, its convergence test's: the
-    # tenth raises
+    # from conv_check_start = 0 on every learner step takes one square root,
+    # its convergence test's: the tenth raises
     before = copy.deepcopy(states)
-    loop = control_loop._ADAPT[model.n]
     steps = []
 
     def failing(v):
         steps.append(v)
         if len(steps) == 10:
             raise RuntimeError("step failed")
-        return sqrt(v)
+        return math.sqrt(v)
 
-    sqrt = loop.__globals__["sqrt"]
-    monkeypatch.setitem(loop.__globals__, "sqrt", failing)
+    monkeypatch.setitem(control_loop._ADAPT[model.n].__globals__, "sqrt", failing)
+    cfg = dataclasses.replace(c.learning, conv_check_start=0.0)
     with pytest.raises(RuntimeError, match="step failed"):
-        run_episode(model, c.reference, c.learning, horizon=1.0, initial=states)
+        run_episode(model, c.reference, cfg, horizon=1.0, initial=states)
     assert len(steps) == 10
     assert all(floats(states[s]) for s in STRATEGIES)
     assert states == before
+
+
+def count_square_roots(monkeypatch, model):
+    """The list that every square root the adapting loop takes appends to."""
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return math.sqrt(v)
+
+    monkeypatch.setitem(control_loop._ADAPT[model.n].__globals__, "sqrt", counted)
+    return calls
+
+
+@pytest.mark.parametrize("change, square_roots", [
+    ({"conv_check_start": 0.0}, "every step"),
+    ({"conv_check_start": 1.5}, "steps from 1.5 s on"),
+    ({"tol_conv": 0.0}, "none"), ({"tol_conv": -1.0}, "none"),
+    ({"conv_check_start": 2.5}, "none"),
+])
+def test_convergence_test_runs_only_where_read(monkeypatch, model, default_config, change,
+                                              square_roots):
+    # the convergence test (one square root per step) runs only on the
+    # steps from conv_check_start on, whose settled flag the freeze reads,
+    # and not at all under tol_conv <= 0, under which no step settles
+    c = default_config
+    calls = count_square_roots(monkeypatch, model)
+    cfg = dataclasses.replace(c.learning, **change)
+    log = run_episode(model, c.reference, cfg, horizon=2.0)
+    steps = sum(counts["steps"] for counts in log.learner_counts.values())
+    assert steps > 0
+    # from 1.5 s on: the three strategies' steps on ticks 150 to 199 (t =
+    # k delta), none of them frozen before the last
+    expected = {"every step": steps, "steps from 1.5 s on": 3 * 50, "none": 0}[square_roots]
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize("horizon, conv_count", [(1.2, 0), (0.5, 7)])
+def test_settled_count_resets_without_a_test(monkeypatch, model, default_config, horizon,
+                                             conv_count):
+    # under tol_conv = 0 no step settles: a carried settled-step count is
+    # reset by the first step from conv_check_start on, as a failed test
+    # resets it, and kept when no step reaches conv_check_start
+    c = default_config
+    calls = count_square_roots(monkeypatch, model)
+    cfg = dataclasses.replace(c.learning, tol_conv=0.0)
+    states = initial_strategies(model, cfg)
+    for st in states.values():
+        st.conv_count = 7
+    log = run_episode(model, c.reference, cfg, horizon=horizon, initial=states)
+    assert all(log.learner_counts[s]["steps"] > 0 for s in STRATEGIES)
+    assert {s: states[s].conv_count for s in STRATEGIES} == dict.fromkeys(STRATEGIES, conv_count)
+    assert not any(states[s].frozen for s in STRATEGIES) and calls == []
 
 
 def test_one_adapting_loop_per_plant_size(monkeypatch, model, default_config):

@@ -115,6 +115,15 @@ def test_dare_unstabilizable_raises_fast():
     assert time.perf_counter() - start < 0.5
 
 
+def test_dare_singular_step_raises():
+    # W = I + G H = 1 + 1 * (-1) is singular on the first step: the solve's
+    # LinAlgError is reported as the doubling's own error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(oracle.NoConvergenceError, match="singular"):
+            oracle.solve_dare([[1.0]], [[1.0]], [[-1.0]], [[1.0]])
+
+
 @pytest.mark.parametrize("case", ["nan_Q_bar", "inf_A_d", "overflow", "settles_as_A_overflows"])
 def test_dare_non_finite_raises_without_warning(case):
     # the doubling's finiteness checks: a NaN or inf in H is caught by the
