@@ -16,7 +16,9 @@ ends in a path separator, or two that name the same file, is a
 ConfigError.
 Omitted keys take the defaults of the dataclasses they configure
 (ProcessModel's are the DEFAULT_* matrices below).  All numbers are
-serialized with 17 significant digits so re-runs are byte-identical.  A CSV
+serialized with 17 significant digits so re-runs are byte-identical, and
+JSON is strict: summary.json, oracle-check's report and eig's spectra go
+through one writer that writes a non-finite number as null.  A CSV
 cell holds exactly what '%.17g' writes: numpy formats the cells with
 1e-6 < |x| < 1e17 and the signed zeros in chunks of rows that hold about
 _CELLS cells to format, and every other cell (smaller or larger, inf, nan)
@@ -162,6 +164,10 @@ def load_config(path):
 
 
 def _eig_pairs(M):
+    """M's eigenvalues as [real, imaginary] pairs, or None when an entry of
+    M is not finite: numpy defines no eigenvalues then."""
+    if not np.isfinite(M).all():
+        return None
     return [[float(ev.real), float(ev.imag)] for ev in eigenvalues(M)]
 
 
@@ -387,38 +393,59 @@ def write_weights_csv(log, path):
 
 
 def build_summary(config, log):
+    """The summary.json object of an episode's log.  Numbers that overflow
+    or turn NaN (a diverged episode's gains, a huge kernel's norm) raise no
+    numpy warning here; _dump_json writes them as null."""
     model = config.model
     pi_cl = log.pi_final["cl"]
-    return {
-        "open_loop_eigenvalues": _eig_pairs(model.A),
-        "desired_model_eigenvalues": _eig_pairs(model.A_hat),
-        "closed_loop_eigenvalues": _eig_pairs(
-            model.A_hat + model.B_hat @ pi_cl.reshape(1, -1)),
-        "pi_cl": [float(v) for v in pi_cl],
-        "pi_ob": [float(v) for v in log.pi_final["ob"]],
-        "pi_mf": [float(v) for v in log.pi_final["mf"]],
-        "terminal_e_mf": float(log.e_mf[-1]),
-        "terminal_e_ob": float(log.e_ob[-1]),
-        "kernel_frobenius_norms": {
-            s: float(np.linalg.norm(theta_to_S(log.theta_final[s])))
-            for s in STRATEGIES},
-        "convergence_time_s": {s: log.t_converged[s] for s in STRATEGIES},
-        # per strategy: learner steps, actor steps skipped for a singular
-        # kernel and actor residuals clamped at the rate limit
-        "learner_counts": log.learner_counts,
-        "diverged_at": log.diverged,
-        # max |eig M| of the frozen tail's map; None when no tail ran
-        "lifted_spectral_radius": (None if log.M is None else
-                                   float(np.abs(np.linalg.eigvals(log.M)).max())),
-    }
+    with np.errstate(all="ignore"):
+        return {
+            "open_loop_eigenvalues": _eig_pairs(model.A),
+            "desired_model_eigenvalues": _eig_pairs(model.A_hat),
+            "closed_loop_eigenvalues": _eig_pairs(
+                model.A_hat + model.B_hat @ pi_cl.reshape(1, -1)),
+            "pi_cl": [float(v) for v in pi_cl],
+            "pi_ob": [float(v) for v in log.pi_final["ob"]],
+            "pi_mf": [float(v) for v in log.pi_final["mf"]],
+            "terminal_e_mf": float(log.e_mf[-1]),
+            "terminal_e_ob": float(log.e_ob[-1]),
+            "kernel_frobenius_norms": {
+                s: float(np.linalg.norm(theta_to_S(log.theta_final[s])))
+                for s in STRATEGIES},
+            "convergence_time_s": {s: log.t_converged[s] for s in STRATEGIES},
+            # per strategy: learner steps, actor steps skipped for a singular
+            # kernel and actor residuals clamped at the rate limit
+            "learner_counts": log.learner_counts,
+            "diverged_at": log.diverged,
+            # max |eig M| of the frozen tail's map; None when no tail ran
+            "lifted_spectral_radius": (None if log.M is None else
+                                       float(np.abs(np.linalg.eigvals(log.M)).max())),
+        }
+
+
+def _strict(obj):
+    """obj with each non-finite float replaced by None: strict JSON has no
+    NaN or Infinity, so such a number is written as null."""
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_strict(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+def _dump_json(obj, fh):
+    """Write obj to fh as indented strict JSON and a newline, a non-finite
+    number as null; return obj.  summary.json, oracle-check's report and
+    eig's spectra all go through here."""
+    json.dump(_strict(obj), fh, indent=2, allow_nan=False)
+    fh.write("\n")
+    return obj
 
 
 def _write_json(obj, path):
-    """Write obj to path as indented JSON and a newline; return obj."""
+    """Write obj to path as _dump_json does; return obj."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-    return obj
+        return _dump_json(obj, fh)
 
 
 def cmd_run(args, config):
@@ -459,49 +486,54 @@ ORACLE_GAIN_TOLERANCE = 3.0
 
 
 def cmd_oracle_check(args, config):
+    """Print the report that compares the learned closed-loop gain with the
+    Riccati oracle's.  Numbers that overflow or turn NaN (a diverged
+    episode's gain, a huge cost's residual) raise no numpy warning while
+    the oracle and the report are computed; _dump_json writes them as null."""
     model, cfg = config.model, config.learning
-    A_d, B_d = oracle.zoh_discretize(model.A_hat, model.B_hat, cfg.delta)
-    Q_bar, R_bar = oracle.stage_cost(cfg.Q, cfg.R, cfg.delta)
-    try:
-        P = oracle.solve_dare(A_d, B_d, Q_bar, R_bar)
-    except oracle.NoConvergenceError as exc:
-        print(f"oracle error: {exc}", file=sys.stderr)
-        return 1
-    dmodel = oracle.DiscreteModel(A_d, B_d, Q_bar, R_bar, cfg.delta)
-    S_star = oracle.qfun_kernel(P, dmodel)
-    # the control block R_bar + B_d' P B_d is positive whenever R_bar is, at
-    # any cost scale, so no singularity floor applies
-    oracle_gain = policy_from_kernel(S_star, n_features=model.n, eps_sing=0.0).reshape(-1)
-    # textbook discrete LQR gain -K for comparison, and the DARE residual
-    K = np.linalg.solve(R_bar + B_d.T @ P @ B_d, B_d.T @ P @ A_d)
-    lqr_gain = -K.reshape(-1)
-    dare_residual = float(np.linalg.norm(
-        P - (Q_bar + A_d.T @ P @ A_d - A_d.T @ P @ B_d @ K)))
+    with np.errstate(all="ignore"):
+        A_d, B_d = oracle.zoh_discretize(model.A_hat, model.B_hat, cfg.delta)
+        Q_bar, R_bar = oracle.stage_cost(cfg.Q, cfg.R, cfg.delta)
+        try:
+            P = oracle.solve_dare(A_d, B_d, Q_bar, R_bar)
+        except oracle.NoConvergenceError as exc:
+            print(f"oracle error: {exc}", file=sys.stderr)
+            return 1
+        dmodel = oracle.DiscreteModel(A_d, B_d, Q_bar, R_bar, cfg.delta)
+        S_star = oracle.qfun_kernel(P, dmodel)
+        # the control block R_bar + B_d' P B_d is positive whenever R_bar is,
+        # at any cost scale, so no singularity floor applies
+        oracle_gain = policy_from_kernel(S_star, n_features=model.n, eps_sing=0.0).reshape(-1)
+        # textbook discrete LQR gain -K for comparison, and the DARE residual
+        K = np.linalg.solve(R_bar + B_d.T @ P @ B_d, B_d.T @ P @ A_d)
+        lqr_gain = -K.reshape(-1)
+        dare_residual = float(np.linalg.norm(
+            P - (Q_bar + A_d.T @ P @ A_d - A_d.T @ P @ B_d @ K)))
 
     log = run_episode(model, config.reference, cfg, horizon=config.horizon)
     learned_gain = log.pi_final["cl"]
-    report = {
-        "dare_residual": dare_residual,
-        "oracle_gain": [float(v) for v in oracle_gain],
-        "oracle_vs_lqr_formula_delta": float(
-            np.linalg.norm(oracle_gain - lqr_gain)),
-        "learned_gain": [float(v) for v in learned_gain],
-        "learned_vs_oracle_gain_delta": float(
-            np.linalg.norm(learned_gain - oracle_gain)),
-        "gain_tolerance": ORACLE_GAIN_TOLERANCE,
-        "within_tolerance": bool(
-            np.linalg.norm(learned_gain - oracle_gain) <= ORACLE_GAIN_TOLERANCE),
-    }
-    Z, phi = log.regressors["cl"]
-    if len(Z):
-        report["regressor_rank"] = int(np.linalg.matrix_rank(Z))
-        report["regressor_count"] = int(Z.shape[0])
-        # a relative residual against zero stage costs has no value: null,
-        # since JSON has no NaN
-        report["learned_theta_bellman_residual"] = oracle.bellman_residual(
-            log.theta_final["cl"], Z, phi) if np.linalg.norm(phi) else None
-    json.dump(report, sys.stdout, indent=2)
-    print()
+    with np.errstate(all="ignore"):
+        report = {
+            "dare_residual": dare_residual,
+            "oracle_gain": [float(v) for v in oracle_gain],
+            "oracle_vs_lqr_formula_delta": float(
+                np.linalg.norm(oracle_gain - lqr_gain)),
+            "learned_gain": [float(v) for v in learned_gain],
+            "learned_vs_oracle_gain_delta": float(
+                np.linalg.norm(learned_gain - oracle_gain)),
+            "gain_tolerance": ORACLE_GAIN_TOLERANCE,
+            "within_tolerance": bool(
+                np.linalg.norm(learned_gain - oracle_gain) <= ORACLE_GAIN_TOLERANCE),
+        }
+        Z, phi = log.regressors["cl"]
+        if len(Z):
+            report["regressor_rank"] = int(np.linalg.matrix_rank(Z))
+            report["regressor_count"] = int(Z.shape[0])
+            # a relative residual against zero stage costs has no value: NaN
+            # or inf, written as null
+            report["learned_theta_bellman_residual"] = oracle.bellman_residual(
+                log.theta_final["cl"], Z, phi)
+    _dump_json(report, sys.stdout)
     return 0 if report.get("within_tolerance", True) else 2
 
 
@@ -533,11 +565,13 @@ def cmd_eig(args, config):
         except ValueError as exc:
             print(f"gain error: {exc}", file=sys.stderr)
             return 1
-        out["closed_loop_eigenvalues"] = _eig_pairs(model.A + model.B @ gain)
-        out["desired_closed_loop_eigenvalues"] = _eig_pairs(
-            model.A_hat + model.B_hat @ gain)
-    json.dump(out, sys.stdout, indent=2)
-    print()
+        # a gain near the largest double overflows the closed loop to inf,
+        # whose eigenvalues are null
+        with np.errstate(all="ignore"):
+            out["closed_loop_eigenvalues"] = _eig_pairs(model.A + model.B @ gain)
+            out["desired_closed_loop_eigenvalues"] = _eig_pairs(
+                model.A_hat + model.B_hat @ gain)
+    _dump_json(out, sys.stdout)
     return 0
 
 

@@ -77,7 +77,6 @@ TRAJECTORY fixes the order of the logged signals in trajectory.csv; the
 writer derives the CSV header from it and the width of each column.
 """
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from struct import Struct
 from time import perf_counter
@@ -98,6 +97,9 @@ STRATEGIES = ("ob", "cl", "mf")
 STACK_DEPTH = 3
 # RK4 substeps per learner tick, folded into the per-tick maps
 SUBSTEPS = 10
+# the divergence box: an episode diverges on the first tick after which a
+# plant state component is not within +-BOX (or is nan)
+BOX = 1e7
 # frozen-tail rows stepped by one prefix scan, between two checks of the
 # divergence box
 TAIL_BLOCK = 64
@@ -290,24 +292,25 @@ def _timed(timings, layer, run):
     return result
 
 
-class BellmanLog(Mapping):
+class BellmanLog(dict):
     """Bellman samples of every tick of a learning episode, from the log:
-    {s: (Z, phi)}, each strategy's pair built on the first read of its key.
+    {s: (Z, phi)}, a dict whose missing key builds that strategy's pair, as
+    learner._Kernels compiles a kernel on its first lookup.
 
     Row k + 1 of the log holds the gains and actions of tick k, so tick
     k >= lag of a strategy pairs its feature rows k - lag and k - lag + 1
     with the action and gain of log row k + 1; each enters the learner's
     _SAMPLE kernel of the strategy's KINDS entry as its columns.  forms[s]
     is the stage-cost weight of strategy s.  Z is stacked once from the
-    regressor's columns into one C-ordered row per tick.  The mapping
+    regressor's columns into one C-ordered row per tick.  The dict
     keeps the log's views (strategy_views) and gain history, not the log,
     and adds the time of each build to log.timings["bellman_ms"].
     """
 
     def __init__(self, log, cfg, forms):
+        super().__init__()
         self._views, self._pi, self._timings = strategy_views(log), log.pi_hist, log.timings
         self._cfg, self._forms = cfg, forms
-        self._built = {}
 
     def _build(self, s):
         rows, lag, action = self._views[s]
@@ -316,16 +319,9 @@ class BellmanLog(Mapping):
                                                  self._cfg.delta, self._cfg.R)
         return np.stack(z_tilde, axis=1), phi
 
-    def __getitem__(self, s):
-        if s not in self._built:
-            self._built[s] = _timed(self._timings, "bellman_ms", lambda: self._build(s))
-        return self._built[s]
-
-    def __iter__(self):
-        return iter(STRATEGIES)
-
-    def __len__(self):
-        return len(STRATEGIES)
+    def __missing__(self, s):
+        pair = self[s] = _timed(self._timings, "bellman_ms", lambda: self._build(s))
+        return pair
 
 
 def tick_cost_form(L, Q, R, h):
@@ -479,7 +475,7 @@ def _adapt_source(n):
             "else:", *_indent(_action_lines(n, [s for s in STRATEGIES if not LAGS[s]])),
             *_advance_lines(n),
             # false for nan and inf as well as for a state outside the box
-            f"if not ({' and '.join(f'abs({x}) <= 1e7' for x in _names('x', n))}):",
+            f"if not ({' and '.join(f'abs({x}) <= {BOX!r}' for x in _names('x', n))}):",
             *_indent(["diverged = t + delta", "break"]),
             "off = off + stride", write, *learn,
             *(f"{', '.join(w)} = {', '.join([*w[1:], f'e_{s}'])}" for s, w in windows.items())]
@@ -617,7 +613,7 @@ def _frozen_tail(log, k0, z, gains, maps, probe):
             block = hist[i:i + TAIL_BLOCK]
             z = _step_rows(block, z, powers)
             # false for nan and inf as well as for a state outside the box
-            out = np.flatnonzero(~(np.abs(block[:, :n]).max(axis=1) <= 1e7))
+            out = np.flatnonzero(~(np.abs(block[:, :n]).max(axis=1) <= BOX))
             if out.size:
                 exit_row = i + out[0]
                 hist = hist[:exit_row]
@@ -699,31 +695,26 @@ def run_episode(model, ref_spec, cfg, horizon=20.0, initial=None):
         [not st.frozen for st in ordered], [st.conv_count for st in ordered],
         log.yref.tolist(), probe.T.tolist(), maps, [forms[s] for s in STRATEGIES], cfg,
         log._table, pack))
+    if diverged is not None:
+        log.diverged = diverged
+        log.trim(k + 1)
+    # each state takes the loop's results, and the rows after row k, which
+    # the frozen tail writes, hold its final theta and pi (no rows when the
+    # loop reached the horizon or the log was trimmed)
     for s, st, (theta, pi, conv, t_conv, *counts) in zip(STRATEGIES, ordered, learned):
         st.theta, st.pi, st.conv_count = theta, pi, conv
         if t_conv is not None:
             st.frozen = True
             log.t_converged[s] = t_conv
         log.learner_counts[s].update(zip(LEARNER_COUNTS, counts))
-
-    # rows from tail_start on are written by the frozen tail, which leaves
-    # theta and pi to be filled after the loop
-    tail_start = n_ticks + 1
-    if diverged is not None:
-        log.diverged = diverged
-        log.trim(k + 1)
-    elif k < n_ticks:
+        log.theta_hist[s][k + 1:] = theta
+        log.pi_hist[s][k + 1:] = pi
+        log.pi_final[s] = np.array(pi)
+        log.theta_final[s] = np.array(theta)
+    if diverged is None and k < n_ticks:
         # every strategy acts and none adapts: the rest of the episode is
         # one fixed affine recurrence
         _timed(log.timings, "tail_ms",
                lambda: _frozen_tail(log, k, z, [st.pi for st in ordered], maps, probe))
-        tail_start = k + 1
-
-    for s in STRATEGIES:
-        log.theta_hist[s][tail_start:] = states[s].theta
-        log.pi_hist[s][tail_start:] = states[s].pi
     log.regressors = BellmanLog(log, cfg, forms)
-    for s in STRATEGIES:
-        log.pi_final[s] = np.array(states[s].pi)
-        log.theta_final[s] = np.array(states[s].theta)
     return log

@@ -15,14 +15,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# expm_ss sums its series until a term's infinity norm falls below EXPM_TOL
+EXPM_TOL = 1e-16
+# is_stabilizable counts an eigenvalue with real part below -STABILITY_TOL
+# as stable
+STABILITY_TOL = 1e-9
+
 
 @dataclass
 class ProcessModel:
     """The exact process (A, B, C) together with the desired model (A_hat, B_hat).
 
-    The desired model shares the output map C.  Construction checks the
-    sizes, that every entry is finite, and the standing assumptions:
-    (A_hat, C) observable and (A_hat, B_hat) stabilizable.
+    The desired model shares the output map C.  A vector B or B_hat (a
+    config's b) becomes a single column here, the one place the package
+    shapes it; every function below takes B as an (n, m) array.
+    Construction checks the sizes, that every entry is finite, and the
+    standing assumptions: (A_hat, C) observable and (A_hat, B_hat)
+    stabilizable.
     """
 
     A: np.ndarray
@@ -95,8 +104,6 @@ def held_input_maps(A, B, h, substeps):
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
     n, m = B.shape
     L = np.empty((substeps + 1, n, n + m))
     L[0] = np.eye(n, n + m)
@@ -114,13 +121,13 @@ def eigenvalues(M):
     return ev[order]
 
 
-def expm_ss(M, tol=1e-16):
+def expm_ss(M):
     """Matrix exponential by scaling and squaring of a truncated series.
 
     Independent of the RK4 stepper, so the oracle module, which takes its
     exponentials from here, still shares no code with the learner or the
     control loop.  The matrix is scaled by 2**-s so its norm is below 0.5,
-    the series is summed until the term norm falls below tol, and the
+    the series is summed until the term norm falls below EXPM_TOL, and the
     result is squared s times.
     """
     M = np.asarray(M, dtype=float)
@@ -137,7 +144,7 @@ def expm_ss(M, tol=1e-16):
         term = term @ Ms
         term /= k
         E += term
-        if np.abs(term).sum(axis=1).max() < tol:
+        if np.abs(term).sum(axis=1).max() < EXPM_TOL:
             break
     for _ in range(s):
         E = E @ E
@@ -159,15 +166,13 @@ def is_observable(A, C):
     return np.linalg.matrix_rank(observability_matrix(A, C)) == n
 
 
-def is_stabilizable(A, B, tol=1e-9):
+def is_stabilizable(A, B):
     """PBH test: every eigenvalue with nonnegative real part must be controllable."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
     n = A.shape[0]
     for lam in np.linalg.eigvals(A):
-        if lam.real < -tol:
+        if lam.real < -STABILITY_TOL:
             continue
         pencil = np.hstack([A - lam * np.eye(n), B])
         if np.linalg.matrix_rank(pencil, tol=1e-8) < n:

@@ -15,9 +15,15 @@ import numpy as np
 
 from modelfollow.dynamics import expm_ss
 
+# solve_dare stops once max|H_{k+1} - H_k| <= DARE_TOL max|H_{k+1}|, and
+# raises NoConvergenceError after DARE_MAX_ITER doubling steps (H_k is 2^k
+# steps of the value recursion from P = 0)
+DARE_TOL = 1e-13
+DARE_MAX_ITER = 64
+
 
 class NoConvergenceError(RuntimeError):
-    """Riccati doubling failed to settle within max_iter or overflowed."""
+    """Riccati doubling failed to settle within DARE_MAX_ITER steps or overflowed."""
 
 
 class UnderExcitationError(RuntimeError):
@@ -47,8 +53,6 @@ def _augmented_drift(A, B, delta):
         raise ValueError("delta must be positive")
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
     n, m = A.shape[0], B.shape[1]
     M = np.zeros((n + m, n + m))
     M[:n, :n] = A
@@ -98,7 +102,7 @@ def _cost_exponential(A, B, Q, R, delta):
     return 0.5 * (G + G.T), F[d:, d:]
 
 
-def solve_dare(A_d, B_d, Q_bar, R_bar, tol=1e-13, max_iter=64):
+def solve_dare(A_d, B_d, Q_bar, R_bar):
     """Discrete Riccati solution by the structured doubling algorithm.
 
     Starting from A_0 = A_d, G_0 = B_d R_bar^-1 B_d', H_0 = Q_bar, each
@@ -108,13 +112,13 @@ def solve_dare(A_d, B_d, Q_bar, R_bar, tol=1e-13, max_iter=64):
 
     so H_k is 2^k steps from P = 0 of the value recursion
     P <- Q_bar + A_d' P A_d - A_d' P B_d (R_bar + B_d' P B_d)^-1 B_d' P A_d
-    (Chu, Fan & Lin 2005).  Stops when max|H_{k+1} - H_k| <= tol
+    (Chu, Fan & Lin 2005).  Stops when max|H_{k+1} - H_k| <= DARE_TOL
     max|H_{k+1}|, a test relative to the iterate, so that the result does
     not depend on the scale of the costs (and Q_bar = 0 stops at once);
     the max-abs norm does not overflow where a Frobenius norm of finite
     entries would.
 
-    Raises NoConvergenceError after max_iter doubling steps, when a step's
+    Raises NoConvergenceError after DARE_MAX_ITER doubling steps, when a step's
     W is singular, or when an iterate is not finite.  The max|H_{k+1}| of
     the stopping test is the finiteness check: a NaN or inf in H_{k+1}
     fails it on the step that makes it.  One in A_k or G_k (A_0 and G_0
@@ -124,8 +128,6 @@ def solve_dare(A_d, B_d, Q_bar, R_bar, tol=1e-13, max_iter=64):
     """
     A = np.atleast_2d(np.asarray(A_d, dtype=float))
     B_d = np.asarray(B_d, dtype=float)
-    if B_d.ndim == 1:
-        B_d = B_d.reshape(-1, 1)
     H = np.atleast_2d(np.asarray(Q_bar, dtype=float))
     R_bar = np.atleast_2d(np.asarray(R_bar, dtype=float))
     G = B_d @ np.linalg.solve(R_bar, B_d.T)
@@ -136,7 +138,7 @@ def solve_dare(A_d, B_d, Q_bar, R_bar, tol=1e-13, max_iter=64):
     # an unstabilizable pair overflows within about ten steps; the
     # finiteness checks below report that instead of numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
+        for _ in range(DARE_MAX_ITER):
             AG[:, :n] = A
             AG[:, n:] = G
             try:
@@ -153,14 +155,14 @@ def solve_dare(A_d, B_d, Q_bar, R_bar, tol=1e-13, max_iter=64):
             if not size < np.inf:  # NaN or inf in Hn
                 raise NoConvergenceError(
                     "Riccati doubling iterate became non-finite")
-            if np.abs(Hn - H).max() <= tol * size:
+            if np.abs(Hn - H).max() <= DARE_TOL * size:
                 if not (np.isfinite(A).all() and np.isfinite(G).all()):
                     raise NoConvergenceError(
                         "Riccati doubling iterate became non-finite")
                 return Hn
             H = Hn
     raise NoConvergenceError(
-        f"Riccati doubling did not converge in {max_iter} steps")
+        f"Riccati doubling did not converge in {DARE_MAX_ITER} steps")
 
 
 def qfun_kernel(P, model):
@@ -171,8 +173,6 @@ def qfun_kernel(P, model):
     """
     A_d = np.atleast_2d(np.asarray(model.A_d, dtype=float))
     B_d = np.asarray(model.B_d, dtype=float)
-    if B_d.ndim == 1:
-        B_d = B_d.reshape(-1, 1)
     n, m = A_d.shape[0], B_d.shape[1]
     S = np.zeros((n + m, n + m))
     S[:n, :n] = model.Q_bar + A_d.T @ P @ A_d

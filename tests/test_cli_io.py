@@ -313,6 +313,28 @@ pi_cl0 = [-1.0, -1.0, -1.0]
     assert log.diverged is None and log.x.shape == (51, 3)
 
 
+@pytest.mark.parametrize("keys", [("b",), ("b_hat",), ("b", "b_hat")])
+def test_column_input_map_is_the_vector(tmp_path, keys):
+    # ProcessModel is the one place a config's b or b_hat becomes a single
+    # column: a vector and a one-column matrix parse to equal (3, 1) arrays
+    # and run the same episode, byte for byte
+    vectors = {"b": cli_io.DEFAULT_B, "b_hat": cli_io.DEFAULT_B_HAT}
+    texts = {"vector": "[model]\n" + "".join(f"{key} = {vectors[key]}\n" for key in keys),
+             "column": "[model]\n" + "".join(f"{key} = {[[v] for v in vectors[key]]}\n"
+                                             for key in keys)}
+    models = {}
+    for name, text in texts.items():
+        models[name] = parse_config(text).model
+        (tmp_path / f"{name}.ini").write_text(text)
+        assert main(["run", str(tmp_path / f"{name}.ini"), "--outdir", str(tmp_path / name)]) == 0
+    for field in ("B", "B_hat"):
+        vector, column = (getattr(models[name], field) for name in texts)
+        assert vector.shape == column.shape == (3, 1) and np.array_equal(vector, column)
+    for artifact in ("trajectory.csv", "weights.csv", "summary.json"):
+        vector, column = ((tmp_path / name / artifact).read_bytes() for name in texts)
+        assert vector == column, artifact
+
+
 def test_run_command_artifacts(tmp_path):
     config = tmp_path / "run.ini"
     config.write_text("[run]\nhorizon = 2.0\n")
@@ -601,6 +623,67 @@ def test_oracle_check_zero_costs_print_strict_json(tmp_path, capsys):
     report = json.loads(out, parse_constant=reject_constant)
     assert report["regressor_count"] == 2000
     assert report["learned_theta_bellman_residual"] is None
+
+
+def test_run_with_non_finite_gain_writes_strict_summary(tmp_path, capsys):
+    # pi_cl0 = 1e300 diverges at 0.02 s with a NaN closed-loop gain: the
+    # summary holds null for that gain, its closed loop's eigenvalues (numpy
+    # defines none for a NaN matrix) and its kernel's norm, and the run ends
+    # with the divergence line and exit 2 (the episode's own overflow
+    # warnings may come before it)
+    config = tmp_path / "huge_gain.ini"
+    config.write_text("[learning]\npi_cl0 = [1e300, 0, 0]\n")
+    assert main(["run", str(config), "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "episode diverged at t = 0.02 s"
+    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject_constant)
+    assert summary["diverged_at"] == 0.02
+    assert summary["pi_cl"] == [None] * 3
+    assert summary["closed_loop_eigenvalues"] is None
+    assert summary["kernel_frobenius_norms"]["cl"] is None
+
+
+def test_run_with_huge_cost_writes_strict_summary_without_warning(tmp_path, capsys):
+    # q = 1e300: every kernel's Frobenius norm overflows to inf, which the
+    # summary holds as null, and building it raises no numpy warning
+    config = tmp_path / "huge_q.ini"
+    config.write_text("[learning]\nq = 1e300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(config), "--outdir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=reject_constant)
+    assert summary["kernel_frobenius_norms"] == dict.fromkeys(STRATEGIES)
+
+
+@pytest.mark.parametrize("line, nulls", [
+    # the diverged episode's NaN gain, its distance and its residual
+    ("pi_cl0 = [1e300, 0, 0]", ["learned_vs_oracle_gain_delta", "learned_theta_bellman_residual"]),
+    # an overflowing DARE residual and stage costs
+    ("q = 1e300", ["dare_residual", "learned_theta_bellman_residual"]),
+])
+def test_oracle_check_prints_non_finite_numbers_as_null(tmp_path, capsys, line, nulls):
+    config = tmp_path / "huge.ini"
+    config.write_text(f"[learning]\n{line}\n")
+    assert main(["oracle-check", str(config)]) == 2
+    report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    assert [report[key] for key in nulls] == [None, None]
+    assert report["within_tolerance"] is False
+
+
+def test_eig_of_overflowing_closed_loop_prints_null(tmp_path, capsys):
+    # a finite gain of 1.79e308 takes B_hat's 1.0527 times it past the
+    # largest double: the desired closed loop has an inf entry, so its
+    # eigenvalues are null, with no numpy warning or error
+    config = tmp_path / "eig.ini"
+    config.write_text("")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["eig", str(config), "--gain", "[1.79e308, 0, 0]"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    spectra = json.loads(out, parse_constant=reject_constant)
+    assert spectra["desired_closed_loop_eigenvalues"] is None
+    assert len(spectra["closed_loop_eigenvalues"]) == 3
 
 
 @pytest.mark.parametrize("command", ["run", "oracle-check"])
