@@ -22,8 +22,8 @@ The tick is generated code, as the learner's formulas are: one source
 piece per formula (the actions mu = pi . F + probe, zero and unprobed for
 a strategy whose features do not exist yet; the ob/mf increments; the held
 inputs u_total and v; the step of both systems; the outputs and output
-errors), written with the learner's helpers as straight-line Python with
-every sum in index order from 0.0 and no BLAS call.
+errors), written with the codegen and learner helpers as straight-line
+Python with every sum in index order from 0.0 and no BLAS call.
 
 The ticks that adapt run as one generated loop per plant size, _ADAPT[n],
 from tick 0 on.  It holds the lifted state s = [x, xhat, u_ob, u_mf, e_ob
@@ -85,10 +85,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from modelfollow import oracle
+from modelfollow.codegen import _Kernels, _indent, _kernel_source, _names, _unpack
 from modelfollow.dynamics import held_input_maps
 from modelfollow.learner import (
-    S_to_theta, dot, components, _CONFIG_LINES, _SAMPLE, _Kernels, _dot, _indent, _index_sum,
-    _kernel_source, _learner_step, _names, _unpack, _unpack_rows,
+    S_to_theta, dot, components, _CONFIG_LINES, _SAMPLE, _dot, _index_sum, _learner_step,
+    _unpack_rows,
 )
 from modelfollow.reference import eval_reference
 
@@ -244,7 +245,8 @@ def embedded_gain_kernel(pi, beta, s_max):
     """
     pi = np.asarray(pi, dtype=float).reshape(-1)
     nf = pi.size
-    norm2 = float(pi @ pi)
+    with np.errstate(over="ignore"):  # a gain too large to square gives s = 0
+        norm2 = float(pi @ pi)
     s = min(s_max, 0.5 * beta / norm2) if norm2 else s_max
     S = np.eye(nf + 1) * beta
     S[nf, nf] = s
@@ -282,7 +284,7 @@ def initial_strategies(model, cfg):
 def _timed(timings, layer, run):
     """run(), its wall milliseconds added to timings[layer] (a missing or
     None entry counts as 0.0), less the time it spent compiling kernels
-    (lookups of a learner._Kernels), which is added to
+    (lookups of a codegen._Kernels), which is added to
     timings["compile_ms"]."""
     compiled, start = _Kernels.compile_s, perf_counter()
     result = run()
@@ -295,7 +297,7 @@ def _timed(timings, layer, run):
 class BellmanLog(dict):
     """Bellman samples of every tick of a learning episode, from the log:
     {s: (Z, phi)}, a dict whose missing key builds that strategy's pair, as
-    learner._Kernels compiles a kernel on its first lookup.
+    codegen._Kernels compiles a kernel on its first lookup.
 
     Row k + 1 of the log holds the gains and actions of tick k, so tick
     k >= lag of a strategy pairs its feature rows k - lag and k - lag + 1

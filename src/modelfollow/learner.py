@@ -19,21 +19,23 @@ starts at 0.0, as s = 0.0; s = s + a_i * b_i would compute it, never
 sum().  dot, policy_from_kernel and the Bellman sample (_SAMPLE: the
 stage cost and the regressor of one tick) are kernels: for a vector size
 n a formula's kernel unpacks its arguments' components into locals and
-runs its piece; it is compiled on its first call and kept in a dict keyed
-by the size (_Kernels), so importing compiles nothing.  The critic step,
-the convergence test and the actor step are pieces only: _learner_step
-assembles the pieces of one learner step (the Bellman sample, the critic
-step, the convergence test of the new kernel against the old, both read
-through the theta layout, the greedy gain and the actor step, or a skip
-for a singular kernel) on named locals, and control_loop's adapting loop
-inlines it for each strategy.  Each step computes only what is read: the
-convergence test runs only on the steps from conv_check_start on, the
-only ones whose result the freeze counts, and on none when tol_conv <= 0,
-which disables the freeze; and a null actor_rate_limit is the limit inf,
-bound once per loop call with the other LearningConfig scalars
-(_CONFIG_LINES), so the actor clamps by comparisons alone.  control_loop
-writes its tick and its loop with the same helpers (_unpack, _names, _dot,
-_index_sum) and compiles them the same way.
+runs its piece; it is compiled on its first call and kept in a dict
+keyed by the size (codegen._Kernels, which holds the formula-free
+helpers this module shares with control_loop and oracle), so importing
+compiles nothing.  The critic step, the convergence test and the actor
+step are pieces only: _learner_step assembles the pieces of one learner
+step (the Bellman sample, the critic step, the convergence test of the
+new kernel against the old, both read through the theta layout, the
+greedy gain and the actor step, or a skip for a singular kernel) on
+named locals, and control_loop's adapting loop inlines it for each
+strategy.  Each step computes only what is read: the convergence test
+runs only on the steps from conv_check_start on, the only ones whose
+result the freeze counts, and on none when tol_conv <= 0, which disables
+the freeze; and a null actor_rate_limit is the limit inf, bound once per
+loop call with the other LearningConfig scalars (_CONFIG_LINES), so the
+actor clamps by comparisons alone.  control_loop writes its tick and its
+loop with the same helpers (codegen's _unpack and _names, this module's
+_dot and _index_sum) and compiles them the same way.
 Nothing calls BLAS: numpy's elementwise operations round as Python's
 float operations do, so a stack of ticks run through a kernel gives each
 row the one-tick value bit for bit, whatever the memory layout of the
@@ -46,9 +48,10 @@ import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import itemgetter
-from time import perf_counter
 
 import numpy as np
+
+from modelfollow.codegen import _Kernels, _indent, _kernel_source, _names, _unpack
 
 
 class SingularKernelError(RuntimeError):
@@ -67,55 +70,11 @@ def components(x):
     return list(x.T)
 
 
-class _Kernels(dict):
-    """The kernels of one formula by key, a vector size or a tuple that
-    holds one (_SAMPLE's (kind, n)): kernels[key] is the function that
-    source(key) defines, compiled on its first lookup.  compile_s is the
-    wall time, in seconds, that the lookups of every formula have spent
-    compiling."""
-
-    compile_s = 0.0
-
-    def __init__(self, source):
-        super().__init__()
-        self.source = source
-
-    def __missing__(self, key):
-        start = perf_counter()
-        namespace = {"sqrt": math.sqrt, "inf": math.inf,
-                     "SingularKernelError": SingularKernelError}
-        exec(compile(self.source(key), f"<{self.source.__name__}({key})>", "exec"), namespace)
-        kernel = self[key] = namespace["kernel"]
-        _Kernels.compile_s += perf_counter() - start
-        return kernel
-
-
-def _names(name, n):
-    """The locals name0, name1, ... that n components are bound to."""
-    return [f"{name}{i}" for i in range(n)]
-
-
-def _unpack(name, n):
-    """Bind the n components of the sequence `name` to name0, name1, ...;
-    a sequence of another length raises ValueError."""
-    return f"[{', '.join(_names(name, n))}] = {name}"
-
-
 def _index_sum(terms):
     """sum_i terms_i in index order as one left-to-right + chain from 0.0:
     the value of s = 0.0; s = s + term for each term, so that the sum of
     signed zeros is +0.0 as it is there."""
     return " + ".join(["0.0", *terms])
-
-
-def _kernel_source(signature, lines, result):
-    """A kernel(signature) that runs the body lines and returns result."""
-    body = "\n    ".join(lines)
-    return f"""
-def kernel({signature}):
-    {body}
-    return {result}
-"""
 
 
 # The source pieces of the formulas.  Each writes one formula on the
@@ -195,11 +154,6 @@ def _kernel_converged(out, p, q, order):
     terms = [d[i] for i in order]
     return [*(f"{di} = {qi} - {pi}" for di, pi, qi in zip(d, p, q)),
             f"{out} = sqrt({_dot(terms, terms)}) < tol_conv"]
-
-
-def _indent(lines):
-    """The lines as the body of a block."""
-    return [f"    {line}" for line in lines]
 
 
 def _policy_from_kernel(out, S, singular, greedy):
@@ -307,7 +261,8 @@ def _policy_from_kernel_source(size):
     return _kernel_source("S, n_features, eps_sing", lines, f"[[{', '.join(gain)}]]")
 
 
-_POLICY_FROM_KERNEL = _Kernels(_policy_from_kernel_source)
+_POLICY_FROM_KERNEL = _Kernels(_policy_from_kernel_source,
+                               SingularKernelError=SingularKernelError)
 
 
 def policy_from_kernel(S, n_features=None, eps_sing=1e-8):

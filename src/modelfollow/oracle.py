@@ -5,14 +5,19 @@ zero-order-hold discretization, a structured-doubling Riccati solver,
 assembly of the quadratic action-value kernel, policy-evaluation kernels
 for a given gain, and a batch least-squares counterpart of the projection
 iteration.  It needs numpy alone: its matrix exponential is
-dynamics.expm_ss, and it shares no code with the learner or control_loop
-modules.
+dynamics.expm_ss, and it imports nothing from the learner or control_loop
+modules; the formula-free codegen helpers are all it shares with them.
+The Riccati doubling runs as one generated straight-line kernel per state
+count on Python floats (_DARE, compiled on first use through
+codegen._Kernels, as the learner's formulas are), since on 3x3 matrices
+numpy's per-call dispatch costs more than the arithmetic.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from modelfollow.codegen import _Kernels, _indent, _kernel_source
 from modelfollow.dynamics import expm_ss
 
 # solve_dare stops once max|H_{k+1} - H_k| <= DARE_TOL max|H_{k+1}|, and
@@ -102,67 +107,117 @@ def _cost_exponential(A, B, Q, R, delta):
     return 0.5 * (G + G.T), F[d:, d:]
 
 
+def _dare_source(n):
+    """kernel(A, G, H): the doubling of solve_dare from the n x n iterates
+    A, G, H, each the list of its entries in row-major order, as straight-
+    line code on Python floats: H's entries once the stopping test holds,
+    or None after DARE_MAX_ITER steps.  Each step solves W X = [A, G] by
+    Gaussian elimination with partial pivoting on the rows x0, x1, ... of
+    [W, A, G], then back substitution, and X_A, X_G are the last 2n
+    columns of x; every matrix product sums in index order.  A multiplier
+    is a product with the pivot's reciprocal, as LAPACK's getrf forms it:
+    on the numerically rank-one first W of q = 1e300 the quotient would
+    leave an exactly zero pivot where the product does not."""
+    r, cols = range(n), range(3 * n)
+    a, g, h, hn, m, t, c, u = ([[f"{name}{i}_{j}" for j in r] for i in r]
+                               for name in ("a", "g", "h", "hn", "m", "t", "c", "u"))
+    x = [[f"x{i}_{j}" for j in cols] for i in r]
+    xa, xg, at = [row[n:2 * n] for row in x], [row[2 * n:] for row in x], list(zip(*a))
+
+    def entries(M):
+        return [e for row in M for e in row]
+
+    def assign(M, E):
+        return f"{', '.join(entries(M))} = {', '.join(entries(E))}"
+
+    def mul(P, Q):  # the entries of P Q, each a sum in index order
+        return [[f"({' + '.join(f'{P[i][k]} * {Q[k][j]}' for k in r)})" for j in r] for i in r]
+
+    def add(M, E):
+        return [[f"{M[i][j]} + {E[i][j]}" for j in r] for i in r]
+
+    def sym(M):
+        return [[f"0.5 * ({M[i][j]} + {M[j][i]})" for j in r] for i in r]
+
+    def finite(*Ms):  # 0.0 * e is a signed zero for a finite e and NaN otherwise
+        return " + ".join(f"0.0 * {e}" for M in Ms for e in entries(M)) + " == 0.0"
+
+    def max_abs(terms):  # the trailing 0.0 makes a 1 x 1 iterate a valid call
+        return f"max({', '.join(f'abs({e})' for e in terms)}, 0.0)"
+
+    W = add([["1.0" if i == j else "0.0" for j in r] for i in r], mul(g, h))
+    step = [assign([x[i]], [[*W[i], *a[i], *g[i]]]) for i in r]
+    for k in r:
+        for i in range(k + 1, n):
+            step += [f"if abs({x[i][k]}) > abs({x[k][k]}):",
+                     f"    {assign([x[k][k:], x[i][k:]], [x[i][k:], x[k][k:]])}"]
+        step += [f"if {x[k][k]} == 0.0:",
+                 "    raise NoConvergenceError('Riccati doubling step is singular')",
+                 f"inv = 1.0 / {x[k][k]}"]
+        for i in range(k + 1, n):
+            step += [f"l = {x[i][k]} * inv",
+                     *(f"{x[i][j]} = {x[i][j]} - l * {x[k][j]}" for j in cols[k + 1:])]
+    for k in reversed(r):
+        for j in cols[n:]:
+            terms = "".join(f" - {x[k][i]} * {x[i][j]}" for i in range(k + 1, n))
+            step.append(f"{x[k][j]} = ({x[k][j]}{terms}) / {x[k][k]}")
+    non_finite = "raise NoConvergenceError('Riccati doubling iterate became non-finite')"
+    step += [assign(m, mul(at, h)), assign(t, add(h, mul(m, xa))), assign(hn, sym(t)),
+             assign(c, mul(a, xg)), assign(u, add(g, mul(c, at))), assign(g, sym(u)),
+             assign(a, mul(a, xa)),
+             f"if not {finite(hn)}:", f"    {non_finite}",
+             f"if {max_abs(f'{e} - {o}' for e, o in zip(entries(hn), entries(h)))}"
+             f" <= {DARE_TOL!r} * {max_abs(entries(hn))}:",
+             f"    if not {finite(a, g)}:", f"        {non_finite}",
+             f"    return [{', '.join(entries(hn))}]",
+             assign(h, hn)]
+    unpack = [f"[{', '.join(entries(M))}] = {name}" for M, name in ((a, "A"), (g, "G"), (h, "H"))]
+    loop = [f"for _ in range({DARE_MAX_ITER}):", *_indent(step)]
+    return _kernel_source("A, G, H", [*unpack, *loop], "None")
+
+
+_DARE = _Kernels(_dare_source, NoConvergenceError=NoConvergenceError)
+
+
 def solve_dare(A_d, B_d, Q_bar, R_bar):
     """Discrete Riccati solution by the structured doubling algorithm.
 
     Starting from A_0 = A_d, G_0 = B_d R_bar^-1 B_d', H_0 = Q_bar, each
-    step solves W = I + G H once and sets
+    step solves W X = [A, G], W = I + G H, once and sets
 
-        H <- H + A' H W^-1 A,  G <- G + A W^-1 G A',  A <- A W^-1 A,
+        H <- H + A' H X_A,  G <- G + A X_G A',  A <- A X_A,
 
-    so H_k is 2^k steps from P = 0 of the value recursion
+    symmetrizing H and G, so H_k is 2^k steps from P = 0 of the value
+    recursion
     P <- Q_bar + A_d' P A_d - A_d' P B_d (R_bar + B_d' P B_d)^-1 B_d' P A_d
     (Chu, Fan & Lin 2005).  Stops when max|H_{k+1} - H_k| <= DARE_TOL
     max|H_{k+1}|, a test relative to the iterate, so that the result does
     not depend on the scale of the costs (and Q_bar = 0 stops at once);
     the max-abs norm does not overflow where a Frobenius norm of finite
-    entries would.
+    entries would.  The doubling runs as the generated kernel _DARE[n]
+    (_dare_source) on Python floats, which overflow to inf and NaN without
+    a warning; only G_0 is formed in numpy.
 
-    Raises NoConvergenceError after DARE_MAX_ITER doubling steps, when a step's
-    W is singular, or when an iterate is not finite.  The max|H_{k+1}| of
-    the stopping test is the finiteness check: a NaN or inf in H_{k+1}
-    fails it on the step that makes it.  One in A_k or G_k (A_0 and G_0
-    come from the inputs) reaches H_{k+1} through W^-1 [A_k, G_k], so it
-    fails the check one step after it appears; only when H_{k+1} passes the stopping test are
-    A_{k+1} and G_{k+1} checked themselves, before H_{k+1} is returned.
+    Raises NoConvergenceError after DARE_MAX_ITER doubling steps, when a
+    step's elimination meets an exactly zero pivot (W is singular), or when
+    an iterate is not finite.  H_{k+1} is checked on the step that makes it,
+    before the stopping test.  A NaN or inf in A_k or G_k (A_0 and G_0 come
+    from the inputs) reaches H_{k+1} through X = W^-1 [A_k, G_k], so it fails
+    that check one step after it appears; only when H_{k+1} passes the
+    stopping test are A_{k+1} and G_{k+1} checked themselves, before H_{k+1}
+    is returned.
     """
     A = np.atleast_2d(np.asarray(A_d, dtype=float))
     B_d = np.asarray(B_d, dtype=float)
-    H = np.atleast_2d(np.asarray(Q_bar, dtype=float))
     R_bar = np.atleast_2d(np.asarray(R_bar, dtype=float))
     G = B_d @ np.linalg.solve(R_bar, B_d.T)
     G = 0.5 * (G + G.T)
     n = A.shape[0]
-    eye = np.eye(n)
-    AG = np.empty((n, 2 * n))  # [A, G], the right-hand side of each solve
-    # an unstabilizable pair overflows within about ten steps; the
-    # finiteness checks below report that instead of numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(DARE_MAX_ITER):
-            AG[:, :n] = A
-            AG[:, n:] = G
-            try:
-                WinvAG = np.linalg.solve(eye + G @ H, AG)
-            except np.linalg.LinAlgError as exc:
-                raise NoConvergenceError("Riccati doubling step is singular") from exc
-            WinvA, WinvG = WinvAG[:, :n], WinvAG[:, n:]
-            Hn = H + A.T @ H @ WinvA
-            Hn = 0.5 * (Hn + Hn.T)
-            G = G + A @ WinvG @ A.T
-            G = 0.5 * (G + G.T)
-            A = A @ WinvA
-            size = np.abs(Hn).max()
-            if not size < np.inf:  # NaN or inf in Hn
-                raise NoConvergenceError(
-                    "Riccati doubling iterate became non-finite")
-            if np.abs(Hn - H).max() <= DARE_TOL * size:
-                if not (np.isfinite(A).all() and np.isfinite(G).all()):
-                    raise NoConvergenceError(
-                        "Riccati doubling iterate became non-finite")
-                return Hn
-            H = Hn
-    raise NoConvergenceError(
-        f"Riccati doubling did not converge in {DARE_MAX_ITER} steps")
+    H = _DARE[n](A.ravel().tolist(), G.ravel().tolist(),
+                 np.asarray(Q_bar, dtype=float).ravel().tolist())
+    if H is None:
+        raise NoConvergenceError(f"Riccati doubling did not converge in {DARE_MAX_ITER} steps")
+    return np.array(H).reshape(n, n)
 
 
 def qfun_kernel(P, model):
@@ -196,9 +251,13 @@ def policy_value_kernel(A, B, gain, Q, R, delta):
     n, d = gain.shape[1], E.shape[0]
     T = E.copy()  # [[A_d, B_d], [0, I]]; its last rows become gain [A_d, B_d]
     T[n:, :] = gain @ E[:n, :]
-    # T' kron T' as np.kron forms it: entry (i d + k, j d + l) = T'_ij T'_kl
+    # T' kron T' as np.kron forms it: entry (i d + k, j d + l) = T'_ij T'_kl;
+    # a gain whose entries square past the float range (a prior gain of
+    # 1e300) overflows it to inf and gives a non-finite kernel, which the
+    # episode reports as a divergence
     Tt = T.T
-    TkT = (Tt[:, None, :, None] * Tt[None, :, None, :]).reshape(d * d, d * d)
+    with np.errstate(over="ignore"):
+        TkT = (Tt[:, None, :, None] * Tt[None, :, None, :]).reshape(d * d, d * d)
     S = np.linalg.solve(np.eye(d * d) - TkT, 2.0 * G.ravel()).reshape(d, d)
     return 0.5 * (S + S.T)
 

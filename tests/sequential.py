@@ -10,10 +10,13 @@ sample, the critic step, the kernel distance, the greedy gain and the
 actor step are spelled out here too: the adapting loop inlines their
 pieces, and the replay (replay.py) holds each of its learner steps to
 these.  Like the kernels, they take sequences of components: floats, or
-numpy columns.
+numpy columns.  seq_solve_dare is the numpy Riccati doubling that the
+oracle's generated doubling kernel replaced, kept as its reference.
 """
 
 import math
+
+import numpy as np
 
 
 def seq_dot(a, b):
@@ -118,3 +121,38 @@ def seq_tick(x, xh, u_ob, u_mf, mu, yref, maps):
     xh = [seq_dot(Phi_hat[i], xh) + Gam_hat[i] * v for i in range(len(xh))]
     y, yhat = seq_dot(C, x), seq_dot(C, xh)
     return (x, xh, u_ob, u_mf, y, yhat, y - yhat, yref - y, mu_ob, mu_cl, mu_mf, u_total, v)
+
+
+def seq_solve_dare(A_d, B_d, Q_bar, R_bar):
+    """The structured doubling of oracle.solve_dare in numpy: each step
+    solves W X = [A, G], W = I + G H, with LAPACK and updates H, G and A by
+    matrix products, until max|H_{k+1} - H_k| <= 1e-13 max|H_{k+1}| (the
+    oracle's DARE_TOL).  RuntimeError for a singular step, a non-finite
+    iterate or no convergence within 64 steps (DARE_MAX_ITER)."""
+    A = np.atleast_2d(np.asarray(A_d, dtype=float))
+    B_d = np.asarray(B_d, dtype=float)
+    H = np.atleast_2d(np.asarray(Q_bar, dtype=float))
+    G = B_d @ np.linalg.solve(np.atleast_2d(np.asarray(R_bar, dtype=float)), B_d.T)
+    G = 0.5 * (G + G.T)
+    n = A.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(64):
+            try:
+                X = np.linalg.solve(np.eye(n) + G @ H, np.hstack([A, G]))
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError("Riccati doubling step is singular") from exc
+            XA, XG = X[:, :n], X[:, n:]
+            Hn = H + A.T @ H @ XA
+            Hn = 0.5 * (Hn + Hn.T)
+            G = G + A @ XG @ A.T
+            G = 0.5 * (G + G.T)
+            A = A @ XA
+            size = np.abs(Hn).max()
+            if not size < np.inf:
+                raise RuntimeError("Riccati doubling iterate became non-finite")
+            if np.abs(Hn - H).max() <= 1e-13 * size:
+                if not (np.isfinite(A).all() and np.isfinite(G).all()):
+                    raise RuntimeError("Riccati doubling iterate became non-finite")
+                return Hn
+            H = Hn
+    raise RuntimeError("Riccati doubling did not converge in 64 steps")

@@ -592,16 +592,18 @@ def test_oracle_error_exit(tmp_path, capsys, monkeypatch):
     assert err == "oracle error: Riccati doubling did not converge in 60 steps\n"
 
 
-def test_oracle_error_on_singular_doubling_step(tmp_path, capsys):
+def test_oracle_error_on_non_finite_doubling_iterate(tmp_path, capsys):
     # r = 1e300 makes G = B R^-1 B' of order 1e-302, and H grows to 1e271
-    # before the 30th doubling step's I + G H is singular in floating
-    # point: one line and exit 1, not a LinAlgError traceback
+    # before the 30th doubling step, whose I + G H is about 1e243 and
+    # numerically rank one: its elimination meets no exactly zero pivot,
+    # and the new H overflows to NaN.  One line and exit 1, not a traceback
+    # (test_dare_singular_step_raises pins the singular step)
     config = tmp_path / "huge_r.ini"
     config.write_text("[learning]\nr = 1e300\n")
     assert main(["oracle-check", str(config)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "oracle error: Riccati doubling step is singular\n"
+    assert err == "oracle error: Riccati doubling iterate became non-finite\n"
 
 
 def reject_constant(name):
@@ -629,8 +631,7 @@ def test_run_with_non_finite_gain_writes_strict_summary(tmp_path, capsys):
     # pi_cl0 = 1e300 diverges at 0.02 s with a NaN closed-loop gain: the
     # summary holds null for that gain, its closed loop's eigenvalues (numpy
     # defines none for a NaN matrix) and its kernel's norm, and the run ends
-    # with the divergence line and exit 2 (the episode's own overflow
-    # warnings may come before it)
+    # with the divergence line and exit 2
     config = tmp_path / "huge_gain.ini"
     config.write_text("[learning]\npi_cl0 = [1e300, 0, 0]\n")
     assert main(["run", str(config), "--outdir", str(tmp_path)]) == 2
@@ -640,6 +641,23 @@ def test_run_with_non_finite_gain_writes_strict_summary(tmp_path, capsys):
     assert summary["pi_cl"] == [None] * 3
     assert summary["closed_loop_eigenvalues"] is None
     assert summary["kernel_frobenius_norms"]["cl"] is None
+
+
+@pytest.mark.parametrize("line, diverged_at, check_exit", [
+    ("pi_cl0 = [1e300, 0, 0]", 0.02, 2), ("pi_mf0 = [1e300, 0, 0]", 0.03, 0)])
+def test_huge_prior_gain_setup_raises_no_warning(tmp_path, capsys, line, diverged_at, check_exit):
+    # the squares of a prior gain of 1e300 overflow while the episode is set
+    # up (the closed-loop policy evaluation's T' kron T', the bordered
+    # kernel's pi . pi); that is no warning: run's one stderr line is the
+    # divergence, and oracle-check writes none
+    config = tmp_path / "huge_gain.ini"
+    config.write_text(f"[learning]\n{line}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(config), "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"episode diverged at t = {diverged_at} s\n"
+        assert main(["oracle-check", str(config)]) == check_exit
+    assert capsys.readouterr().err == ""
 
 
 def test_run_with_huge_cost_writes_strict_summary_without_warning(tmp_path, capsys):

@@ -69,14 +69,15 @@ def test_import_and_parse_compile_nothing(tmp_path):
     code = f"""
 import json
 from modelfollow.cli_io import parse_config
-from modelfollow import control_loop, learner
+from modelfollow import codegen, control_loop, learner, oracle
 parse_config(open({str(DEFAULT_CONFIG)!r}, encoding="utf-8").read())
-tables = {{f"{{module.__name__}}.{{name}}": len(value) for module in (learner, control_loop)
-          for name, value in vars(module).items() if isinstance(value, learner._Kernels)}}
-print(json.dumps({{"compile_s": learner._Kernels.compile_s, "tables": tables}}))
+tables = {{f"{{module.__name__}}.{{name}}": len(value) for module in (learner, control_loop, oracle)
+          for name, value in vars(module).items() if isinstance(value, codegen._Kernels)}}
+print(json.dumps({{"compile_s": codegen._Kernels.compile_s, "tables": tables}}))
 """
     proc = _python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["compile_s"] == 0.0
-    assert out["tables"] and all(size == 0 for size in out["tables"].values()), out["tables"]
+    assert "modelfollow.oracle._DARE" in out["tables"]
+    assert all(size == 0 for size in out["tables"].values()), out["tables"]
