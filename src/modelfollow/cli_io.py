@@ -393,34 +393,31 @@ def write_weights_csv(log, path):
 
 
 def build_summary(config, log):
-    """The summary.json object of an episode's log.  Numbers that overflow
-    or turn NaN (a diverged episode's gains, a huge kernel's norm) raise no
-    numpy warning here; _dump_json writes them as null."""
+    """The summary.json object of an episode's log."""
     model = config.model
     pi_cl = log.pi_final["cl"]
-    with np.errstate(all="ignore"):
-        return {
-            "open_loop_eigenvalues": _eig_pairs(model.A),
-            "desired_model_eigenvalues": _eig_pairs(model.A_hat),
-            "closed_loop_eigenvalues": _eig_pairs(
-                model.A_hat + model.B_hat @ pi_cl.reshape(1, -1)),
-            "pi_cl": [float(v) for v in pi_cl],
-            "pi_ob": [float(v) for v in log.pi_final["ob"]],
-            "pi_mf": [float(v) for v in log.pi_final["mf"]],
-            "terminal_e_mf": float(log.e_mf[-1]),
-            "terminal_e_ob": float(log.e_ob[-1]),
-            "kernel_frobenius_norms": {
-                s: float(np.linalg.norm(theta_to_S(log.theta_final[s])))
-                for s in STRATEGIES},
-            "convergence_time_s": {s: log.t_converged[s] for s in STRATEGIES},
-            # per strategy: learner steps, actor steps skipped for a singular
-            # kernel and actor residuals clamped at the rate limit
-            "learner_counts": log.learner_counts,
-            "diverged_at": log.diverged,
-            # max |eig M| of the frozen tail's map; None when no tail ran
-            "lifted_spectral_radius": (None if log.M is None else
-                                       float(np.abs(np.linalg.eigvals(log.M)).max())),
-        }
+    return {
+        "open_loop_eigenvalues": _eig_pairs(model.A),
+        "desired_model_eigenvalues": _eig_pairs(model.A_hat),
+        "closed_loop_eigenvalues": _eig_pairs(
+            model.A_hat + model.B_hat @ pi_cl.reshape(1, -1)),
+        "pi_cl": [float(v) for v in pi_cl],
+        "pi_ob": [float(v) for v in log.pi_final["ob"]],
+        "pi_mf": [float(v) for v in log.pi_final["mf"]],
+        "terminal_e_mf": float(log.e_mf[-1]),
+        "terminal_e_ob": float(log.e_ob[-1]),
+        "kernel_frobenius_norms": {
+            s: float(np.linalg.norm(theta_to_S(log.theta_final[s])))
+            for s in STRATEGIES},
+        "convergence_time_s": {s: log.t_converged[s] for s in STRATEGIES},
+        # per strategy: learner steps, actor steps skipped for a singular
+        # kernel and actor residuals clamped at the rate limit
+        "learner_counts": log.learner_counts,
+        "diverged_at": log.diverged,
+        # max |eig M| of the frozen tail's map; None when no tail ran
+        "lifted_spectral_radius": (None if log.M is None else
+                                   float(np.abs(np.linalg.eigvals(log.M)).max())),
+    }
 
 
 def _strict(obj):
@@ -452,15 +449,11 @@ def cmd_run(args, config):
     outdir = args.outdir
     # the output directory and each artifact's own directory under it; an
     # artifact path that is a directory fails here, not after the episode
-    try:
-        for name in (config.trajectory_csv, config.weights_csv, config.summary_json):
-            os.makedirs(os.path.join(outdir, os.path.dirname(name)), exist_ok=True)
-            path = os.path.join(outdir, name)
-            if os.path.isdir(path):
-                raise IsADirectoryError(f"artifact path {path!r} is a directory")
-    except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return 1
+    for name in (config.trajectory_csv, config.weights_csv, config.summary_json):
+        os.makedirs(os.path.join(outdir, os.path.dirname(name)), exist_ok=True)
+        path = os.path.join(outdir, name)
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"artifact path {path!r} is a directory")
     log = run_episode(config.model, config.reference, config.learning,
                       horizon=config.horizon)
     timed = functools.partial(_timed, log.timings)
@@ -474,10 +467,14 @@ def cmd_run(args, config):
         # the layer times of this run, summary.json's own among them: the
         # file is written again with them
         _write_json(dict(summary, timings=log.timings), summary_path)
+    return 2 if _diverged(log) else 0
+
+
+def _diverged(log):
+    """Whether the episode diverged; if it did, its stderr line is printed."""
     if log.diverged is not None:
         print(f"episode diverged at t = {log.diverged:.4g} s", file=sys.stderr)
-        return 2
-    return 0
+    return log.diverged is not None
 
 
 # the learner terminates at an admissible (not optimal) gain, so the
@@ -487,54 +484,54 @@ ORACLE_GAIN_TOLERANCE = 3.0
 
 def cmd_oracle_check(args, config):
     """Print the report that compares the learned closed-loop gain with the
-    Riccati oracle's.  Numbers that overflow or turn NaN (a diverged
-    episode's gain, a huge cost's residual) raise no numpy warning while
-    the oracle and the report are computed; _dump_json writes them as null."""
+    Riccati oracle's, then judge the episode it ran: exit 2 when the
+    episode diverged or took no closed-loop learner step, each with its
+    stderr line, or when the learned gain lies outside the tolerance."""
     model, cfg = config.model, config.learning
-    with np.errstate(all="ignore"):
-        A_d, B_d = oracle.zoh_discretize(model.A_hat, model.B_hat, cfg.delta)
-        Q_bar, R_bar = oracle.stage_cost(cfg.Q, cfg.R, cfg.delta)
-        try:
-            P = oracle.solve_dare(A_d, B_d, Q_bar, R_bar)
-        except oracle.NoConvergenceError as exc:
-            print(f"oracle error: {exc}", file=sys.stderr)
-            return 1
-        dmodel = oracle.DiscreteModel(A_d, B_d, Q_bar, R_bar, cfg.delta)
-        S_star = oracle.qfun_kernel(P, dmodel)
-        # the control block R_bar + B_d' P B_d is positive whenever R_bar is,
-        # at any cost scale, so no singularity floor applies
-        oracle_gain = policy_from_kernel(S_star, n_features=model.n, eps_sing=0.0).reshape(-1)
-        # textbook discrete LQR gain -K for comparison, and the DARE residual
-        K = np.linalg.solve(R_bar + B_d.T @ P @ B_d, B_d.T @ P @ A_d)
-        lqr_gain = -K.reshape(-1)
-        dare_residual = float(np.linalg.norm(
-            P - (Q_bar + A_d.T @ P @ A_d - A_d.T @ P @ B_d @ K)))
+    A_d, B_d = oracle.zoh_discretize(model.A_hat, model.B_hat, cfg.delta)
+    Q_bar, R_bar = oracle.stage_cost(cfg.Q, cfg.R, cfg.delta)
+    P = oracle.solve_dare(A_d, B_d, Q_bar, R_bar)
+    dmodel = oracle.DiscreteModel(A_d, B_d, Q_bar, R_bar, cfg.delta)
+    S_star = oracle.qfun_kernel(P, dmodel)
+    # the control block R_bar + B_d' P B_d is positive whenever R_bar is,
+    # at any cost scale, so no singularity floor applies
+    oracle_gain = policy_from_kernel(S_star, n_features=model.n, eps_sing=0.0).reshape(-1)
+    # textbook discrete LQR gain -K for comparison, and the DARE residual
+    K = np.linalg.solve(R_bar + B_d.T @ P @ B_d, B_d.T @ P @ A_d)
+    lqr_gain = -K.reshape(-1)
+    dare_residual = float(np.linalg.norm(
+        P - (Q_bar + A_d.T @ P @ A_d - A_d.T @ P @ B_d @ K)))
 
     log = run_episode(model, config.reference, cfg, horizon=config.horizon)
     learned_gain = log.pi_final["cl"]
-    with np.errstate(all="ignore"):
-        report = {
-            "dare_residual": dare_residual,
-            "oracle_gain": [float(v) for v in oracle_gain],
-            "oracle_vs_lqr_formula_delta": float(
-                np.linalg.norm(oracle_gain - lqr_gain)),
-            "learned_gain": [float(v) for v in learned_gain],
-            "learned_vs_oracle_gain_delta": float(
-                np.linalg.norm(learned_gain - oracle_gain)),
-            "gain_tolerance": ORACLE_GAIN_TOLERANCE,
-            "within_tolerance": bool(
-                np.linalg.norm(learned_gain - oracle_gain) <= ORACLE_GAIN_TOLERANCE),
-        }
-        Z, phi = log.regressors["cl"]
-        if len(Z):
-            report["regressor_rank"] = int(np.linalg.matrix_rank(Z))
-            report["regressor_count"] = int(Z.shape[0])
-            # a relative residual against zero stage costs has no value: NaN
-            # or inf, written as null
-            report["learned_theta_bellman_residual"] = oracle.bellman_residual(
-                log.theta_final["cl"], Z, phi)
+    distance = float(np.linalg.norm(learned_gain - oracle_gain))
+    report = {
+        "dare_residual": dare_residual,
+        "oracle_gain": [float(v) for v in oracle_gain],
+        "oracle_vs_lqr_formula_delta": float(np.linalg.norm(oracle_gain - lqr_gain)),
+        "learned_gain": [float(v) for v in learned_gain],
+        "learned_vs_oracle_gain_delta": distance,
+        "gain_tolerance": ORACLE_GAIN_TOLERANCE,
+        "within_tolerance": distance <= ORACLE_GAIN_TOLERANCE,
+    }
+    Z, phi = log.regressors["cl"]
+    if len(Z):
+        # numpy defines no rank of a matrix with a non-finite entry (a
+        # diverged episode's last regressor row): null
+        report["regressor_rank"] = (int(np.linalg.matrix_rank(Z)) if np.isfinite(Z).all()
+                                    else None)
+        report["regressor_count"] = int(Z.shape[0])
+        # a relative residual against zero stage costs has no value: NaN
+        # or inf, written as null
+        report["learned_theta_bellman_residual"] = oracle.bellman_residual(
+            log.theta_final["cl"], Z, phi)
     _dump_json(report, sys.stdout)
-    return 0 if report.get("within_tolerance", True) else 2
+    if _diverged(log):
+        return 2
+    if not log.learner_counts["cl"]["steps"]:
+        print("episode took no closed-loop learner step", file=sys.stderr)
+        return 2
+    return 0 if report["within_tolerance"] else 2
 
 
 def _gain_row(text, n):
@@ -567,15 +564,29 @@ def cmd_eig(args, config):
             return 1
         # a gain near the largest double overflows the closed loop to inf,
         # whose eigenvalues are null
-        with np.errstate(all="ignore"):
-            out["closed_loop_eigenvalues"] = _eig_pairs(model.A + model.B @ gain)
-            out["desired_closed_loop_eigenvalues"] = _eig_pairs(
-                model.A_hat + model.B_hat @ gain)
+        out["closed_loop_eigenvalues"] = _eig_pairs(model.A + model.B @ gain)
+        out["desired_closed_loop_eigenvalues"] = _eig_pairs(model.A_hat + model.B_hat @ gain)
     _dump_json(out, sys.stdout)
     return 0
 
 
+# the stderr label of each failure a command can end in, by its type
+FAILURES = {MemoryError: "run error", OSError: "output error",
+            oracle.NoConvergenceError: "oracle error"}
+
+
+@np.errstate(all="ignore")
 def main(argv=None):
+    """The command line: parse argv, load the config and run the command.
+
+    This is the one failure boundary of the commands.  Each runs with
+    numpy's floating-point errors ignored: a number that overflows or
+    turns NaN is data (a divergence, or null in the JSON), never a numpy
+    warning.  A config that cannot be read or is rejected, and a failure of
+    a type in FAILURES, ends the command with one stderr line and exit 1:
+    an episode too long to allocate (MemoryError), an artifact that cannot
+    be written (OSError) or a Riccati solve that does not converge.
+    """
     parser = argparse.ArgumentParser(
         prog="modelfollow",
         description="observer-based online learning for model-following control")
@@ -606,11 +617,11 @@ def main(argv=None):
     except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    # an episode too long to allocate
     try:
         return args.func(args, config)
-    except MemoryError as exc:
-        print(f"run error: {exc}", file=sys.stderr)
+    except tuple(FAILURES) as exc:
+        label = next(label for kind, label in FAILURES.items() if isinstance(exc, kind))
+        print(f"{label}: {exc}", file=sys.stderr)
         return 1
 
 

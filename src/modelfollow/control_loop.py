@@ -245,8 +245,7 @@ def embedded_gain_kernel(pi, beta, s_max):
     """
     pi = np.asarray(pi, dtype=float).reshape(-1)
     nf = pi.size
-    with np.errstate(over="ignore"):  # a gain too large to square gives s = 0
-        norm2 = float(pi @ pi)
+    norm2 = float(pi @ pi)  # a gain too large to square gives s = 0
     s = min(s_max, 0.5 * beta / norm2) if norm2 else s_max
     S = np.eye(nf + 1) * beta
     S[nf, nf] = s
@@ -603,25 +602,24 @@ def _frozen_tail(log, k0, z, gains, maps, probe):
     # each block, so a diverging tail stops within one block of its exit
     hist = w @ N.T
     z = np.array(z)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the same powers step every block, so a rounding error of theirs
-        # would recur block after block: they are squared in np.longdouble
-        # and rounded once
-        powers = [M.T.astype(np.longdouble)]
-        while 1 << len(powers) < TAIL_BLOCK:
-            powers.append(powers[-1] @ powers[-1])
-        powers = [power.astype(float) for power in powers]
-        for i in range(0, len(hist), TAIL_BLOCK):
-            block = hist[i:i + TAIL_BLOCK]
-            z = _step_rows(block, z, powers)
-            # false for nan and inf as well as for a state outside the box
-            out = np.flatnonzero(~(np.abs(block[:, :n]).max(axis=1) <= BOX))
-            if out.size:
-                exit_row = i + out[0]
-                hist = hist[:exit_row]
-                log.diverged = float(log.t[k0 + 1 + exit_row])
-                log.trim(k0 + 1 + exit_row)
-                break
+    # the same powers step every block, so a rounding error of theirs
+    # would recur block after block: they are squared in np.longdouble
+    # and rounded once
+    powers = [M.T.astype(np.longdouble)]
+    while 1 << len(powers) < TAIL_BLOCK:
+        powers.append(powers[-1] @ powers[-1])
+    powers = [power.astype(float) for power in powers]
+    for i in range(0, len(hist), TAIL_BLOCK):
+        block = hist[i:i + TAIL_BLOCK]
+        z = _step_rows(block, z, powers)
+        # false for nan and inf as well as for a state outside the box
+        out = np.flatnonzero(~(np.abs(block[:, :n]).max(axis=1) <= BOX))
+        if out.size:
+            exit_row = i + out[0]
+            hist = hist[:exit_row]
+            log.diverged = float(log.t[k0 + 1 + exit_row])
+            log.trim(k0 + 1 + exit_row)
+            break
 
     rows = slice(k0 + 1, k0 + 1 + len(hist))
     log.x[rows] = hist[:, :n]
@@ -641,6 +639,7 @@ def _frozen_tail(log, k0, z, gains, maps, probe):
     log.v[rows] = log.u_ob[rows] + u_total
 
 
+@np.errstate(all="ignore")
 def run_episode(model, ref_spec, cfg, horizon=20.0, initial=None):
     """Simulate one episode from rest and return its log.
 
@@ -658,6 +657,11 @@ def run_episode(model, ref_spec, cfg, horizon=20.0, initial=None):
     has converged or was frozen from the start), the rest of the episode
     runs as the fixed affine recurrence of _frozen_tail instead of tick by
     tick.
+
+    The episode runs with numpy's floating-point errors ignored: a number
+    that overflows or turns NaN, in the setup (a prior gain or model entry
+    too large to square) or in the ticks, is data, which the divergence box
+    reports, never a numpy warning.
 
     Returns:
         EpisodeLog.  Divergence stops the episode early and is recorded in

@@ -256,8 +256,7 @@ def policy_value_kernel(A, B, gain, Q, R, delta):
     # 1e300) overflows it to inf and gives a non-finite kernel, which the
     # episode reports as a divergence
     Tt = T.T
-    with np.errstate(over="ignore"):
-        TkT = (Tt[:, None, :, None] * Tt[None, :, None, :]).reshape(d * d, d * d)
+    TkT = (Tt[:, None, :, None] * Tt[None, :, None, :]).reshape(d * d, d * d)
     S = np.linalg.solve(np.eye(d * d) - TkT, 2.0 * G.ravel()).reshape(d, d)
     return 0.5 * (S + S.T)
 

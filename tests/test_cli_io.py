@@ -643,21 +643,20 @@ def test_run_with_non_finite_gain_writes_strict_summary(tmp_path, capsys):
     assert summary["kernel_frobenius_norms"]["cl"] is None
 
 
-@pytest.mark.parametrize("line, diverged_at, check_exit", [
-    ("pi_cl0 = [1e300, 0, 0]", 0.02, 2), ("pi_mf0 = [1e300, 0, 0]", 0.03, 0)])
-def test_huge_prior_gain_setup_raises_no_warning(tmp_path, capsys, line, diverged_at, check_exit):
+@pytest.mark.parametrize("line, diverged_at", [
+    ("pi_cl0 = [1e300, 0, 0]", 0.02), ("pi_mf0 = [1e300, 0, 0]", 0.03)])
+def test_huge_prior_gain_setup_raises_no_warning(tmp_path, capsys, line, diverged_at):
     # the squares of a prior gain of 1e300 overflow while the episode is set
     # up (the closed-loop policy evaluation's T' kron T', the bordered
-    # kernel's pi . pi); that is no warning: run's one stderr line is the
-    # divergence, and oracle-check writes none
+    # kernel's pi . pi); that is no warning: the one stderr line of run and
+    # of oracle-check is the divergence, and both exit 2
     config = tmp_path / "huge_gain.ini"
     config.write_text(f"[learning]\n{line}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["run", str(config), "--outdir", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == f"episode diverged at t = {diverged_at} s\n"
-        assert main(["oracle-check", str(config)]) == check_exit
-    assert capsys.readouterr().err == ""
+        for argv in (["run", str(config), "--outdir", str(tmp_path)], ["oracle-check", str(config)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"episode diverged at t = {diverged_at} s\n"
 
 
 def test_run_with_huge_cost_writes_strict_summary_without_warning(tmp_path, capsys):
@@ -686,6 +685,80 @@ def test_oracle_check_prints_non_finite_numbers_as_null(tmp_path, capsys, line, 
     report = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
     assert [report[key] for key in nulls] == [None, None]
     assert report["within_tolerance"] is False
+
+
+@pytest.mark.parametrize("text, err", [
+    # the learner never steps: its gain is the prior's, within tolerance
+    pytest.param("[run]\nhorizon = 0\n", "episode took no closed-loop learner step\n",
+                 id="horizon_0"),
+    # the probe alone takes the plant out of the box on the first tick
+    pytest.param("[learning]\nprobe_amplitude = 1e200\n", "episode diverged at t = 0.01 s\n",
+                 id="probe_amplitude_1e200"),
+    # every strategy adapts until the divergence
+    pytest.param("[learning]\ninit = identity\ntol_conv = 0\n",
+                 "episode diverged at t = 13.96 s\n", id="init_identity_tol_conv_0"),
+])
+def test_oracle_check_judges_the_episode(tmp_path, capsys, text, err):
+    # a gain within tolerance does not pass an episode that diverged or
+    # took no closed-loop learner step: the report is printed, then the
+    # reason on stderr, and the exit is 2
+    config = tmp_path / "judged.ini"
+    config.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["oracle-check", str(config)]) == 2
+    out, got = capsys.readouterr()
+    assert got == err
+    report = json.loads(out, parse_constant=reject_constant)
+    assert report["within_tolerance"] is True
+    assert report["learned_vs_oracle_gain_delta"] <= report["gain_tolerance"]
+
+
+@pytest.mark.parametrize("horizon", ["20", "0.5"])
+def test_oracle_check_rank_of_non_finite_regressors_is_null(tmp_path, capsys, horizon):
+    # pi_ob0 = 1e300 diverges at 0.05 s, and the last of the 4 closed-loop
+    # regressor rows is not finite: its rank is null, not an SVD that does
+    # not converge
+    config = tmp_path / "huge_ob.ini"
+    config.write_text(f"[learning]\npi_ob0 = [1e300, 0, 0]\n[run]\nhorizon = {horizon}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["oracle-check", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "episode diverged at t = 0.05 s\n"
+    report = json.loads(out, parse_constant=reject_constant)
+    assert report["regressor_rank"] is None
+    assert report["regressor_count"] == 4
+
+
+def _huge_model_entries():
+    """(key, value, run's stderr, oracle-check's stderr) of each model
+    entry set to 1e300 that the tests pin: every entry of a, then b_hat's
+    first."""
+    for i in range(3):
+        for j in range(3):
+            a = [row[:] for row in cli_io.DEFAULT_A]
+            a[i][j] = 1e300
+            line = "episode diverged at t = 0.01 s\n"
+            yield pytest.param("a", a, line, line, id=f"a[{i}][{j}]")
+    yield pytest.param("b_hat", [1e300, 0, 0], "episode diverged at t = 0.02 s\n",
+                       "oracle error: Riccati doubling iterate became non-finite\n", id="b_hat")
+
+
+@pytest.mark.parametrize("key, value, run_err, check_err", _huge_model_entries())
+def test_huge_model_entry_writes_one_stderr_line(tmp_path, capsys, key, value, run_err,
+                                                 check_err):
+    # an entry of 1e300 overflows the per-tick maps (a) or the desired
+    # model's discretization (b_hat) while the episode or the oracle is set
+    # up; that is no warning, and each command writes its one line
+    config = tmp_path / "huge_model.ini"
+    config.write_text(f"[model]\n{key} = {json.dumps(value)}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(config), "--outdir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == run_err
+        main(["oracle-check", str(config)])
+        assert capsys.readouterr().err == check_err
 
 
 def test_eig_of_overflowing_closed_loop_prints_null(tmp_path, capsys):
@@ -743,6 +816,24 @@ def test_unusable_outdir_exit(tmp_path, capsys, monkeypatch, outdir):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("output error:") and len(err.splitlines()) == 1
     assert (tmp_path / "file").read_text() == "kept\n"
+
+
+def test_unwritable_artifact_after_episode_exit(tmp_path, capsys, monkeypatch):
+    # weights.csv cannot be opened once the episode has run: one line, not
+    # a traceback
+    def refuse_weights(path, *args, **kwargs):
+        if str(path).endswith("weights.csv"):
+            raise PermissionError(13, "Permission denied", str(path))
+        return open(path, *args, **kwargs)
+
+    config = tmp_path / "short.ini"
+    config.write_text("[run]\nhorizon = 0.1\n")
+    monkeypatch.setattr(cli_io, "open", refuse_weights, raising=False)
+    assert main(["run", str(config), "--outdir", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"output error: [Errno 13] Permission denied: '{tmp_path / 'out' / 'weights.csv'}'\n"
+    assert (tmp_path / "out" / "trajectory.csv").is_file()
 
 
 def test_artifact_in_subdirectory(tmp_path):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,21 @@ def test_zero_equilibrium(model):
     assert log.diverged is None
     assert np.all(np.abs(np.array(log.x)) == 0.0)
     assert np.all(np.array(log.u_total) == 0.0)
+
+
+def test_run_episode_raises_no_floating_point_warning(default_config):
+    # a[2][2] = 1e300 overflows the per-tick maps to inf and nan while the
+    # episode is set up: called directly, run_episode takes that as data,
+    # and the first tick leaves the divergence box
+    c = default_config
+    A = c.model.A.copy()
+    A[2, 2] = 1e300
+    model = dataclasses.replace(c.model, A=A)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log = run_episode(model, c.reference, c.learning, horizon=c.horizon)
+    assert log.diverged == 0.01
+    assert len(log.t) == 1
 
 
 def test_converged_gain_decays(model):
