@@ -13,7 +13,8 @@ single-output, one whose state count is not STACK_DEPTH (the one q
 weighs both the plant state and the error stacks), a horizon that is not
 a whole number of ticks of delta, an empty artifact name or one that
 ends in a path separator, or two that name the same file, is a
-ConfigError.
+ConfigError, and so is a line that breaks the INI syntax, reported by its
+number and text (SYNTAX_ERRORS).
 Omitted keys take the defaults of the dataclasses they configure
 (ProcessModel's are the DEFAULT_* matrices below).  All numbers are
 serialized with 17 significant digits so re-runs are byte-identical, and
@@ -99,6 +100,12 @@ SECTIONS = {"model": ProcessModel, "reference": ReferenceSpec,
 # every accepted config key, per section, and the field it sets
 KEYS = {section: {f.name.lower(): f for f in fields(cls) if f.type not in SECTIONS.values()}
         for section, cls in SECTIONS.items()}
+# why each error of the INI syntax rejects the line it names
+SYNTAX_ERRORS = {
+    configparser.MissingSectionHeaderError: "a key before any [section] header",
+    configparser.ParsingError: "neither a [section] header nor a key = value line",
+    configparser.DuplicateSectionError: "a section given twice",
+    configparser.DuplicateOptionError: "a key given twice in its section"}
 
 
 def _value(section, key, raw):
@@ -125,7 +132,10 @@ def parse_config(text):
     try:
         cp.read_string(text)
     except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
+        # a ParsingError lists its lines, the others name theirs
+        lineno = exc.lineno if hasattr(exc, "lineno") else exc.errors[0][0]
+        line = text.split("\n")[lineno - 1].strip()
+        raise ConfigError(f"line {lineno} {line!r}: {SYNTAX_ERRORS[type(exc)]}") from exc
     if cp.defaults():
         raise ConfigError(f"unknown section [{cp.default_section}]")
 

@@ -27,32 +27,33 @@ Python with every sum in index order from 0.0 and no BLAS call.
 
 The ticks that adapt run as one generated loop per plant size, _ADAPT[n],
 from tick 0 on.  It holds the lifted state s = [x, xhat, u_ob, u_mf, e_ob
-window, e_mf window], each strategy's theta and pi and its counters in
-locals, and binds the maps, the LearningConfig scalars (a null rate limit
-as inf, and the time the convergence test starts from: conv_check_start,
-or inf when tol_conv <= 0, which disables the freeze) and the stage-cost
-weights once; it reads the probes as one list per strategy, so that a
-tick builds no list.  A tick
+window, e_mf window], each strategy's theta and pi, its counters and its
+count of consecutive settled steps (from 0) in locals, and binds the
+maps, the LearningConfig scalars (learner._CONFIG_LINES) and the
+stage-cost weights once; it reads the probes as one list per strategy,
+so that a tick builds no list.  A tick
 runs the tick pieces inline, with warm-up as a run-time branch; packs its
 row (the TICK_COLUMNS, then each strategy's theta and pi) straight into
 the log's table; and then each adapting strategy runs the learner's step
 piece (learner._learner_step) inline on its features before and after
-the tick: the Bellman sample, the critic step, the convergence test (on
-the steps from conv_check_start on only, the only ones the freeze
-counts), and the greedy gain and clamped actor step, or a skip for a
-singular kernel.  Whether a strategy adapts is a run-time flag too, so an
+the tick: the Bellman sample, the critic step, the convergence freeze,
+and the greedy gain and clamped actor step, or a skip for a singular
+kernel.  Whether a strategy adapts is a run-time flag too, so an
 episode compiles one loop whatever adapts.  The loop counts each
 strategy's steps, singular skips and clamped actor residuals
-(log.learner_counts).  The StrategyState objects, which hold theta and pi
-as lists of Python floats, take its results when it returns; only the
-log's theta_final and pi_final are numpy arrays.
+(log.learner_counts).  The initial StrategyState objects, which hold theta
+and pi as lists of Python floats, are read-only: the episode's learner
+state flows one way, from them into the loop's locals and out onto the
+log (theta_hist, pi_hist, theta_final and pi_final, the only numpy arrays
+of it, t_converged and learner_counts).
 Adaptation of a strategy stops once its kernel has remained settled for a
-configured window (convergence freeze); from then on the strategy does no
-per-tick learner work.  The loop stops at the horizon, at the first tick
-whose plant state leaves the divergence box, or at the first tick on which
-every strategy acts and none adapts.  From there the rest of the episode
-is one fixed affine recurrence s+ = M s + N w on the lifted state, started
-from the loop's, and the input w = [probes, reference]: M and N are built
+configured window (the convergence freeze, part of the learner step);
+from then on the strategy does no per-tick learner work.  The loop stops
+at the horizon, at the first tick whose plant state leaves the divergence
+box, or at the first tick on which every strategy acts and none adapts.
+From there the rest of the episode is one fixed affine recurrence s+ =
+M s + N w on the lifted state, started from the loop's, and the input
+w = [probes, reference]: M and N are built
 once by running the tick kernel _TICK[n], on which every strategy acts,
 on identity columns (like the learner's kernels it runs on Python floats
 for one tick and on numpy columns for a stack, with the same bits in each
@@ -131,16 +132,15 @@ LEARNER_COUNTS = ("steps", "singular_skips", "clamped")
 
 @dataclass
 class StrategyState:
-    """Learner state of one strategy: theta and pi, given as any sequences
-    of numbers, held as lists of Python floats, whether it has frozen and
-    its count of consecutive settled steps.  run_episode reads it before
-    the adapting loop and writes the loop's results back once the loop
-    returns; the loop holds theta and pi in locals."""
+    """Initial learner state of one strategy: theta and pi, given as any
+    sequences of numbers, held as lists of Python floats, and whether it is
+    frozen (does not adapt, so its gain acts as a fixed controller).
+    run_episode only reads it, before the adapting loop, which holds theta
+    and pi in locals; what the episode learns is on its log."""
 
     theta: list
     pi: list
     frozen: bool = False
-    conv_count: int = 0
 
     def __post_init__(self):
         self.theta, self.pi = [float(v) for v in self.theta], [float(v) for v in self.pi]
@@ -305,7 +305,10 @@ class BellmanLog(dict):
     is the stage-cost weight of strategy s.  Z is stacked once from the
     regressor's columns into one C-ordered row per tick.  The dict
     keeps the log's views (strategy_views) and gain history, not the log,
-    and adds the time of each build to log.timings["bellman_ms"].
+    and adds the time of each build to log.timings["bellman_ms"].  A build
+    runs, as the episode does (run_episode), with numpy's floating-point
+    errors ignored, so the samples of a diverged episode are data, inf or
+    NaN, whoever reads them.
     """
 
     def __init__(self, log, cfg, forms):
@@ -320,6 +323,7 @@ class BellmanLog(dict):
                                                  self._cfg.delta, self._cfg.R)
         return np.stack(z_tilde, axis=1), phi
 
+    @np.errstate(all="ignore")
     def __missing__(self, s):
         pair = self[s] = _timed(self._timings, "bellman_ms", lambda: self._build(s))
         return pair
@@ -459,12 +463,9 @@ def _adapt_source(n):
     for s in STRATEGIES:
         th = _names("th", len(theta[s]))
         step = [*_learner_step(KINDS[s], theta[s], pi[s], F[s], G[s], PRICED[s], f"W_{s}",
+                               (f"conv_{s}", f"adapt_{s}", f"t_conv_{s}"),
                                [f"skips_{s} += 1"], [f"clamps_{s} += clamped"]),
-                f"{', '.join(theta[s])} = {', '.join(th)}", f"steps_{s} += 1",
-                "if t >= conv_check_start:",
-                *_indent([f"conv_{s} = conv_{s} + 1 if settled else 0",
-                          f"if conv_{s} >= conv_window:",
-                          *_indent([f"adapt_{s} = False", f"t_conv_{s} = t + delta"])])]
+                f"{', '.join(theta[s])} = {', '.join(th)}", f"steps_{s} += 1"]
         learn += [f"if adapt_{s} and k >= {LAGS[s]}:" if LAGS[s] else f"if adapt_{s}:",
                   *_indent(step)]
 
@@ -484,13 +485,11 @@ def _adapt_source(n):
     lines = [_unpack("x", n), _unpack("xh", n),
              *_strategy_lines("theta", {s: len(theta[s]) for s in STRATEGIES}), *_gain_lines(n),
              f"[{', '.join(f'adapt_{s}' for s in STRATEGIES)}] = adapt",
-             f"[{', '.join(f'conv_{s}' for s in STRATEGIES)}] = conv",
              *_map_lines(n), f"[{', '.join(f'W_{s}' for s in STRATEGIES)}] = W",
              *(_unpack_rows(f"W_{s}", f + 1 if s == "cl" else f) for s, f in size.items()),
              *_CONFIG_LINES,
-             "conv_window = cfg.conv_window",
-             " = ".join([*(f"{c}_{s}" for s in STRATEGIES for c in ("steps", "skips", "clamps")),
-                         "0"]),
+             " = ".join([*(f"{c}_{s}" for s in STRATEGIES
+                           for c in ("steps", "skips", "clamps", "conv")), "0"]),
              " = ".join([*(f"t_conv_{s}" for s in STRATEGIES), "diverged", "None"]),
              # row 0: the first sample, before any action
              "u_ob = u_mf = mu_ob = mu_cl = mu_mf = u_total = v = 0.0",
@@ -502,9 +501,9 @@ def _adapt_source(n):
              f"for k, {', '.join(f'p_{s}' for s in STRATEGIES)} in zip(range(len({probes[0]})), "
              f"{', '.join(probes)}):", *_indent(tick),
              "else:", f"    k = len({probes[0]})"]
-    learned = ", ".join(f"([{', '.join(theta[s])}], [{', '.join(pi[s])}], conv_{s}, t_conv_{s}, "
+    learned = ", ".join(f"([{', '.join(theta[s])}], [{', '.join(pi[s])}], t_conv_{s}, "
                         f"steps_{s}, skips_{s}, clamps_{s})" for s in STRATEGIES)
-    return _kernel_source("x, xh, theta, pi, adapt, conv, ref, probes, maps, W, cfg, table, pack",
+    return _kernel_source("x, xh, theta, pi, adapt, ref, probes, maps, W, cfg, table, pack",
                           lines, f"k, diverged, [{', '.join(_lifted(n))}], [{learned}]")
 
 
@@ -517,22 +516,22 @@ def _adapt_source(n):
 # state after the tick and the row of TICK_COLUMNS values it logs, x and
 # xhat by their components.
 _TICK = _Kernels(_tick_source)
-# _ADAPT[n](x, xh, theta, pi, adapt, conv, ref, probes, maps, W, cfg, table,
+# _ADAPT[n](x, xh, theta, pi, adapt, ref, probes, maps, W, cfg, table,
 # pack): the ticks of an episode of a plant of n states from tick 0 on, each
-# adapting strategy taking its learner step (learner._learner_step) inline.
-# x and xh are the initial states; theta, pi, adapt (whether the strategy
-# adapts), conv (its settled-step count) and W (its stage-cost weight as a
-# list of rows) hold one entry per strategy in STRATEGIES order; ref is
-# the reference at every sample time, probes one list per strategy, in
-# STRATEGIES order, of its probe on every tick;
-# maps as for _TICK; cfg the LearningConfig.  Row k of the table is packed
-# by pack (a struct's pack_into over the columns after EXOGENOUS) as tick
-# k - 1 ends.  The loop stops at the horizon, at the first tick whose
-# plant state leaves the box, or at the first tick on which every strategy
-# acts and none adapts.  Returns the tick k it stopped at (the number of
+# adapting strategy taking its learner step (learner._learner_step, with
+# its convergence freeze) inline.  x and xh are the initial states; theta,
+# pi, adapt (whether the strategy adapts) and W (its stage-cost weight as a
+# list of rows) hold one entry per strategy in STRATEGIES order, and are
+# only read; ref is the reference at every sample time, probes one list per
+# strategy, in STRATEGIES order, of its probe on every tick; maps as for
+# _TICK; cfg the LearningConfig.  Row k of the table is packed by pack (a
+# struct's pack_into over the columns after EXOGENOUS) as tick k - 1 ends.
+# The loop stops at the horizon, at the first tick whose plant state
+# leaves the box, or at the first tick on which every strategy acts and
+# none adapts.  Returns the tick k it stopped at (the number of
 # ticks at the horizon), the divergence time or None, the lifted state
-# before tick k, and per strategy its theta, pi, settled-step count, freeze
-# time or None and its step, singular-skip and clamp counts.
+# before tick k, and per strategy its theta, pi, freeze time or None and
+# its step, singular-skip and clamp counts.
 _ADAPT = _Kernels(_adapt_source)
 
 
@@ -650,8 +649,9 @@ def run_episode(model, ref_spec, cfg, horizon=20.0, initial=None):
         horizon: episode length in seconds.
         initial: optional dict of StrategyState overriding the defaults;
             a frozen state does not adapt, so its gain acts as a fixed
-            controller.  Once the adapting loop returns, each state takes
-            its final theta, pi, settled-step count and freeze.
+            controller.  The states are read-only: what the episode learns
+            is on the returned log only, so one dict passed to two episodes
+            runs the same episode twice.
 
     From the first tick on which every strategy acts and none adapts (each
     has converged or was frozen from the start), the rest of the episode
@@ -698,20 +698,16 @@ def run_episode(model, ref_spec, cfg, horizon=20.0, initial=None):
     pack = Struct(f"={log._table.shape[1] - len(EXOGENOUS)}d").pack_into
     k, diverged, z, learned = _timed(log.timings, "adapt_ms", lambda: _ADAPT[n](
         [0.0] * n, [0.0] * n, [st.theta for st in ordered], [st.pi for st in ordered],
-        [not st.frozen for st in ordered], [st.conv_count for st in ordered],
-        log.yref.tolist(), probe.T.tolist(), maps, [forms[s] for s in STRATEGIES], cfg,
-        log._table, pack))
+        [not st.frozen for st in ordered], log.yref.tolist(), probe.T.tolist(), maps,
+        [forms[s] for s in STRATEGIES], cfg, log._table, pack))
     if diverged is not None:
         log.diverged = diverged
         log.trim(k + 1)
-    # each state takes the loop's results, and the rows after row k, which
-    # the frozen tail writes, hold its final theta and pi (no rows when the
-    # loop reached the horizon or the log was trimmed)
-    for s, st, (theta, pi, conv, t_conv, *counts) in zip(STRATEGIES, ordered, learned):
-        st.theta, st.pi, st.conv_count = theta, pi, conv
-        if t_conv is not None:
-            st.frozen = True
-            log.t_converged[s] = t_conv
+    # the rows after row k, which the frozen tail writes, hold each
+    # strategy's final theta and pi (no rows when the loop reached the
+    # horizon or the log was trimmed)
+    for s, (theta, pi, t_conv, *counts) in zip(STRATEGIES, learned):
+        log.t_converged[s] = t_conv
         log.learner_counts[s].update(zip(LEARNER_COUNTS, counts))
         log.theta_hist[s][k + 1:] = theta
         log.pi_hist[s][k + 1:] = pi
@@ -721,6 +717,6 @@ def run_episode(model, ref_spec, cfg, horizon=20.0, initial=None):
         # every strategy acts and none adapts: the rest of the episode is
         # one fixed affine recurrence
         _timed(log.timings, "tail_ms",
-               lambda: _frozen_tail(log, k, z, [st.pi for st in ordered], maps, probe))
+               lambda: _frozen_tail(log, k, z, [pi for _, pi, *_ in learned], maps, probe))
     log.regressors = BellmanLog(log, cfg, forms)
     return log

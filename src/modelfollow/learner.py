@@ -24,18 +24,21 @@ keyed by the size (codegen._Kernels, which holds the formula-free
 helpers this module shares with control_loop and oracle), so importing
 compiles nothing.  The critic step, the convergence test and the actor
 step are pieces only: _learner_step assembles the pieces of one learner
-step (the Bellman sample, the critic step, the convergence test of the
-new kernel against the old, both read through the theta layout, the
+step (the Bellman sample, the critic step, the convergence freeze, the
 greedy gain and the actor step, or a skip for a singular kernel) on
 named locals, and control_loop's adapting loop inlines it for each
-strategy.  Each step computes only what is read: the convergence test
-runs only on the steps from conv_check_start on, the only ones whose
-result the freeze counts, and on none when tol_conv <= 0, which disables
-the freeze; and a null actor_rate_limit is the limit inf, bound once per
-loop call with the other LearningConfig scalars (_CONFIG_LINES), so the
-actor clamps by comparisons alone.  control_loop writes its tick and its
-loop with the same helpers (codegen's _unpack and _names, this module's
-_dot and _index_sum) and compiles them the same way.
+strategy.  The freeze is part of the step: the convergence test of the
+new kernel against the old, both read through the theta layout, the
+count of consecutive settled steps and the stop once it reaches
+conv_window all live in the step's one branch for the steps from
+conv_check_start on, so the freeze rule has this one place.  Each step
+computes only what is read: the convergence test runs only on those
+steps, and on none when tol_conv <= 0, which disables the freeze; and a
+null actor_rate_limit is the limit inf, bound once per loop call with the
+other LearningConfig scalars (_CONFIG_LINES), so the actor clamps by
+comparisons alone.  control_loop writes its tick and its loop with the
+same helpers (codegen's _unpack and _names, this module's _dot and
+_index_sum) and compiles them the same way.
 Nothing calls BLAS: numpy's elementwise operations round as Python's
 float operations do, so a stack of ticks run through a kernel gives each
 row the one-tick value bit for bit, whatever the memory layout of the
@@ -46,8 +49,6 @@ policy_from_kernel takes and gives a numpy kernel.
 import math
 import numbers
 from dataclasses import dataclass, fields
-from functools import lru_cache
-from operator import itemgetter
 
 import numpy as np
 
@@ -223,28 +224,21 @@ def _entry_slots(d):
     return [slot[min(i, j), max(i, j)] for i in range(d) for j in range(d)]
 
 
-@lru_cache(maxsize=None)
-def _kernel_entries(size):
-    """A getter of the kernel's entries in row-major order (a tuple) from a
-    theta of the given length."""
-    # d(d+1)/2 = len  =>  d = (sqrt(8 len + 1) - 1) / 2
-    d = int(round((math.sqrt(8 * size + 1) - 1) / 2))
-    if d * (d + 1) // 2 != size:
-        raise ValueError(f"theta length {size} is not triangular")
-    getter = itemgetter(*_entry_slots(d))
-    return getter if d > 1 else lambda theta: (getter(theta),)
-
-
 def theta_to_S(theta):
     """Unflatten a theta sequence into the symmetric kernel matrix, given as
-    the tuple of its entries in row-major order."""
-    return _kernel_entries(len(theta))(theta)
+    the tuple of its entries in row-major order (_entry_slots); ValueError
+    for a theta whose length is not triangular."""
+    # d(d+1)/2 = len  =>  d = isqrt(2 len)
+    d = math.isqrt(2 * len(theta))
+    if d * (d + 1) // 2 != len(theta):
+        raise ValueError(f"theta length {len(theta)} is not triangular")
+    return tuple(theta[k] for k in _entry_slots(d))
 
 
 def S_to_theta(S):
-    """Flatten a symmetric kernel into its theta vector."""
+    """Flatten a symmetric kernel into its theta vector (tri_indices order)."""
     S = np.asarray(S, dtype=float)
-    return S[np.triu_indices(S.shape[0])]
+    return np.array([S[i, j] for i, j in tri_indices(S.shape[0])])
 
 
 def _policy_from_kernel_source(size):
@@ -282,41 +276,51 @@ def policy_from_kernel(S, n_features=None, eps_sing=1e-8):
 
 # the LearningConfig scalars a learner step reads, bound to locals of their
 # names once per kernel call; a null actor_rate_limit as the limit inf, and
-# test_from, the time from which the convergence test runs: conv_check_start,
-# or inf when tol_conv <= 0, under which no kernel distance (a square root,
-# so nonnegative or NaN) is below tol_conv
+# test_from, the time from which the convergence test and the freeze run:
+# conv_check_start, or inf when tol_conv <= 0, under which no kernel
+# distance (a square root, so nonnegative or NaN) is below tol_conv
 _CONFIG_LINES = [*(f"{name} = cfg.{name}" for name in (
     "sigma_c", "alpha_c", "tol_conv", "eps_sing", "sigma_a", "alpha_a", "delta", "R",
-    "conv_check_start")),
+    "conv_window")),
     "rate_limit = inf if cfg.actor_rate_limit is None else cfg.actor_rate_limit",
-    "test_from = conv_check_start if tol_conv > 0 else inf"]
+    "test_from = cfg.conv_check_start if tol_conv > 0 else inf"]
 
 
-def _learner_step(kind, theta, p, F, G, mu, W, singular, greedy):
+def _learner_step(kind, theta, p, F, G, mu, W, freeze, singular, greedy):
     """The body lines of one learner step of a strategy, on the locals of
     its theta, its gain p, its features F before and G after the tick,
     the action mu it priced and the rows of its stage-cost weight W
     (unpacked by _unpack_rows), with the _CONFIG_LINES locals and `t`, the
-    time at the start of the tick, bound.
+    time at the start of the tick, bound.  freeze names the locals of the
+    strategy's convergence freeze: (count, adapting, t_conv), its count of
+    consecutive settled steps (0 before its first step), its adapting flag
+    and its freeze time.
 
     The Bellman sample of kind "cl" or "err" (_sample, the piece that
     _SAMPLE runs on the log's columns) into phi and z0, z1, ...; then the
-    critic step of theta into th0, th1, ...; settled, the convergence test
-    of the new kernel against the kernel of theta, both read through the
-    theta layout (_entry_slots), which runs only from test_from on (from
-    conv_check_start on, and never for tol_conv <= 0) and is False
-    otherwise; and the statements `singular` when the new kernel is
-    singular, else the greedy gain, the actor step of p in place, clamped
-    (whether the rate limit moved the residual) and the statements
-    `greedy`.
+    critic step of theta into th0, th1, ...; from test_from on (from
+    conv_check_start on, and never for tol_conv <= 0) the freeze: settled,
+    the convergence test of the new kernel against the kernel of theta,
+    both read through the theta layout (_entry_slots), a settled step
+    adding one to count and any other resetting it, and once count reaches
+    conv_window adapting = False and t_conv = t + delta; and the statements
+    `singular` when the new kernel is singular, else the greedy gain, the
+    actor step of p in place, clamped (whether the rate limit moved the
+    residual) and the statements `greedy`.  Before test_from no step
+    settles, so count stays 0 until the test runs, and for good under
+    tol_conv <= 0.
     """
     d = len(F) + 1
     th, z, gain = _names("th", len(theta)), _names("z", len(theta)), _names("g", len(F))
     slots = _entry_slots(d)
+    count, adapting, t_conv = freeze
     return [*_sample(kind, z, F, mu, G, p, W),
             *_critic_update(th, theta, z),
-            "if t >= test_from:", *_indent(_kernel_converged("settled", theta, th, slots)),
-            "else:", "    settled = False",
+            "if t >= test_from:",
+            *_indent([*_kernel_converged("settled", theta, th, slots),
+                      f"{count} = {count} + 1 if settled else 0",
+                      f"if {count} >= conv_window:",
+                      *_indent([f"{adapting} = False", f"{t_conv} = t + delta"])]),
             *_policy_from_kernel(gain, [th[k] for k in slots], singular,
                                  [f"phi_target = {_dot(gain, F)}", *_actor_update(p, p, F),
                                   *greedy])]

@@ -67,7 +67,8 @@ def replay(log, model, cfg, start, chained=False):
     """{s: Replay} of every strategy of an episode run with cfg on model.
 
     start holds each strategy's StrategyState as the episode began (its
-    theta, gain, frozen flag and settled-step count).  A strategy adapts
+    theta, gain and frozen flag); its count of consecutive settled steps
+    starts at 0, as the episode's does.  A strategy adapts
     from its warm-up lag on while it has not frozen, through the last tick
     the per-tick loop ran (a frozen tail starts only once every strategy
     has frozen, and a diverging tick logs no row).
@@ -80,7 +81,7 @@ def replay(log, model, cfg, start, chained=False):
     limit = cfg.actor_rate_limit
     out = {}
     for s, (rows, lag, action) in strategy_views(log).items():
-        theta, pi, conv = start[s].theta, start[s].pi, start[s].conv_count
+        theta, pi, conv = start[s].theta, start[s].pi, 0
         adapting = not start[s].frozen
         counts = dict.fromkeys(LEARNER_COUNTS, 0)
         steps, t_converged = [], None

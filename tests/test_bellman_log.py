@@ -10,6 +10,7 @@ for bit.  The replay shares no code with the step pieces the loop inlines,
 so a wrong piece fails it."""
 
 import dataclasses
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from modelfollow import control_loop, learner
-from modelfollow.cli_io import load_config, main
+from modelfollow.cli_io import load_config, main, parse_config
 from modelfollow.control_loop import (
     STACK_DEPTH, STRATEGIES, initial_strategies, run_episode, strategy_views,
 )
@@ -179,6 +180,21 @@ def test_short_and_stopped_episodes_have_empty_logs(model, default_config):
                       initial=frozen_initial(model, c.learning))
     assert shapes(log) == {"ob": ((98, 10), (98,)), "cl": ((100, 10), (100,)),
                            "mf": ((98, 10), (98,))}
+
+
+@pytest.mark.parametrize("strategy, diverged", [("ob", 0.05), ("cl", 0.02)])
+def test_diverged_samples_are_read_without_warnings(strategy, diverged):
+    # a prior gain of 1e300 diverges the episode within a few ticks, and
+    # its Bellman samples overflow; the lazy build runs under the episode's
+    # floating-point error state, so a library caller that reads them after
+    # run_episode has returned gets inf and NaN rows, not numpy warnings
+    c = parse_config(f"[learning]\npi_{strategy}0 = [1e300, 0, 0]\n")
+    log = run_episode(c.model, c.reference, c.learning, horizon=c.horizon)
+    assert log.diverged == diverged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        Z, phi = log.regressors[strategy]
+    assert len(Z) == len(phi) > 0 and not np.isfinite(Z).all()
 
 
 CONFIGS = sorted(CORPUS.glob("*.ini"))

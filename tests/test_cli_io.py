@@ -799,6 +799,33 @@ def test_config_error_exit(tmp_path, capsys):
     assert "sigma_c" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, err", [
+    ("q = 1\n", "config error: line 1 'q = 1': a key before any [section] header\n"),
+    ("[run]\nhorizon\n",
+     "config error: line 2 'horizon': neither a [section] header nor a key = value line\n"),
+    ("[run]\nhorizon = 1\nhorizon = 2\n",
+     "config error: line 3 'horizon = 2': a key given twice in its section\n"),
+    ("[run]\n[learning]\n[run]\n", "config error: line 3 '[run]': a section given twice\n"),
+], ids=["no_header", "bare_key", "twice_key", "twice_section"])
+def test_syntax_error_is_one_line(tmp_path, capsys, text, err):
+    # a document that breaks the INI syntax is one config error line that
+    # names the offending line by its number and text
+    config = tmp_path / "syntax.ini"
+    config.write_text(text)
+    assert main(["run", str(config), "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr() == ("", err)
+
+
+def test_unstabilizable_desired_model_rejected(tmp_path, capsys):
+    # the third state of the desired model is reachable through B_hat, but
+    # its unstable first state (eigenvalue 1) is not: no gain stabilizes it
+    config = tmp_path / "unstabilizable.ini"
+    config.write_text("[model]\na_hat = [[1, 0, 0], [1, -1, 1], [0, 0, -2]]\nb_hat = [0, 0, 1]\n")
+    assert main(["run", str(config), "--outdir", str(tmp_path)]) == 1
+    assert capsys.readouterr() == (
+        "", "config error: [model] (A_hat, B_hat) is not stabilizable\n")
+
+
 @pytest.mark.parametrize("outdir", ["file", "file/sub"])
 def test_unusable_outdir_exit(tmp_path, capsys, monkeypatch, outdir):
     # an output directory that is a file, or cannot be made under one, is

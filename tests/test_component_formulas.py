@@ -422,19 +422,24 @@ STEP_VALUES = st.sampled_from([FLOATS, st.integers(-10**9, 10**9).map(lambda i: 
 def step_source(key):
     """The learner step the adapting loop inlines (learner._learner_step),
     compiled on its own for n features and the stage-cost kind ("cl" or
-    "err") of key = (n, kind): kernel(theta, p, F, G, mu, W, cfg, t), t the
-    time at the start of the tick, returns the new theta, the new gain (pi
-    itself for a singular kernel), whether the kernel settled and whether
-    the rate limit clamped the actor residual."""
+    "err") of key = (n, kind), with its freeze on the locals count,
+    adapting and t_conv: kernel(theta, p, F, G, mu, W, cfg, t, count), t
+    the time at the start of the tick and count the settled-step count
+    before the step, returns the new theta, the new gain (pi itself for a
+    singular kernel), the count after the step, the adapting flag and the
+    freeze time (True and None unless the step froze the strategy) and
+    whether the rate limit clamped the actor residual."""
     n, kind = key
     m, w = (n + 1) * (n + 2) // 2, n + 1 if kind == "cl" else n
     theta, p, th = _names("theta", m), _names("p", n), _names("th", m)
+    freeze = "count, adapting, t_conv"
     lines = [*_CONFIG_LINES, _unpack("theta", m), _unpack("p", n), _unpack("F", n),
-             _unpack("G", n), _unpack_rows("W", w),
+             _unpack("G", n), _unpack_rows("W", w), "adapting, t_conv = True, None",
              *_learner_step(kind, theta, p, _names("F", n), _names("G", n), "mu", "W",
-                            [f"return [{', '.join(th)}], p, settled, False"], [])]
-    return _kernel_source("theta, p, F, G, mu, W, cfg, t", lines,
-                          f"[{', '.join(th)}], [{', '.join(p)}], settled, clamped")
+                            freeze.split(", "),
+                            [f"return [{', '.join(th)}], p, {freeze}, False"], [])]
+    return _kernel_source("theta, p, F, G, mu, W, cfg, t, count", lines,
+                          f"[{', '.join(th)}], [{', '.join(p)}], {freeze}, clamped")
 
 
 STEP = learner._Kernels(step_source)
@@ -442,8 +447,9 @@ STEP = learner._Kernels(step_source)
 
 @given(st.data(), st.integers(1, 6), st.sampled_from(["cl", "err"]),
        st.sampled_from([1e-8, 1.0, 1e300]), st.sampled_from([1e-4, 1e300, 0.0, -1.0, None]),
-       st.sampled_from([0.0, 0.99, 1.0, 7.5]), PACES, ALPHAS, PACES, ALPHAS)
-def test_fused_learner_step(data, n, kind, eps_sing, tol_conv, t, sigma_c, alpha_c,
+       st.sampled_from([0.0, 0.99, 1.0, 7.5]), st.sampled_from([0, 48, 49]),
+       PACES, ALPHAS, PACES, ALPHAS)
+def test_fused_learner_step(data, n, kind, eps_sing, tol_conv, t, count, sigma_c, alpha_c,
                             sigma_a, alpha_a):
     # the learner step of a strategy with n features, the piece the
     # adapting loop inlines, gives what the chain of sequential references
@@ -455,10 +461,13 @@ def test_fused_learner_step(data, n, kind, eps_sing, tol_conv, t, sigma_c, alpha
     # are STEP_VALUES, and in a quarter of the examples one of them is NaN.
     # tol_conv = None stands for the chain's own kernel distance, where a
     # step that summed the squared differences in another order, or each
-    # symmetric one once, would settle.  The test runs only from
-    # conv_check_start (1.0) on, and settles nothing before it or under
-    # tol_conv <= 0.  Each limit is set after validation, which rejects
-    # inf, the limit the loop binds for a null one
+    # symmetric one once, would settle.  The test and the freeze run only
+    # from conv_check_start (1.0) on, and never under tol_conv <= 0: there
+    # a settled step adds one to the settled-step count and any other
+    # resets it, and the count reaching conv_window (50) freezes the
+    # strategy at t + delta; elsewhere the count is left as it was.  Each
+    # limit is set after validation, which rejects inf, the limit the loop
+    # binds for a null one
     cfg = LearningConfig(sigma_c=sigma_c, alpha_c=alpha_c, sigma_a=sigma_a, alpha_a=alpha_a,
                          eps_sing=eps_sing, tol_conv=1e-4)
     d = n + 1
@@ -478,9 +487,13 @@ def test_fused_learner_step(data, n, kind, eps_sing, tol_conv, t, sigma_c, alpha
     if tol_conv is None:
         tol_conv = distance if math.isfinite(distance) else 1e-4
     cfg.tol_conv = tol_conv
+    tested = t >= cfg.conv_check_start and tol_conv > 0
+    want_count = (count + 1 if distance < tol_conv else 0) if tested else count
+    want_freeze = (False, t + cfg.delta) if want_count >= cfg.conv_window else (True, None)
     for limit in LIMITS:
         cfg.actor_rate_limit = limit
-        got_theta, got_pi, settled, clamped = STEP[n, kind](theta, pi, F, F_next, mu, form, cfg, t)
+        got_theta, got_pi, got_count, *got_freeze, clamped = STEP[n, kind](
+            theta, pi, F, F_next, mu, form, cfg, t, count)
         if abs(want_S[-1]) < eps_sing:
             assert got_pi is pi and clamped is False
         else:
@@ -489,7 +502,7 @@ def test_fused_learner_step(data, n, kind, eps_sing, tol_conv, t, sigma_c, alpha
             # a clamp moves the residual, which a NaN residual is not
             assert clamped is (limit is not None and abs(seq_dot(pi, F) - target) > limit)
         same_bytes(got_theta, want_theta)
-        assert settled is (t >= cfg.conv_check_start and distance < tol_conv)
+        assert got_count == want_count and tuple(got_freeze) == want_freeze
 
 
 def kernel_keys(n):

@@ -1,5 +1,7 @@
+import ast
 import copy
 import dataclasses
+import inspect
 import math
 import warnings
 from pathlib import Path
@@ -226,24 +228,25 @@ def test_state_construction_is_normalised(model, default_config):
 
 
 def test_states_hold_floats_after_an_episode(monkeypatch, model, default_config):
-    # the initial= states hold theta and pi as lists of Python floats before
-    # an episode and once run_episode returns; the adapting loop holds them
-    # in locals and the states take its results when it returns, so a step
-    # that raises part way through the episode leaves them as they were
+    # the initial= states hold theta and pi as lists of Python floats, and
+    # run_episode only reads them: after an episode, and after a step that
+    # raises part way through one, they are as they were
     def floats(st):
         return (type(st.theta) is list and type(st.pi) is list
                 and all(type(v) is float for v in st.theta + st.pi))
 
     c = default_config
     states = initial_strategies(model, c.learning)
+    before = copy.deepcopy(states)
     assert all(floats(states[s]) for s in STRATEGIES)
-    log = run_episode(model, c.reference, c.learning, horizon=1.0, initial=states)
+    log = run_episode(model, c.reference, c.learning, horizon=2.0, initial=states)
+    assert all(log.t_converged[s] is not None for s in STRATEGIES)
     assert all(floats(states[s]) for s in STRATEGIES)
-    assert all(np.array_equal(states[s].theta, log.theta_final[s]) for s in STRATEGIES)
+    assert states == before
+    assert not any(np.array_equal(states[s].theta, log.theta_final[s]) for s in STRATEGIES)
 
     # from conv_check_start = 0 on every learner step takes one square root,
     # its convergence test's: the tenth raises
-    before = copy.deepcopy(states)
     steps = []
 
     def failing(v):
@@ -259,6 +262,42 @@ def test_states_hold_floats_after_an_episode(monkeypatch, model, default_config)
     assert len(steps) == 10
     assert all(floats(states[s]) for s in STRATEGIES)
     assert states == before
+
+
+def test_one_initial_dict_runs_one_episode(model, default_config):
+    # learner state flows one way: one initial= dict passed to two episodes
+    # runs the same episode twice, byte for byte, and is left as it was; at
+    # the default config the strategies learn and freeze, so an episode
+    # that wrote its results back into the dict would make the second run
+    # one of fixed learned gains
+    c = default_config
+    states = initial_strategies(model, c.learning)
+    before = copy.deepcopy(states)
+    logs = [run_episode(model, c.reference, c.learning, horizon=c.horizon, initial=states)
+            for _ in range(2)]
+    assert all(logs[0].learner_counts[s]["steps"] > 0 for s in STRATEGIES)
+    assert all(logs[0].t_converged[s] is not None for s in STRATEGIES)
+    for log in logs[1:]:
+        assert log._table.tobytes() == logs[0]._table.tobytes()
+        assert (log.learner_counts, log.t_converged) == (logs[0].learner_counts,
+                                                         logs[0].t_converged)
+        for s in STRATEGIES:
+            assert log.theta_final[s].tobytes() == logs[0].theta_final[s].tobytes()
+            assert log.pi_final[s].tobytes() == logs[0].pi_final[s].tobytes()
+    assert states == before
+
+
+def test_freeze_rule_lives_in_the_learner_step():
+    # the settled-step count, its gate and the freeze are the learner
+    # step's (learner._learner_step): a strategy's initial state carries no
+    # count, the adapting loop takes none, and no line of the loop outside
+    # the step names conv_check_start (the step reads it as
+    # cfg.conv_check_start, its test_from)
+    assert [f.name for f in dataclasses.fields(StrategyState)] == ["theta", "pi", "frozen"]
+    assert "conv" not in inspect.signature(control_loop._ADAPT[3]).parameters
+    tree = ast.parse(control_loop._adapt_source(3))
+    assert "conv_check_start" not in {node.id for node in ast.walk(tree)
+                                      if isinstance(node, ast.Name)}
 
 
 def count_square_roots(monkeypatch, model):
@@ -296,22 +335,17 @@ def test_convergence_test_runs_only_where_read(monkeypatch, model, default_confi
     assert len(calls) == expected
 
 
-@pytest.mark.parametrize("horizon, conv_count", [(1.2, 0), (0.5, 7)])
-def test_settled_count_resets_without_a_test(monkeypatch, model, default_config, horizon,
-                                             conv_count):
-    # under tol_conv = 0 no step settles: a carried settled-step count is
-    # reset by the first step from conv_check_start on, as a failed test
-    # resets it, and kept when no step reaches conv_check_start
+def test_settled_count_resets_without_a_test(monkeypatch, model, default_config):
+    # under tol_conv = 0 the convergence test never runs (no square root)
+    # and no step settles, so the settled-step count stays at its start, 0,
+    # and no strategy freezes however long it adapts
     c = default_config
     calls = count_square_roots(monkeypatch, model)
     cfg = dataclasses.replace(c.learning, tol_conv=0.0)
-    states = initial_strategies(model, cfg)
-    for st in states.values():
-        st.conv_count = 7
-    log = run_episode(model, c.reference, cfg, horizon=horizon, initial=states)
+    log = run_episode(model, c.reference, cfg, horizon=2.0)
     assert all(log.learner_counts[s]["steps"] > 0 for s in STRATEGIES)
-    assert {s: states[s].conv_count for s in STRATEGIES} == dict.fromkeys(STRATEGIES, conv_count)
-    assert not any(states[s].frozen for s in STRATEGIES) and calls == []
+    assert log.t_converged == dict.fromkeys(STRATEGIES) and calls == []
+    assert log.M is None
 
 
 def test_one_adapting_loop_per_plant_size(monkeypatch, model, default_config):

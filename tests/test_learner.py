@@ -107,6 +107,11 @@ def test_policy_rejects_wider_control_block():
         policy_from_kernel(np.eye(4), n_features=2)
 
 
+def test_policy_rejects_non_square_kernel():
+    with pytest.raises(ValueError, match="a kernel of 15 entries is not square"):
+        policy_from_kernel(np.ones(15))
+
+
 def test_policy_minimizes_value():
     rng = np.random.default_rng(4)
     for _ in range(10):
@@ -203,6 +208,24 @@ def test_theta_round_trip():
         assert np.linalg.norm(np.reshape(theta_to_S(S_to_theta(S)), (4, 4)) - S) < 1e-12
         th = rng.normal(size=10)
         assert np.linalg.norm(S_to_theta(np.reshape(theta_to_S(th), (4, 4))) - th) < 1e-12
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_theta_layout_is_row_major_upper_triangle(d):
+    # S_to_theta reads the upper triangle row by row (tri_indices), the
+    # order of np.triu_indices, and theta_to_S gives back every entry of
+    # the symmetric kernel in row-major order
+    S = np.arange(d * d, dtype=float).reshape(d, d)
+    S = S + S.T
+    theta = S_to_theta(S)
+    assert theta.tobytes() == S[np.triu_indices(d)].tobytes()
+    assert theta_to_S(theta.tolist()) == tuple(S.ravel().tolist())
+
+
+@pytest.mark.parametrize("size", [2, 4, 5, 7, 9, 11])
+def test_theta_to_S_rejects_non_triangular_length(size):
+    with pytest.raises(ValueError, match=f"theta length {size} is not triangular"):
+        theta_to_S([0.0] * size)
 
 
 def test_stacked_rows_match_single_vectors():

@@ -47,6 +47,12 @@ def test_stage_cost_values():
     assert abs(R_bar[0, 0] - 5e-5) < 1e-18
 
 
+@pytest.mark.parametrize("delta", [0.0, -0.01])
+def test_stage_cost_rejects_bad_delta(delta):
+    with pytest.raises(ValueError, match="delta must be positive"):
+        oracle.stage_cost(np.eye(3), 0.01, delta)
+
+
 def test_stage_cost_vanishes_with_delta():
     Q_bar, R_bar = oracle.stage_cost(np.eye(2), 1.0, 1e-12)
     assert np.linalg.norm(Q_bar) < 1e-11 and abs(R_bar[0, 0]) < 1e-11
@@ -114,6 +120,17 @@ def test_dare_unstabilizable_raises_fast():
         with pytest.raises(oracle.NoConvergenceError):
             oracle.solve_dare([[2.0]], [[0.0]], [[1.0]], [[1.0]])
     assert time.perf_counter() - start < 0.5
+
+
+def test_dare_without_convergence_raises():
+    # a marginally stable mode the input cannot reach: P grows by Q_bar on
+    # every step of the value recursion and never settles, so the doubling
+    # runs out of steps without meeting a singular or non-finite iterate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(oracle.NoConvergenceError,
+                           match="^Riccati doubling did not converge in 64 steps$"):
+            oracle.solve_dare([[1.0]], [[0.0]], [[1.0]], [[1.0]])
 
 
 def test_dare_singular_step_raises():
@@ -294,6 +311,17 @@ def test_batch_solve_under_excitation():
     z = seq_regressor(rng.normal(size=4), rng.normal(size=4))
     with pytest.raises(oracle.UnderExcitationError):
         oracle.batch_bellman_solve([(z, 0.0)])
+
+
+def test_batch_solve_rank_deficient_regressors():
+    # enough rows, but a column repeated: the regressors span 3 of the 4
+    # parameter directions
+    rng = np.random.default_rng(16)
+    Z = rng.normal(size=(20, 4))
+    Z[:, 3] = Z[:, 1]
+    with pytest.raises(oracle.UnderExcitationError, match="rank 3 < 4") as info:
+        oracle.batch_bellman_solve(Z, rng.normal(size=20))
+    assert (info.value.rank, info.value.needed) == (3, 4)
 
 
 def test_projection_cycles_reach_batch_solution():
