@@ -7,16 +7,20 @@ field it sets, in lower case (the field A_hat is the key a_hat); the
 fields that hold another section's dataclass are not keys.  KEYS lists
 the keys so derived.  Values are JSON (matrices are JSON arrays), except
 for fields annotated str, which take the raw text (a % is a plain
-character).  An unknown section or key, a value the dataclasses reject, a
-prior gain of the wrong length, a plant that is not single-input
-single-output, one whose state count is not STACK_DEPTH (the one q
-weighs both the plant state and the error stacks), a horizon that is not
-a whole number of ticks of delta, an empty artifact name or one that
-ends in a path separator, or two that name the same file, is a
-ConfigError, and so is a line that breaks the INI syntax, reported by its
-number and text (SYNTAX_ERRORS).
-Omitted keys take the defaults of the dataclasses they configure
-(ProcessModel's are the DEFAULT_* matrices below).  All numbers are
+character).  Omitted keys take the defaults of the dataclasses they
+configure, so an empty document is the benchmark episode.
+
+parse_config only parses: the INI syntax, then the sections and keys and
+their values, then the dataclasses.  Each rule of a config lives in the
+dataclass that holds every value it reads, so a RunConfig built in Python
+is checked as a parsed one is: ProcessModel checks the plant,
+ReferenceSpec the reference and LearningConfig the learner's numbers,
+and RunConfig the rules across sections (the prior gains' lengths and the
+one q's shape) before its own (the horizon and the artifact names).  A
+line that breaks the INI syntax, reported by its number and text
+(SYNTAX_ERRORS), an unknown section or key, a value that is not JSON,
+and a value a dataclass rejects, reported with its section, are each a
+ConfigError.  All numbers are
 serialized with 17 significant digits so re-runs are byte-identical, and
 JSON is strict: summary.json, oracle-check's report and eig's spectra go
 through one writer that writes a non-finite number as null.  A CSV
@@ -48,23 +52,25 @@ from modelfollow.learner import (
 from modelfollow.reference import ReferenceSpec
 from modelfollow import oracle
 
-# benchmark system: a marginally stable third-order plant and the
-# identified approximation of it used as the desired model
-DEFAULT_A = [[0.0, 1.0, 0.0], [0.0, -5.0, 10.0], [0.0, -1.0, -5.0]]
-DEFAULT_B = [0.0, 0.0, 1.0]
-DEFAULT_C = [[0.0, 1.0, 0.0]]
-DEFAULT_A_HAT = [[0.0132, 1.0085, -0.0055],
-                 [0.0132, -5.0286, 9.9132],
-                 [-0.0526, -1.0155, -4.9374]]
-DEFAULT_B_HAT = [-0.0072, -0.0547, 1.0527]
-
-
 class ConfigError(ValueError):
     """Configuration document failed validation."""
 
 
 @dataclass
 class RunConfig:
+    """One episode's config: the plant, the reference, the learner and the run.
+
+    Construction checks the rules across sections first, each a
+    ConfigError that names the [learning] key at fault: a prior gain of
+    the wrong length (pi_cl0 one per plant state, pi_ob0 and pi_mf0 one
+    per stacked error), and a q that is not both n x n for the plant's n
+    states and STACK_DEPTH x STACK_DEPTH, since the one q weighs the plant
+    state of cl and the error stacks of ob and mf.  Then its own fields,
+    each a ValueError or TypeError: a finite nonnegative horizon that is a
+    whole number of ticks of delta, and artifact names that each name a
+    file of their own.
+    """
+
     model: ProcessModel
     reference: ReferenceSpec
     learning: LearningConfig
@@ -74,6 +80,15 @@ class RunConfig:
     summary_json: str = "summary.json"
 
     def __post_init__(self):
+        n, learning = self.model.n, self.learning
+        for key, size in (("pi_cl0", n), ("pi_ob0", STACK_DEPTH), ("pi_mf0", STACK_DEPTH)):
+            if np.shape(getattr(learning, key)) != (size,):
+                raise ConfigError(f"[learning] {key} must be a list of {size} numbers")
+        if learning.Q.shape != (n, n) or n != STACK_DEPTH:
+            raise ConfigError(
+                f"[learning] q is {learning.Q.shape[0]}x{learning.Q.shape[1]}, but the one q must "
+                f"be {n}x{n} for cl ({n} plant states) and "
+                f"{STACK_DEPTH}x{STACK_DEPTH} for ob and mf ({STACK_DEPTH} stacked errors)")
         _require_numbers(self)
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
@@ -119,9 +134,12 @@ def _value(section, key, raw):
 
 def _build(section, kwargs):
     """The section's dataclass built from kwargs, with a rejected value
-    reported as a ConfigError."""
+    reported as a ConfigError; one that names its own section (RunConfig's
+    rules across sections) is reported as it is."""
     try:
         return SECTIONS[section](**kwargs)
+    except ConfigError:
+        raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"[{section}] {exc}") from exc
 
@@ -139,9 +157,7 @@ def parse_config(text):
     if cp.defaults():
         raise ConfigError(f"unknown section [{cp.default_section}]")
 
-    kwargs = {"model": {"A": DEFAULT_A, "B": DEFAULT_B, "C": DEFAULT_C,
-                        "A_hat": DEFAULT_A_HAT, "B_hat": DEFAULT_B_HAT},
-              "reference": {}, "learning": {}, "run": {}}
+    kwargs = {section: {} for section in SECTIONS}
     for section in cp.sections():
         if section not in KEYS:
             raise ConfigError(f"unknown section [{section}]")
@@ -150,26 +166,15 @@ def parse_config(text):
                 raise ConfigError(f"[{section}] unknown key {key!r}")
             kwargs[section][KEYS[section][key].name] = _value(section, key, raw)
 
-    model = _build("model", kwargs["model"])
-    if model.m != 1 or model.p != 1:
-        raise ConfigError("[model] single-input single-output plants only")
-    reference = _build("reference", kwargs["reference"])
-    learning = _build("learning", kwargs["learning"])
-    for key, size in (("pi_cl0", model.n), ("pi_ob0", STACK_DEPTH), ("pi_mf0", STACK_DEPTH)):
-        if np.shape(getattr(learning, key)) != (size,):
-            raise ConfigError(f"[learning] {key} must be a list of {size} numbers")
-    # the one Q weighs the plant state of cl and the error stacks of ob/mf
-    if learning.Q.shape != (model.n, model.n) or model.n != STACK_DEPTH:
-        raise ConfigError(
-            f"[learning] q is {learning.Q.shape[0]}x{learning.Q.shape[1]}, but the one q must be "
-            f"{model.n}x{model.n} for cl ({model.n} plant states) and "
-            f"{STACK_DEPTH}x{STACK_DEPTH} for ob and mf ({STACK_DEPTH} stacked errors)")
-    return _build("run", dict(kwargs["run"], model=model,
-                              reference=reference, learning=learning))
+    # model, reference and learning are built in that order, so the first
+    # section at fault is the one reported, and RunConfig holds all three
+    return _build("run", dict(kwargs.pop("run"), **{
+        section: _build(section, section_kwargs) for section, section_kwargs in kwargs.items()}))
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte-order mark, as some editors save, is not part of the document
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_config(fh.read())
 
 

@@ -667,9 +667,6 @@ def run_episode(model, ref_spec, cfg, horizon=20.0, initial=None):
         EpisodeLog.  Divergence stops the episode early and is recorded in
         log.diverged; the log is trimmed to the rows written and returned.
     """
-    if model.m != 1 or model.p != 1:
-        raise NotImplementedError("single-input single-output plants only")
-
     states = initial if initial is not None else initial_strategies(model, cfg)
     delta = cfg.delta
     h = delta / SUBSTEPS

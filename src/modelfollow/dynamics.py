@@ -1,8 +1,10 @@
 """Continuous-time LTI models and linear-algebra utilities.
 
-ProcessModel holds the plant and the desired (observed) model and checks
-their standing assumptions.  Both are advanced with the control held
-constant between learner updates (zero-order hold).  Over one update
+ProcessModel holds the plant and the desired (observed) model, the
+benchmark pair unless given others, and checks their standing
+assumptions and that the plant is single-input single-output.  Both are
+advanced with the control held constant between learner updates
+(zero-order hold).  Over one update
 interval the RK4 substeps of a linear system with held input are a fixed
 linear map, so `held_input_maps` builds that map once from `rk4_step` and
 the episode loop applies it per tick.  The scaling-and-squaring matrix
@@ -26,19 +28,25 @@ STABILITY_TOL = 1e-9
 class ProcessModel:
     """The exact process (A, B, C) together with the desired model (A_hat, B_hat).
 
-    The desired model shares the output map C.  A vector B or B_hat (a
-    config's b) becomes a single column here, the one place the package
-    shapes it; every function below takes B as an (n, m) array.
-    Construction checks the sizes, that every entry is finite, and the
-    standing assumptions: (A_hat, C) observable and (A_hat, B_hat)
-    stabilizable.
+    The desired model shares the output map C.  The defaults are the
+    benchmark system, so ProcessModel() is the paper's plant: a marginally
+    stable third-order plant and the identified approximation of it used
+    as the desired model.  A vector B or B_hat (a config's b) becomes a
+    single column here, the one place the package shapes it; every
+    function below takes B as an (n, m) array.  Construction checks the
+    sizes, that every entry is finite, the standing assumptions, (A_hat, C)
+    observable and (A_hat, B_hat) stabilizable, and last that the plant is
+    single-input single-output, as the learners are: each rule is a
+    ValueError.
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    A_hat: np.ndarray
-    B_hat: np.ndarray
+    A: np.ndarray = ((0.0, 1.0, 0.0), (0.0, -5.0, 10.0), (0.0, -1.0, -5.0))
+    B: np.ndarray = (0.0, 0.0, 1.0)
+    C: np.ndarray = ((0.0, 1.0, 0.0),)
+    A_hat: np.ndarray = ((0.0132, 1.0085, -0.0055),
+                         (0.0132, -5.0286, 9.9132),
+                         (-0.0526, -1.0155, -4.9374))
+    B_hat: np.ndarray = (-0.0072, -0.0547, 1.0527)
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -66,18 +74,12 @@ class ProcessModel:
             raise ValueError("(A_hat, C) is not observable")
         if not is_stabilizable(self.A_hat, self.B_hat):
             raise ValueError("(A_hat, B_hat) is not stabilizable")
+        if self.B.shape[1] != 1 or self.C.shape[0] != 1:
+            raise ValueError("single-input single-output plants only")
 
     @property
     def n(self):
         return self.A.shape[0]
-
-    @property
-    def m(self):
-        return self.B.shape[1]
-
-    @property
-    def p(self):
-        return self.C.shape[0]
 
 
 def rk4_step(A, B, x, u, h):

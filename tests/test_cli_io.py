@@ -45,9 +45,7 @@ def _plain(obj):
 
 def test_empty_config_is_dataclass_defaults():
     defaults = RunConfig(
-        model=ProcessModel(cli_io.DEFAULT_A, cli_io.DEFAULT_B, cli_io.DEFAULT_C,
-                           cli_io.DEFAULT_A_HAT, cli_io.DEFAULT_B_HAT),
-        reference=ReferenceSpec(), learning=LearningConfig())
+        model=ProcessModel(), reference=ReferenceSpec(), learning=LearningConfig())
     assert _plain(parse_config("")) == _plain(defaults)
 
 
@@ -275,6 +273,45 @@ def test_plant_without_three_states_rejected(tmp_path, capsys, text, match):
         assert err.startswith("config error: [learning] q is"), err
 
 
+# a prior gain of the wrong length and a q of the wrong shape on the
+# benchmark plant: as a [learning] line, the LearningConfig it builds, and
+# the parser's text for it
+CROSS_SECTION_FAULTS = [
+    ("pi_cl0 = [1.0, 2.0]", {"pi_cl0": (1.0, 2.0)},
+     "[learning] pi_cl0 must be a list of 3 numbers"),
+    ("pi_ob0 = [1.0, 2.0, 3.0, 4.0]", {"pi_ob0": (1.0, 2.0, 3.0, 4.0)},
+     "[learning] pi_ob0 must be a list of 3 numbers"),
+    ("q = [[1.0, 0.0], [0.0, 1.0]]", {"Q": np.eye(2)},
+     "[learning] q is 2x2, but the one q must be 3x3 for cl (3 plant states) and "
+     "3x3 for ob and mf (3 stacked errors)"),
+]
+
+
+@pytest.mark.parametrize("line, kwargs, message", CROSS_SECTION_FAULTS,
+                         ids=["pi_cl0", "pi_ob0", "q"])
+def test_python_built_config_is_checked_as_parsed(line, kwargs, message):
+    # RunConfig owns the rules across sections, so a config built in
+    # Python is rejected with the parser's text, not deep in the episode
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(f"[learning]\n{line}\n")
+    with pytest.raises(ConfigError) as built:
+        RunConfig(model=ProcessModel(), reference=ReferenceSpec(),
+                  learning=LearningConfig(**kwargs))
+    assert str(built.value) == str(parsed.value) == message
+
+
+def test_byte_order_mark_is_not_part_of_the_document(tmp_path):
+    # editors that save UTF-8 with a byte-order mark write the same config
+    plain = Path(__file__).parent / "corpus" / "default.ini"
+    bom = tmp_path / "bom.ini"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for name, config in (("plain", plain), ("bom", bom)):
+        assert main(["run", str(config), "--outdir", str(tmp_path / name)]) == 0
+    for artifact in ("trajectory.csv", "weights.csv", "summary.json"):
+        assert (tmp_path / "bom" / artifact).read_bytes() == \
+            (tmp_path / "plain" / artifact).read_bytes(), artifact
+
+
 def test_percent_taken_verbatim():
     assert parse_config("[run]\ntrajectory_csv = a%b.csv\n").trajectory_csv == "a%b.csv"
 
@@ -318,7 +355,8 @@ def test_column_input_map_is_the_vector(tmp_path, keys):
     # ProcessModel is the one place a config's b or b_hat becomes a single
     # column: a vector and a one-column matrix parse to equal (3, 1) arrays
     # and run the same episode, byte for byte
-    vectors = {"b": cli_io.DEFAULT_B, "b_hat": cli_io.DEFAULT_B_HAT}
+    default = ProcessModel()
+    vectors = {"b": default.B[:, 0].tolist(), "b_hat": default.B_hat[:, 0].tolist()}
     texts = {"vector": "[model]\n" + "".join(f"{key} = {vectors[key]}\n" for key in keys),
              "column": "[model]\n" + "".join(f"{key} = {[[v] for v in vectors[key]]}\n"
                                              for key in keys)}
@@ -737,7 +775,7 @@ def _huge_model_entries():
     first."""
     for i in range(3):
         for j in range(3):
-            a = [row[:] for row in cli_io.DEFAULT_A]
+            a = ProcessModel().A.tolist()
             a[i][j] = 1e300
             line = "episode diverged at t = 0.01 s\n"
             yield pytest.param("a", a, line, line, id=f"a[{i}][{j}]")

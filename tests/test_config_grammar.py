@@ -17,14 +17,12 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
-from modelfollow import cli_io
 from modelfollow.cli_io import KEYS, main
+from modelfollow.dynamics import ProcessModel
 from modelfollow.reference import PARAMS
 
 EDGES = [0, 1e-300, -1e-300, 1e300, -1e300]
 HORIZONS = [0, -1e-300, 0.01, 0.5]
-MODEL_DEFAULTS = {"a": cli_io.DEFAULT_A, "b": cli_io.DEFAULT_B, "c": cli_io.DEFAULT_C,
-                  "a_hat": cli_io.DEFAULT_A_HAT, "b_hat": cli_io.DEFAULT_B_HAT}
 # the raw text each str key is drawn from: its accepted values and one
 # that it rejects or that names another file
 TEXTS = {"kind": [*PARAMS, "0"], "init": ["stabilizing", "identity", "0"],
@@ -75,7 +73,7 @@ def _raw_values(section, key):
                       st.sampled_from(EDGES)),
             st.just("0"))
     field = KEYS[section][key]
-    default = MODEL_DEFAULTS[key] if section == "model" else field.default
+    default = field.default
     assert default is not MISSING, key
     values = _edge_values(default).map(json.dumps)
     return st.one_of(values, st.just("null")) if key == "actor_rate_limit" else values
@@ -121,7 +119,7 @@ def _pinned(test):
     pinned = []
     for i in range(3):
         for j in range(3):
-            a = [row[:] for row in cli_io.DEFAULT_A]
+            a = ProcessModel().A.tolist()
             a[i][j] = 1e300
             pinned.append({("model", "a"): json.dumps(a)})
     pinned.append({("model", "b_hat"): "[1e300, 0, 0]"})

@@ -370,12 +370,12 @@ def test_one_adapting_loop_per_plant_size(monkeypatch, model, default_config):
     assert list(ticks) == [3]
 
 
-def test_non_scalar_plant_rejected(default_config):
+def test_non_scalar_plant_rejected():
+    # the episode takes the plant's SISO rule from ProcessModel, which
+    # rejects a 2-input 2-output plant before any episode can be run
     from modelfollow.dynamics import ProcessModel
-    m = ProcessModel(A=-np.eye(2), B=np.eye(2), C=np.eye(2),
-                     A_hat=-np.eye(2), B_hat=np.eye(2))
-    with pytest.raises(NotImplementedError):
-        run_episode(m, default_config.reference, default_config.learning, horizon=0.1)
+    with pytest.raises(ValueError, match="single-input single-output plants only"):
+        ProcessModel(A=-np.eye(2), B=np.eye(2), C=np.eye(2), A_hat=-np.eye(2), B_hat=np.eye(2))
 
 
 def _per_tick_history(model, c, **kwargs):

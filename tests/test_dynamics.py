@@ -140,3 +140,26 @@ def test_model_validation_rejects_unobservable(model):
     with pytest.raises(ValueError, match="observable"):
         ProcessModel(A=model.A, B=model.B, C=np.zeros((1, 3)),
                      A_hat=model.A_hat, B_hat=model.B_hat)
+
+
+# a 2-input and a 2-output benchmark plant; the learners are single-input
+# single-output
+@pytest.mark.parametrize("kwargs", [
+    {"B": ((0.0, 0.0), (0.0, 0.0), (1.0, 1.0)), "B_hat": ((0.0, 0.0), (0.0, 0.0), (1.0, 1.0))},
+    {"C": ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0))},
+], ids=["two_inputs", "two_outputs"])
+def test_model_validation_rejects_mimo(kwargs):
+    with pytest.raises(ValueError, match="^single-input single-output plants only$"):
+        ProcessModel(**kwargs)
+
+
+def test_default_model_is_a_fresh_benchmark_plant(model):
+    # ProcessModel() is the plant an empty config parses to, with arrays of
+    # its own: writing to one instance's A leaves the defaults as they are
+    default = ProcessModel()
+    for name in ("A", "B", "C", "A_hat", "B_hat"):
+        ours, parsed = getattr(default, name), getattr(model, name)
+        assert ours.dtype == parsed.dtype and np.array_equal(ours, parsed), name
+    assert default.B.shape == (3, 1) and default.C.shape == (1, 3)
+    default.A[0, 1] = 7.0
+    assert ProcessModel().A[0, 1] == 1.0
