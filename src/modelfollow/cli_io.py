@@ -44,7 +44,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from modelfollow.control_loop import STACK_DEPTH, STRATEGIES, TRAJECTORY, _timed, run_episode
+from modelfollow.control_loop import STRATEGIES, TRAJECTORY, _timed, require_fit, run_episode
 from modelfollow.dynamics import ProcessModel, eigenvalues
 from modelfollow.learner import (
     LearningConfig, _require_numbers, theta_to_S, policy_from_kernel,
@@ -60,12 +60,11 @@ class ConfigError(ValueError):
 class RunConfig:
     """One episode's config: the plant, the reference, the learner and the run.
 
-    Construction checks the rules across sections first, each a
-    ConfigError that names the [learning] key at fault: a prior gain of
-    the wrong length (pi_cl0 one per plant state, pi_ob0 and pi_mf0 one
-    per stacked error), and a q that is not both n x n for the plant's n
-    states and STACK_DEPTH x STACK_DEPTH, since the one q weighs the plant
-    state of cl and the error stacks of ob and mf.  Then its own fields,
+    Construction checks the rules across sections first, that the learning
+    config fits the plant (control_loop.require_fit, which run_episode
+    checks too), each a ConfigError that names the [learning] key at
+    fault: a prior gain of the wrong length, or a q of the wrong shape.
+    Then its own fields,
     each a ValueError or TypeError: a finite nonnegative horizon that is a
     whole number of ticks of delta, and artifact names that each name a
     file of their own.
@@ -80,15 +79,10 @@ class RunConfig:
     summary_json: str = "summary.json"
 
     def __post_init__(self):
-        n, learning = self.model.n, self.learning
-        for key, size in (("pi_cl0", n), ("pi_ob0", STACK_DEPTH), ("pi_mf0", STACK_DEPTH)):
-            if np.shape(getattr(learning, key)) != (size,):
-                raise ConfigError(f"[learning] {key} must be a list of {size} numbers")
-        if learning.Q.shape != (n, n) or n != STACK_DEPTH:
-            raise ConfigError(
-                f"[learning] q is {learning.Q.shape[0]}x{learning.Q.shape[1]}, but the one q must "
-                f"be {n}x{n} for cl ({n} plant states) and "
-                f"{STACK_DEPTH}x{STACK_DEPTH} for ob and mf ({STACK_DEPTH} stacked errors)")
+        try:
+            require_fit(self.model.n, self.learning)
+        except ValueError as exc:
+            raise ConfigError(f"[learning] {exc}") from exc
         _require_numbers(self)
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
@@ -286,8 +280,7 @@ def _format_cells(x):
         rest = half - first * 10 ** 6
         second = rest // 1000
         for g, group in enumerate((first, second, rest - second * 1000)):
-            for j in range(3):
-                digits[j].take(group, out=src[9 * h + 3 * g + j])
+            digits.take(group, axis=1, out=src[9 * h + 3 * g:9 * h + 3 * g + 3])
     kept = (places * (src[_DIGITS:_TRIMMED] != ord("0"))).max(axis=0)
     np.multiply(src[_DIGITS:_TRIMMED], places <= kept, out=src[_TRIMMED:_SIGN])
     src[_SIGN] = np.where(negative, ord("-"), 0)
@@ -585,23 +578,11 @@ def cmd_eig(args, config):
     return 0
 
 
-# the stderr label of each failure a command can end in, by its type
-FAILURES = {MemoryError: "run error", OSError: "output error",
-            oracle.NoConvergenceError: "oracle error"}
-
-
-@np.errstate(all="ignore")
-def main(argv=None):
-    """The command line: parse argv, load the config and run the command.
-
-    This is the one failure boundary of the commands.  Each runs with
-    numpy's floating-point errors ignored: a number that overflows or
-    turns NaN is data (a divergence, or null in the JSON), never a numpy
-    warning.  A config that cannot be read or is rejected, and a failure of
-    a type in FAILURES, ends the command with one stderr line and exit 1:
-    an episode too long to allocate (MemoryError), an artifact that cannot
-    be written (OSError) or a Riccati solve that does not converge.
-    """
+@functools.cache
+def _parser():
+    """The command line's parser, built on main's first call: parse_args
+    holds each call's arguments in a namespace of its own, so the parser
+    carries nothing from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="modelfollow",
         description="observer-based online learning for model-following control")
@@ -624,8 +605,27 @@ def main(argv=None):
     p_eig.add_argument("--gain", default=None,
                        help="JSON row vector; also prints closed-loop spectra")
     p_eig.set_defaults(func=cmd_eig)
+    return parser
 
-    args = parser.parse_args(argv)
+
+# the stderr label of each failure a command can end in, by its type
+FAILURES = {MemoryError: "run error", OSError: "output error",
+            oracle.NoConvergenceError: "oracle error"}
+
+
+@np.errstate(all="ignore")
+def main(argv=None):
+    """The command line: parse argv, load the config and run the command.
+
+    This is the one failure boundary of the commands.  Each runs with
+    numpy's floating-point errors ignored: a number that overflows or
+    turns NaN is data (a divergence, or null in the JSON), never a numpy
+    warning.  A config that cannot be read or is rejected, and a failure of
+    a type in FAILURES, ends the command with one stderr line and exit 1:
+    an episode too long to allocate (MemoryError), an artifact that cannot
+    be written (OSError) or a Riccati solve that does not converge.
+    """
+    args = _parser().parse_args(argv)
     # a missing or unreadable file (OSError, UnicodeDecodeError) is a config error too
     try:
         config = load_config(args.config)

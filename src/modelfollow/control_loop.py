@@ -59,11 +59,12 @@ on identity columns (like the learner's kernels it runs on Python floats
 for one tick and on numpy columns for a stack, with the same bits in each
 column), every TAIL_BLOCK remaining ticks are one prefix scan of a few
 small matrix products (_step_rows), the divergence box is checked after
-each block, and the logged outputs and actions are derived from the state
-history afterwards by the tick's formulas run on the log's columns: the
-learner's dot for y, yhat and each mu = pi . F + probe, with F read
-through strategy_views, and elementwise differences and sums for the
-output errors and the held inputs, each the bits of the tick's own sum.
+each block by one reduction, and the logged outputs and actions are
+derived from the state history afterwards by the tick's formulas run on
+the log's columns: the learner's dot for y, yhat and each mu = pi . F +
+probe, with F read through strategy_views, and elementwise differences
+and sums for the output errors and the held inputs, each the bits of the
+tick's own sum.
 
 The samples of every tick, frozen or not, are rebuilt from the log
 columns by the learner's _SAMPLE kernel, a strategy's on the first read
@@ -252,6 +253,22 @@ def embedded_gain_kernel(pi, beta, s_max):
     S[nf, :nf] = -s * pi
     S[:nf, nf] = -s * pi
     return S
+
+
+def require_fit(n, cfg):
+    """ValueError unless the LearningConfig cfg fits a plant of n states:
+    the prior gains pi_cl0 one number per plant state and pi_ob0 and
+    pi_mf0 one per stacked error, and the one q, which weighs the plant
+    state of cl and the error stacks of ob and mf, both n x n and
+    STACK_DEPTH x STACK_DEPTH."""
+    for key, size in (("pi_cl0", n), ("pi_ob0", STACK_DEPTH), ("pi_mf0", STACK_DEPTH)):
+        if np.shape(getattr(cfg, key)) != (size,):
+            raise ValueError(f"{key} must be a list of {size} numbers")
+    if cfg.Q.shape != (n, n) or n != STACK_DEPTH:
+        raise ValueError(
+            f"q is {cfg.Q.shape[0]}x{cfg.Q.shape[1]}, but the one q must be {n}x{n} for cl "
+            f"({n} plant states) and {STACK_DEPTH}x{STACK_DEPTH} for ob and mf "
+            f"({STACK_DEPTH} stacked errors)")
 
 
 def initial_strategies(model, cfg):
@@ -611,10 +628,10 @@ def _frozen_tail(log, k0, z, gains, maps, probe):
     for i in range(0, len(hist), TAIL_BLOCK):
         block = hist[i:i + TAIL_BLOCK]
         z = _step_rows(block, z, powers)
-        # false for nan and inf as well as for a state outside the box
-        out = np.flatnonzero(~(np.abs(block[:, :n]).max(axis=1) <= BOX))
-        if out.size:
-            exit_row = i + out[0]
+        # false for nan and inf as well as for a state outside the box; the
+        # exit row is looked for only in the block that fails
+        if not np.abs(block[:, :n]).max() <= BOX:
+            exit_row = i + np.flatnonzero(~(np.abs(block[:, :n]).max(axis=1) <= BOX))[0]
             hist = hist[:exit_row]
             log.diverged = float(log.t[k0 + 1 + exit_row])
             log.trim(k0 + 1 + exit_row)
@@ -658,22 +675,25 @@ def run_episode(model, ref_spec, cfg, horizon=20.0, initial=None):
     runs as the fixed affine recurrence of _frozen_tail instead of tick by
     tick.
 
-    The episode runs with numpy's floating-point errors ignored: a number
-    that overflows or turns NaN, in the setup (a prior gain or model entry
-    too large to square) or in the ticks, is data, which the divergence box
-    reports, never a numpy warning.
+    A cfg that does not fit the model (require_fit) is a ValueError, raised
+    before any work.  The episode runs with numpy's floating-point errors
+    ignored: a number that overflows or turns NaN, in the setup (a prior
+    gain or model entry too large to square) or in the ticks, is data,
+    which the divergence box reports, never a numpy warning.
 
     Returns:
         EpisodeLog.  Divergence stops the episode early and is recorded in
         log.diverged; the log is trimmed to the rows written and returned.
     """
+    require_fit(model.n, cfg)
     states = initial if initial is not None else initial_strategies(model, cfg)
     delta = cfg.delta
     h = delta / SUBSTEPS
     n_ticks = int(round(horizon / delta))
     n = model.n
-    L = held_input_maps(model.A, model.B, h, SUBSTEPS)
-    L_hat = held_input_maps(model.A_hat, model.B_hat, h, SUBSTEPS)
+    # the plant's and the desired model's maps, stepped as one stack
+    L, L_hat = held_input_maps(np.stack((model.A, model.A_hat)), np.stack((model.B, model.B_hat)),
+                               h, SUBSTEPS)
     # the kernels take the maps and the stage-cost weights as lists; the
     # closed-loop learner's stage cost is priced on [xhat; v]
     maps = tuple(a.ravel().tolist() for a in (L[-1, :, :n], L[-1, :, n],

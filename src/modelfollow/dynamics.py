@@ -99,20 +99,25 @@ def held_input_maps(A, B, h, substeps):
 
     RK4 on a linear system is linear in (x, u), so stepping the n basis
     states with u = 0 and x = 0 with each unit input gives the maps exactly.
+    A of shape (..., n, n) and B of shape (..., n, m) may stack systems
+    along leading axes, which are stepped together: numpy multiplies a
+    stack matrix by matrix, so each system's maps have the bits of a call
+    on that system alone.
 
     Returns:
-        Array L of shape (substeps + 1, n, n + m) with x_j = L[j] @ [x_0; u]
-        after j substeps; L[0] = [I, 0] and L[-1] = [Phi, Gamma].
+        Array L of shape (..., substeps + 1, n, n + m) with x_j = L[..., j,
+        :, :] @ [x_0; u] after j substeps; L[..., 0, :, :] = [I, 0] and
+        L[..., -1, :, :] = [Phi, Gamma].
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.asarray(B, dtype=float)
-    n, m = B.shape
-    L = np.empty((substeps + 1, n, n + m))
+    *systems, n, m = B.shape
+    L = np.empty((substeps + 1, *systems, n, n + m))
     L[0] = np.eye(n, n + m)
     U = np.eye(m, n + m, k=n)  # held input of each basis column
     for j in range(substeps):
         L[j + 1] = rk4_step(A, B, L[j], U, h)
-    return L
+    return np.moveaxis(L, 0, -3)
 
 
 def eigenvalues(M):

@@ -433,8 +433,12 @@ class LearningConfig:
             raise ValueError(f"init must be 'stabilizing' or 'identity', not {self.init!r}")
 
     def probe(self, t, strategy):
-        """Probe of a strategy at time t, a scalar or an array of times."""
+        """Probe of a strategy at time t, a scalar or an array of times: the
+        sinusoids, evaluated only at the times before t_probe, and +0.0 at
+        the others."""
         t = np.asarray(t, dtype=float)
-        wave = self.probe_amplitude * sum(
-            np.sin(w * t + p) for w, p in zip(self.probe_frequencies, PROBE_PHASES[strategy]))
-        return np.where(t >= self.t_probe, 0.0, wave)[()]
+        on = ~(t >= self.t_probe)
+        probe = np.zeros(t.shape)
+        probe[on] = self.probe_amplitude * sum(
+            np.sin(w * t[on] + p) for w, p in zip(self.probe_frequencies, PROBE_PHASES[strategy]))
+        return probe[()]

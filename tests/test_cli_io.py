@@ -588,6 +588,23 @@ def test_eig_command(tmp_path, capsys):
     assert abs(cl[-1] + 2.2139) < 1e-3
 
 
+def test_parser_carries_nothing_between_calls(tmp_path, capsys):
+    # main builds its parser once per process, and each call parses into a
+    # namespace of its own: an option of one call never reaches the next
+    config = tmp_path / "c.ini"
+    config.write_text("[run]\nhorizon = 0.1\n")
+    assert main(["eig", str(config), "--gain", "[-3.5711, -0.2329, 0.2986]"]) == 0
+    assert "closed_loop_eigenvalues" in json.loads(capsys.readouterr().out)
+    assert main(["eig", str(config)]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == [
+        "open_loop_eigenvalues", "desired_model_eigenvalues"]
+    assert main(["run", str(config), "--outdir", str(tmp_path / "timed"), "--timings"]) == 0
+    assert "timings" in json.loads((tmp_path / "timed" / "summary.json").read_text())
+    assert main(["run", str(config), "--outdir", str(tmp_path / "plain")]) == 0
+    assert "timings" not in json.loads((tmp_path / "plain" / "summary.json").read_text())
+    assert cli_io._parser.cache_info().misses == 1
+
+
 def test_oracle_check_command(tmp_path, capsys):
     config = tmp_path / "oc.ini"
     config.write_text("[run]\nhorizon = 20.0\n")

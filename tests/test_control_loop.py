@@ -370,6 +370,21 @@ def test_one_adapting_loop_per_plant_size(monkeypatch, model, default_config):
     assert list(ticks) == [3]
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"pi_cl0": (1.0, 2.0)}, "pi_cl0 must be a list of 3 numbers"),
+    ({"Q": np.eye(2)}, "q is 2x2, but the one q must be 3x3 for cl (3 plant states) and "
+                       "3x3 for ob and mf (3 stacked errors)"),
+    ({"pi_ob0": (1.0,)}, "pi_ob0 must be a list of 3 numbers"),
+], ids=["pi_cl0", "q", "pi_ob0"])
+def test_episode_rejects_a_learning_config_that_does_not_fit(kwargs, message):
+    # a library caller that never builds a RunConfig meets the rule that
+    # RunConfig reports as a [learning] error, before the episode starts
+    from modelfollow.dynamics import ProcessModel
+    with pytest.raises(ValueError) as exc:
+        run_episode(ProcessModel(), ReferenceSpec(), LearningConfig(**kwargs), horizon=0.1)
+    assert str(exc.value) == message
+
+
 def test_non_scalar_plant_rejected():
     # the episode takes the plant's SISO rule from ProcessModel, which
     # rejects a 2-input 2-output plant before any episode can be run

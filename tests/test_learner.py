@@ -388,6 +388,31 @@ def test_probe_stops_after_window():
 
 
 @pytest.mark.parametrize("strategy", ["ob", "cl", "mf"])
+def test_probe_edge_windows(strategy):
+    # the sinusoids are evaluated only before t_probe; every other time
+    # reads +0.0, as masking the whole wave gives
+    t = np.arange(2000) * 0.01
+    bits = lambda a: np.asarray(a, dtype=float).view(np.uint64)
+    off = LearningConfig(t_probe=0.0).probe(t, strategy)
+    assert np.array_equal(bits(off), bits(np.zeros(len(t))))
+    # a window past the horizon: the unmasked wave on every tick
+    on = LearningConfig(t_probe=1e6)
+    wave = on.probe_amplitude * sum(
+        np.sin(w * t + ph) for w, ph in zip(on.probe_frequencies, PROBE_PHASES[strategy]))
+    assert np.array_equal(bits(on.probe(t, strategy)), bits(wave))
+    # no frequency and a negative amplitude: -0.0 inside the window, +0.0 after it
+    flat = LearningConfig(probe_frequencies=(), probe_amplitude=-0.1)
+    assert np.array_equal(bits(flat.probe(np.array([4.99, 5.0]), strategy)),
+                          bits(np.array([-0.0, 0.0])))
+    # a scalar time gives a scalar, the bits of the same time in an array
+    times = [0.0, 0.3, 4.99, 5.0, 5.01, 19.99]
+    for c in (LearningConfig(), LearningConfig(t_probe=0.0), on, flat):
+        scalars = [c.probe(x, strategy) for x in times]
+        assert all(np.ndim(v) == 0 for v in scalars)
+        assert np.array_equal(bits(c.probe(np.array(times), strategy)), bits(scalars))
+
+
+@pytest.mark.parametrize("strategy", ["ob", "cl", "mf"])
 def test_probe_array_matches_per_tick_values(strategy):
     # the probe of every tick start k * delta of a 20 s episode, as one
     # array, equals the sum of sinusoids evaluated tick by tick

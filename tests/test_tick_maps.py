@@ -48,6 +48,29 @@ def test_maps_match_explicit_substeps(model, default_config):
             assert rel_err(z @ W @ z, phi) <= 1e-12
 
 
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_stacked_maps_equal_separate_calls(model):
+    # run_episode steps the plant and the desired model as one stack: each
+    # system's maps must keep the bits of a call on that system alone, on
+    # whatever numpy and BLAS build runs this
+    h = DELTA / SUBSTEPS
+    (A, B), (A_hat, B_hat) = systems(model).values()
+    stacks = [(np.stack((A, A_hat)), np.stack((B, B_hat)))]
+    rng = np.random.default_rng(11)
+    stacks += [(rng.normal(size=(*lead, n, n)), rng.normal(size=(*lead, n, m)))
+               for lead, n, m in (((4,), 1, 1), ((3,), 2, 1), ((2, 3), 4, 2), ((5,), 6, 3))]
+    for A_s, B_s in stacks:
+        L = held_input_maps(A_s, B_s, h, SUBSTEPS)
+        *lead, n, m = B_s.shape
+        assert L.shape == (*lead, SUBSTEPS + 1, n, n + m)
+        for index in np.ndindex(*lead):
+            assert np.array_equal(bits(L[index]),
+                                  bits(held_input_maps(A_s[index], B_s[index], h, SUBSTEPS)))
+
+
 # Final state and learner values of the default 20 s episode, recorded with
 # the explicit RK4 substep loop at 17 significant digits.
 GOLDEN = {
